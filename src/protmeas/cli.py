@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -400,20 +399,14 @@ def main(argv=None) -> int:
         params = merge_params(args)
         if args.sweep:
             key, values = _sweep_values(args.sweep)
-            workers = int(os.environ.get("PROTMEAS_THREADS", "0")) or min(4, len(values))
-            jobs = []
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for value in values:
-                    sub = dict(params)
-                    sub[key] = value
-                    if key == "alpha":
-                        sub["use_alpha"] = True
-                    sub_dir = os.path.join(args.out, f"{key}={value:g}"
-                                           if isinstance(value, float) else f"{key}={value}")
-                    jobs.append(pool.submit(run_single, args.experiment, sub,
-                                            sub_dir, args.plot))
-            for job in jobs:
-                job.result()
+            for value in values:
+                sub = dict(params)
+                sub[key] = value
+                if key == "alpha":
+                    sub["use_alpha"] = True
+                sub_dir = os.path.join(args.out, f"{key}={value:g}"
+                                       if isinstance(value, float) else f"{key}={value}")
+                run_single(args.experiment, sub, sub_dir, args.plot)
         else:
             run_single(args.experiment, params, args.out, args.plot)
     except UsageError as exc:

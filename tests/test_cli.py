@@ -174,12 +174,22 @@ def test_zeno_experiment_runs(tmp_path):
     assert s4 == pytest.approx(np.cos(np.pi / 8) ** 8, abs=1e-12)
 
 
-def test_sweep_runs_per_value(tmp_path, monkeypatch):
-    monkeypatch.setenv("PROTMEAS_THREADS", "2")
+def test_sweep_runs_per_value(tmp_path):
     assert main(["thermal", "--dim", "32", "--sweep", "beta=1,2",
                  "--out", str(tmp_path)]) == 0
     assert (tmp_path / "beta=1" / "thermal.csv").exists()
     assert (tmp_path / "beta=2" / "thermal.csv").exists()
+
+
+def test_sweep_output_lines_in_sweep_order(tmp_path, capsys):
+    assert main(["pointer-trace", "--T", "20", "--steps", "128",
+                 "--sweep", "x0=1,1.5", "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line.count("final_trivial=") <= 1 for line in lines)
+    csv = [tmp_path / f"x0={x0}" / "pointer_trace.csv" for x0 in ("1", "1.5")]
+    seen = ["final_trivial" if line.startswith("final_trivial=") else line
+            for line in lines if line.startswith(("final_trivial=", "wrote "))]
+    assert seen == ["final_trivial", f"wrote {csv[0]}", "final_trivial", f"wrote {csv[1]}"]
 
 
 def test_two_state_experiment_consistency(tmp_path):

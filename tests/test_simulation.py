@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from protmeas import (IntervalRegion, MeasurementSchedule, NumericalError,
                       OscillatorBasis, PointerGrid, StateVector, expectation,
@@ -80,6 +81,57 @@ def test_stepper_second_order_in_dt(basis32, tail_projector):
     ref = means[-1]
     e1, e2 = abs(means[0] - ref), abs(means[1] - ref)
     assert e2 < e1 / 2.5
+
+
+def strang_reference(P, sched, pre, grid, steps):
+    """Full-window Strang splitting: (pointer mean, dE per p, survival)."""
+    lam, W = np.linalg.eigh(P.entries)
+    E = P.basis.energies()
+    T = sched.duration
+    M = W.conj().T @ (np.exp(-1j * E * T / steps)[:, None] * W)
+    S = np.outer(W.conj().T @ pre.amplitudes,
+                 np.fft.fft(grid.initial_wave(), norm="ortho"))
+    lam_p = np.outer(lam, grid.p)
+    kicks = np.diff(sched.cumulative(np.linspace(0.0, T, steps + 1)))
+    for m, kick in enumerate(kicks):
+        half = np.exp(-0.5j * kick * lam_p)
+        S = half * (M @ (half * S))
+        if m + 1 == steps // 2:
+            de = sched.g(0.5 * T) * np.sum(lam[:, None] * np.abs(S) ** 2)
+    prob_x = np.sum(np.abs(np.fft.ifft(S, axis=1, norm="ortho")) ** 2, axis=0)
+    ref = W.conj().T @ (pre.amplitudes * np.exp(-1j * E * T))
+    return np.array([np.sum(grid.x * prob_x), de,
+                     np.sum(np.abs(S.conj().T @ ref) ** 2)])
+
+
+@pytest.mark.parametrize("ramp_fraction", [0.05, 0.0, 0.5])
+def test_exact_plateau_matches_full_window_strang(ramp_fraction):
+    # 0.0: no ramps, all exact; 0.5: no plateau, all stepped
+    basis = OscillatorBasis(dim=16)
+    P = projector_matrix(IntervalRegion(1.0, np.inf), basis)
+    pre = number_state(basis, 0)
+    grid = PointerGrid(points=64)
+    sched = MeasurementSchedule(5.0, ramp_fraction)
+    coarse = strang_reference(P, sched, pre, grid, 2048)
+    fine = strang_reference(P, sched, pre, grid, 4096)
+    richardson = (4.0 * fine - coarse) / 3.0
+    mean, de, survival, norm = _run_bipartite(P, sched, pre, grid, 512)
+    np.testing.assert_allclose([mean, de, survival], richardson, rtol=0, atol=1e-8)
+    assert norm == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(T=st.floats(1.0, 50.0), ramp_fraction=st.floats(0.0, 0.5))
+def test_identity_projector_translates_pointer_by_unit_integral(T, ramp_fraction):
+    # with P_V = 1 the pointer moves by exactly integral(g) = 1 and the
+    # system is untouched, whatever the schedule
+    basis = OscillatorBasis(dim=16)
+    P = projector_matrix(IntervalRegion(-np.inf, np.inf), basis)
+    res = bipartite_protective_sim(P, MeasurementSchedule(T, ramp_fraction),
+                                   grid=PointerGrid(points=64), steps=64)
+    assert res.pointer_shift == pytest.approx(1.0, abs=1e-9)
+    assert res.final_norm == pytest.approx(1.0, abs=1e-10)
+    assert res.survival_probability <= 1.0 + 1e-10
 
 
 def test_pointer_grid_validation():

@@ -1,7 +1,7 @@
 """Protective measurements on a harmonic oscillator with pre- and post-selection."""
 
 from .errors import (NumericalError, PostSelectionError, ProtmeasError,
-                     QuadratureError, TruncationError, UsageError)
+                     TruncationError, UsageError)
 from .oscillator import (DualState, OscillatorBasis, StateVector, backward_state,
                          coherent_state, evolve, hamiltonian, hermite_functions,
                          number_state, overlap, position_wavefunction)

@@ -17,11 +17,9 @@ import numpy as np
 
 from . import ergodicity, simulation, twostate
 from .errors import NumericalError, ProtmeasError, UsageError
-from .oscillator import (OscillatorBasis, StateVector, coherent_state,
-                         hermite_functions, number_state)
+from .oscillator import OscillatorBasis, StateVector, coherent_state, number_state
 from .projectors import (IntervalRegion, bin_regions, heisenberg_projector,
                          projector_matrix, time_averaged_projector)
-from .quadrature import adaptive_integrate
 from .svgplot import emit_plot
 from .tables import ResultTable
 from .weak import (MeasurementSchedule, closed_form_pvi_weak, expectation,
@@ -93,13 +91,9 @@ def run_sketch(p):
     _require(p["bin_width"] > 0, "bin_width must be positive")
     _require(p["L"] > 0, "L must be positive")
     state = coherent_state(basis, p["alpha"]) if p.get("use_alpha") else number_state(basis, p["n"])
-    amps = state.amplitudes
     table = ResultTable(["bin_center", "probability"], ["", ""])
     for region in bin_regions(p["bin_width"], p["L"]):
-        def density(x):
-            phi = hermite_functions(x, basis.dim)
-            return np.abs(np.tensordot(amps, phi, axes=(0, 0))) ** 2
-        prob = float(adaptive_integrate(density, region.lower, region.upper, tol=1e-12))
+        prob = expectation(projector_matrix(region, basis), state)
         table.add_row(0.5 * (region.lower + region.upper), prob)
     return table, [("sketch.svg", "bin_center", ["probability"], ["|psi|^2 per bin"],
                     "wavefunction sketch")]

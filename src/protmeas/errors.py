@@ -13,14 +13,6 @@ class NumericalError(ProtmeasError):
     """A numerical procedure failed to reach its tolerance."""
 
 
-class QuadratureError(NumericalError):
-    """Adaptive quadrature did not converge; carries the achieved tolerance."""
-
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
-
-
 class PostSelectionError(ProtmeasError):
     """Post-selected state is (nearly) orthogonal to the pre-selected one."""
 

@@ -14,14 +14,20 @@ amplitude).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import TruncationError
 
 COHERENT_TAIL_LIMIT = 1e-10
+MAX_COHERENT_DIM = 100_000
+# Beyond x^2/2 = 700 the Gaussian factor exp(-x^2/2) leaves the normal floats
+_GAUSSIAN_FLOOR = 700.0
+_RESCALE_BITS = 256
+# phi_n(x) underflows for every n < 1e13 beyond this, so clipping x changes no value
+_X_CLIP = 1e7
 
 
 @dataclass(frozen=True)
@@ -114,25 +120,51 @@ def number_state(basis: OscillatorBasis, n: int) -> StateVector:
     return StateVector(amps, basis)
 
 
+def _log_poisson(lam: float, n: int) -> float:
+    return -lam + n * math.log(lam) - math.lgamma(n + 1)
+
+
 def coherent_tail(dim: int, alpha: complex) -> float:
     """Probability weight of a coherent state beyond the truncation.
 
     This is the Poisson survival function sum_{n>=dim} |alpha|^2n e^-|alpha|^2 / n!.
+    Above the mean the terms fall from n = dim on and are summed upward;
+    otherwise the tail is 1 minus the head sum over n < dim.
     """
     lam = abs(alpha) ** 2
     if lam == 0.0:
         return 0.0
-    return float(special.gammainc(dim, lam))
+    total, term = 0.0, 1.0
+    if dim > lam:
+        n = dim
+        while term > 1e-17 * total:
+            total += term
+            n += 1
+            term *= lam / n
+        return math.exp(_log_poisson(lam, dim)) * total
+    for n in range(dim - 1, -1, -1):
+        total += term
+        term *= n / lam
+    return 1.0 - math.exp(_log_poisson(lam, dim - 1)) * total
 
 
 def required_coherent_dim(alpha: complex, limit: float = COHERENT_TAIL_LIMIT) -> int:
     """Smallest truncation for which the coherent tail drops below `limit`."""
-    dim = 2
-    while coherent_tail(dim, alpha) >= limit:
-        dim += 1
-        if dim > 100_000:
-            raise TruncationError(f"no reasonable truncation holds alpha={alpha!r}")
-    return dim
+    lam = abs(alpha) ** 2
+    if lam == 0.0:
+        return 2
+    if coherent_tail(MAX_COHERENT_DIM, alpha) >= limit:
+        raise TruncationError(f"no reasonable truncation holds alpha={alpha!r}")
+    # Poisson weights up to where the rest weighs below 1e-14 * limit
+    # (Chernoff bound), then every tail at once
+    log_gap = -math.log(limit) + math.log(1e14)
+    top = min(MAX_COHERENT_DIM,
+              math.ceil(lam + log_gap + math.sqrt(log_gap ** 2 + 2.0 * lam * log_gap)))
+    n = np.arange(top + 1)
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(n[1:]))))
+    weights = np.exp(-lam + n * math.log(lam) - log_fact)
+    tails = np.cumsum(weights[::-1])[::-1]
+    return int(np.argmax(tails[2:] < limit)) + 2
 
 
 def coherent_state(basis: OscillatorBasis, alpha: complex) -> StateVector:
@@ -152,7 +184,8 @@ def coherent_state(basis: OscillatorBasis, alpha: complex) -> StateVector:
         return number_state(basis, 0)
     n = np.arange(basis.dim)
     # log-domain to keep n! under control for large dim
-    log_mag = -abs(alpha) ** 2 / 2 + n * np.log(abs(alpha)) - special.gammaln(n + 1) / 2
+    log_fact = np.array([math.lgamma(k + 1.0) for k in n])
+    log_mag = -abs(alpha) ** 2 / 2 + n * np.log(abs(alpha)) - log_fact / 2
     amps = np.exp(log_mag) * np.exp(1j * np.angle(alpha) * n)
     return StateVector(amps, basis)
 
@@ -182,16 +215,36 @@ def hermite_functions(x, n_max: int) -> np.ndarray:
     Uses the stable three-term recurrence on the normalized functions
     phi_{n+1} = sqrt(2/(n+1)) x phi_n - sqrt(n/(n+1)) phi_{n-1},
     which never forms raw Hermite polynomials and stays finite for large n.
+    Where exp(-x^2/2) would underflow (|x| > 37.4) the recurrence runs on
+    psi_n = phi_n 2^-e instead, with the Gaussian factor and every later
+    rescaling kept in the integer exponent e (Bunck, BIT 49 (2009) 281), so
+    phi_n is right wherever it is a normal float.
     Returns an array of shape (n_max,) + shape(x).
     """
     x = np.asarray(x, dtype=float)
-    out = np.empty((n_max,) + x.shape, dtype=float)
-    out[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
+    shape = x.shape
+    x = np.clip(x.ravel(), -_X_CLIP, _X_CLIP)
+    out = np.empty((n_max, x.size), dtype=float)
+    half_sq = 0.5 * x * x
+    far = np.flatnonzero(half_sq > _GAUSSIAN_FLOOR)
+    e = -np.floor(half_sq[far] / math.log(2.0))
+    half_sq[far] += e * math.log(2.0)
+    e = e.astype(np.int64)
+    out[0] = np.pi ** -0.25 * np.exp(-half_sq)
     if n_max > 1:
         out[1] = np.sqrt(2.0) * x * out[0]
+    phi_far = np.empty((n_max, far.size))
+    phi_far[:2] = np.ldexp(out[:2, far], e)
     for n in range(1, n_max - 1):
         out[n + 1] = np.sqrt(2.0 / (n + 1)) * x * out[n] - np.sqrt(n / (n + 1.0)) * out[n - 1]
-    return out
+        if far.size:
+            big = np.abs(out[n + 1, far]) > 2.0 ** _RESCALE_BITS
+            if big.any():
+                out[n:n + 2, far[big]] *= 2.0 ** -_RESCALE_BITS
+                e[big] += _RESCALE_BITS
+            phi_far[n + 1] = np.ldexp(out[n + 1, far], e)
+    out[:, far] = phi_far
+    return out.reshape((n_max,) + shape)
 
 
 def position_wavefunction(state: StateVector, x):

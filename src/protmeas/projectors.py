@@ -1,25 +1,22 @@
 """Interval projection operators in the number basis and their Heisenberg dynamics.
 
 The projector onto a position interval V has matrix elements
-<m|P_V|n> = integral over V of phi_m(x) phi_n(x) dx, computed by adaptive
-composite Gauss-Legendre quadrature.  In the Heisenberg picture the matrix
-acquires phases e^{-i(m-n) omega t}; averaging those phases over a
-measurement window suppresses every off-diagonal entry by at least
-2 / (|m-n| omega T).
+<m|P_V|n> = integral over V = [a, b] of phi_m(x) phi_n(x) dx, in closed form
+(see `quadrature`): off the diagonal it is the Wronskian difference
+[phi_m' phi_n - phi_m phi_n']_a^b / (2(n - m)), and on it the recurrence
+D_{n+1} = D_n - [phi_n phi_{n+1}]_a^b / sqrt(2(n+1)) from D_0 = (erf b - erf a)/2.
+In the Heisenberg picture the matrix acquires phases e^{-i(m-n) omega t};
+averaging those phases over a measurement window suppresses every
+off-diagonal entry by at least 2 / (|m-n| omega T).
 """
 
 from dataclasses import dataclass
-from math import isinf, sqrt
+from math import isinf
 
 import numpy as np
 
-from .errors import QuadratureError
-from .oscillator import OscillatorBasis, hermite_functions
-from .quadrature import panel_nodes
-
-ENTRY_TOL = 1e-10
-MAX_PANELS = 2 ** 20
-_PANEL_CHUNK = 8192
+from .oscillator import OscillatorBasis
+from .quadrature import interval_overlaps
 
 
 @dataclass(frozen=True)
@@ -57,51 +54,10 @@ class ProjectorMatrix:
             raise ValueError(f"projector entries not Hermitian (defect {h:.3e})")
 
 
-def _integration_bounds(region: IntervalRegion, basis: OscillatorBasis):
-    # Beyond the top basis state's classical turning point the integrand is
-    # Gaussian-suppressed; 10 extra widths put it far below ENTRY_TOL.
-    reach = sqrt(2.0 * basis.dim - 1.0) + 10.0
-    a = max(region.lower, -reach)
-    b = min(region.upper, reach)
-    return a, b
-
-
-def _entry_integrals(basis: OscillatorBasis, a: float, b: float, panels: int,
-                     order: int) -> np.ndarray:
-    total = np.zeros((basis.dim, basis.dim))
-    done = 0
-    while done < panels:
-        chunk = min(_PANEL_CHUNK, panels - done)
-        lo = a + (b - a) * done / panels
-        hi = a + (b - a) * (done + chunk) / panels
-        x, w = panel_nodes(lo, hi, chunk, order)
-        phi = hermite_functions(x, basis.dim)
-        total += (phi * w) @ phi.T
-        done += chunk
-    return total
-
-
-def projector_matrix(region: IntervalRegion, basis: OscillatorBasis,
-                     tol: float = ENTRY_TOL, order: int = 16,
-                     max_panels: int = MAX_PANELS) -> ProjectorMatrix:
-    """Build P_V by panel-doubling quadrature to `tol` per entry."""
-    a, b = _integration_bounds(region, basis)
-    if not a < b:
-        return ProjectorMatrix(np.zeros((basis.dim, basis.dim), dtype=np.complex128),
-                               region, basis)
-    panels = 1
-    prev = _entry_integrals(basis, a, b, panels, order)
-    while panels < max_panels:
-        panels *= 2
-        cur = _entry_integrals(basis, a, b, panels, order)
-        delta = float(np.max(np.abs(cur - prev)))
-        if delta < tol:
-            sym = 0.5 * (cur + cur.T)  # exact symmetry despite roundoff
-            return ProjectorMatrix(sym.astype(np.complex128), region, basis)
-        prev = cur
-    raise QuadratureError(
-        f"projector quadrature on [{a}, {b}] stalled at delta={delta:.3e} "
-        f"(tol {tol:g}, {max_panels} panels)", achieved=delta)
+def projector_matrix(region: IntervalRegion, basis: OscillatorBasis) -> ProjectorMatrix:
+    """Build P_V from the exact antiderivatives of phi_m phi_n."""
+    entries = interval_overlaps(region.lower, region.upper, basis.dim)
+    return ProjectorMatrix(entries.astype(np.complex128), region, basis)
 
 
 def _phases(basis: OscillatorBasis, t: float) -> np.ndarray:

@@ -1,51 +1,46 @@
-"""Composite Gauss-Legendre quadrature with panel-doubling adaptivity."""
+"""Closed-form integrals of products of Hermite functions over an interval.
 
-from functools import lru_cache
+phi_n'' = (x^2 - (2n+1)) phi_n, so the Wronskian of phi_m and phi_n is an
+antiderivative of their product.  For m != n
+
+    int_a^b phi_m phi_n dx = [phi_m' phi_n - phi_m phi_n']_a^b / (2(n - m)),
+
+with phi_n' = sqrt(n/2) phi_{n-1} - sqrt((n+1)/2) phi_{n+1}.  The diagonal
+follows from the ladder operators by the two-term recurrence
+
+    D_{n+1} = D_n - [phi_n phi_{n+1}]_a^b / sqrt(2(n+1)),
+    D_0 = (erf b - erf a) / 2.
+
+Both need only phi_0..phi_dim at the finite endpoints; an infinite endpoint
+contributes nothing, since every phi_n vanishes there.
+"""
+
+from math import erf, isinf
 
 import numpy as np
 
-from .errors import QuadratureError
+from .oscillator import hermite_functions
 
 
-@lru_cache(maxsize=None)
-def _base_rule(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+def _boundary_terms(x: float, dim: int):
+    """Wronskians phi_m' phi_n - phi_m phi_n' and products phi_n phi_{n+1} at x."""
+    if isinf(x):
+        return np.zeros((dim, dim)), np.zeros(dim - 1)
+    phi = hermite_functions(x, dim + 1)
+    n = np.arange(dim)
+    dphi = -np.sqrt((n + 1) / 2.0) * phi[1:]
+    dphi[1:] += np.sqrt(n[1:] / 2.0) * phi[:dim - 1]
+    phi = phi[:dim]
+    return np.outer(dphi, phi) - np.outer(phi, dphi), phi[:-1] * phi[1:]
 
 
-def panel_nodes(a: float, b: float, panels: int, order: int = 16):
-    """Nodes and weights of `panels` equal Gauss-Legendre panels over [a, b]."""
-    x0, w0 = _base_rule(order)
-    edges = np.linspace(a, b, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    x = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
-    w = (half[:, None] * w0[None, :]).ravel()
-    return x, w
-
-
-def adaptive_integrate(f, a: float, b: float, tol: float = 1e-10,
-                       order: int = 16, max_panels: int = 2 ** 20):
-    """Integrate a (possibly vector-valued) function over [a, b].
-
-    `f` maps an array of sample points to values with the point axis last.
-    Panels double until the max-abs change between refinements drops below
-    `tol`; non-convergence raises QuadratureError carrying the achieved
-    tolerance.
-    """
-    if not b > a:
-        raise ValueError(f"empty integration interval [{a}, {b}]")
-    panels = 1
-    x, w = panel_nodes(a, b, panels, order)
-    prev = np.tensordot(np.asarray(f(x)), w, axes=(-1, 0))
-    while panels < max_panels:
-        panels *= 2
-        x, w = panel_nodes(a, b, panels, order)
-        cur = np.tensordot(np.asarray(f(x)), w, axes=(-1, 0))
-        delta = float(np.max(np.abs(cur - prev)))
-        if delta < tol:
-            return cur
-        prev = cur
-    raise QuadratureError(
-        f"quadrature on [{a}, {b}] did not reach tol={tol:g} "
-        f"within {max_panels} panels", achieved=delta)
+def interval_overlaps(a: float, b: float, dim: int) -> np.ndarray:
+    """The dim x dim matrix of int_a^b phi_m phi_n dx; a or b may be infinite."""
+    wronskian_a, products_a = _boundary_terms(a, dim)
+    wronskian_b, products_b = _boundary_terms(b, dim)
+    n = np.arange(dim)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (wronskian_b - wronskian_a) / (2.0 * (n[None, :] - n[:, None]))
+    steps = (products_b - products_a) / np.sqrt(2.0 * n[1:])
+    out[n, n] = 0.5 * (erf(b) - erf(a)) - np.concatenate(([0.0], np.cumsum(steps)))
+    return out

@@ -54,37 +54,28 @@ class MeasurementSchedule:
     def g(self, t):
         """Coupling strength at time t (vectorized, zero outside the window)."""
         t = np.asarray(t, dtype=float)
-        h, T, r = self.plateau, self.duration, self.ramp_fraction
-        if r == 0.0:
-            out = np.where((t >= 0.0) & (t <= T), h, 0.0)
-            return out if out.shape else float(out)
-        ramp = r * T
-        up = 0.5 * h * (1.0 - np.cos(np.pi * t / ramp))
-        down = 0.5 * h * (1.0 - np.cos(np.pi * (T - t) / ramp))
-        out = np.select(
-            [(t < 0.0) | (t > T), t < ramp, t > T - ramp],
-            [0.0, up, down],
-            default=h,
-        )
+        h, T = self.plateau, self.duration
+        ramp = self.ramp_fraction * T
+        out = np.where((t >= 0.0) & (t <= T), h, 0.0)
+        # each ramp is evaluated only where it applies: elsewhere t / ramp
+        # overflows for a subnormal ramp
+        up = (t >= 0.0) & (t < ramp)
+        down = ~up & (t > T - ramp) & (t <= T)
+        out[up] = 0.5 * h * (1.0 - np.cos(np.pi * t[up] / ramp))
+        out[down] = 0.5 * h * (1.0 - np.cos(np.pi * (T - t[down]) / ramp))
         return out if out.shape else float(out)
 
     def cumulative(self, t):
         """Closed-form integral of g over [0, t]; cumulative(duration) == 1."""
-        t = np.asarray(t, dtype=float)
-        h, T, r = self.plateau, self.duration, self.ramp_fraction
-        tc = np.clip(t, 0.0, T)
-        if r == 0.0:
-            out = h * tc
-            return out if out.shape else float(out)
-        ramp = r * T
-        ramp_area = 0.5 * h * (tc - (ramp / np.pi) * np.sin(np.pi * tc / ramp))
-        tail = np.clip(T - tc, 0.0, ramp)
-        down_area = 0.5 * h * (tail - (ramp / np.pi) * np.sin(np.pi * tail / ramp))
-        out = np.select(
-            [tc < ramp, tc > T - ramp],
-            [ramp_area, 1.0 - down_area],
-            default=0.5 * h * ramp + h * (tc - ramp),
-        )
+        h, T = self.plateau, self.duration
+        ramp = self.ramp_fraction * T
+        tc = np.clip(np.asarray(t, dtype=float), 0.0, T)
+        out = np.asarray(0.5 * h * ramp + h * (tc - ramp))
+        up = tc < ramp
+        down = ~up & (tc > T - ramp)
+        rise, tail = tc[up], T - tc[down]
+        out[up] = 0.5 * h * (rise - (ramp / np.pi) * np.sin(np.pi * rise / ramp))
+        out[down] = 1.0 - 0.5 * h * (tail - (ramp / np.pi) * np.sin(np.pi * tail / ramp))
         return out if out.shape else float(out)
 
 

@@ -104,8 +104,7 @@ def test_criterion_4_closed_form_vs_exact(fig1):
     times = np.linspace(0.0, T_FIG, 20001)
     worst_overall = 0.0
     for w in (0.05, 0.02):
-        P = projector_matrix(IntervalRegion(X0 - w / 2, X0 + w / 2),
-                             fig1["basis"], tol=1e-12)
+        P = projector_matrix(IntervalRegion(X0 - w / 2, X0 + w / 2), fig1["basis"])
         wv, _ = weak_value_series(P, fig1["pre"], fig1["post"], times, T_FIG)
         exact = np.abs(wv.real) / w
         closed = np.abs(closed_form_pvi_weak(ALPHA, 0.0, X0, OMEGA, T_FIG, times))
@@ -194,7 +193,7 @@ def test_criterion_7_weak_value_identities(basis, rng):
     times = np.linspace(0.0, 100.0, 11)
     total = np.zeros(times.size, dtype=complex)
     for region in regions:
-        P = projector_matrix(region, basis, tol=1e-12)
+        P = projector_matrix(region, basis)
         vals, _ = weak_value_series(P, pre, post, times, 100.0)
         total += vals
     sum_rule_ok = float(np.max(np.abs(total - 1.0))) <= 1e-8

@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+import protmeas
 from protmeas.cli import main
 from protmeas.svgplot import emit_plot
 from protmeas.tables import ResultTable
@@ -216,3 +220,11 @@ def test_heisenberg_experiment_bound_column(tmp_path):
         cells = [float(v) for v in ln.split(",")]
         if cells[im] != cells[_in]:
             assert np.hypot(cells[ia], cells[ib]) <= cells[ibound] + 1e-15
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(protmeas.__file__).parents[1]))
+    code = "import sys, protmeas.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

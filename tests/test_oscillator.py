@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from protmeas import (OscillatorBasis, TruncationError, backward_state,
                       coherent_state, evolve, expectation, number_state,
                       position_wavefunction, weak_value)
 from protmeas.oscillator import coherent_tail, hermite_functions, required_coherent_dim
-from protmeas.quadrature import adaptive_integrate
 
 from conftest import random_hermitian, random_state
 
@@ -152,7 +152,7 @@ def test_wavefunction_normalization_by_quadrature(basis, rng):
         phi = hermite_functions(x, basis.dim)
         return np.abs(np.tensordot(st.amplitudes, phi, axes=(0, 0))) ** 2
 
-    total = float(adaptive_integrate(density, -25.0, 25.0, tol=1e-10))
+    total, _ = integrate.quad(density, -25.0, 25.0, epsabs=1e-10, limit=200)
     assert total == pytest.approx(1.0, abs=1e-8)
 
 
@@ -161,10 +161,44 @@ def test_hermite_orthonormality_by_quadrature():
 
     def cross(x):
         phi = hermite_functions(x, n)
-        return phi[:, None, :] * phi[None, :, :]
+        return np.outer(phi, phi).ravel()
 
-    gram = adaptive_integrate(cross, -15.0, 15.0, tol=1e-10)
+    gram = integrate.quad_vec(cross, -15.0, 15.0, epsabs=1e-10)[0].reshape(n, n)
     assert np.max(np.abs(gram - np.eye(n))) < 1e-8
+
+
+@pytest.mark.parametrize("n", [1023, 2047])
+def test_hermite_norm_beyond_gaussian_underflow(n):
+    # exp(-x^2/2) underflows for |x| > 38.6, but phi_n reaches out to its
+    # turning point sqrt(2n+1) (64 for n = 2047): the window must hold it
+    x = np.linspace(-80.0, 80.0, 8001)
+    phi = np.concatenate([hermite_functions(c, n + 1)[n] for c in np.array_split(x, 16)])
+    assert np.all(np.isfinite(phi))
+    assert float(np.sum(phi ** 2)) * (x[1] - x[0]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_hermite_functions_vanish_at_infinity():
+    phi = hermite_functions(np.array([-np.inf, -1e200, 1e200, np.inf]), 64)
+    assert np.array_equal(phi, np.zeros_like(phi))
+
+
+def test_coherent_tail_matches_regularized_gamma():
+    for alpha in (0.3, 1.0, 2.5, 3.5, 12.0):
+        for dim in (2, 5, 10, 20, 40, 64, 150, 300):
+            want = float(special.gammainc(dim, abs(alpha) ** 2))
+            got = coherent_tail(dim, alpha)
+            if want < 1e-6:
+                assert got == pytest.approx(want, rel=1e-11, abs=1e-300)
+            else:
+                assert got == pytest.approx(want, abs=1e-13)
+
+
+def test_required_coherent_dim_is_first_dim_below_limit():
+    for alpha in (0.0, 0.1, 1.0, 2.5, 3.5, 12.0):
+        for limit in (1e-3, 1e-10, 1e-14):
+            need = required_coherent_dim(alpha, limit)
+            assert coherent_tail(need, alpha) < limit
+            assert need == 2 or coherent_tail(need - 1, alpha) >= limit
 
 
 def test_phase_convention_independence(rng):

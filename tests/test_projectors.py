@@ -1,10 +1,14 @@
+import math
+import time
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy import integrate
 
-from protmeas import (FULL_LINE, IntervalRegion, QuadratureError, evolve,
-                      expectation, heisenberg_projector, number_state,
-                      projector_matrix, time_averaged_projector)
+from protmeas import (FULL_LINE, IntervalRegion, OscillatorBasis, evolve,
+                      expectation, heisenberg_projector, hermite_functions,
+                      number_state, projector_matrix, time_averaged_projector)
 from protmeas.projectors import bin_regions
 
 HALF_TAIL = 0.07864960352514258   # erfc(1)/2
@@ -43,10 +47,43 @@ def test_projector_spectrum_in_unit_range(basis):
     assert np.max(np.abs(P.entries - P.entries.conj().T)) < 1e-10
 
 
-def test_quadrature_non_convergence_raises(basis):
-    with pytest.raises(QuadratureError) as err:
-        projector_matrix(IntervalRegion(-1.0, 1.0), basis, tol=1e-30, max_panels=4)
-    assert err.value.achieved is not None
+ENDPOINTS = st.one_of(st.floats(-45.0, 45.0), st.sampled_from([-math.inf, math.inf]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=ENDPOINTS, b=ENDPOINTS, dim=st.integers(2, 300))
+def test_projector_is_a_compressed_projection(a, b, dim):
+    assume(a < b)
+    P = projector_matrix(IntervalRegion(a, b), OscillatorBasis(dim)).entries
+    assert np.array_equal(P, P.conj().T)
+    vals = np.linalg.eigvalsh(P)
+    assert vals.min() >= -1e-12 and vals.max() <= 1.0 + 1e-12
+    # phi_n^2 < 1e-80 beyond |x| = 15 for n <= 5; quad misses the peak of
+    # an infinite range that reaches far past it
+    lo, hi = max(a, -15.0), min(b, 15.0)
+    for n in range(min(dim, 6)):
+        oracle, err = (integrate.quad(lambda x: hermite_functions(x, n + 1)[n] ** 2, lo, hi,
+                                      epsabs=1e-13, epsrel=1e-13, limit=200)
+                       if lo < hi else (0.0, 0.0))
+        assert err < 1e-11
+        assert P[n, n].real == pytest.approx(oracle, abs=1e-10)
+
+
+def test_deep_tail_diagonal_matches_grid_sum():
+    # [39, inf) lies where exp(-x^2/2) underflows; phi_1023 is O(0.1) there
+    P = projector_matrix(IntervalRegion(39.0, np.inf), OscillatorBasis(1024))
+    x = np.linspace(39.0, 60.0, 21001)
+    phi = np.concatenate([hermite_functions(c, 1024)[1023] for c in np.array_split(x, 16)])
+    grid = integrate.simpson(phi ** 2, x=x)
+    assert P.entries[1023, 1023].real == pytest.approx(grid, abs=1e-10)
+    assert grid > 0.1
+
+
+def test_large_dim_build_is_bounded():
+    start = time.perf_counter()
+    P = projector_matrix(IntervalRegion(1.0, np.inf), OscillatorBasis(1024))
+    assert time.perf_counter() - start < 1.0
+    assert P.entries[0, 0].real == pytest.approx(HALF_TAIL, abs=1e-15)
 
 
 def test_heisenberg_at_zero_and_period(basis):

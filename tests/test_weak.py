@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.signal import find_peaks
@@ -138,7 +140,7 @@ def test_partition_sum_rule(basis):
     times = np.linspace(0.0, 100.0, 21)
     total = np.zeros(times.size, dtype=complex)
     for region in regions:
-        P = projector_matrix(region, basis, tol=1e-12)
+        P = projector_matrix(region, basis)
         vals, flagged = weak_value_series(P, pre, post, times, 100.0)
         assert not flagged.any()
         total += vals
@@ -179,7 +181,7 @@ def test_closed_form_amplitude_ordering():
 def test_closed_form_tracks_exact_peak_magnitudes(basis):
     # the point approximation reproduces the exact oscillation amplitudes
     x0, w, T = 1.0, 0.02, 100.0
-    P = projector_matrix(IntervalRegion(x0 - w / 2, x0 + w / 2), basis, tol=1e-12)
+    P = projector_matrix(IntervalRegion(x0 - w / 2, x0 + w / 2), basis)
     pre = number_state(basis, 0)
     post = coherent_state(basis, 2.5).dual()
     times = np.linspace(0.0, T, 20001)
@@ -244,3 +246,11 @@ def test_flagged_trace_reports_not_raises(basis):
     assert trace.any_flagged
     assert np.all(trace.flagged)
     assert np.all(trace.readings == 0.0)
+
+
+def test_subnormal_ramp_fraction_raises_no_warning():
+    s = MeasurementSchedule(1.0, 5e-324)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert s.cumulative([0.0, 0.5, 1.0]).tolist() == [0.0, 0.5, 1.0]
+        assert s.g([0.0, 0.5, 1.0]).tolist() == [0.0, 1.0, 1.0]

@@ -8,9 +8,8 @@ from .oscillator import (DualState, OscillatorBasis, StateVector, backward_state
 from .projectors import (FULL_LINE, IntervalRegion, ProjectorMatrix, bin_regions,
                          heisenberg_projector, projector_matrix,
                          time_averaged_projector)
-from .weak import (MeasurementSchedule, PointerTrace, WeakValueSample,
-                   closed_form_pvi_weak, expectation, pointer_trace, weak_value,
-                   weak_value_samples, weak_value_series)
+from .weak import (MeasurementSchedule, PointerTrace, closed_form_pvi_weak,
+                   expectation, pointer_trace, weak_value, weak_value_series)
 from .simulation import (BipartiteResult, PointerGrid, ZenoResult,
                          bipartite_protective_sim, zeno_protect_sim)
 from .twostate import (DensityMatrix, TwoStateDensity, sample_thermal_eigenstate,

@@ -23,7 +23,7 @@ from .projectors import (IntervalRegion, bin_regions, heisenberg_projector,
 from .svgplot import emit_plot
 from .tables import ResultTable
 from .weak import (MeasurementSchedule, closed_form_pvi_weak, expectation,
-                   pointer_trace, weak_value)
+                   pointer_trace, weak_value_series)
 
 EXPERIMENT_NAMES = ("sketch", "pointer-trace", "heisenberg-projector", "bipartite",
                     "zeno", "thermal", "two-state", "ergodic", "correspondence")
@@ -225,7 +225,7 @@ def run_thermal(p):
 
 def run_two_state(p):
     basis = _basis(p)
-    schedule = MeasurementSchedule(p["T"], p["ramp"], min(p["steps"], 512))
+    schedule = MeasurementSchedule(p["T"], p["ramp"], p["steps"])
     region = IntervalRegion(p["x0"] - p["w"] / 2, p["x0"] + p["w"] / 2)
     P = projector_matrix(region, basis)
     pre = number_state(basis, 0)
@@ -234,11 +234,11 @@ def run_two_state(p):
         ["t", "wv_direct_re", "wv_direct_im", "wv_trace_re", "wv_trace_im",
          "herm_defect"],
         ["s", "", "", "", "", ""])
-    for t in schedule.times:
+    direct, _ = weak_value_series(P, pre, post, schedule.times, p["T"])
+    for t, d in zip(schedule.times, direct):
         rho = twostate.two_state_density(pre, post, float(t), p["T"])
-        direct = weak_value(P, pre, post, float(t), p["T"])
         traced = twostate.weak_value_from_density(P, rho)
-        table.add_row(t, direct.real, direct.imag, traced.real, traced.imag,
+        table.add_row(t, d.real, d.imag, traced.real, traced.imag,
                       rho.hermiticity_defect())
     return table, [("two_state.svg", "t", ["wv_direct_re"], ["Re weak value"],
                     "two-state weak value")]

@@ -4,19 +4,22 @@ A thermal oscillator is diagonal with Boltzmann weights; the same averages
 for energy-diagonal observables come out of the pure "purification" state
 whose amplitudes are the square roots of those weights.  A pre- and
 post-selected pair defines the generally non-Hermitian two-state density
-rho(t) = |Psi(t)><Phi(t)| / <Phi|Psi>, which has unit trace by construction,
-obeys the von Neumann equation, and reproduces weak values through
-tr(A rho) / tr(rho).
+rho(t) = |Psi(t)><Phi(t)| / <Phi|U(T)|Psi>, which has unit trace, obeys the
+von Neumann equation, and reproduces weak values through tr(A rho) / tr(rho).
+Its denominator and overlap floor are those of the direct weak value
+(`weak.post_selection_overlap`); tr(A rho) / tr(rho) divides that
+denominator out again, so the trace formula stays an independent check of
+the direct weak value.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PostSelectionError, TruncationError
+from .errors import TruncationError
 from .oscillator import (DualState, OscillatorBasis, StateVector, backward_state,
                          evolve, number_state)
-from .weak import as_matrix
+from .weak import as_matrix, post_selection_overlap
 
 THERMAL_TAIL_LIMIT = 1e-10
 
@@ -108,15 +111,11 @@ def thermal_pointer_rate(A, rho: DensityMatrix) -> float:
 
 
 def two_state_density(pre: StateVector, post: DualState, t: float,
-                      duration: float, overlap_floor: float = 1e-8) -> TwoStateDensity:
+                      duration: float) -> TwoStateDensity:
     """The two-state density at time t inside a window of length `duration`."""
     ket = evolve(pre, t).amplitudes
     bra = backward_state(post, t, duration).amplitudes
-    den = complex(np.dot(bra, ket))
-    if abs(den) < overlap_floor:
-        raise PostSelectionError(
-            f"pre/post overlap {abs(den):.3e} below floor {overlap_floor:g}")
-    entries = np.outer(ket, bra) / den
+    entries = np.outer(ket, bra) / post_selection_overlap(pre, post, duration)
     return TwoStateDensity(entries=entries, basis=pre.basis, pre=pre, post=post, time=t)
 
 

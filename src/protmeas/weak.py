@@ -5,11 +5,17 @@ ends, rescaled so its integral is exactly 1.  A pointer coupled to an
 observable A of a pre- and post-selected system accumulates the real part of
 the weak value
 
-    A_w(t) = <Phi_f(t)| A |Phi_i(t)> / <Phi_f| U(T) |Phi_i>,
+    A_w(t) = <Phi_f(t)| A |Psi_i(t)> / <Phi_f| U(T) |Psi_i>,
 
 where the pre-selected ket evolves forward from t=0 and the post-selected bra
-evolves backward from t=T.  The denominator is time independent, so a single
-near-orthogonality check covers the whole trace.
+evolves backward from t=T.  `weak_value_series` is the one implementation of
+this quotient: `weak_value` evaluates it at a single time, and `pointer_trace`
+integrates its real part, taking the trivial post-selection to be the bra
+<Psi_i| U(T)^dagger, for which A_w(t) is the expectation value in the evolved
+pre-selected state.  The denominator is time independent, so it is computed
+once per call by `post_selection_overlap` (which `twostate` shares) and
+checked once against OVERLAP_FLOOR: below the floor every grid point is
+flagged.
 """
 
 from dataclasses import dataclass
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PostSelectionError
-from .oscillator import DualState, StateVector
+from .oscillator import DualState, StateVector, evolve, overlap
 
 OVERLAP_FLOOR = 1e-8
 
@@ -99,57 +105,45 @@ def expectation(A, state: StateVector) -> float:
     return val.real
 
 
-def weak_value(A, pre: StateVector, post: DualState, t: float, duration: float,
-               overlap_floor: float = OVERLAP_FLOOR) -> complex:
-    """The exact weak value of A at time t within a window of length `duration`."""
-    mat = as_matrix(A)
-    energies = pre.basis.energies()
-    ket = pre.amplitudes * np.exp(-1j * energies * t)
-    bra = post.amplitudes * np.exp(-1j * energies * (duration - t))
-    den = complex(np.dot(bra, ket))
-    if abs(den) < overlap_floor:
-        raise PostSelectionError(
-            f"pre/post overlap {abs(den):.3e} below floor {overlap_floor:g}; "
-            "weak value unreliable")
-    return complex(np.dot(bra, mat @ ket)) / den
+def post_selection_overlap(pre: StateVector, post: DualState, duration: float) -> complex:
+    """The weak-value denominator <Phi_f| U(T) |Psi_i>, checked against OVERLAP_FLOOR.
 
-
-def weak_value_series(A, pre: StateVector, post: DualState, times,
-                      duration: float,
-                      overlap_floor: float = OVERLAP_FLOOR):
-    """Vectorized weak values on a time grid.
-
-    Returns (values, flagged): flagged marks grid points whose overlap fell
-    below the floor; those values are NaN rather than extrapolated.
+    Raises PostSelectionError when its modulus is below the floor.
     """
+    den = overlap(post, evolve(pre, duration))
+    if abs(den) < OVERLAP_FLOOR:
+        raise PostSelectionError(
+            f"pre/post overlap {abs(den):.3e} below floor {OVERLAP_FLOOR:g}; "
+            "weak value unreliable")
+    return den
+
+
+def weak_value_series(A, pre: StateVector, post: DualState, times, duration: float):
+    """Weak values A_w(t) on a time grid inside a window of length `duration`.
+
+    Returns (values, flagged).  The denominator is computed once, so flagged
+    is all true or all false: when the overlap is below the floor every value
+    is NaN rather than extrapolated.
+    """
+    times = np.asarray(times, dtype=float)
+    try:
+        den = post_selection_overlap(pre, post, duration)
+    except PostSelectionError:
+        return np.full(times.shape, np.nan + 0j), np.ones(times.shape, dtype=bool)
     mat = as_matrix(A)
     energies = pre.basis.energies()
-    times = np.asarray(times, dtype=float)
     ket = pre.amplitudes[:, None] * np.exp(-1j * np.outer(energies, times))
     bra = post.amplitudes[:, None] * np.exp(-1j * np.outer(energies, duration - times))
-    den = np.sum(bra * ket, axis=0)
-    num = np.sum(bra * (mat @ ket), axis=0)
-    flagged = np.abs(den) < overlap_floor
-    values = np.where(flagged, np.nan + 0j, num / np.where(flagged, 1.0, den))
-    return values, flagged
+    values = np.sum(bra * (mat @ ket), axis=0) / den
+    return values, np.zeros(times.shape, dtype=bool)
 
 
-@dataclass(frozen=True)
-class WeakValueSample:
-    """One weak-value sample; real and equal to the expectation value when
-    the post-selection is the evolved pre-selection."""
-
-    t: float
-    value: complex
-
-
-def weak_value_samples(A, pre: StateVector, post: DualState, times,
-                       duration: float,
-                       overlap_floor: float = OVERLAP_FLOOR) -> list:
-    """Weak values on a grid as labeled samples (flagged points excluded)."""
-    values, flagged = weak_value_series(A, pre, post, times, duration, overlap_floor)
-    return [WeakValueSample(float(t), complex(v))
-            for t, v, bad in zip(np.asarray(times), values, flagged) if not bad]
+def weak_value(A, pre: StateVector, post: DualState, t: float, duration: float) -> complex:
+    """The exact weak value of A at time t; raises PostSelectionError below the floor."""
+    values, flagged = weak_value_series(A, pre, post, [t], duration)
+    if flagged[0]:
+        post_selection_overlap(pre, post, duration)   # raises, naming the overlap
+    return complex(values[0])
 
 
 def closed_form_pvi_weak(alpha_mod: float, delta: float, x0: float,
@@ -184,8 +178,8 @@ class PointerTrace:
 
     times: np.ndarray
     readings: np.ndarray
-    values: np.ndarray       # integrand: Re weak value, or expectation value
-    flagged: np.ndarray      # grid points where the overlap floor was violated
+    values: np.ndarray       # integrand: Re weak value (0 where flagged)
+    flagged: np.ndarray      # all true when the overlap is below the floor
 
     @property
     def final_reading(self) -> float:
@@ -197,28 +191,22 @@ class PointerTrace:
 
 
 def pointer_trace(schedule: MeasurementSchedule, pre: StateVector, A,
-                  post: DualState | None = None,
-                  overlap_floor: float = OVERLAP_FLOOR) -> PointerTrace:
+                  post: DualState | None = None) -> PointerTrace:
     """Accumulated pointer reading for a post-selected (or trivial) measurement.
 
     readings(t) = integral over [0, t] of g(t') * Re A_w(t') dt', accumulated
     by the trapezoid rule on the schedule grid.  With `post=None` (trivial
-    post-selection) the integrand is the expectation value in the evolved
+    post-selection) the bra is the evolved pre-selection <Psi_i| U(T)^dagger,
+    for which the weak value is the expectation value in the evolved
     pre-selected state.  Flagged grid points contribute zero and are reported
     on the trace instead of failing the run.
     """
     times = schedule.times
-    mat = as_matrix(A)
     if post is None:
-        _require_hermitian(mat)
-        energies = pre.basis.energies()
-        ket = pre.amplitudes[:, None] * np.exp(-1j * np.outer(energies, times))
-        values = np.sum(np.conj(ket) * (mat @ ket), axis=0).real
-        flagged = np.zeros(times.shape, dtype=bool)
-    else:
-        wv, flagged = weak_value_series(A, pre, post, times, schedule.duration,
-                                        overlap_floor)
-        values = np.where(flagged, 0.0, wv.real)
+        _require_hermitian(as_matrix(A))
+        post = evolve(pre, schedule.duration).dual()
+    wv, flagged = weak_value_series(A, pre, post, times, schedule.duration)
+    values = np.where(flagged, 0.0, wv.real)
     rate = schedule.g(times) * values
     increments = 0.5 * (rate[1:] + rate[:-1]) * np.diff(times)
     readings = np.concatenate([[0.0], np.cumsum(increments)])

@@ -208,6 +208,12 @@ def test_two_state_experiment_consistency(tmp_path):
         assert cells[i_direct] == pytest.approx(cells[i_trace], abs=1e-12)
 
 
+def test_two_state_runs_the_requested_steps(tmp_path):
+    assert main(["two-state", "--steps", "600", "--out", str(tmp_path)]) == 0
+    lines = read(tmp_path / "two_state.csv").decode().splitlines()
+    assert len(lines) - 1 == 601
+
+
 def test_heisenberg_experiment_bound_column(tmp_path):
     assert main(["heisenberg-projector", "--T", "100", "--dim", "32",
                  "--out", str(tmp_path)]) == 0

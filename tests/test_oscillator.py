@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate, special
 
-from protmeas import (OscillatorBasis, TruncationError, backward_state,
-                      coherent_state, evolve, expectation, number_state,
-                      position_wavefunction, weak_value)
+from protmeas import (DualState, MeasurementSchedule, OscillatorBasis, StateVector,
+                      TruncationError, backward_state, coherent_state, evolve,
+                      expectation, number_state, pointer_trace,
+                      position_wavefunction, weak_value, weak_value_series)
 from protmeas.oscillator import coherent_tail, hermite_functions, required_coherent_dim
 
 from conftest import random_hermitian, random_state
@@ -201,21 +203,30 @@ def test_required_coherent_dim_is_first_dim_below_limit():
             assert need == 2 or coherent_tail(need - 1, alpha) >= limit
 
 
-def test_phase_convention_independence(rng):
-    # weak values and expectations agree between zero-point conventions
-    plain = OscillatorBasis(dim=32, include_zero_point=False)
-    shifted = OscillatorBasis(dim=32, include_zero_point=True)
-    for _ in range(10):
-        amps_pre = rng.normal(size=32) + 1j * rng.normal(size=32)
-        amps_post = rng.normal(size=32) + 1j * rng.normal(size=32)
-        A = random_hermitian(rng, 32)
-        t, T = rng.uniform(0, 5), 5.0
-        results = []
-        for b in (plain, shifted):
-            from protmeas import DualState, StateVector
-            pre = StateVector(amps_pre, b)
-            post = DualState(amps_post, b)
-            results.append((weak_value(A, pre, post, t, T), expectation(A, pre)))
-        wa, wb = results[0][0], results[1][0]
-        assert abs(wa - wb) <= 1e-12 * (1.0 + abs(wa))
-        assert abs(results[0][1] - results[1][1]) <= 1e-12
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(2, 64), T=st.floats(0.1, 10.0), t_frac=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_phase_convention_independence(dim, T, t_frac, seed):
+    # weak values, expectations and pointer readings agree between
+    # zero-point conventions: the shift is a global phase on ket and bra
+    rng = np.random.default_rng(seed)
+    amps_pre = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    amps_post = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    A = random_hermitian(rng, dim)
+    t = t_frac * T
+    schedule = MeasurementSchedule(T, steps=64)
+    results = []
+    for zero_point in (False, True):
+        b = OscillatorBasis(dim=dim, include_zero_point=zero_point)
+        pre = StateVector(amps_pre, b)
+        post = DualState(amps_post, b)
+        results.append((weak_value(A, pre, post, t, T), expectation(A, evolve(pre, t)),
+                         weak_value_series(A, pre, post, schedule.times, T)[0],
+                         pointer_trace(schedule, pre, A, post).readings,
+                         pointer_trace(schedule, pre, A).readings))
+    (wa, ea, sa, ra, qa), (wb, eb, sb, rb, qb) = results
+    assert abs(wa - wb) <= 1e-12 * (1.0 + abs(wa))
+    assert abs(ea - eb) <= 1e-12
+    assert np.all(np.abs(sa - sb) <= 1e-12 * (1.0 + np.abs(sa)))
+    assert np.max(np.abs(ra - rb)) <= 1e-12 * (1.0 + np.max(np.abs(sa)))
+    assert np.max(np.abs(qa - qb)) <= 1e-12

@@ -115,16 +115,19 @@ def test_time_average_keeps_diagonal_and_hermiticity(basis):
     assert np.max(np.abs(avg - avg.conj().T)) < 1e-14
 
 
-def test_time_average_dephasing_bound(basis):
-    P = projector_matrix(IntervalRegion(1.0, np.inf), basis)
-    for T in (10.0, 100.0):
-        avg = time_averaged_projector(P, T)
-        for m in range(20):
-            for n in range(20):
-                if m == n:
-                    continue
-                bound = 2.0 * abs(P.entries[m, n]) / (abs(m - n) * basis.omega * T)
-                assert abs(avg[m, n]) <= bound + 1e-15
+@settings(max_examples=40, deadline=None)
+@given(a=ENDPOINTS, b=ENDPOINTS, T=st.floats(0.1, 1000.0))
+def test_time_average_dephasing_bound(a, b, T):
+    assume(a < b)
+    basis = OscillatorBasis(64)
+    P = projector_matrix(IntervalRegion(a, b), basis)
+    avg = time_averaged_projector(P, T)
+    for m in range(20):
+        for n in range(20):
+            if m == n:
+                continue
+            bound = 2.0 * abs(P.entries[m, n]) / (abs(m - n) * basis.omega * T)
+            assert abs(avg[m, n]) <= bound + 1e-15
 
 
 def test_time_average_specific_entry(basis):

@@ -2,12 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.signal import find_peaks
 
-from protmeas import (IntervalRegion, MeasurementSchedule, PostSelectionError,
-                      coherent_state, evolve, expectation, number_state,
-                      pointer_trace, projector_matrix, weak_value,
-                      weak_value_samples, weak_value_series)
+from protmeas import (IntervalRegion, MeasurementSchedule, OscillatorBasis,
+                      PostSelectionError, coherent_state, evolve, expectation,
+                      number_state, pointer_trace, projector_matrix, weak_value,
+                      weak_value_series)
 from protmeas.projectors import bin_regions
 from protmeas.weak import closed_form_pvi_weak
 
@@ -94,12 +95,17 @@ def test_weak_value_identity_is_one(basis, rng):
     assert abs(wv - 1.0) < 1e-12
 
 
-def test_weak_value_linearity(basis, rng):
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(2, 64), T=st.floats(0.1, 100.0), t_frac=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_weak_value_linearity(dim, T, t_frac, seed):
+    rng = np.random.default_rng(seed)
+    basis = OscillatorBasis(dim=dim)
     pre = random_state(rng, basis)
     post = random_state(rng, basis).dual()
     A = random_hermitian(rng, basis.dim)
     B = random_hermitian(rng, basis.dim)
-    t, T = 2.2, 9.0
+    t = t_frac * T
     lhs = weak_value(A + B, pre, post, t, T)
     rhs = weak_value(A, pre, post, t, T) + weak_value(B, pre, post, t, T)
     assert abs(lhs - rhs) < 1e-10 * (1.0 + abs(lhs))
@@ -121,14 +127,6 @@ def test_weak_value_series_matches_scalar(basis, rng):
     assert not flagged.any()
     for t, v in zip(times, series):
         assert abs(v - weak_value(P, pre, post, float(t), 10.0)) < 1e-13
-
-
-def test_weak_value_samples_drop_flagged(basis):
-    pre = number_state(basis, 0)
-    post = number_state(basis, 1).dual()
-    samples = weak_value_samples(np.eye(basis.dim), pre, post,
-                                 np.linspace(0, 5, 11), 5.0)
-    assert samples == []
 
 
 def test_partition_sum_rule(basis):
@@ -197,6 +195,12 @@ def test_closed_form_tracks_exact_peak_magnitudes(basis):
 
 
 # ------------------------------------------------------------ pointer trace
+
+def test_trivial_trace_rejects_non_hermitian(basis, rng):
+    A = rng.normal(size=(basis.dim, basis.dim)) + 1j * rng.normal(size=(basis.dim, basis.dim))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        pointer_trace(MeasurementSchedule(10.0, steps=16), number_state(basis, 0), A)
+
 
 def test_trivial_trace_linear_and_final(basis):
     P = projector_matrix(IntervalRegion(0.975, 1.025), basis)

@@ -5,7 +5,8 @@ Usage:  protmeas <experiment> [--config file.json] [--param value ...] --out DIR
 Flags override config-file values.  Outputs are deterministic for a fixed
 config and seed: CSV files are written atomically and SVG plots carry no
 timestamps or environment-dependent bytes.  Exit codes: 0 ok, 2 usage,
-3 numerical failure, 4 I/O failure.
+3 numerical failure, 4 I/O failure.  Only parameters the runners validate
+give a usage error; any other exception is a package fault and propagates.
 """
 
 import argparse
@@ -69,14 +70,10 @@ EXPERIMENT_DEFAULTS = {
 }
 
 
-def _basis(p) -> OscillatorBasis:
-    return OscillatorBasis(dim=p["dim"], omega=p["omega"],
-                           include_zero_point=p["zero_point"])
-
-
-def _region(p) -> IntervalRegion:
+def _checked(build, *args, **kwargs):
+    """Build an object from user parameters; its ValueError is a usage error."""
     try:
-        return IntervalRegion(p["a"], p["b"])
+        return build(*args, **kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -86,11 +83,31 @@ def _require(cond: bool, message: str):
         raise UsageError(message)
 
 
+def _basis(p) -> OscillatorBasis:
+    return _checked(OscillatorBasis, dim=p["dim"], omega=p["omega"],
+                    include_zero_point=p["zero_point"])
+
+
+def _region(p) -> IntervalRegion:
+    return _checked(IntervalRegion, p["a"], p["b"])
+
+
+def _window(p) -> IntervalRegion:
+    """The interval of width w centred on x0."""
+    _require(p["w"] > 0, "interval width w must be positive")
+    return _checked(IntervalRegion, p["x0"] - p["w"] / 2, p["x0"] + p["w"] / 2)
+
+
+def _schedule(p) -> MeasurementSchedule:
+    return _checked(MeasurementSchedule, p["T"], p["ramp"], p["steps"])
+
+
 def run_sketch(p):
     basis = _basis(p)
     _require(p["bin_width"] > 0, "bin_width must be positive")
     _require(p["L"] > 0, "L must be positive")
-    state = coherent_state(basis, p["alpha"]) if p.get("use_alpha") else number_state(basis, p["n"])
+    state = (coherent_state(basis, p["alpha"]) if p.get("use_alpha")
+             else _checked(number_state, basis, p["n"]))
     table = ResultTable(["bin_center", "probability"], ["", ""])
     for region in bin_regions(p["bin_width"], p["L"]):
         prob = expectation(projector_matrix(region, basis), state)
@@ -101,10 +118,8 @@ def run_sketch(p):
 
 def run_pointer_trace(p):
     basis = _basis(p)
-    _require(p["w"] > 0, "interval width w must be positive")
-    schedule = MeasurementSchedule(p["T"], p["ramp"], p["steps"])
-    region = IntervalRegion(p["x0"] - p["w"] / 2, p["x0"] + p["w"] / 2)
-    P = projector_matrix(region, basis)
+    schedule = _schedule(p)
+    P = projector_matrix(_window(p), basis)
     pre = number_state(basis, 0)
 
     trivial = pointer_trace(schedule, pre, P)
@@ -165,9 +180,10 @@ def run_heisenberg(p):
 def run_bipartite(p):
     basis = _basis(p)
     region = _region(p)
-    schedule = MeasurementSchedule(p["T"], p["ramp"], p["steps"])
+    schedule = _schedule(p)
     P = projector_matrix(region, basis)
-    grid = simulation.PointerGrid(points=p["pointer_points"], sigma=p["pointer_sigma"])
+    grid = _checked(simulation.PointerGrid, points=p["pointer_points"],
+                    sigma=p["pointer_sigma"])
     result = simulation.bipartite_protective_sim(
         P, schedule, grid=grid, steps=p["steps"], shift_tol=p["shift_tol"])
     ref = expectation(P, number_state(basis, 0))
@@ -213,6 +229,7 @@ def run_zeno(p):
 
 def run_thermal(p):
     basis = _basis(p)
+    _require(p["beta"] > 0, f"beta must be positive, got {p['beta']}")
     rho = twostate.thermal_density(p["beta"], basis)
     pure = twostate.thermal_purification(p["beta"], basis)
     table = ResultTable(["n", "weight", "purification_amp"], ["", "", ""],
@@ -225,9 +242,8 @@ def run_thermal(p):
 
 def run_two_state(p):
     basis = _basis(p)
-    schedule = MeasurementSchedule(p["T"], p["ramp"], p["steps"])
-    region = IntervalRegion(p["x0"] - p["w"] / 2, p["x0"] + p["w"] / 2)
-    P = projector_matrix(region, basis)
+    schedule = _schedule(p)
+    P = projector_matrix(_window(p), basis)
     pre = number_state(basis, 0)
     post = coherent_state(basis, p["alpha"] * np.exp(1j * p["delta"])).dual()
     table = ResultTable(
@@ -249,6 +265,8 @@ def run_ergodic(p):
              "ergodic runs are stochastic: an explicit --seed is mandatory")
     _require(p["n_samples"] >= 1, "n_samples must be >= 1")
     _require(p["ensemble_n"] >= 1, "ensemble_n must be >= 1")
+    _require(p["amplitude"] > 0, f"amplitude must be positive, got {p['amplitude']}")
+    _require(p["omega"] > 0, f"omega must be positive, got {p['omega']}")
     region = _region(p)
     amplitude = p["amplitude"]
     duration = p["periods"] * 2.0 * np.pi / p["omega"]
@@ -273,6 +291,8 @@ def run_ergodic(p):
 def run_correspondence(p):
     basis = _basis(p)
     region = _region(p)
+    _require(0 <= 2 * p["n"] <= basis.dim, f"n={p['n']} must satisfy 0 <= 2n <= dim")
+    _require(p["n_samples"] >= 1, "n_samples must be >= 1")
     report = ergodicity.correspondence_check(
         p["n"], region, basis, n_samples=p["n_samples"], n_periods=p["periods"])
     rel_gap = (abs(report.quantum_fraction - report.analytic_fraction)
@@ -404,9 +424,6 @@ def main(argv=None) -> int:
         else:
             run_single(args.experiment, params, args.out, args.plot)
     except UsageError as exc:
-        print(f"usage error ({args.experiment}): {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
         print(f"usage error ({args.experiment}): {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -16,6 +16,22 @@ pre-selected state.  The denominator is time independent, so it is computed
 once per call by `post_selection_overlap` (which `twostate` shares) and
 checked once against OVERLAP_FLOOR: below the floor every grid point is
 flagged.
+
+With <Phi_f| = sum_m d_m <m| and |Psi_i> = sum_n a_n |n>, the numerator is
+
+    N(t) = sum_{m,n} d_m e^{-i E_m T} A_mn a_n e^{i (E_m - E_n) t}
+         = sum_k c_k z^k,    z = e^{i omega t},
+
+because E_m - E_n = (m - n) omega under either zero-point convention (the
+zero point enters only through e^{-i E_m T}).  The 2 dim - 1 coefficients
+c_k, k = m - n, are the diagonal sums of a time-independent dim x dim
+matrix, so N(t) is a trigonometric polynomial evaluated at arbitrary times
+by Horner's rule in z for k >= 0 and in conj(z) for k < 0, one vector
+multiply-add per coefficient.  Horner's rule is backward stable, and for
+|z| = 1 its error stays at roundoff times sum |c_k| (Higham, Accuracy and
+Stability of Numerical Algorithms, sec. 5.1); summing the two halves from
+k = 0 outward keeps the phase error of each term proportional to |k|, as in
+a direct evaluation of every e^{-i E_n t}.
 """
 
 from dataclasses import dataclass
@@ -118,23 +134,44 @@ def post_selection_overlap(pre: StateVector, post: DualState, duration: float) -
     return den
 
 
-def weak_value_series(A, pre: StateVector, post: DualState, times, duration: float):
-    """Weak values A_w(t) on a time grid inside a window of length `duration`.
+def _horner(coeffs, z):
+    """sum_k coeffs[k] z^k by Horner's rule, one vector multiply-add per coefficient."""
+    values = np.full(z.shape, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        values *= z
+        values += c
+    return values
 
-    Returns (values, flagged).  The denominator is computed once, so flagged
-    is all true or all false: when the overlap is below the floor every value
-    is NaN rather than extrapolated.
+
+def weak_value_series(A, pre: StateVector, post: DualState, times, duration: float):
+    """Weak values A_w(t) at arbitrary times inside a window of length `duration`.
+
+    The numerator is the trigonometric polynomial sum_k c_k e^{i k omega t}
+    of the module docstring: its coefficients are folded once from the
+    dim x dim terms d_m e^{-i E_m T} A_mn a_n along the diagonals m - n = k,
+    then it is evaluated by Horner's rule, O(dim) vector operations over the
+    times and no dim x times array.  Returns (values, flagged).  The
+    denominator is computed once, so flagged is all true or all false: when
+    the overlap is below the floor every value is NaN rather than
+    extrapolated.
     """
     times = np.asarray(times, dtype=float)
     try:
         den = post_selection_overlap(pre, post, duration)
     except PostSelectionError:
         return np.full(times.shape, np.nan + 0j), np.ones(times.shape, dtype=bool)
-    mat = as_matrix(A)
-    energies = pre.basis.energies()
-    ket = pre.amplitudes[:, None] * np.exp(-1j * np.outer(energies, times))
-    bra = post.amplitudes[:, None] * np.exp(-1j * np.outer(energies, duration - times))
-    values = np.sum(bra * (mat @ ket), axis=0) / den
+    basis = pre.basis
+    bra = post.amplitudes * np.exp(-1j * basis.energies() * duration)
+    terms = bra[:, None] * as_matrix(A) * pre.amplitudes[None, :]
+    # c_k sums the diagonal m - n = k and is stored at index zero + k
+    zero = basis.dim - 1
+    n = np.arange(basis.dim)
+    diagonal = (n[:, None] - n[None, :] + zero).ravel()
+    coeffs = (np.bincount(diagonal, terms.real.ravel())
+              + 1j * np.bincount(diagonal, terms.imag.ravel()))
+    z = np.exp(1j * basis.omega * times)
+    values = _horner(coeffs[zero:], z) + _horner(coeffs[zero - 1::-1], z.conj()) * z.conj()
+    values /= den
     return values, np.zeros(times.shape, dtype=bool)
 
 

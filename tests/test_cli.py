@@ -155,6 +155,33 @@ def test_module_precondition_maps_to_usage_exit(tmp_path, capsys):
     assert "thermal tail" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["pointer-trace", "--dim", "1"],
+    ["pointer-trace", "--steps", "1"],
+    ["pointer-trace", "--omega", "0"],
+    ["two-state", "--w", "0"],
+    ["two-state", "--ramp", "0.7"],
+    ["sketch", "--n", "64"],
+    ["bipartite", "--pointer-points", "100"],
+    ["thermal", "--beta", "0"],
+    ["ergodic", "--seed", "1", "--amplitude", "0"],
+    ["ergodic", "--seed", "1", "--omega", "0"],
+    ["correspondence", "--n", "65"],
+    ["correspondence", "--n-samples", "0"],
+])
+def test_invalid_parameter_is_usage_exit(args, tmp_path, capsys):
+    assert main(args + ["--out", str(tmp_path)]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_library_fault_is_not_a_usage_error(tmp_path, monkeypatch):
+    def fault(*args):
+        raise ValueError("injected fault")
+    monkeypatch.setattr(protmeas.weak, "post_selection_overlap", fault)
+    with pytest.raises(ValueError, match="injected fault"):
+        main(["pointer-trace", "--T", "20", "--steps", "16", "--out", str(tmp_path)])
+
+
 def test_numerical_failure_exit_code(tmp_path):
     code = main(["bipartite", "--T", "2", "--steps", "64", "--dim", "16",
                  "--pointer-points", "64", "--shift-tol", "0",

@@ -1,16 +1,18 @@
+import time
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.signal import find_peaks
 
 from protmeas import (IntervalRegion, MeasurementSchedule, OscillatorBasis,
                       PostSelectionError, coherent_state, evolve, expectation,
                       number_state, pointer_trace, projector_matrix, weak_value,
                       weak_value_series)
+from protmeas.oscillator import COHERENT_TAIL_LIMIT, coherent_tail
 from protmeas.projectors import bin_regions
-from protmeas.weak import closed_form_pvi_weak
+from protmeas.weak import as_matrix, closed_form_pvi_weak, post_selection_overlap
 
 from conftest import random_hermitian, random_state
 
@@ -143,6 +145,93 @@ def test_partition_sum_rule(basis):
         assert not flagged.any()
         total += vals
     assert np.max(np.abs(total - 1.0)) < 1e-8
+
+
+# ------------------------------------------- series against the array oracle
+
+def _array_weak_values(A, pre, post, times, T):
+    """A_w(t) from dim x times phase arrays: evolve the ket forward and the bra
+    backward to every t, apply A to every evolved ket, and contract."""
+    energies = pre.basis.energies()
+    ket = pre.amplitudes[:, None] * np.exp(-1j * np.outer(energies, times))
+    bra = post.amplitudes[:, None] * np.exp(-1j * np.outer(energies, T - times))
+    return np.sum(bra * (as_matrix(A) @ ket), axis=0) / post_selection_overlap(pre, post, T)
+
+
+def _assert_matches_oracle(A, pre, post, times, T, floor=0.0):
+    series, flagged = weak_value_series(A, pre, post, times, T)
+    ref = _array_weak_values(A, pre, post, times, T)
+    assert not flagged.any()
+    err = np.max(np.abs(series - ref))
+    assert err <= 1e-12 * max(1.0, np.max(np.abs(ref))) + floor
+
+
+@pytest.mark.parametrize("grid", ["uniform", "shuffled"])
+@pytest.mark.parametrize("zero_point", [False, True])
+@pytest.mark.parametrize("omega", [1.0, 2.7])
+def test_series_matches_array_evaluation_at_dim_512(omega, zero_point, grid):
+    basis = OscillatorBasis(dim=512, omega=omega, include_zero_point=zero_point)
+    T = 100.0
+    P = projector_matrix(IntervalRegion(0.975, 1.025), basis)
+    pre = coherent_state(basis, 1.2 * np.exp(0.4j))
+    post = coherent_state(basis, 1.7 * np.exp(2.2j)).dual()
+    times = np.linspace(0.0, T, 4097)
+    if grid == "shuffled":
+        rng = np.random.default_rng(512)
+        times = rng.permutation(T * rng.random(4097) ** 2)
+    _assert_matches_oracle(P, pre, post, times, T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(2, 128), omega=st.floats(0.1, 10.0), T=st.floats(0.1, 200.0),
+       zero_point=st.booleans(), alpha=st.floats(0.0, 0.5), beta=st.floats(0.0, 0.5),
+       seed=st.integers(0, 2**32 - 1))
+def test_series_matches_array_evaluation(dim, omega, T, zero_point, alpha, beta, seed):
+    # coherent states with |alpha| <= 0.5 keep their weight in the lowest levels,
+    # where the phases E_n t both evaluations round stay small enough for 1e-12
+    assume(coherent_tail(dim, max(alpha, beta)) < COHERENT_TAIL_LIMIT)
+    rng = np.random.default_rng(seed)
+    basis = OscillatorBasis(dim=dim, omega=omega, include_zero_point=zero_point)
+    pre = coherent_state(basis, alpha * np.exp(2j * np.pi * rng.random()))
+    post = coherent_state(basis, beta * np.exp(2j * np.pi * rng.random())).dual()
+    times = rng.permutation(T * rng.random(257))
+    _assert_matches_oracle(random_hermitian(rng, dim), pre, post, times, T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(2, 128), omega=st.floats(0.1, 10.0), T=st.floats(0.1, 200.0),
+       zero_point=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_series_matches_array_evaluation_for_dense_states(dim, omega, T, zero_point, seed):
+    # a dense state reaches phases E_n t up to E_max T, which each evaluation
+    # rounds to within a few ulps; both then differ from the exact value by up
+    # to about eps E_max T per term, so the bound carries that floor
+    rng = np.random.default_rng(seed)
+    basis = OscillatorBasis(dim=dim, omega=omega, include_zero_point=zero_point)
+    pre = random_state(rng, basis)
+    post = random_state(rng, basis).dual()
+    A = random_hermitian(rng, dim)
+    try:
+        den = post_selection_overlap(pre, post, T)
+    except PostSelectionError:
+        assume(False)
+    terms = np.abs(post.amplitudes) @ np.abs(A) @ np.abs(pre.amplitudes) / abs(den)
+    floor = 8 * np.finfo(float).eps * basis.energies()[-1] * T * terms
+    times = rng.permutation(T * rng.random(257))
+    _assert_matches_oracle(A, pre, post, times, T, floor)
+
+
+def test_large_trace_is_bounded():
+    # dim 1024 x 65537 phase arrays would need about 1 GB each
+    basis = OscillatorBasis(dim=1024)
+    P = projector_matrix(IntervalRegion(1.0, np.inf), basis)
+    pre = coherent_state(basis, 1.2 * np.exp(0.4j))
+    post = coherent_state(basis, 1.7 * np.exp(2.2j)).dual()
+    schedule = MeasurementSchedule(100.0, steps=65536)
+    start = time.perf_counter()
+    trace = pointer_trace(schedule, pre, P, post)
+    assert time.perf_counter() - start < 5.0
+    assert not trace.any_flagged
+    assert np.all(np.isfinite(trace.readings))
 
 
 # -------------------------------------------------------------- closed form

@@ -11,7 +11,6 @@ off-diagonal entry by at least 2 / (|m-n| omega T).
 """
 
 from dataclasses import dataclass
-from math import isinf
 
 import numpy as np
 
@@ -33,16 +32,13 @@ class IntervalRegion:
     def contains(self, x):
         return (np.asarray(x) >= self.lower) & (np.asarray(x) <= self.upper)
 
-    def is_finite(self) -> bool:
-        return not (isinf(self.lower) or isinf(self.upper))
-
 
 FULL_LINE = IntervalRegion(-np.inf, np.inf)
 
 
 @dataclass(frozen=True, eq=False)
 class ProjectorMatrix:
-    """Dense complex matrix of P_V on a truncated basis."""
+    """Dense real symmetric matrix of P_V on a truncated basis."""
 
     entries: np.ndarray
     region: IntervalRegion
@@ -57,7 +53,7 @@ class ProjectorMatrix:
 def projector_matrix(region: IntervalRegion, basis: OscillatorBasis) -> ProjectorMatrix:
     """Build P_V from the exact antiderivatives of phi_m phi_n."""
     entries = interval_overlaps(region.lower, region.upper, basis.dim)
-    return ProjectorMatrix(entries.astype(np.complex128), region, basis)
+    return ProjectorMatrix(entries, region, basis)
 
 
 def _phases(basis: OscillatorBasis, t: float) -> np.ndarray:

@@ -14,6 +14,16 @@ exp(-i theta P_V x p) is diagonal once the system side is rotated into the
 eigenbasis of P_V, and the system's own evolution is a dense matrix applied
 between kicks.
 
+Because each column evolves unitarily, its weight |FFT(initial wave)|^2 is
+fixed for the whole run, and only the columns that carry weight are
+propagated.  If the dropped columns weigh W in total and a is the kept part
+of the final state, the pointer mean moves by at most 2 ||X a|| sqrt(W) + L W,
+where L is the largest |x| on the grid; with ||X a|| <= L the bound is known
+before the run.  The lightest columns are dropped while 2 L sqrt(W) + L W
+stays within shift_tol / 10 (21 of 512 columns at the defaults), and they
+rejoin as zeros before the position-space FFT.  Survival and the energy shift
+lose at most W and h W.
+
 Zeno protection is modeled as repeated projection onto the initial
 superposition at equally spaced times, which halts the free dephasing of the
 superposition; the measured operator, watched in the Heisenberg picture,
@@ -21,6 +31,8 @@ changes abruptly at each projection.
 """
 
 from dataclasses import dataclass
+from math import sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,13 +57,17 @@ class PointerGrid:
             raise ValueError("pointer sigma and span must be positive")
 
     @property
+    def extent(self) -> float:
+        """The largest |x| on the grid."""
+        return self.span_sigmas * self.sigma
+
+    @property
     def x(self) -> np.ndarray:
-        half = self.span_sigmas * self.sigma
-        return np.linspace(-half, half, self.points, endpoint=False)
+        return np.linspace(-self.extent, self.extent, self.points, endpoint=False)
 
     @property
     def dx(self) -> float:
-        return 2.0 * self.span_sigmas * self.sigma / self.points
+        return 2.0 * self.extent / self.points
 
     @property
     def p(self) -> np.ndarray:
@@ -73,6 +89,14 @@ class BipartiteResult:
     # descriptor of the final joint state: (system dim, pointer points, norm)
     final_state_shape: tuple = ()
     final_norm: float = 1.0
+    # pointer-momentum columns propagated, the initial weight W of the rest,
+    # and the bound 2 ||X a|| sqrt(W) + L W that W puts on pointer_shift
+    kept_columns: int = 0
+    dropped_weight: float = 0.0
+    shift_bound: float = 0.0
+    # |s_2n - s_n| / 3 over the last two ladder rungs: the O(dt^2) estimate
+    # of the step error in pointer_shift
+    ladder_error: float = 0.0
 
 
 def _phase(x: np.ndarray) -> np.ndarray:
@@ -98,7 +122,18 @@ def _strang_ramp(S, M, lam_p, schedule: MeasurementSchedule, t0: float, t1: floa
     return S
 
 
-# pointer columns per batched eigh: all 512 at once doubles the peak RSS
+def _matvec(V, z):
+    """V[l] @ z[l] for each column l.
+
+    The real and imaginary parts of z are two right-hand sides, so a real V
+    is never cast to complex: that cast cost ten times the products.
+    """
+    r = V @ np.stack((z.real, z.imag), axis=-1)
+    return r[..., 0] + 1j * r[..., 1]
+
+
+# pointer columns per batched eigh: as shift_tol -> 0 every column is kept,
+# and all 512 at dim 512 in one batch would need about 1 GB
 PLATEAU_CHUNK = 16
 
 
@@ -113,27 +148,54 @@ def _exact_plateau(S, A, lam, p, h: float, tau: float) -> float:
     for c in range(0, len(p), PLATEAU_CHUNK):
         cols = slice(c, c + PLATEAU_CHUNK)
         e, V = np.linalg.eigh(A + (h * p[cols])[:, None, None] * np.diag(lam))
-        phase = np.exp(-1j * tau * e)[:, :, None]
-        y = phase * (V.conj().transpose(0, 2, 1) @ S[:, cols].T[:, :, None])
-        weight += float(np.sum(lam * np.abs(V @ y)[:, :, 0] ** 2))
-        S[:, cols] = (V @ (phase * y))[:, :, 0].T
+        phase = np.exp(-1j * tau * e)
+        y = phase * _matvec(V.conj().transpose(0, 2, 1), S[:, cols].T)
+        weight += float(np.sum(lam * np.abs(_matvec(V, y)) ** 2))
+        S[:, cols] = _matvec(V, phase * y).T
     return weight
 
 
-def _run_bipartite(P: ProjectorMatrix, schedule: MeasurementSchedule,
-                   pre: StateVector, grid: PointerGrid, steps: int):
-    """Strang-step the two ramps at about dt = T/steps; the plateau is exact."""
+def _kept_columns(grid: PointerGrid, shift_tol: float):
+    """Pointer-momentum columns to propagate and the weight W of the others.
+
+    The lightest columns are dropped while the a-priori bound
+    2 L sqrt(W) + L W on the pointer-mean error stays within shift_tol / 10;
+    the heaviest column is always kept.  Returns (sorted indices, W).
+    """
+    weight = np.abs(np.fft.fft(grid.initial_wave(), norm="ortho")) ** 2
+    order = np.argsort(weight, kind="stable")
+    dropped = np.cumsum(weight[order])
+    L = grid.extent
+    n_drop = min(int(np.count_nonzero(2.0 * L * np.sqrt(dropped) + L * dropped
+                                      <= shift_tol / 10.0)), grid.points - 1)
+    return np.sort(order[n_drop:]), (float(dropped[n_drop - 1]) if n_drop else 0.0)
+
+
+class _Rung(NamedTuple):
+    mean_final: float
+    energy_shift_per_p: float
+    survival: float
+    norm: float
+    x_norm: float        # ||X a|| for the kept part a of the final state
+
+
+def _rung(P: ProjectorMatrix, schedule: MeasurementSchedule, pre: StateVector,
+          grid: PointerGrid, steps: int, columns: np.ndarray) -> _Rung:
+    """Strang-step the ramps at about dt = T/steps; the plateau is exact.
+
+    Only the pointer-momentum `columns` are propagated; the others rejoin
+    as zeros before the position-space FFT.
+    """
     basis = P.basis
-    entries = P.entries.real if not np.any(P.entries.imag) else P.entries
-    lam, W = np.linalg.eigh(entries)
+    lam, W = np.linalg.eigh(P.entries)
     energies = basis.energies()
     T = schedule.duration
     ramp = schedule.ramp_fraction * T
     ramp_steps = max(1, round(steps * schedule.ramp_fraction)) if ramp > 0 else 0
 
-    p = grid.p
+    p = grid.p[columns]
     lam_p = np.outer(lam, p)
-    pointer_p = np.fft.fft(grid.initial_wave(), norm="ortho")
+    pointer_p = np.fft.fft(grid.initial_wave(), norm="ortho")[columns]
     sys0 = W.conj().T @ pre.amplitudes
     S = sys0[:, None] * pointer_p[None, :]
 
@@ -150,16 +212,31 @@ def _run_bipartite(P: ProjectorMatrix, schedule: MeasurementSchedule,
     if ramp_steps:
         S = _strang_ramp(S, M, lam_p, schedule, T - ramp, T, ramp_steps)
 
-    # pointer mean in position space
-    Sx = np.fft.ifft(S, axis=1, norm="ortho")
+    # pointer moments in position space
+    full = np.zeros((basis.dim, grid.points), dtype=np.complex128)
+    full[:, columns] = S
+    Sx = np.fft.ifft(full, axis=1, norm="ortho")
     prob_x = np.sum(np.abs(Sx) ** 2, axis=0)
     mean_final = float(np.sum(grid.x * prob_x))
+    x_norm = float(np.sqrt(np.sum(grid.x ** 2 * prob_x)))
 
     # survival against the freely evolved pre-selected state
     ref = W.conj().T @ (pre.amplitudes * np.exp(-1j * energies * schedule.duration))
     rho_ref = S.conj().T @ ref           # <ref|S> per pointer column
     survival = float(np.sum(np.abs(rho_ref) ** 2))
-    return mean_final, energy_shift_per_p, survival, float(np.linalg.norm(S))
+    return _Rung(mean_final, energy_shift_per_p, survival, float(np.linalg.norm(S)),
+                 x_norm)
+
+
+def _run_bipartite(P: ProjectorMatrix, schedule: MeasurementSchedule,
+                   pre: StateVector, grid: PointerGrid, steps: int,
+                   shift_tol: float = 0.0):
+    """One rung as (pointer mean, dE per p, survival, norm).
+
+    The default shift_tol = 0 keeps every column: the reference the column
+    cut is measured against.
+    """
+    return _rung(P, schedule, pre, grid, steps, _kept_columns(grid, shift_tol)[0])[:4]
 
 
 def bipartite_protective_sim(P: ProjectorMatrix, schedule: MeasurementSchedule,
@@ -173,28 +250,34 @@ def bipartite_protective_sim(P: ProjectorMatrix, schedule: MeasurementSchedule,
     The plateau is propagated exactly; only the two ramps are Strang-stepped,
     at dt = duration/steps.  The ladder doubles `steps`, which refines the
     ramps alone, until the pointer shift changes by less than `shift_tol`;
-    `steps_used` is the accepted rung.  Raises NumericalError if the ladder
-    is exhausted without convergence.
+    `steps_used` is the accepted rung.  Only the pointer-momentum columns
+    chosen by `_kept_columns(grid, shift_tol)` are propagated.  Raises
+    NumericalError if the ladder is exhausted without convergence.
     """
     if pre is None:
         pre = number_state(P.basis, 0)
     x0 = float(np.sum(grid.x * np.abs(grid.initial_wave()) ** 2))
+    columns, dropped = _kept_columns(grid, shift_tol)
 
-    mean, de_per_p, survival, norm = _run_bipartite(P, schedule, pre, grid, steps)
-    shift = mean - x0
+    coarse = _rung(P, schedule, pre, grid, steps, columns)
+    shift = coarse.mean_final - x0
     for _ in range(max_refinements):
         steps *= 2
-        mean2, de2, surv2, norm2 = _run_bipartite(P, schedule, pre, grid, steps)
-        shift2 = mean2 - x0
-        if abs(shift2 - shift) < shift_tol:
+        fine = _rung(P, schedule, pre, grid, steps, columns)
+        shift2 = fine.mean_final - x0
+        gap = abs(shift2 - shift)
+        if gap < shift_tol:
             return BipartiteResult(
-                pointer_shift=shift2, energy_shift_per_p=de2,
-                survival_probability=surv2, steps_used=steps,
-                pointer_mean_initial=x0, pointer_mean_final=mean2,
-                final_state_shape=(P.basis.dim, grid.points), final_norm=norm2)
-        shift, de_per_p, survival = shift2, de2, surv2
+                pointer_shift=shift2, energy_shift_per_p=fine.energy_shift_per_p,
+                survival_probability=fine.survival, steps_used=steps,
+                pointer_mean_initial=x0, pointer_mean_final=fine.mean_final,
+                final_state_shape=(P.basis.dim, grid.points), final_norm=fine.norm,
+                kept_columns=len(columns), dropped_weight=dropped,
+                shift_bound=2.0 * fine.x_norm * sqrt(dropped) + grid.extent * dropped,
+                ladder_error=gap / 3.0)
+        shift = shift2
     raise NumericalError(
-        f"pointer shift did not converge: last change {abs(shift2 - shift):.3e} "
+        f"pointer shift did not converge: last change {gap:.3e} "
         f"at {steps} steps (tol {shift_tol:g})")
 
 

@@ -101,6 +101,16 @@ def test_pointer_trace_columns_and_determinism(tmp_path, capsys):
     assert "reading_trivial" in header and "reading_alpha" in header
 
 
+def test_bipartite_sweep_deterministic(tmp_path):
+    args = ["bipartite", "--sweep", "T=20,40"]
+    assert main(args + ["--out", str(tmp_path / "a")]) == 0
+    assert main(args + ["--out", str(tmp_path / "b")]) == 0
+    for T in ("20", "40"):
+        csv_a = read(tmp_path / "a" / f"T={T}" / "bipartite.csv")
+        assert csv_a == read(tmp_path / "b" / f"T={T}" / "bipartite.csv")
+        assert csv_a.decode().splitlines()[1].startswith(f"{T}.0,0.0786")
+
+
 def test_pointer_trace_fig2_overlay(tmp_path):
     assert main(["pointer-trace", "--T", "20", "--steps", "128", "--alpha", "2.5",
                  "--alpha2", "1.0", "--plot", "--out", str(tmp_path)]) == 0

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,7 @@ from protmeas import (IntervalRegion, MeasurementSchedule, NumericalError,
                       OscillatorBasis, PointerGrid, StateVector, expectation,
                       number_state, projector_matrix, zeno_protect_sim,
                       bipartite_protective_sim)
-from protmeas.simulation import _run_bipartite
+from protmeas.simulation import _kept_columns, _run_bipartite
 
 HALF_TAIL = 0.07864960352514258   # erfc(1)/2
 
@@ -132,6 +134,54 @@ def test_identity_projector_translates_pointer_by_unit_integral(T, ramp_fraction
     assert res.pointer_shift == pytest.approx(1.0, abs=1e-9)
     assert res.final_norm == pytest.approx(1.0, abs=1e-10)
     assert res.survival_probability <= 1.0 + 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(sigma=st.floats(1.0, 50.0), points=st.sampled_from([64, 128, 256, 512, 1024]),
+       T=st.floats(2.0, 40.0))
+def test_column_cut_within_its_bound(sigma, points, T):
+    # the cut run against every column at the accepted rung; survival and
+    # the energy shift are sums over columns, so their roundoff of a few eps
+    # is allowed on top of W
+    basis = OscillatorBasis(dim=16)
+    P = projector_matrix(IntervalRegion(1.0, np.inf), basis)
+    grid = PointerGrid(points=points, sigma=sigma)
+    sched = MeasurementSchedule(T)
+    res = bipartite_protective_sim(P, sched, grid=grid, steps=64)
+    mean, de, survival, _ = _run_bipartite(P, sched, number_state(basis, 0), grid,
+                                           res.steps_used)
+    W, eps = res.dropped_weight, 16 * np.finfo(float).eps
+    assert res.kept_columns < points
+    assert abs(res.pointer_mean_final - mean) <= res.shift_bound
+    assert abs(res.survival_probability - survival) <= W + eps
+    assert abs(res.energy_shift_per_p - de) <= sched.plateau * W + eps * de
+
+
+def test_column_cut_at_readme_defaults():
+    P = projector_matrix(IntervalRegion(1.0, np.inf), OscillatorBasis(dim=64))
+    res = bipartite_protective_sim(P, MeasurementSchedule(20.0))
+    assert res.kept_columns <= 32
+    assert 0.0 < res.shift_bound <= 1e-4 / 10
+    assert res.ladder_error < 1e-4
+    # the cut depends on the momentum spacing and width, both fixed by
+    # span_sigmas, so not on the number of points
+    for points in (64, 128, 256, 1024, 2048):
+        grid = PointerGrid(points=points)
+        columns, W = _kept_columns(grid, 1e-4)
+        assert len(columns) == res.kept_columns
+        assert 2 * grid.extent * np.sqrt(W) + grid.extent * W <= 1e-4 / 10
+    columns, W = _kept_columns(PointerGrid(), 0.0)
+    assert len(columns) == 512 and W == 0.0
+
+
+def test_large_bipartite_is_bounded():
+    # propagating all 512 pointer columns took about 17 s on 2 cores
+    P = projector_matrix(IntervalRegion(1.0, np.inf), OscillatorBasis(dim=256))
+    start = time.perf_counter()
+    res = bipartite_protective_sim(P, MeasurementSchedule(20.0))
+    assert time.perf_counter() - start < 5.0
+    assert abs(res.pointer_shift - HALF_TAIL) / HALF_TAIL < 0.05
+    assert res.final_norm == pytest.approx(1.0, abs=1e-10)
 
 
 def test_pointer_grid_validation():

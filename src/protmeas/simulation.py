@@ -32,7 +32,6 @@ changes abruptly at each projection.
 
 from dataclasses import dataclass
 from math import sqrt
-from typing import NamedTuple
 
 import numpy as np
 
@@ -122,18 +121,8 @@ def _strang_ramp(S, M, lam_p, schedule: MeasurementSchedule, t0: float, t1: floa
     return S
 
 
-def _matvec(V, z):
-    """V[l] @ z[l] for each column l.
-
-    The real and imaginary parts of z are two right-hand sides, so a real V
-    is never cast to complex: that cast cost ten times the products.
-    """
-    r = V @ np.stack((z.real, z.imag), axis=-1)
-    return r[..., 0] + 1j * r[..., 1]
-
-
 # pointer columns per batched eigh: as shift_tol -> 0 every column is kept,
-# and all 512 at dim 512 in one batch would need about 1 GB
+# and all 512 at dim 512 in one batch would need several GB
 PLATEAU_CHUNK = 16
 
 
@@ -148,10 +137,10 @@ def _exact_plateau(S, A, lam, p, h: float, tau: float) -> float:
     for c in range(0, len(p), PLATEAU_CHUNK):
         cols = slice(c, c + PLATEAU_CHUNK)
         e, V = np.linalg.eigh(A + (h * p[cols])[:, None, None] * np.diag(lam))
-        phase = np.exp(-1j * tau * e)
-        y = phase * _matvec(V.conj().transpose(0, 2, 1), S[:, cols].T)
-        weight += float(np.sum(lam * np.abs(_matvec(V, y)) ** 2))
-        S[:, cols] = _matvec(V, phase * y).T
+        phase = np.exp(-1j * tau * e)[:, :, None]
+        y = phase * (V.conj().transpose(0, 2, 1) @ S[:, cols].T[:, :, None])
+        weight += float(np.sum(lam * np.abs(V @ y)[:, :, 0] ** 2))
+        S[:, cols] = (V @ (phase * y))[:, :, 0].T
     return weight
 
 
@@ -171,20 +160,13 @@ def _kept_columns(grid: PointerGrid, shift_tol: float):
     return np.sort(order[n_drop:]), (float(dropped[n_drop - 1]) if n_drop else 0.0)
 
 
-class _Rung(NamedTuple):
-    mean_final: float
-    energy_shift_per_p: float
-    survival: float
-    norm: float
-    x_norm: float        # ||X a|| for the kept part a of the final state
-
-
 def _rung(P: ProjectorMatrix, schedule: MeasurementSchedule, pre: StateVector,
-          grid: PointerGrid, steps: int, columns: np.ndarray) -> _Rung:
+          grid: PointerGrid, steps: int, columns: np.ndarray):
     """Strang-step the ramps at about dt = T/steps; the plateau is exact.
 
     Only the pointer-momentum `columns` are propagated; the others rejoin
-    as zeros before the position-space FFT.
+    as zeros before the position-space FFT.  Returns (pointer mean, dE per p,
+    survival, norm, ||X a||), a the kept part of the final state.
     """
     basis = P.basis
     lam, W = np.linalg.eigh(P.entries)
@@ -224,19 +206,16 @@ def _rung(P: ProjectorMatrix, schedule: MeasurementSchedule, pre: StateVector,
     ref = W.conj().T @ (pre.amplitudes * np.exp(-1j * energies * schedule.duration))
     rho_ref = S.conj().T @ ref           # <ref|S> per pointer column
     survival = float(np.sum(np.abs(rho_ref) ** 2))
-    return _Rung(mean_final, energy_shift_per_p, survival, float(np.linalg.norm(S)),
-                 x_norm)
+    return mean_final, energy_shift_per_p, survival, float(np.linalg.norm(S)), x_norm
 
 
 def _run_bipartite(P: ProjectorMatrix, schedule: MeasurementSchedule,
-                   pre: StateVector, grid: PointerGrid, steps: int,
-                   shift_tol: float = 0.0):
-    """One rung as (pointer mean, dE per p, survival, norm).
+                   pre: StateVector, grid: PointerGrid, steps: int):
+    """One rung on every pointer column as (pointer mean, dE per p, survival, norm).
 
-    The default shift_tol = 0 keeps every column: the reference the column
-    cut is measured against.
+    No column is cut: this is the reference the column cut is measured against.
     """
-    return _rung(P, schedule, pre, grid, steps, _kept_columns(grid, shift_tol)[0])[:4]
+    return _rung(P, schedule, pre, grid, steps, np.arange(grid.points))[:4]
 
 
 def bipartite_protective_sim(P: ProjectorMatrix, schedule: MeasurementSchedule,
@@ -259,21 +238,21 @@ def bipartite_protective_sim(P: ProjectorMatrix, schedule: MeasurementSchedule,
     x0 = float(np.sum(grid.x * np.abs(grid.initial_wave()) ** 2))
     columns, dropped = _kept_columns(grid, shift_tol)
 
-    coarse = _rung(P, schedule, pre, grid, steps, columns)
-    shift = coarse.mean_final - x0
+    shift = _rung(P, schedule, pre, grid, steps, columns)[0] - x0
     for _ in range(max_refinements):
         steps *= 2
-        fine = _rung(P, schedule, pre, grid, steps, columns)
-        shift2 = fine.mean_final - x0
+        mean, de_per_p, survival, norm, x_norm = _rung(P, schedule, pre, grid, steps,
+                                                       columns)
+        shift2 = mean - x0
         gap = abs(shift2 - shift)
         if gap < shift_tol:
             return BipartiteResult(
-                pointer_shift=shift2, energy_shift_per_p=fine.energy_shift_per_p,
-                survival_probability=fine.survival, steps_used=steps,
-                pointer_mean_initial=x0, pointer_mean_final=fine.mean_final,
-                final_state_shape=(P.basis.dim, grid.points), final_norm=fine.norm,
+                pointer_shift=shift2, energy_shift_per_p=de_per_p,
+                survival_probability=survival, steps_used=steps,
+                pointer_mean_initial=x0, pointer_mean_final=mean,
+                final_state_shape=(P.basis.dim, grid.points), final_norm=norm,
                 kept_columns=len(columns), dropped_weight=dropped,
-                shift_bound=2.0 * fine.x_norm * sqrt(dropped) + grid.extent * dropped,
+                shift_bound=2.0 * x_norm * sqrt(dropped) + grid.extent * dropped,
                 ladder_error=gap / 3.0)
         shift = shift2
     raise NumericalError(

@@ -184,6 +184,7 @@ def run_bipartite(p):
     P = projector_matrix(region, basis)
     grid = _checked(simulation.PointerGrid, points=p["pointer_points"],
                     sigma=p["pointer_sigma"])
+    _require(p["shift_tol"] >= 0, "shift_tol must be non-negative")
     result = simulation.bipartite_protective_sim(
         P, schedule, grid=grid, steps=p["steps"], shift_tol=p["shift_tol"])
     ref = expectation(P, number_state(basis, 0))
@@ -212,6 +213,7 @@ def _parse_n_list(raw) -> list:
 def run_zeno(p):
     basis = _basis(p)
     _require(0 < p["n"] < basis.dim, f"n={p['n']} must satisfy 0 < n < dim")
+    _require(p["T"] > 0, "protection window T must be positive")
     amps = np.zeros(basis.dim, dtype=complex)
     amps[0] = amps[p["n"]] = 1.0  # superposition of |0> and |n>
     initial = StateVector(amps, basis)
@@ -221,8 +223,7 @@ def run_zeno(p):
     for count in _parse_n_list(p["n_list"]):
         res = simulation.zeno_protect_sim(initial, count, p["T"], measured=P,
                                           coupling=p["coupling"])
-        jump = max((s.jump_norm for s in res.snapshots), default=0.0)
-        table.add_row(count, res.survival_probability, jump)
+        table.add_row(count, res.survival_probability, res.jump_norms.max(initial=0.0))
     return table, [("zeno.svg", "n_protections", ["survival"], ["survival"],
                     "Zeno protection")]
 

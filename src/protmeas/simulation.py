@@ -27,7 +27,8 @@ lose at most W and h W.
 Zeno protection is modeled as repeated projection onto the initial
 superposition at equally spaced times, which halts the free dephasing of the
 superposition; the measured operator, watched in the Heisenberg picture,
-changes abruptly at each projection.
+changes abruptly at each projection.  Only the norm of each jump is kept,
+and each protection costs O(dim^2).
 """
 
 from dataclasses import dataclass
@@ -218,20 +219,24 @@ def _run_bipartite(P: ProjectorMatrix, schedule: MeasurementSchedule,
     return _rung(P, schedule, pre, grid, steps, np.arange(grid.points))[:4]
 
 
+# step doublings the ladder tries after its first rung
+REFINEMENTS = 3
+
+
 def bipartite_protective_sim(P: ProjectorMatrix, schedule: MeasurementSchedule,
                              pre: StateVector | None = None,
                              grid: PointerGrid = PointerGrid(),
                              steps: int = 4096,
-                             shift_tol: float = 1e-4,
-                             max_refinements: int = 3) -> BipartiteResult:
+                             shift_tol: float = 1e-4) -> BipartiteResult:
     """Evolve system x pointer through a full measurement window.
 
     The plateau is propagated exactly; only the two ramps are Strang-stepped,
     at dt = duration/steps.  The ladder doubles `steps`, which refines the
-    ramps alone, until the pointer shift changes by less than `shift_tol`;
-    `steps_used` is the accepted rung.  Only the pointer-momentum columns
-    chosen by `_kept_columns(grid, shift_tol)` are propagated.  Raises
-    NumericalError if the ladder is exhausted without convergence.
+    ramps alone, up to REFINEMENTS times until the pointer shift changes by
+    less than `shift_tol`; `steps_used` is the accepted rung.  Only the
+    pointer-momentum columns chosen by `_kept_columns(grid, shift_tol)` are
+    propagated.  Raises NumericalError if the ladder is exhausted without
+    convergence.
     """
     if pre is None:
         pre = number_state(P.basis, 0)
@@ -239,7 +244,7 @@ def bipartite_protective_sim(P: ProjectorMatrix, schedule: MeasurementSchedule,
     columns, dropped = _kept_columns(grid, shift_tol)
 
     shift = _rung(P, schedule, pre, grid, steps, columns)[0] - x0
-    for _ in range(max_refinements):
+    for _ in range(REFINEMENTS):
         steps *= 2
         mean, de_per_p, survival, norm, x_norm = _rung(P, schedule, pre, grid, steps,
                                                        columns)
@@ -261,23 +266,11 @@ def bipartite_protective_sim(P: ProjectorMatrix, schedule: MeasurementSchedule,
 
 
 @dataclass(frozen=True, eq=False)
-class OperatorSnapshot:
-    """Measured operator just before and just after one protection."""
-
-    time: float
-    before: np.ndarray
-    after: np.ndarray
-
-    @property
-    def jump_norm(self) -> float:
-        return float(np.linalg.norm(self.after - self.before))
-
-
-@dataclass(frozen=True, eq=False)
 class ZenoResult:
     survival_probability: float
     n_protections: int
-    snapshots: list
+    # Frobenius norm of each protection's jump; empty if nothing is measured
+    jump_norms: np.ndarray
 
 
 def zeno_protect_sim(initial: StateVector, n_protections: int, duration: float,
@@ -286,15 +279,17 @@ def zeno_protect_sim(initial: StateVector, n_protections: int, duration: float,
 
     The state evolves freely (optionally with a flat measurement coupling
     coupling/T * P added to the Hamiltonian) for duration/n between
-    projections onto |initial><initial|.  The returned snapshots track the
-    `measured` operator in the Heisenberg picture: unitary conjugation across
-    each interval, then the non-selective update O -> Pi O Pi + Q O Q at the
-    protection, which is where the abrupt changes show up.
+    projections onto s = |initial>.  The `measured` operator B, Hermitian or
+    not, is tracked in the Heisenberg picture in the eigenbasis of H, where
+    U^dag B U is an elementwise phase product.  The non-selective update
+    B -> Pi B Pi + Q B Q, Pi = s s^dag, is B - s b - a s^dag with
+    a = Q B s and b = s^dag B Q, and its jump norm is sqrt(|a|^2 + |b|^2).
     """
     if n_protections < 1:
         raise ValueError(f"need at least one protection, got {n_protections}")
-    basis = initial.basis
-    H = hamiltonian(basis)
+    if duration <= 0:
+        raise ValueError(f"protection window must be positive, got {duration}")
+    H = hamiltonian(initial.basis)
     if coupling != 0.0:
         if measured is None:
             raise ValueError("a measurement coupling requires a measured operator")
@@ -307,15 +302,18 @@ def zeno_protect_sim(initial: StateVector, n_protections: int, duration: float,
     amp = complex(np.vdot(s, U @ s))          # state resets to s at each projection
     survival = abs(amp) ** (2 * n_protections)
 
-    snapshots = []
+    jumps = np.empty(0 if measured is None else n_protections)
     if measured is not None:
-        O = as_matrix(measured).astype(np.complex128)
-        proj = np.outer(s, s.conj())
-        comp = np.eye(basis.dim) - proj
-        for k in range(1, n_protections + 1):
-            before = U.conj().T @ O @ U
-            after = proj @ before @ proj + comp @ before @ comp
-            snapshots.append(OperatorSnapshot(time=k * dt, before=before, after=after))
-            O = after
+        B = (vecs.conj().T @ as_matrix(measured) @ vecs).astype(np.complex128)
+        s = vecs.conj().T @ s
+        phase = np.exp(1j * evals * dt)
+        R = np.outer(phase, phase.conj())
+        for k in range(n_protections):
+            B *= R
+            v, w = B @ s, s.conj() @ B
+            mu = np.vdot(s, v)
+            a, b = v - mu * s, w - mu * s.conj()
+            jumps[k] = np.hypot(np.linalg.norm(a), np.linalg.norm(b))
+            B -= np.outer(s, b) + np.outer(a, s.conj())
     return ZenoResult(survival_probability=float(survival),
-                      n_protections=n_protections, snapshots=snapshots)
+                      n_protections=n_protections, jump_norms=jumps)

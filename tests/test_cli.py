@@ -178,6 +178,9 @@ def test_module_precondition_maps_to_usage_exit(tmp_path, capsys):
     ["ergodic", "--seed", "1", "--omega", "0"],
     ["correspondence", "--n", "65"],
     ["correspondence", "--n-samples", "0"],
+    ["zeno", "--T", "0", "--coupling", "0.3"],
+    ["zeno", "--T", "-3"],
+    ["bipartite", "--shift-tol", "-1", "--dim", "16", "--T", "2", "--steps", "64"],
 ])
 def test_invalid_parameter_is_usage_exit(args, tmp_path, capsys):
     assert main(args + ["--out", str(tmp_path)]) == 2

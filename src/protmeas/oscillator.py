@@ -26,6 +26,7 @@ MAX_COHERENT_DIM = 100_000
 # Beyond x^2/2 = 700 the Gaussian factor exp(-x^2/2) leaves the normal floats
 _GAUSSIAN_FLOOR = 700.0
 _RESCALE_BITS = 256
+_SPLIT_BITS = 512
 # phi_n(x) underflows for every n < 1e13 beyond this, so clipping x changes no value
 _X_CLIP = 1e7
 
@@ -209,50 +210,90 @@ def backward_state(final: DualState, t: float, duration: float) -> DualState:
     return DualState(final.amplitudes * phases, final.basis)
 
 
+def _hermite_rows(x, n_max: int):
+    """Yield phi_0(x), ..., phi_{n_max-1}(x), each a flat array over x.ravel().
+
+    Runs the stable three-term recurrence on the normalized functions
+    phi_{n+1} = sqrt(2/(n+1)) x phi_n - sqrt(n/(n+1)) phi_{n-1},
+    which never forms raw Hermite polynomials and stays finite for large n.
+    Every point carries an integer exponent e and the recurrence runs on
+    psi_n = phi_n 2^-e.  e is 0 where exp(-x^2/2) is a normal float; beyond
+    (|x| > 37.4) it takes up the Gaussian factor and every later rescaling
+    (Bunck, BIT 49 (2009) 281), so phi_n is right wherever it is a normal
+    float.  Only psi_{n-1} and psi_n are held: memory is O(points) for any
+    n_max.
+    """
+    x = np.clip(np.asarray(x, dtype=float).ravel(), -_X_CLIP, _X_CLIP)
+    half_sq = 0.5 * x * x
+    e = np.where(half_sq > _GAUSSIAN_FLOOR, -np.floor(half_sq / math.log(2.0)), 0.0)
+    half_sq += e * math.log(2.0)
+    e = e.astype(np.int64)
+    scaled = bool(e.any())
+    scale = _unscaling(e)
+    prev, cur = 0.0, np.pi ** -0.25 * np.exp(-half_sq)
+    for n in range(n_max):
+        if n:
+            prev, cur = cur, np.sqrt(2.0 / n) * x * cur - np.sqrt((n - 1) / n) * prev
+            if scaled:
+                big = np.abs(cur) > 2.0 ** _RESCALE_BITS
+                if big.any():
+                    prev[big] *= 2.0 ** -_RESCALE_BITS
+                    cur[big] *= 2.0 ** -_RESCALE_BITS
+                    e[big] += _RESCALE_BITS
+                    scale = _unscaling(e)
+        # a scaled row is handed out as a new array, so the rescaling above
+        # never touches a row the caller holds
+        yield cur * scale * 2.0 ** -_SPLIT_BITS if scaled else cur
+
+
+def _unscaling(e):
+    """2^(e + _SPLIT_BITS), so that psi 2^e = (psi * _unscaling(e)) * 2^-_SPLIT_BITS.
+
+    A yielded psi is at most 2^256 in magnitude (larger ones were just
+    rescaled), so the first product, phi 2^_SPLIT_BITS, is exact wherever
+    |phi| > 2^-1534, and only the second one rounds, once, as ldexp(psi, e)
+    would, at a fraction of its cost; below that both give zero.  Every e
+    below -1022 - _SPLIT_BITS gives phi = 0 and is raised to it, which keeps
+    this factor a normal float.
+    """
+    return np.ldexp(1.0, np.maximum(e, -1022 - _SPLIT_BITS) + _SPLIT_BITS)
+
+
 def hermite_functions(x, n_max: int) -> np.ndarray:
     """Orthonormal Hermite-Gaussian eigenfunctions phi_0..phi_{n_max-1} at x.
 
-    Uses the stable three-term recurrence on the normalized functions
-    phi_{n+1} = sqrt(2/(n+1)) x phi_n - sqrt(n/(n+1)) phi_{n-1},
-    which never forms raw Hermite polynomials and stays finite for large n.
-    Where exp(-x^2/2) would underflow (|x| > 37.4) the recurrence runs on
-    psi_n = phi_n 2^-e instead, with the Gaussian factor and every later
-    rescaling kept in the integer exponent e (Bunck, BIT 49 (2009) 281), so
-    phi_n is right wherever it is a normal float.
-    Returns an array of shape (n_max,) + shape(x).
+    The rows of the scaled recurrence of `_hermite_rows`, stacked.
+    Returns an array of shape (n_max,) + shape(x); n_max = 0 gives an
+    empty one.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     x = np.asarray(x, dtype=float)
-    shape = x.shape
-    x = np.clip(x.ravel(), -_X_CLIP, _X_CLIP)
-    out = np.empty((n_max, x.size), dtype=float)
-    half_sq = 0.5 * x * x
-    far = np.flatnonzero(half_sq > _GAUSSIAN_FLOOR)
-    e = -np.floor(half_sq[far] / math.log(2.0))
-    half_sq[far] += e * math.log(2.0)
-    e = e.astype(np.int64)
-    out[0] = np.pi ** -0.25 * np.exp(-half_sq)
-    if n_max > 1:
-        out[1] = np.sqrt(2.0) * x * out[0]
-    phi_far = np.empty((n_max, far.size))
-    phi_far[:2] = np.ldexp(out[:2, far], e)
-    for n in range(1, n_max - 1):
-        out[n + 1] = np.sqrt(2.0 / (n + 1)) * x * out[n] - np.sqrt(n / (n + 1.0)) * out[n - 1]
-        if far.size:
-            big = np.abs(out[n + 1, far]) > 2.0 ** _RESCALE_BITS
-            if big.any():
-                out[n:n + 2, far[big]] *= 2.0 ** -_RESCALE_BITS
-                e[big] += _RESCALE_BITS
-            phi_far[n + 1] = np.ldexp(out[n + 1, far], e)
-    out[:, far] = phi_far
-    return out.reshape((n_max,) + shape)
+    out = np.empty((n_max, x.size))
+    for n, row in enumerate(_hermite_rows(x, n_max)):
+        out[n] = row
+    return out.reshape((n_max,) + x.shape)
 
 
 def position_wavefunction(state: StateVector, x):
-    """psi(x) = sum_n c_n phi_n(x); scalar in, scalar out."""
+    """psi(x) = sum_n c_n phi_n(x); scalar in, scalar out.
+
+    The sum is accumulated along the Hermite recurrence, one phi_n at a
+    time, with the real and imaginary parts of c_n kept apart and zero parts
+    skipped; the recurrence stops at the last nonzero c_n.  No n x points
+    table is formed, so memory is O(points) for any dim.
+    """
     xarr = np.asarray(x, dtype=float)
-    phi = hermite_functions(xarr, state.basis.dim)
-    psi = np.tensordot(state.amplitudes, phi, axes=(0, 0))
-    return complex(psi) if np.isscalar(x) or xarr.shape == () else psi
+    amps = state.amplitudes
+    top = np.flatnonzero(amps)[-1] + 1
+    re, im = np.zeros(xarr.size), np.zeros(xarr.size)
+    for c, row in zip(amps[:top], _hermite_rows(xarr, top)):
+        if c.real:
+            re += c.real * row
+        if c.imag:
+            im += c.imag * row
+    psi = (re + 1j * im).reshape(xarr.shape)
+    return complex(psi) if xarr.shape == () else psi
 
 
 def hamiltonian(basis: OscillatorBasis) -> np.ndarray:

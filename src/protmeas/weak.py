@@ -135,7 +135,18 @@ def post_selection_overlap(pre: StateVector, post: DualState, duration: float) -
 
 
 def _horner(coeffs, z):
-    """sum_k coeffs[k] z^k by Horner's rule, one vector multiply-add per coefficient."""
+    """sum_k coeffs[k] z^k by Horner's rule, one vector multiply-add per coefficient.
+
+    Trailing coefficients below the smallest normal float are dropped first.
+    Coherent-state amplitudes underflow at large dim, and Horner's rule
+    starts at the top coefficient, so with |z| = 1 the partial sum would
+    stay subnormal, and every multiply-add slow, until the first normal
+    coefficient.  Together the dropped terms weigh less than len(coeffs)
+    times that smallest normal float (about 1e-305 at dim 512), far below
+    one ulp of any value the caller keeps.
+    """
+    normal = np.flatnonzero(np.abs(coeffs) >= np.finfo(float).tiny)
+    coeffs = coeffs[:normal[-1] + 1] if normal.size else coeffs[:1]
     values = np.full(z.shape, coeffs[-1])
     for c in coeffs[-2::-1]:
         values *= z
@@ -150,12 +161,15 @@ def weak_value_series(A, pre: StateVector, post: DualState, times, duration: flo
     of the module docstring: its coefficients are folded once from the
     dim x dim terms d_m e^{-i E_m T} A_mn a_n along the diagonals m - n = k,
     then it is evaluated by Horner's rule, O(dim) vector operations over the
-    times and no dim x times array.  Returns (values, flagged).  The
-    denominator is computed once, so flagged is all true or all false: when
-    the overlap is below the floor every value is NaN rather than
-    extrapolated.
+    times and no dim x times array; trailing coefficients below the smallest
+    normal float are left out of it (see `_horner`).  Returns (values,
+    flagged).  The denominator is computed once, so flagged is all true or
+    all false: when the overlap is below the floor every value is NaN rather
+    than extrapolated.  Times outside [0, duration] raise ValueError.
     """
     times = np.asarray(times, dtype=float)
+    if np.any(times < 0.0) or np.any(times > duration):
+        raise ValueError(f"times must lie inside the measurement window [0, {duration}]")
     try:
         den = post_selection_overlap(pre, post, duration)
     except PostSelectionError:

@@ -1,3 +1,7 @@
+import math
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -182,6 +186,87 @@ def test_hermite_norm_beyond_gaussian_underflow(n):
 def test_hermite_functions_vanish_at_infinity():
     phi = hermite_functions(np.array([-np.inf, -1e200, 1e200, np.inf]), 64)
     assert np.array_equal(phi, np.zeros_like(phi))
+
+
+def test_hermite_functions_empty_and_negative_order():
+    assert hermite_functions(0.3, 0).shape == (0,)
+    assert hermite_functions(np.zeros((2, 3)), 0).shape == (0, 2, 3)
+    assert hermite_functions(np.zeros(0), 5).shape == (5, 0)
+    with pytest.raises(ValueError, match="-3"):
+        hermite_functions(0.3, -3)
+
+
+def _table_hermite_functions(x, n_max):
+    """The n_max x points table of the scaled recurrence, as the oracle.
+
+    Gathers the points beyond the Gaussian's underflow at every step and
+    keeps a second table for them; needs n_max >= 1.
+    """
+    x = np.asarray(x, dtype=float)
+    shape = x.shape
+    x = np.clip(x.ravel(), -1e7, 1e7)
+    out = np.empty((n_max, x.size), dtype=float)
+    half_sq = 0.5 * x * x
+    far = np.flatnonzero(half_sq > 700.0)
+    e = -np.floor(half_sq[far] / math.log(2.0))
+    half_sq[far] += e * math.log(2.0)
+    e = e.astype(np.int64)
+    out[0] = np.pi ** -0.25 * np.exp(-half_sq)
+    if n_max > 1:
+        out[1] = np.sqrt(2.0) * x * out[0]
+    phi_far = np.empty((n_max, far.size))
+    phi_far[:2] = np.ldexp(out[:2, far], e)
+    for n in range(1, n_max - 1):
+        out[n + 1] = np.sqrt(2.0 / (n + 1)) * x * out[n] - np.sqrt(n / (n + 1.0)) * out[n - 1]
+        if far.size:
+            big = np.abs(out[n + 1, far]) > 2.0 ** 256
+            if big.any():
+                out[n:n + 2, far[big]] *= 2.0 ** -256
+                e[big] += 256
+            phi_far[n + 1] = np.ldexp(out[n + 1, far], e)
+    out[:, far] = phi_far
+    return out.reshape((n_max,) + shape)
+
+
+_POINTS = st.lists(st.one_of(st.floats(-1e3, 1e3), st.sampled_from([-np.inf, np.inf])),
+                   min_size=1, max_size=24)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=_POINTS, n_max=st.integers(0, 600))
+def test_hermite_functions_match_table_recurrence(x, n_max):
+    got = hermite_functions(np.array(x), n_max)
+    want = _table_hermite_functions(np.array(x), max(n_max, 1))[:n_max]
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(2, 300), x=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=24),
+       seed=st.integers(0, 2**32 - 1))
+def test_position_wavefunction_matches_table_contraction(dim, x, seed):
+    state = random_state(np.random.default_rng(seed), OscillatorBasis(dim=dim))
+    phi = _table_hermite_functions(np.array(x), dim)
+    want = np.tensordot(state.amplitudes, phi, axes=(0, 0))
+    bound = 64 * np.finfo(float).eps * (np.abs(state.amplitudes) @ np.abs(phi))
+    assert np.all(np.abs(position_wavefunction(state, np.array(x)) - want) <= bound)
+
+
+def test_position_wavefunction_of_top_level_is_bounded():
+    # the n x points table of phi_0..phi_1023 on this grid is 82 MB
+    top = number_state(OscillatorBasis(dim=1024), 1023)
+    x = np.linspace(-50.0, 50.0, 10001)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        psi = position_wavefunction(top, x)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 2.0
+    assert peak < 10e6
+    assert float(np.sum(np.abs(psi) ** 2)) * (x[1] - x[0]) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_coherent_tail_matches_regularized_gamma():

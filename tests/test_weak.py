@@ -11,6 +11,7 @@ from protmeas import (IntervalRegion, MeasurementSchedule, OscillatorBasis,
                       number_state, pointer_trace, projector_matrix, weak_value,
                       weak_value_series)
 from protmeas.oscillator import COHERENT_TAIL_LIMIT, coherent_tail
+from protmeas import weak as weak_module
 from protmeas.projectors import bin_regions
 from protmeas.weak import as_matrix, closed_form_pvi_weak, post_selection_overlap
 
@@ -118,6 +119,16 @@ def test_weak_value_orthogonal_post_selection_raises(basis):
     post = number_state(basis, 1).dual()
     with pytest.raises(PostSelectionError):
         weak_value(np.eye(basis.dim), pre, post, 1.0, 10.0)
+
+
+def test_weak_value_series_window_check(basis):
+    pre = coherent_state(basis, 1.0)
+    with pytest.raises(ValueError, match="measurement window"):
+        weak_value(np.eye(basis.dim), pre, pre.dual(), 5.0, 1.0)
+    with pytest.raises(ValueError, match="measurement window"):
+        weak_value_series(np.eye(basis.dim), pre, pre.dual(), [0.0, -0.1, 0.5], 1.0)
+    values, _ = weak_value_series(np.eye(basis.dim), pre, pre.dual(), [0.0, 1.0], 1.0)
+    assert np.allclose(values, 1.0, atol=1e-12)
 
 
 def test_weak_value_series_matches_scalar(basis, rng):
@@ -234,6 +245,47 @@ def test_large_trace_is_bounded():
     assert np.all(np.isfinite(trace.readings))
 
 
+def _untrimmed_horner(coeffs, z):
+    """Horner's rule over every coefficient, sub-tiny ones included."""
+    values = np.full(z.shape, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        values *= z
+        values += c
+    return values
+
+
+@pytest.mark.parametrize("side", ["below", "narrow", "above"])
+@pytest.mark.parametrize("selection", ["coherent", "evolved"])
+def test_trimmed_horner_equals_untrimmed_at_dim_512(monkeypatch, side, selection):
+    # the inputs of the dim-512 benchmark pass: coherent pre- and
+    # post-selection, an interval of width 0.05 around x0 and its two tails
+    basis = OscillatorBasis(dim=512)
+    x0, w, T = 0.59, 0.05, 100.0
+    region = {"below": IntervalRegion(-np.inf, x0 - w / 2),
+              "narrow": IntervalRegion(x0 - w / 2, x0 + w / 2),
+              "above": IntervalRegion(x0 + w / 2, np.inf)}[side]
+    P = projector_matrix(region, basis)
+    pre = coherent_state(basis, 0.88 * np.exp(0.62j))
+    post = (coherent_state(basis, 1.79 * np.exp(-3.01j)).dual() if selection == "coherent"
+            else evolve(pre, T).dual())
+    times = MeasurementSchedule(T, steps=16384).times
+    trimmed, _ = weak_value_series(P, pre, post, times, T)
+    halves = []
+
+    def recording(coeffs, z):
+        halves.append(coeffs)
+        return _untrimmed_horner(coeffs, z)
+
+    monkeypatch.setattr(weak_module, "_horner", recording)
+    untrimmed, _ = weak_value_series(P, pre, post, times, T)
+    tiny = np.finfo(float).tiny
+    for coeffs in halves:
+        assert np.abs(coeffs[-1]) < tiny
+        assert np.any((np.abs(coeffs) > 0) & (np.abs(coeffs) < tiny))
+    assert np.array_equal(trimmed, untrimmed)
+
+
+# -------------------------------------------------------------- closed form
 # -------------------------------------------------------------- closed form
 
 def test_closed_form_alpha_zero_is_constant():

@@ -32,6 +32,11 @@ multiply-add per coefficient.  Horner's rule is backward stable, and for
 Stability of Numerical Algorithms, sec. 5.1); summing the two halves from
 k = 0 outward keeps the phase error of each term proportional to |k|, as in
 a direct evaluation of every e^{-i E_n t}.
+
+Number- and coherent-state amplitudes fall off faster than exponentially, so
+`_significant` cuts the bra and the a_n before the fold, and each half of
+the c_k before Horner's rule, to the terms above rounding level; the cut
+moves N(t) by at most 3 u max|A_mn| ||d||_1 ||a||_1, u = eps/2.
 """
 
 from dataclasses import dataclass
@@ -134,19 +139,22 @@ def post_selection_overlap(pre: StateVector, post: DualState, duration: float) -
     return den
 
 
+def _significant(v):
+    """v less its longest trailing run of weight <= u ||v||_1, u = eps/2; one entry is kept.
+
+    A vector whose 1-norm is NaN or infinite is not cut: such entries reach the sum.
+    """
+    tail = np.cumsum(np.abs(v[::-1]))
+    cut = np.count_nonzero(tail <= 0.5 * np.finfo(float).eps * tail[-1])
+    return v[:v.size - cut or 1] if np.isfinite(tail[-1]) else v
+
+
 def _horner(coeffs, z):
     """sum_k coeffs[k] z^k by Horner's rule, one vector multiply-add per coefficient.
 
-    Trailing coefficients below the smallest normal float are dropped first.
-    Coherent-state amplitudes underflow at large dim, and Horner's rule
-    starts at the top coefficient, so with |z| = 1 the partial sum would
-    stay subnormal, and every multiply-add slow, until the first normal
-    coefficient.  Together the dropped terms weigh less than len(coeffs)
-    times that smallest normal float (about 1e-305 at dim 512), far below
-    one ulp of any value the caller keeps.
+    The trailing run that `_significant` cuts, at most u sum |coeffs| at |z| = 1, is left out.
     """
-    normal = np.flatnonzero(np.abs(coeffs) >= np.finfo(float).tiny)
-    coeffs = coeffs[:normal[-1] + 1] if normal.size else coeffs[:1]
+    coeffs = _significant(coeffs)
     values = np.full(z.shape, coeffs[-1])
     for c in coeffs[-2::-1]:
         values *= z
@@ -159,30 +167,33 @@ def weak_value_series(A, pre: StateVector, post: DualState, times, duration: flo
 
     The numerator is the trigonometric polynomial sum_k c_k e^{i k omega t}
     of the module docstring: its coefficients are folded once from the
-    dim x dim terms d_m e^{-i E_m T} A_mn a_n along the diagonals m - n = k,
-    then it is evaluated by Horner's rule, O(dim) vector operations over the
-    times and no dim x times array; trailing coefficients below the smallest
-    normal float are left out of it (see `_horner`).  Returns (values,
-    flagged).  The denominator is computed once, so flagged is all true or
-    all false: when the overlap is below the floor every value is NaN rather
-    than extrapolated.  Times outside [0, duration] raise ValueError.
+    terms d_m e^{-i E_m T} A_mn a_n along the diagonals m - n = k, then it
+    is evaluated by Horner's rule, O(dim) vector operations over the times
+    and no dim x times array.  Only the bra entries and amplitudes a_n that
+    `_significant` keeps are folded, and each half of the c_k is cut the
+    same way before Horner's rule: A_w moves by at most 3 u max|A_mn|
+    ||d||_1 ||a||_1 / |<Phi_f|U(T)|Psi_i>| (u = eps/2), and vectors with no
+    negligible tail give the full fold exactly.  Returns (values, flagged).
+    The denominator is computed once, so flagged is all true or all false:
+    when the overlap is below the floor every value is NaN rather than
+    extrapolated.  Times outside [0, duration], or NaN, raise ValueError.
     """
     times = np.asarray(times, dtype=float)
-    if np.any(times < 0.0) or np.any(times > duration):
+    if not np.all((times >= 0.0) & (times <= duration)):
         raise ValueError(f"times must lie inside the measurement window [0, {duration}]")
     try:
         den = post_selection_overlap(pre, post, duration)
     except PostSelectionError:
         return np.full(times.shape, np.nan + 0j), np.ones(times.shape, dtype=bool)
     basis = pre.basis
-    bra = post.amplitudes * np.exp(-1j * basis.energies() * duration)
-    terms = bra[:, None] * as_matrix(A) * pre.amplitudes[None, :]
+    bra = _significant(post.amplitudes * np.exp(-1j * basis.energies() * duration))
+    ket = _significant(pre.amplitudes)
+    terms = bra[:, None] * as_matrix(A)[:bra.size, :ket.size] * ket[None, :]
     # c_k sums the diagonal m - n = k and is stored at index zero + k
     zero = basis.dim - 1
-    n = np.arange(basis.dim)
-    diagonal = (n[:, None] - n[None, :] + zero).ravel()
-    coeffs = (np.bincount(diagonal, terms.real.ravel())
-              + 1j * np.bincount(diagonal, terms.imag.ravel()))
+    diagonal = (np.arange(bra.size)[:, None] - np.arange(ket.size)[None, :] + zero).ravel()
+    coeffs = (np.bincount(diagonal, terms.real.ravel(), 2 * basis.dim - 1)
+              + 1j * np.bincount(diagonal, terms.imag.ravel(), 2 * basis.dim - 1))
     z = np.exp(1j * basis.omega * times)
     values = _horner(coeffs[zero:], z) + _horner(coeffs[zero - 1::-1], z.conj()) * z.conj()
     values /= den
@@ -212,7 +223,7 @@ def closed_form_pvi_weak(alpha_mod: float, delta: float, x0: float,
     of width w around x0.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0) or np.any(t > duration):
+    if not np.all((t >= 0.0) & (t <= duration)):
         raise ValueError("t must lie inside the measurement window [0, duration]")
     theta = omega * (duration - t) + delta
     xi = (omega * duration / 2.0

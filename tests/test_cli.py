@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 import protmeas
@@ -246,6 +248,26 @@ def test_two_state_experiment_consistency(tmp_path):
     for ln in lines[1:]:
         cells = [float(v) for v in ln.split(",")]
         assert cells[i_direct] == pytest.approx(cells[i_trace], abs=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(T=st.floats(0.5, 50.0), alpha=st.floats(0.5, 3.0), delta=st.floats(-np.pi, np.pi))
+@example(T=20.0, alpha=2.5, delta=0.0)   # the README flags: 32.156...
+def test_two_state_herm_defect_is_the_overlap_constant(T, alpha, delta):
+    # with normalized k(t) and b(t), b.k is the time-independent overlap
+    # <Phi|U(T)|0>, so ||rho - rho^dagger||_F = sqrt(2 (1/|den|^2 - 1)) in every row;
+    # |den| is the |0> amplitude of the truncated coherent post-selection
+    den = abs(protmeas.coherent_state(protmeas.OscillatorBasis(dim=64),
+                                      alpha * np.exp(1j * delta)).amplitudes[0])
+    want = np.sqrt(2.0 * (1.0 / den ** 2 - 1.0))
+    with tempfile.TemporaryDirectory() as out:
+        assert main(["two-state", f"--T={T!r}", f"--alpha={alpha!r}",
+                     f"--delta={delta!r}", "--steps", "16", "--out", out]) == 0
+        lines = read(Path(out) / "two_state.csv").decode().splitlines()
+    col = lines[0].split(",").index("herm_defect")
+    assert len(lines) - 1 == 17
+    for ln in lines[1:]:
+        assert float(ln.split(",")[col]) == pytest.approx(want, rel=1e-12)
 
 
 def test_two_state_runs_the_requested_steps(tmp_path):

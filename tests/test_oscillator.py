@@ -129,6 +129,8 @@ def test_backward_state_window_check(basis):
         backward_state(post, -0.1, 10.0)
     with pytest.raises(ValueError):
         backward_state(post, 10.1, 10.0)
+    with pytest.raises(ValueError, match="measurement window"):
+        backward_state(post, np.nan, 10.0)
 
 
 def test_ground_state_wavefunction_at_origin(basis):

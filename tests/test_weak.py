@@ -127,6 +127,8 @@ def test_weak_value_series_window_check(basis):
         weak_value(np.eye(basis.dim), pre, pre.dual(), 5.0, 1.0)
     with pytest.raises(ValueError, match="measurement window"):
         weak_value_series(np.eye(basis.dim), pre, pre.dual(), [0.0, -0.1, 0.5], 1.0)
+    with pytest.raises(ValueError, match="measurement window"):
+        weak_value_series(np.eye(basis.dim), pre, pre.dual(), [0.5, np.nan], 1.0)
     values, _ = weak_value_series(np.eye(basis.dim), pre, pre.dual(), [0.0, 1.0], 1.0)
     assert np.allclose(values, 1.0, atol=1e-12)
 
@@ -246,7 +248,7 @@ def test_large_trace_is_bounded():
 
 
 def _untrimmed_horner(coeffs, z):
-    """Horner's rule over every coefficient, sub-tiny ones included."""
+    """Horner's rule over every coefficient, negligible ones included."""
     values = np.full(z.shape, coeffs[-1])
     for c in coeffs[-2::-1]:
         values *= z
@@ -254,9 +256,25 @@ def _untrimmed_horner(coeffs, z):
     return values
 
 
+def _full_fold_weak_values(A, pre, post, times, T):
+    """A_w(t) from the fold of all dim x dim terms and Horner's rule over every c_k."""
+    basis = pre.basis
+    bra = post.amplitudes * np.exp(-1j * basis.energies() * T)
+    terms = bra[:, None] * as_matrix(A) * pre.amplitudes[None, :]
+    zero = basis.dim - 1
+    n = np.arange(basis.dim)
+    diagonal = (n[:, None] - n[None, :] + zero).ravel()
+    coeffs = (np.bincount(diagonal, terms.real.ravel())
+              + 1j * np.bincount(diagonal, terms.imag.ravel()))
+    z = np.exp(1j * basis.omega * times)
+    values = (_untrimmed_horner(coeffs[zero:], z)
+              + _untrimmed_horner(coeffs[zero - 1::-1], z.conj()) * z.conj())
+    return values / post_selection_overlap(pre, post, T)
+
+
 @pytest.mark.parametrize("side", ["below", "narrow", "above"])
 @pytest.mark.parametrize("selection", ["coherent", "evolved"])
-def test_trimmed_horner_equals_untrimmed_at_dim_512(monkeypatch, side, selection):
+def test_significance_cut_within_bound_at_dim_512(side, selection):
     # the inputs of the dim-512 benchmark pass: coherent pre- and
     # post-selection, an interval of width 0.05 around x0 and its two tails
     basis = OscillatorBasis(dim=512)
@@ -269,20 +287,61 @@ def test_trimmed_horner_equals_untrimmed_at_dim_512(monkeypatch, side, selection
     post = (coherent_state(basis, 1.79 * np.exp(-3.01j)).dual() if selection == "coherent"
             else evolve(pre, T).dual())
     times = MeasurementSchedule(T, steps=16384).times
-    trimmed, _ = weak_value_series(P, pre, post, times, T)
-    halves = []
+    cut, _ = weak_value_series(P, pre, post, times, T)
+    full = _full_fold_weak_values(P, pre, post, times, T)
+    u = np.finfo(float).eps / 2
+    bound = (3 * u * np.max(np.abs(P.entries)) * np.sum(np.abs(post.amplitudes))
+             * np.sum(np.abs(pre.amplitudes)) / abs(post_selection_overlap(pre, post, T)))
+    # both evaluations round the kept coefficients' Horner sums, which differ
+    # only by the dropped partial sum, so they may also part by a few ulps
+    rounding = 8 * u * np.max(np.abs(full))
+    assert np.max(np.abs(cut - full)) <= bound + rounding
 
-    def recording(coeffs, z):
-        halves.append(coeffs)
-        return _untrimmed_horner(coeffs, z)
 
-    monkeypatch.setattr(weak_module, "_horner", recording)
-    untrimmed, _ = weak_value_series(P, pre, post, times, T)
-    tiny = np.finfo(float).tiny
-    for coeffs in halves:
-        assert np.abs(coeffs[-1]) < tiny
-        assert np.any((np.abs(coeffs) > 0) & (np.abs(coeffs) < tiny))
-    assert np.array_equal(trimmed, untrimmed)
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(2, 128), T=st.floats(0.1, 200.0), seed=st.integers(0, 2**32 - 1))
+def test_dense_states_give_the_full_fold_exactly(dim, T, seed):
+    # Gaussian amplitudes leave no negligible tail, so nothing is cut
+    rng = np.random.default_rng(seed)
+    basis = OscillatorBasis(dim=dim)
+    pre = random_state(rng, basis)
+    post = random_state(rng, basis).dual()
+    A = random_hermitian(rng, dim)
+    try:
+        post_selection_overlap(pre, post, T)
+    except PostSelectionError:
+        assume(False)
+    times = T * rng.random(65)
+    values, _ = weak_value_series(A, pre, post, times, T)
+    assert np.array_equal(values, _full_fold_weak_values(A, pre, post, times, T))
+
+
+def test_significance_cut_edge_cases():
+    cut = weak_module._significant
+    dense = np.array([1.0, -2.0, 0.5, 1e-12])
+    assert np.array_equal(cut(dense), dense)
+    assert np.array_equal(cut(np.array([0.0, 0.0, 3.0, 0.0, 0.0])), [0.0, 0.0, 3.0])
+    assert np.array_equal(cut(np.zeros(5)), [0.0])
+    assert np.array_equal(cut(np.array([1.0, 1e-17, 1e-300])), [1.0])
+    for bad in (np.nan, np.inf):
+        for where in (0, 2, 4):
+            v = np.array([1.0, 1e-20, 1e-30, 0.0, 0.0])
+            v[where] = bad
+            assert cut(v).size == 5
+
+
+@pytest.mark.parametrize("side", ["pre", "post"])
+def test_nan_amplitude_reaches_weak_values(basis, side):
+    # coherent states have long negligible tails; the NaN is put in the
+    # last entry after construction, which would normalize every entry to NaN
+    pre = coherent_state(basis, 1.0)
+    post = coherent_state(basis, 1.5).dual()
+    (pre if side == "pre" else post).amplitudes[-1] = np.nan
+    P = projector_matrix(IntervalRegion(0.5, 1.0), basis)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        values, flagged = weak_value_series(P, pre, post, np.linspace(0.0, 10.0, 9), 10.0)
+    assert np.all(np.isnan(values)) and not flagged.any()
 
 
 # -------------------------------------------------------------- closed form
@@ -307,6 +366,10 @@ def test_closed_form_periodicity():
 def test_closed_form_window_check():
     with pytest.raises(ValueError):
         closed_form_pvi_weak(2.5, 0.0, 1.0, 1.0, 10.0, 11.0)
+    with pytest.raises(ValueError, match="measurement window"):
+        closed_form_pvi_weak(2.5, 0.0, 1.0, 1.0, 10.0, np.nan)
+    with pytest.raises(ValueError, match="measurement window"):
+        closed_form_pvi_weak(2.5, 0.0, 1.0, 1.0, 10.0, [0.5, np.nan])
 
 
 def test_closed_form_amplitude_ordering():

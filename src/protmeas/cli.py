@@ -2,14 +2,19 @@
 
 Usage:  protmeas <experiment> [--config file.json] [--param value ...] --out DIR
 
-Flags override config-file values.  Outputs are deterministic for a fixed
-config and seed: CSV files are written atomically and SVG plots carry no
-timestamps or environment-dependent bytes.  Exit codes: 0 ok, 2 usage,
-3 numerical failure, 4 I/O failure.  Only parameters the runners validate
-give a usage error; any other exception is a package fault and propagates.
+A runner's keyword-only signature lists the parameters its experiment
+takes, with any default that differs from PARAMS.  Flags override config
+values, which override the defaults; a key the experiment does not take, a
+non-boolean bool or a non-integral int is a usage error.  Outputs are
+deterministic for a fixed config and seed: CSV files are written atomically
+and SVG plots carry no timestamps or environment-dependent bytes.  Exit
+codes: 0 ok, 2 usage, 3 numerical failure, 4 I/O failure.  Only parameters
+the runners validate give a usage error; any other exception is a package
+fault and propagates.
 """
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -26,10 +31,8 @@ from .tables import ResultTable
 from .weak import (MeasurementSchedule, closed_form_pvi_weak, expectation,
                    pointer_trace, weak_value_series)
 
-EXPERIMENT_NAMES = ("sketch", "pointer-trace", "heisenberg-projector", "bipartite",
-                    "zeno", "thermal", "two-state", "ergodic", "correspondence")
-
-# every tunable: name -> (type, default); experiments pick the ones they use
+# every tunable: name -> (type, default); each runner's signature names the
+# ones its experiment takes and may give its own default
 PARAMS = {
     "dim": (int, 64),
     "omega": (float, 1.0),
@@ -62,13 +65,6 @@ PARAMS = {
     "shift_tol": (float, 1e-4),
 }
 
-# experiment-specific defaults layered over the global ones
-EXPERIMENT_DEFAULTS = {
-    "ergodic": {"a": 0.5, "b": 1.0},
-    "zeno": {"n": 1},
-    "correspondence": {"n": 50, "a": 2.0, "b": 4.0, "dim": 128},
-}
-
 
 def _checked(build, *args, **kwargs):
     """Build an object from user parameters; its ValueError is a usage error."""
@@ -83,65 +79,60 @@ def _require(cond: bool, message: str):
         raise UsageError(message)
 
 
-def _basis(p) -> OscillatorBasis:
-    return _checked(OscillatorBasis, dim=p["dim"], omega=p["omega"],
-                    include_zero_point=p["zero_point"])
+def _basis(dim, omega, zero_point) -> OscillatorBasis:
+    return _checked(OscillatorBasis, dim=dim, omega=omega, include_zero_point=zero_point)
 
 
-def _region(p) -> IntervalRegion:
-    return _checked(IntervalRegion, p["a"], p["b"])
-
-
-def _window(p) -> IntervalRegion:
+def _window(x0, w) -> IntervalRegion:
     """The interval of width w centred on x0."""
-    _require(p["w"] > 0, "interval width w must be positive")
-    return _checked(IntervalRegion, p["x0"] - p["w"] / 2, p["x0"] + p["w"] / 2)
+    _require(w > 0, "interval width w must be positive")
+    return _checked(IntervalRegion, x0 - w / 2, x0 + w / 2)
 
 
-def _schedule(p) -> MeasurementSchedule:
-    return _checked(MeasurementSchedule, p["T"], p["ramp"], p["steps"])
-
-
-def run_sketch(p):
-    basis = _basis(p)
-    _require(p["bin_width"] > 0, "bin_width must be positive")
-    _require(p["L"] > 0, "L must be positive")
-    state = (coherent_state(basis, p["alpha"]) if p.get("use_alpha")
-             else _checked(number_state, basis, p["n"]))
+def run_sketch(*, dim, omega, zero_point, bin_width, L, n=None, alpha=None):
+    """|psi|^2 per bin of [-L, L] for |n> (|0> by default), or for |alpha> if alpha is given."""
+    basis = _basis(dim, omega, zero_point)
+    _require(bin_width > 0, "bin_width must be positive")
+    _require(L > 0, "L must be positive")
+    if alpha is None:
+        state = _checked(number_state, basis, 0 if n is None else n)
+    else:
+        _require(n is None, "sketch draws |n> or |alpha>: give n or alpha, not both")
+        state = _checked(coherent_state, basis, alpha)
     table = ResultTable(["bin_center", "probability"], ["", ""])
-    for region in bin_regions(p["bin_width"], p["L"]):
+    for region in bin_regions(bin_width, L):
         prob = expectation(projector_matrix(region, basis), state)
         table.add_row(0.5 * (region.lower + region.upper), prob)
     return table, [("sketch.svg", "bin_center", ["probability"], ["|psi|^2 per bin"],
                     "wavefunction sketch")]
 
 
-def run_pointer_trace(p):
-    basis = _basis(p)
-    schedule = _schedule(p)
-    P = projector_matrix(_window(p), basis)
+def run_pointer_trace(*, dim, omega, zero_point, T, ramp, steps, x0, w, alpha, delta,
+                      alpha2):
+    basis = _basis(dim, omega, zero_point)
+    schedule = _checked(MeasurementSchedule, T, ramp, steps)
+    P = projector_matrix(_window(x0, w), basis)
     pre = number_state(basis, 0)
 
     trivial = pointer_trace(schedule, pre, P)
-    post = coherent_state(basis, p["alpha"] * np.exp(1j * p["delta"])).dual()
+    post = _checked(coherent_state, basis, alpha * np.exp(1j * delta)).dual()
     sel = pointer_trace(schedule, pre, P, post)
 
     cols = ["t", "reading_trivial", "reading_alpha", "wv_re_alpha", "closed_form"]
     units = ["s", "", "", "", ""]
-    closed = closed_form_pvi_weak(abs(p["alpha"]), p["delta"], p["x0"], p["omega"],
-                                  p["T"], schedule.times)
-    series = [trivial.readings, sel.readings, sel.values, closed * p["w"]]
+    closed = closed_form_pvi_weak(abs(alpha), delta, x0, omega, T, schedule.times)
+    series = [trivial.readings, sel.readings, sel.values, closed * w]
     plots = [("fig1.svg", "t", ["reading_alpha", "reading_trivial"],
               ["alpha post-selection", "trivial post-selection"],
               "pointer readings")]
-    if p["alpha2"] is not None:
-        post2 = coherent_state(basis, p["alpha2"] * np.exp(1j * p["delta"])).dual()
+    if alpha2 is not None:
+        post2 = _checked(coherent_state, basis, alpha2 * np.exp(1j * delta)).dual()
         sel2 = pointer_trace(schedule, pre, P, post2)
         cols += ["reading_alpha2", "wv_re_alpha2"]
         units += ["", ""]
         series += [sel2.readings, sel2.values]
         plots.append(("fig2.svg", "t", ["wv_re_alpha", "wv_re_alpha2"],
-                      [f"alpha={p['alpha']:g}", f"alpha={p['alpha2']:g}"],
+                      [f"alpha={alpha:g}", f"alpha={alpha2:g}"],
                       "weak value comparison"))
     table = ResultTable(cols, units)
     for i, t in enumerate(schedule.times):
@@ -156,20 +147,20 @@ def run_pointer_trace(p):
     return table, plots
 
 
-def run_heisenberg(p):
-    basis = _basis(p)
-    region = _region(p)
-    _require(p["T"] > 0, "averaging window T must be positive")
-    k = min(p["max_index"], basis.dim)
+def run_heisenberg(*, dim, omega, zero_point, a, b, T, max_index, t):
+    basis = _basis(dim, omega, zero_point)
+    region = _checked(IntervalRegion, a, b)
+    _require(T > 0, "averaging window T must be positive")
+    k = min(max_index, basis.dim)
     P = projector_matrix(region, basis)
-    Pt = heisenberg_projector(P, p["t"])
-    avg = time_averaged_projector(P, p["T"])
+    Pt = heisenberg_projector(P, t)
+    avg = time_averaged_projector(P, T)
     table = ResultTable(
         ["m", "n", "p_re", "p_im", "heis_re", "heis_im", "avg_re", "avg_im", "bound"],
         ["", "", "", "", "", "", "", "", ""], int_columns=frozenset(["m", "n"]))
     for m in range(k):
         for n in range(k):
-            bound = (2.0 * abs(P.entries[m, n]) / (abs(m - n) * basis.omega * p["T"])
+            bound = (2.0 * abs(P.entries[m, n]) / (abs(m - n) * basis.omega * T)
                      if m != n else abs(P.entries[m, n]))
             table.add_row(m, n, P.entries[m, n].real, P.entries[m, n].imag,
                           Pt[m, n].real, Pt[m, n].imag,
@@ -177,62 +168,58 @@ def run_heisenberg(p):
     return table, []
 
 
-def run_bipartite(p):
-    basis = _basis(p)
-    region = _region(p)
-    schedule = _schedule(p)
+def run_bipartite(*, dim, omega, zero_point, a, b, T, ramp, steps, pointer_points,
+                  pointer_sigma, shift_tol):
+    basis = _basis(dim, omega, zero_point)
+    region = _checked(IntervalRegion, a, b)
+    schedule = _checked(MeasurementSchedule, T, ramp, steps)
     P = projector_matrix(region, basis)
-    grid = _checked(simulation.PointerGrid, points=p["pointer_points"],
-                    sigma=p["pointer_sigma"])
-    _require(p["shift_tol"] >= 0, "shift_tol must be non-negative")
+    grid = _checked(simulation.PointerGrid, points=pointer_points, sigma=pointer_sigma)
+    _require(shift_tol >= 0, "shift_tol must be non-negative")
     result = simulation.bipartite_protective_sim(
-        P, schedule, grid=grid, steps=p["steps"], shift_tol=p["shift_tol"])
+        P, schedule, grid=grid, steps=steps, shift_tol=shift_tol)
     ref = expectation(P, number_state(basis, 0))
     table = ResultTable(
         ["T", "pointer_shift", "energy_shift_per_p", "survival", "steps_used",
          "expectation_P"],
         ["s", "", "1/s", "", "", ""], int_columns=frozenset(["steps_used"]))
-    table.add_row(p["T"], result.pointer_shift, result.energy_shift_per_p,
+    table.add_row(T, result.pointer_shift, result.energy_shift_per_p,
                   result.survival_probability, result.steps_used, ref)
     return table, []
 
 
-def _parse_n_list(raw) -> list:
-    if isinstance(raw, (list, tuple)):
-        values = [int(v) for v in raw]
-    else:
-        try:
-            values = [int(tok) for tok in str(raw).split(",") if tok.strip()]
-        except ValueError:
-            raise UsageError(f"n_list must be comma-separated integers, got {raw!r}") from None
+def _parse_n_list(raw: str) -> list:
+    try:
+        values = [int(tok) for tok in raw.split(",") if tok.strip()]
+    except ValueError:
+        raise UsageError(f"n_list must be comma-separated integers, got {raw!r}") from None
     _require(len(values) > 0 and all(v >= 1 for v in values),
              "n_list must contain positive protection counts")
     return values
 
 
-def run_zeno(p):
-    basis = _basis(p)
-    _require(0 < p["n"] < basis.dim, f"n={p['n']} must satisfy 0 < n < dim")
-    _require(p["T"] > 0, "protection window T must be positive")
+def run_zeno(*, dim, omega, zero_point, a, b, T, n_list, coupling, n=1):
+    basis = _basis(dim, omega, zero_point)
+    _require(0 < n < basis.dim, f"n={n} must satisfy 0 < n < dim")
+    _require(T > 0, "protection window T must be positive")
     amps = np.zeros(basis.dim, dtype=complex)
-    amps[0] = amps[p["n"]] = 1.0  # superposition of |0> and |n>
+    amps[0] = amps[n] = 1.0  # superposition of |0> and |n>
     initial = StateVector(amps, basis)
-    P = projector_matrix(_region(p), basis)
+    P = projector_matrix(_checked(IntervalRegion, a, b), basis)
     table = ResultTable(["n_protections", "survival", "max_op_jump"], ["", "", ""],
                         int_columns=frozenset(["n_protections"]))
-    for count in _parse_n_list(p["n_list"]):
-        res = simulation.zeno_protect_sim(initial, count, p["T"], measured=P,
-                                          coupling=p["coupling"])
+    for count in _parse_n_list(n_list):
+        res = simulation.zeno_protect_sim(initial, count, T, measured=P, coupling=coupling)
         table.add_row(count, res.survival_probability, res.jump_norms.max(initial=0.0))
     return table, [("zeno.svg", "n_protections", ["survival"], ["survival"],
                     "Zeno protection")]
 
 
-def run_thermal(p):
-    basis = _basis(p)
-    _require(p["beta"] > 0, f"beta must be positive, got {p['beta']}")
-    rho = twostate.thermal_density(p["beta"], basis)
-    pure = twostate.thermal_purification(p["beta"], basis)
+def run_thermal(*, dim, omega, zero_point, beta):
+    basis = _basis(dim, omega, zero_point)
+    _require(beta > 0, f"beta must be positive, got {beta}")
+    rho = twostate.thermal_density(beta, basis)
+    pure = twostate.thermal_purification(beta, basis)
     table = ResultTable(["n", "weight", "purification_amp"], ["", "", ""],
                         int_columns=frozenset(["n"]))
     for n in range(basis.dim):
@@ -241,19 +228,19 @@ def run_thermal(p):
                     "thermal occupation")]
 
 
-def run_two_state(p):
-    basis = _basis(p)
-    schedule = _schedule(p)
-    P = projector_matrix(_window(p), basis)
+def run_two_state(*, dim, omega, zero_point, T, ramp, steps, x0, w, alpha, delta):
+    basis = _basis(dim, omega, zero_point)
+    schedule = _checked(MeasurementSchedule, T, ramp, steps)
+    P = projector_matrix(_window(x0, w), basis)
     pre = number_state(basis, 0)
-    post = coherent_state(basis, p["alpha"] * np.exp(1j * p["delta"])).dual()
+    post = _checked(coherent_state, basis, alpha * np.exp(1j * delta)).dual()
     table = ResultTable(
         ["t", "wv_direct_re", "wv_direct_im", "wv_trace_re", "wv_trace_im",
          "herm_defect"],
         ["s", "", "", "", "", ""])
-    direct, _ = weak_value_series(P, pre, post, schedule.times, p["T"])
+    direct, _ = weak_value_series(P, pre, post, schedule.times, T)
     for t, d in zip(schedule.times, direct):
-        rho = twostate.two_state_density(pre, post, float(t), p["T"])
+        rho = twostate.two_state_density(pre, post, float(t), T)
         traced = twostate.weak_value_from_density(P, rho)
         table.add_row(t, d.real, d.imag, traced.real, traced.imag,
                       rho.hermiticity_defect())
@@ -261,24 +248,23 @@ def run_two_state(p):
                     "two-state weak value")]
 
 
-def run_ergodic(p):
-    _require(p["seed"] is not None,
+def run_ergodic(*, omega, seed, amplitude, n_samples, ensemble_n, periods, t,
+                a=0.5, b=1.0):
+    _require(seed is not None,
              "ergodic runs are stochastic: an explicit --seed is mandatory")
-    _require(p["n_samples"] >= 1, "n_samples must be >= 1")
-    _require(p["ensemble_n"] >= 1, "ensemble_n must be >= 1")
-    _require(p["amplitude"] > 0, f"amplitude must be positive, got {p['amplitude']}")
-    _require(p["omega"] > 0, f"omega must be positive, got {p['omega']}")
-    region = _region(p)
-    amplitude = p["amplitude"]
-    duration = p["periods"] * 2.0 * np.pi / p["omega"]
+    _require(n_samples >= 1, "n_samples must be >= 1")
+    _require(ensemble_n >= 1, "ensemble_n must be >= 1")
+    _require(amplitude > 0, f"amplitude must be positive, got {amplitude}")
+    _require(omega > 0, f"omega must be positive, got {omega}")
+    region = _checked(IntervalRegion, a, b)
+    duration = periods * 2.0 * np.pi / omega
     time_avg = ergodicity.classical_time_average(
-        amplitude, 0.0, p["omega"], region, duration, p["n_samples"])
-    ens = ergodicity.uniform_phase_ensemble(p["ensemble_n"], amplitude, p["omega"],
-                                            p["seed"])
-    ens_avg = ergodicity.classical_ensemble_average(ens, region, p["t"])
+        amplitude, 0.0, omega, region, duration, n_samples)
+    ens = ergodicity.uniform_phase_ensemble(ensemble_n, amplitude, omega, seed)
+    ens_avg = ergodicity.classical_ensemble_average(ens, region, t)
     analytic = ergodicity.classical_dwell_fraction(amplitude, region)
-    err_t = ergodicity.sampling_error(time_avg, p["n_samples"])
-    err_e = ergodicity.sampling_error(ens_avg, p["ensemble_n"])
+    err_t = ergodicity.sampling_error(time_avg, n_samples)
+    err_e = ergodicity.sampling_error(ens_avg, ensemble_n)
     combined = float(np.hypot(err_t, err_e))
     gap_sigmas = abs(time_avg - ens_avg) / combined if combined > 0 else 0.0
     table = ResultTable(
@@ -289,19 +275,20 @@ def run_ergodic(p):
     return table, []
 
 
-def run_correspondence(p):
-    basis = _basis(p)
-    region = _region(p)
-    _require(0 <= 2 * p["n"] <= basis.dim, f"n={p['n']} must satisfy 0 <= 2n <= dim")
-    _require(p["n_samples"] >= 1, "n_samples must be >= 1")
+def run_correspondence(*, omega, zero_point, n_samples, periods, n=50, a=2.0, b=4.0,
+                       dim=128):
+    basis = _basis(dim, omega, zero_point)
+    region = _checked(IntervalRegion, a, b)
+    _require(0 <= 2 * n <= basis.dim, f"n={n} must satisfy 0 <= 2n <= dim")
+    _require(n_samples >= 1, "n_samples must be >= 1")
     report = ergodicity.correspondence_check(
-        p["n"], region, basis, n_samples=p["n_samples"], n_periods=p["periods"])
+        n, region, basis, n_samples=n_samples, n_periods=periods)
     rel_gap = (abs(report.quantum_fraction - report.analytic_fraction)
                / max(report.analytic_fraction, 1e-300))
     table = ResultTable(
         ["n", "quantum_fraction", "classical_fraction", "time_average", "rel_gap"],
         ["", "", "", "", ""], int_columns=frozenset(["n"]))
-    table.add_row(p["n"], report.quantum_fraction, report.analytic_fraction,
+    table.add_row(n, report.quantum_fraction, report.analytic_fraction,
                   report.time_average, rel_gap)
     return table, []
 
@@ -323,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="protmeas",
         description="protective-measurement experiments on a harmonic oscillator")
-    parser.add_argument("experiment", choices=EXPERIMENT_NAMES)
+    parser.add_argument("experiment", choices=RUNNERS)
     parser.add_argument("--config", help="JSON file with parameter values")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--plot", action="store_true", help="also emit SVG plots")
@@ -339,44 +326,81 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def merge_params(args: argparse.Namespace):
-    params = {name: default for name, (kind, default) in PARAMS.items()}
-    params.update(EXPERIMENT_DEFAULTS.get(args.experiment, {}))
-    explicit = set()
+def _convert(key: str, value, default, token=False):
+    """A config or flag value, or a --sweep token, as a value of PARAMS[key]'s type.
+
+    null stays None where the default is None; booleans must be JSON booleans
+    or the tokens true/false, integers must be integral, and n_list may be a
+    JSON array.  Anything else raises UsageError.
+    """
+    kind = PARAMS[key][0]
+    if value is None and default is None:
+        return None
+    if isinstance(value, list) and kind is str:       # n_list as a JSON array
+        value = ",".join(map(str, value))
+    elif token:
+        try:
+            value = {"true": True, "false": False}[value.strip()] if kind is bool else float(value)
+        except (KeyError, ValueError):
+            pass
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        if (isinstance(value, kind) if kind in (bool, str) else
+                number and (kind is float or isinstance(value, int) or value.is_integer())):
+            return kind(value)
+    except OverflowError:   # an integer beyond the float range
+        pass
+    raise UsageError(f"{key}={value!r} is not a valid {kind.__name__}")
+
+
+def merge_params(args: argparse.Namespace) -> list:
+    """The runs `args` asks for, as (output directory, runner keyword arguments).
+
+    Each argument starts at the PARAMS default, or at the runner's own
+    default, then takes the config value and then the flag; --sweep gives
+    one run per value, each in its own subdirectory.  A key the runner does
+    not take raises UsageError.
+    """
+    taken = inspect.signature(RUNNERS[args.experiment]).parameters
+    params = {name: PARAMS[name][1] if p.default is p.empty else p.default
+              for name, p in taken.items()}
+
+    def accept(key, source):
+        if key not in params:
+            raise UsageError(f"{args.experiment} does not take {key!r} (from {source}); "
+                             f"it takes {', '.join(params)}")
+
+    config = {}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
+                config = json.load(fh)
         except json.JSONDecodeError as exc:
             raise UsageError(f"config {args.config} is not valid JSON: {exc}") from None
-        if not isinstance(loaded, dict):
-            raise UsageError("config file must hold a JSON object")
-        for key, value in loaded.items():
-            if key in ("experiment", "out", "plot"):
-                continue
-            if key not in PARAMS:
-                raise UsageError(f"unknown config parameter {key!r}")
-            kind = PARAMS[key][0]
-            if key == "n_list":
-                params[key] = value
-            else:
-                try:
-                    params[key] = kind(value) if value is not None else None
-                except (TypeError, ValueError):
-                    raise UsageError(f"config parameter {key!r}={value!r} is not "
-                                     f"a valid {kind.__name__}") from None
-            explicit.add(key)
-    for name in PARAMS:
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
-            explicit.add(name)
-    params["use_alpha"] = "alpha" in explicit
-    return params
+        _require(isinstance(config, dict), "config file must hold a JSON object")
+        config = {k: v for k, v in config.items() if k not in ("experiment", "out", "plot")}
+    flags = {name: getattr(args, name) for name in PARAMS if getattr(args, name) is not None}
+    for source, given in (("the config", config), ("a flag", flags)):
+        for key, value in given.items():
+            accept(key, source)
+            params[key] = _convert(key, value, params[key])
+    if not args.sweep:
+        return [(args.out, params)]
+
+    key, eq, tail = args.sweep.partition("=")
+    key = key.strip()
+    _require(eq == "=", "--sweep expects KEY=V1,V2,...")
+    accept(key, "--sweep")
+    _require(key != "n_list", "cannot sweep over 'n_list'")
+    values = [_convert(key, tok, params[key], token=True)
+              for tok in tail.split(",") if tok.strip()]
+    _require(len(values) > 0, "sweep needs at least one value")
+    return [(os.path.join(args.out, f"{key}={v:g}" if isinstance(v, float) else f"{key}={v}"),
+             {**params, key: v}) for v in values]
 
 
 def run_single(experiment: str, params: dict, out_dir: str, plot: bool) -> str:
-    table, plots = RUNNERS[experiment](params)
+    table, plots = RUNNERS[experiment](**params)
     csv_path = os.path.join(out_dir, experiment.replace("-", "_") + ".csv")
     table.write_csv(csv_path)
     written = [csv_path]
@@ -390,40 +414,12 @@ def run_single(experiment: str, params: dict, out_dir: str, plot: bool) -> str:
     return csv_path
 
 
-def _sweep_values(raw: str):
-    if "=" not in raw:
-        raise UsageError("--sweep expects KEY=V1,V2,...")
-    key, _, tail = raw.partition("=")
-    key = key.strip()
-    if key not in PARAMS or key == "n_list":
-        raise UsageError(f"cannot sweep over {key!r}")
-    kind = PARAMS[key][0]
-    try:
-        values = [kind(tok) for tok in tail.split(",") if tok.strip()]
-    except ValueError:
-        raise UsageError(f"sweep values for {key!r} must parse as {kind.__name__}") from None
-    if not values:
-        raise UsageError("sweep needs at least one value")
-    return key, values
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        params = merge_params(args)
-        if args.sweep:
-            key, values = _sweep_values(args.sweep)
-            for value in values:
-                sub = dict(params)
-                sub[key] = value
-                if key == "alpha":
-                    sub["use_alpha"] = True
-                sub_dir = os.path.join(args.out, f"{key}={value:g}"
-                                       if isinstance(value, float) else f"{key}={value}")
-                run_single(args.experiment, sub, sub_dir, args.plot)
-        else:
-            run_single(args.experiment, params, args.out, args.plot)
+        for out_dir, params in merge_params(args):
+            run_single(args.experiment, params, out_dir, args.plot)
     except UsageError as exc:
         print(f"usage error ({args.experiment}): {exc}", file=sys.stderr)
         return 2

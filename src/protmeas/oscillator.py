@@ -68,6 +68,8 @@ def _normalized(amplitudes, dim) -> np.ndarray:
     a = np.asarray(amplitudes, dtype=np.complex128).copy()
     if a.shape != (dim,):
         raise ValueError(f"amplitude vector has shape {a.shape}, expected ({dim},)")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("cannot normalize an amplitude vector with NaN or infinite entries")
     norm = np.linalg.norm(a)
     if norm == 0.0:
         raise ValueError("cannot normalize a zero amplitude vector")

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PostSelectionError
-from .oscillator import DualState, StateVector, evolve, overlap
+from .oscillator import DualState, StateVector, evolve
 
 OVERLAP_FLOOR = 1e-8
 
@@ -129,13 +129,16 @@ def expectation(A, state: StateVector) -> float:
 def post_selection_overlap(pre: StateVector, post: DualState, duration: float) -> complex:
     """The weak-value denominator <Phi_f| U(T) |Psi_i>, checked against OVERLAP_FLOOR.
 
-    Raises PostSelectionError when its modulus is below the floor.
+    U(T) multiplies each a_n by e^{-i E_n T} with no renormalization, so a
+    NaN or infinite amplitude makes the overlap non-finite.  Raises
+    PostSelectionError unless its modulus is finite and at least the floor.
     """
-    den = overlap(post, evolve(pre, duration))
-    if abs(den) < OVERLAP_FLOOR:
+    phases = np.exp(-1j * pre.basis.energies() * duration)
+    den = complex(np.dot(post.amplitudes, pre.amplitudes * phases))
+    if not OVERLAP_FLOOR <= abs(den) < np.inf:
         raise PostSelectionError(
-            f"pre/post overlap {abs(den):.3e} below floor {OVERLAP_FLOOR:g}; "
-            "weak value unreliable")
+            f"pre/post overlap {abs(den):.3e} is not a finite value above floor "
+            f"{OVERLAP_FLOOR:g}; weak value unreliable")
     return den
 
 

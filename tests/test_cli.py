@@ -1,5 +1,8 @@
+import inspect
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -11,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 import protmeas
-from protmeas.cli import main
+from protmeas.cli import RUNNERS, build_parser, main, merge_params
 from protmeas.svgplot import emit_plot
 from protmeas.tables import ResultTable
 
@@ -154,6 +157,49 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, named", [
+    ({"alpha": 3}, "thermal does not take 'alpha'"),
+    ({"dim": 32, "n_list": "4,8"}, "thermal does not take 'n_list'"),
+    ({"zero_point": "false"}, "zero_point='false'"),
+    ({"zero_point": 0}, "zero_point=0"),
+    ({"dim": 32.9}, "dim=32.9"),
+    ({"dim": True}, "dim=True"),
+    ({"beta": "2"}, "beta='2'"),
+    ({"beta": None}, "beta=None"),
+    ({"beta": 10 ** 400}, "beta=1000"),
+])
+def test_config_value_rejected_and_named(config, named, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["thermal", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "usage error (thermal)" in err and named in err
+    assert not (tmp_path / "thermal.csv").exists()
+
+
+def test_config_and_sweep_values_keep_their_type(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"dim": 16.0, "zero_point": True, "n_list": [4, 8],
+                                  "T": 3}))
+    assert main(["zeno", "--config", str(config), "--out", str(tmp_path / "c")]) == 0
+    assert main(["zeno", "--dim", "16", "--zero-point", "--n-list", "4,8", "--T", "3",
+                 "--out", str(tmp_path / "f")]) == 0
+    assert read(tmp_path / "c" / "zeno.csv") == read(tmp_path / "f" / "zeno.csv")
+    assert main(["thermal", "--dim", "32", "--sweep", "zero_point=false,true",
+                 "--out", str(tmp_path / "s")]) == 0
+    assert sorted(p.name for p in (tmp_path / "s").iterdir()) == [
+        "zero_point=False", "zero_point=True"]
+
+
+def test_sketch_draws_number_or_coherent_state(tmp_path):
+    for label, extra in [("default", []), ("n0", ["--n", "0"]), ("alpha0", ["--alpha", "0"]),
+                         ("n1", ["--n", "1"]), ("alpha1", ["--alpha", "1"])]:
+        assert main(["sketch", "--L", "2", *extra, "--out", str(tmp_path / label)]) == 0
+    csv = {p.name: read(p / "sketch.csv") for p in tmp_path.iterdir()}
+    assert csv["default"] == csv["n0"] == csv["alpha0"]   # |alpha=0> is |0>
+    assert len({csv["default"], csv["n1"], csv["alpha1"]}) == 3
+
+
 def test_config_invalid_json_rejected(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text("{not json")
@@ -183,6 +229,16 @@ def test_module_precondition_maps_to_usage_exit(tmp_path, capsys):
     ["zeno", "--T", "0", "--coupling", "0.3"],
     ["zeno", "--T", "-3"],
     ["bipartite", "--shift-tol", "-1", "--dim", "16", "--T", "2", "--steps", "64"],
+    # parameters the experiment does not take
+    ["heisenberg-projector", "--alpha", "3"],
+    ["thermal", "--T", "5"],
+    ["ergodic", "--seed", "1", "--dim", "8"],
+    ["thermal", "--sweep", "T=1,2"],
+    ["sketch", "--n", "3", "--alpha", "1"],
+    # malformed sweep values
+    ["thermal", "--sweep", "zero_point=0,1"],
+    ["thermal", "--sweep", "dim=32,32.5"],
+    ["thermal", "--sweep", "beta=1,two"],
 ])
 def test_invalid_parameter_is_usage_exit(args, tmp_path, capsys):
     assert main(args + ["--out", str(tmp_path)]) == 2
@@ -296,3 +352,27 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+# -------------------------------------------------------------- README CLI
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def test_readme_commands_are_accepted():
+    # every `protmeas ...` line of the README's sh blocks parses and merges
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    commands = [shlex.split(line, comments=True)[1:] for block in blocks
+                for line in block.splitlines() if line.startswith("protmeas ")]
+    assert {argv[0] for argv in commands} == set(RUNNERS)
+    parser = build_parser()
+    for argv in commands:
+        assert merge_params(parser.parse_args(argv))
+
+
+def test_readme_lists_each_experiments_parameters():
+    rows = re.findall(r"^\| `([\w-]+)` +\| (.*) \|$", README.read_text(encoding="utf-8"), re.M)
+    listed = {name: {flag.replace("-", "_") for flag in re.findall(r"`--([\w-]+)`", cells)}
+              for name, cells in rows}
+    assert listed == {name: set(inspect.signature(run).parameters)
+                      for name, run in RUNNERS.items()}

@@ -42,6 +42,16 @@ def test_number_state_range_error():
         number_state(b, -1)
 
 
+@pytest.mark.parametrize("kind", [StateVector, DualState])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_non_finite_amplitudes_rejected(kind, bad):
+    b = OscillatorBasis(dim=8)
+    amps = np.full(8, 0.5, dtype=complex)
+    amps[3] = bad
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        kind(amps, b)
+
+
 def test_coherent_vacuum_is_ground_state(basis):
     st = coherent_state(basis, 0.0)
     assert st.fidelity(number_state(basis, 0)) == pytest.approx(1.0, abs=1e-14)

@@ -333,15 +333,15 @@ def test_significance_cut_edge_cases():
 @pytest.mark.parametrize("side", ["pre", "post"])
 def test_nan_amplitude_reaches_weak_values(basis, side):
     # coherent states have long negligible tails; the NaN is put in the
-    # last entry after construction, which would normalize every entry to NaN
+    # last entry after construction, which rejects non-finite amplitudes
     pre = coherent_state(basis, 1.0)
     post = coherent_state(basis, 1.5).dual()
     (pre if side == "pre" else post).amplitudes[-1] = np.nan
     P = projector_matrix(IntervalRegion(0.5, 1.0), basis)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        values, flagged = weak_value_series(P, pre, post, np.linspace(0.0, 10.0, 9), 10.0)
-    assert np.all(np.isnan(values)) and not flagged.any()
+    values, flagged = weak_value_series(P, pre, post, np.linspace(0.0, 10.0, 9), 10.0)
+    assert np.all(np.isnan(values)) and flagged.all()
+    with pytest.raises(PostSelectionError, match="nan"):
+        weak_value(P, pre, post, 5.0, 10.0)
 
 
 # -------------------------------------------------------------- closed form

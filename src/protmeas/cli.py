@@ -94,11 +94,9 @@ def run_sketch(*, dim, omega, zero_point, bin_width, L, n=None, alpha=None):
     basis = _basis(dim, omega, zero_point)
     _require(bin_width > 0, "bin_width must be positive")
     _require(L > 0, "L must be positive")
-    if alpha is None:
-        state = _checked(number_state, basis, 0 if n is None else n)
-    else:
-        _require(n is None, "sketch draws |n> or |alpha>: give n or alpha, not both")
-        state = _checked(coherent_state, basis, alpha)
+    _require(n is None or alpha is None, "sketch draws |n> or |alpha>: give n or alpha, not both")
+    state = (_checked(number_state, basis, n or 0) if alpha is None
+             else _checked(coherent_state, basis, alpha))
     table = ResultTable(["bin_center", "probability"], ["", ""])
     for region in bin_regions(bin_width, L):
         prob = expectation(projector_matrix(region, basis), state)

@@ -132,8 +132,11 @@ def coherent_tail(dim: int, alpha: complex) -> float:
 
     This is the Poisson survival function sum_{n>=dim} |alpha|^2n e^-|alpha|^2 / n!.
     Above the mean the terms fall from n = dim on and are summed upward;
-    otherwise the tail is 1 minus the head sum over n < dim.
+    otherwise the tail is 1 minus the head sum over n < dim.  A non-finite
+    alpha raises ValueError.
     """
+    if not math.isfinite(abs(alpha)):
+        raise ValueError(f"coherent amplitude alpha={alpha} is not finite")
     lam = abs(alpha) ** 2
     if lam == 0.0:
         return 0.0
@@ -152,22 +155,21 @@ def coherent_tail(dim: int, alpha: complex) -> float:
 
 
 def required_coherent_dim(alpha: complex, limit: float = COHERENT_TAIL_LIMIT) -> int:
-    """Smallest truncation for which the coherent tail drops below `limit`."""
-    lam = abs(alpha) ** 2
-    if lam == 0.0:
-        return 2
+    """Smallest truncation for which the coherent tail drops below `limit`.
+
+    The tail falls as dim grows, so this bisects `coherent_tail` on
+    [2, MAX_COHERENT_DIM].
+    """
     if coherent_tail(MAX_COHERENT_DIM, alpha) >= limit:
         raise TruncationError(f"no reasonable truncation holds alpha={alpha!r}")
-    # Poisson weights up to where the rest weighs below 1e-14 * limit
-    # (Chernoff bound), then every tail at once
-    log_gap = -math.log(limit) + math.log(1e14)
-    top = min(MAX_COHERENT_DIM,
-              math.ceil(lam + log_gap + math.sqrt(log_gap ** 2 + 2.0 * lam * log_gap)))
-    n = np.arange(top + 1)
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(n[1:]))))
-    weights = np.exp(-lam + n * math.log(lam) - log_fact)
-    tails = np.cumsum(weights[::-1])[::-1]
-    return int(np.argmax(tails[2:] < limit)) + 2
+    lo, hi = 1, MAX_COHERENT_DIM       # the answer lies in (lo, hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if coherent_tail(mid, alpha) < limit:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def coherent_state(basis: OscillatorBasis, alpha: complex) -> StateVector:

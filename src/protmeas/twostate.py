@@ -47,9 +47,6 @@ class TwoStateDensity:
 
     entries: np.ndarray
     basis: OscillatorBasis
-    pre: StateVector | None = None
-    post: DualState | None = None
-    time: float = 0.0
 
     def __post_init__(self):
         if abs(np.trace(self.entries) - 1.0) > 1e-10:
@@ -116,13 +113,16 @@ def two_state_density(pre: StateVector, post: DualState, t: float,
     ket = evolve(pre, t).amplitudes
     bra = backward_state(post, t, duration).amplitudes
     entries = np.outer(ket, bra) / post_selection_overlap(pre, post, duration)
-    return TwoStateDensity(entries=entries, basis=pre.basis, pre=pre, post=post, time=t)
+    return TwoStateDensity(entries=entries, basis=pre.basis)
 
 
 def weak_value_from_density(A, rho: TwoStateDensity) -> complex:
-    """A_w = tr(A rho) / tr(rho); identical to the direct two-state formula."""
+    """A_w = tr(A rho) / tr(rho); identical to the direct two-state formula.
+
+    tr(A rho) is sum_mn A_mn rho_nm, O(dim^2) without the product A rho.
+    """
     mat = as_matrix(A)
-    return complex(np.trace(mat @ rho.entries) / np.trace(rho.entries))
+    return complex(np.sum(mat * rho.entries.T) / np.trace(rho.entries))
 
 
 def von_neumann_residual(pre: StateVector, post: DualState, H, t: float,

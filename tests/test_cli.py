@@ -245,6 +245,14 @@ def test_invalid_parameter_is_usage_exit(args, tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [["sketch", "--alpha", "inf"],
+                                  ["pointer-trace", "--alpha", "nan"]])
+def test_non_finite_alpha_is_named(args, tmp_path, capsys):
+    # any RuntimeWarning on the way would fail the test (filterwarnings = error)
+    assert main(args + ["--out", str(tmp_path)]) == 2
+    assert "is not finite" in capsys.readouterr().err
+
+
 def test_library_fault_is_not_a_usage_error(tmp_path, monkeypatch):
     def fault(*args):
         raise ValueError("injected fault")
@@ -376,3 +384,24 @@ def test_readme_lists_each_experiments_parameters():
               for name, cells in rows}
     assert listed == {name: set(inspect.signature(run).parameters)
                       for name, run in RUNNERS.items()}
+
+
+# ---------------------------------------------------------------- benchmark
+
+def test_benchmark_worker_traces_bipartite(tmp_path):
+    # the benchmark worker binds bipartite_protective_sim's `steps` argument
+    # and its result's steps_used and final_norm; renaming any of them
+    # breaks every benchmark run
+    root = Path(__file__).parents[1]
+    result = tmp_path / "R.json"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "worker.py"), "cli", "--result", str(result),
+         "--", "bipartite", "--dim", "16", "--T", "2", "--steps", "64", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    report = json.loads(result.read_text(encoding="utf-8"))
+    spans = [s for s in report["spans"] if s["name"] == "simulation.bipartite_protective_sim"]
+    assert len(spans) == 1
+    assert spans[0]["steps"] == 64 and spans[0]["steps_used"] >= 128
+    assert spans[0]["norm"] == pytest.approx(1.0, abs=1e-10)

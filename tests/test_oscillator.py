@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 
@@ -50,6 +51,13 @@ def test_non_finite_amplitudes_rejected(kind, bad):
     amps[3] = bad
     with pytest.raises(ValueError, match="NaN or infinite"):
         kind(amps, b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.inf, 0.0)])
+def test_non_finite_alpha_rejected(bad):
+    # the tail of a NaN alpha is NaN, which no tail check rejects
+    with pytest.raises(ValueError, match=re.escape(f"alpha={bad} is not finite")):
+        coherent_state(OscillatorBasis(dim=8), bad)
 
 
 def test_coherent_vacuum_is_ground_state(basis):

@@ -8,7 +8,7 @@ from protmeas import (IntervalRegion, MeasurementSchedule, NumericalError,
                       OscillatorBasis, PointerGrid, StateVector, expectation,
                       hamiltonian, number_state, projector_matrix, zeno_protect_sim,
                       bipartite_protective_sim)
-from protmeas.simulation import _kept_columns, _run_bipartite
+from protmeas.simulation import _kept_columns, _rungs
 
 from conftest import random_hermitian
 
@@ -32,6 +32,15 @@ def superposition01(basis) -> StateVector:
 
 
 # ---------------------------------------------------------------- bipartite
+
+def all_columns(P, sched, pre, grid, steps):
+    """One rung on every pointer column as (pointer mean, dE per p, survival, norm).
+
+    No column is cut: this is the reference the column cut is measured against.
+    """
+    out = _rungs(P, sched, pre, grid, [steps], np.arange(grid.points))
+    return tuple(float(q[0]) for q in out[:4])
+
 
 def test_zero_coupling_leaves_pointer_alone(basis32):
     # a region far outside the state's support makes P effectively zero
@@ -80,7 +89,7 @@ def test_stepper_second_order_in_dt(basis32, tail_projector):
     sched = MeasurementSchedule(10.0)
     means = []
     for steps in (64, 128, 256, 4096):
-        mean, _, _, _ = _run_bipartite(tail_projector, sched, pre, grid, steps)
+        mean, _, _, _ = all_columns(tail_projector, sched, pre, grid, steps)
         means.append(mean)
     ref = means[-1]
     e1, e2 = abs(means[0] - ref), abs(means[1] - ref)
@@ -119,7 +128,7 @@ def test_exact_plateau_matches_full_window_strang(ramp_fraction):
     coarse = strang_reference(P, sched, pre, grid, 2048)
     fine = strang_reference(P, sched, pre, grid, 4096)
     richardson = (4.0 * fine - coarse) / 3.0
-    mean, de, survival, norm = _run_bipartite(P, sched, pre, grid, 512)
+    mean, de, survival, norm = all_columns(P, sched, pre, grid, 512)
     np.testing.assert_allclose([mean, de, survival], richardson, rtol=0, atol=1e-8)
     assert norm == pytest.approx(1.0, abs=1e-12)
 
@@ -186,8 +195,8 @@ def test_column_cut_within_its_bound(sigma, points, T):
     grid = PointerGrid(points=points, sigma=sigma)
     sched = MeasurementSchedule(T)
     res = bipartite_protective_sim(P, sched, grid=grid, steps=64)
-    mean, de, survival, _ = _run_bipartite(P, sched, number_state(basis, 0), grid,
-                                           res.steps_used)
+    mean, de, survival, _ = all_columns(P, sched, number_state(basis, 0), grid,
+                                        res.steps_used)
     W, eps = res.dropped_weight, 16 * np.finfo(float).eps
     assert res.kept_columns < points
     assert abs(res.pointer_mean_final - mean) <= res.shift_bound
@@ -198,6 +207,10 @@ def test_column_cut_within_its_bound(sigma, points, T):
 def test_column_cut_at_readme_defaults():
     P = projector_matrix(IntervalRegion(1.0, np.inf), OscillatorBasis(dim=64))
     res = bipartite_protective_sim(P, MeasurementSchedule(20.0))
+    assert res.steps_used == 8192
+    # the ramp propagator is not re-unitarised, so the norm drift is the
+    # roundoff of 2 x 410 dense ramp steps
+    assert abs(1.0 - res.final_norm) <= 1e-12
     assert res.kept_columns <= 32
     assert 0.0 < res.shift_bound <= 1e-4 / 10
     assert res.ladder_error < 1e-4
@@ -210,6 +223,19 @@ def test_column_cut_at_readme_defaults():
         assert 2 * grid.extent * np.sqrt(W) + grid.extent * W <= 1e-4 / 10
     columns, W = _kept_columns(PointerGrid(), 0.0)
     assert len(columns) == 512 and W == 0.0
+
+
+@pytest.mark.parametrize("dim", [16, 64])
+def test_rungs_sharing_a_plateau_match_single_rungs(dim):
+    basis = OscillatorBasis(dim=dim)
+    P = projector_matrix(IntervalRegion(1.0, np.inf), basis)
+    pre, grid, sched = number_state(basis, 0), PointerGrid(), MeasurementSchedule(20.0)
+    columns, _ = _kept_columns(grid, 1e-4)
+    paired = _rungs(P, sched, pre, grid, [256, 512], columns)
+    for r, steps in enumerate((256, 512)):
+        single = _rungs(P, sched, pre, grid, [steps], columns)
+        for both, one in zip(paired, single):
+            assert both[r] == pytest.approx(one[0], rel=1e-13, abs=0)
 
 
 def test_large_bipartite_is_bounded():

@@ -214,18 +214,31 @@ def backward_state(final: DualState, t: float, duration: float) -> DualState:
     return DualState(final.amplitudes * phases, final.basis)
 
 
-def _hermite_rows(x, n_max: int):
-    """Yield phi_0(x), ..., phi_{n_max-1}(x), each a flat array over x.ravel().
+def _hermite_rows(x, targets):
+    """Yield (n, out) for each (n, out) of `targets`, with phi_n(x.ravel()) written into out.
 
-    Runs the stable three-term recurrence on the normalized functions
+    The n of `targets` increase; the recurrence stops at the last one, and
+    only the rows asked for are unscaled and written.  It runs the stable
+    three-term recurrence on the normalized functions
     phi_{n+1} = sqrt(2/(n+1)) x phi_n - sqrt(n/(n+1)) phi_{n-1},
-    which never forms raw Hermite polynomials and stays finite for large n.
+    which never forms raw Hermite polynomials and stays finite for large n,
+    in preallocated buffers, so a row costs four passes and allocates nothing.
     Every point carries an integer exponent e and the recurrence runs on
     psi_n = phi_n 2^-e.  e is 0 where exp(-x^2/2) is a normal float; beyond
     (|x| > 37.4) it takes up the Gaussian factor and every later rescaling
     (Bunck, BIT 49 (2009) 281), so phi_n is right wherever it is a normal
-    float.  Only psi_{n-1} and psi_n are held: memory is O(points) for any
-    n_max.
+    float.  Memory is O(points) for any n.
+
+    Rescaling: a check on row n multiplies psi_{n-1} and psi_n by 2^-256,
+    and adds 256 to e, wherever |psi_n| > 2^256.  A point with e = 0 has
+    |psi_n| = |phi_n| <= pi^-1/4 and is never rescaled.  Each row grows
+    max(|psi_{n-1}|, |psi_n|) by at most g = sqrt(2) max|x| + 1 over the
+    points with e != 0 (|x| <= _X_CLIP), so checking the two rows n = -1, 0
+    (mod k), k = floor(256 / log2 g) >= 10, keeps both at most 2^256 after
+    them and at most 2^512 before the next pair, and one rescaling is
+    enough.  Every row handed out is checked too, because `_unscaling`
+    needs |psi_n| <= 2^256.  Scaling by 2^-256 is exact, so the rows on
+    which the checks run change no bit of any phi_n.
     """
     x = np.clip(np.asarray(x, dtype=float).ravel(), -_X_CLIP, _X_CLIP)
     half_sq = 0.5 * x * x
@@ -233,28 +246,43 @@ def _hermite_rows(x, n_max: int):
     half_sq += e * math.log(2.0)
     e = e.astype(np.int64)
     scaled = bool(e.any())
-    scale = _unscaling(e)
-    prev, cur = 0.0, np.pi ** -0.25 * np.exp(-half_sq)
-    for n in range(n_max):
-        if n:
-            prev, cur = cur, np.sqrt(2.0 / n) * x * cur - np.sqrt((n - 1) / n) * prev
-            if scaled:
+    if scaled:
+        growth = math.sqrt(2.0) * float(np.max(np.abs(x[e != 0]))) + 1.0
+        cadence = int(_RESCALE_BITS // math.log2(growth))
+    scale = None
+    prev, cur = np.zeros_like(x), np.pi ** -0.25 * np.exp(-half_sq)
+    a, b = np.empty_like(x), np.empty_like(x)
+    m = 0
+    for n, out in targets:
+        while m < n:
+            m += 1
+            np.multiply(x, math.sqrt(2.0 / m), out=a)
+            np.multiply(a, cur, out=b)
+            np.multiply(prev, math.sqrt((m - 1) / m), out=a)
+            np.subtract(b, a, out=prev)
+            prev, cur = cur, prev
+            if scaled and (m % cadence in (0, cadence - 1) or m == n):
                 big = np.abs(cur) > 2.0 ** _RESCALE_BITS
                 if big.any():
                     prev[big] *= 2.0 ** -_RESCALE_BITS
                     cur[big] *= 2.0 ** -_RESCALE_BITS
                     e[big] += _RESCALE_BITS
-                    scale = _unscaling(e)
-        # a scaled row is handed out as a new array, so the rescaling above
-        # never touches a row the caller holds
-        yield cur * scale * 2.0 ** -_SPLIT_BITS if scaled else cur
+                    scale = None
+        if scaled:
+            if scale is None:
+                scale = _unscaling(e)
+            np.multiply(cur, scale, out=out)
+            out *= 2.0 ** -_SPLIT_BITS
+        else:
+            out[...] = cur
+        yield n, out
 
 
 def _unscaling(e):
     """2^(e + _SPLIT_BITS), so that psi 2^e = (psi * _unscaling(e)) * 2^-_SPLIT_BITS.
 
-    A yielded psi is at most 2^256 in magnitude (larger ones were just
-    rescaled), so the first product, phi 2^_SPLIT_BITS, is exact wherever
+    A psi is checked to be at most 2^256 in magnitude before it is
+    unscaled, so the first product, phi 2^_SPLIT_BITS, is exact wherever
     |phi| > 2^-1534, and only the second one rounds, once, as ldexp(psi, e)
     would, at a fraction of its cost; below that both give zero.  Every e
     below -1022 - _SPLIT_BITS gives phi = 0 and is raised to it, which keeps
@@ -266,36 +294,37 @@ def _unscaling(e):
 def hermite_functions(x, n_max: int) -> np.ndarray:
     """Orthonormal Hermite-Gaussian eigenfunctions phi_0..phi_{n_max-1} at x.
 
-    The rows of the scaled recurrence of `_hermite_rows`, stacked.
-    Returns an array of shape (n_max,) + shape(x); n_max = 0 gives an
-    empty one.
+    The rows of the scaled recurrence of `_hermite_rows`, each written
+    straight into its row of the result.  Returns an array of shape
+    (n_max,) + shape(x); n_max = 0 gives an empty one.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     x = np.asarray(x, dtype=float)
     out = np.empty((n_max, x.size))
-    for n, row in enumerate(_hermite_rows(x, n_max)):
-        out[n] = row
+    for _ in _hermite_rows(x, enumerate(out)):
+        pass
     return out.reshape((n_max,) + x.shape)
 
 
 def position_wavefunction(state: StateVector, x):
     """psi(x) = sum_n c_n phi_n(x); scalar in, scalar out.
 
-    The sum is accumulated along the Hermite recurrence, one phi_n at a
-    time, with the real and imaginary parts of c_n kept apart and zero parts
-    skipped; the recurrence stops at the last nonzero c_n.  No n x points
-    table is formed, so memory is O(points) for any dim.
+    The sum is accumulated along the Hermite recurrence, which unscales
+    and hands out only the phi_n with c_n != 0 and stops at the last one;
+    the real and imaginary parts of c_n are kept apart and zero parts
+    skipped.  No n x points table is formed, so memory is O(points) for any
+    dim.
     """
     xarr = np.asarray(x, dtype=float)
     amps = state.amplitudes
-    top = np.flatnonzero(amps)[-1] + 1
-    re, im = np.zeros(xarr.size), np.zeros(xarr.size)
-    for c, row in zip(amps[:top], _hermite_rows(xarr, top)):
+    re, im, term, phi = (np.zeros(xarr.size) for _ in range(4))
+    for n, row in _hermite_rows(xarr, ((n, phi) for n in np.flatnonzero(amps))):
+        c = amps[n]
         if c.real:
-            re += c.real * row
+            re += np.multiply(row, c.real, out=term)
         if c.imag:
-            im += c.imag * row
+            im += np.multiply(row, c.imag, out=term)
     psi = (re + 1j * im).reshape(xarr.shape)
     return complex(psi) if xarr.shape == () else psi
 

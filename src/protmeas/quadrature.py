@@ -22,11 +22,14 @@ import numpy as np
 from .oscillator import hermite_functions
 
 
-def _boundary_terms(x: float, dim: int):
-    """Wronskians phi_m' phi_n - phi_m phi_n' and products phi_n phi_{n+1} at x."""
-    if isinf(x):
+def _boundary_terms(phi, dim: int):
+    """Wronskians phi_m' phi_n - phi_m phi_n' and products phi_n phi_{n+1} at a point.
+
+    `phi` holds phi_0..phi_dim there; it is None at an infinite endpoint,
+    where every phi_n vanishes.
+    """
+    if phi is None:
         return np.zeros((dim, dim)), np.zeros(dim - 1)
-    phi = hermite_functions(x, dim + 1)
     n = np.arange(dim)
     dphi = -np.sqrt((n + 1) / 2.0) * phi[1:]
     dphi[1:] += np.sqrt(n[1:] / 2.0) * phi[:dim - 1]
@@ -35,9 +38,14 @@ def _boundary_terms(x: float, dim: int):
 
 
 def interval_overlaps(a: float, b: float, dim: int) -> np.ndarray:
-    """The dim x dim matrix of int_a^b phi_m phi_n dx; a or b may be infinite."""
-    wronskian_a, products_a = _boundary_terms(a, dim)
-    wronskian_b, products_b = _boundary_terms(b, dim)
+    """The dim x dim matrix of int_a^b phi_m phi_n dx; a or b may be infinite.
+
+    One Hermite recurrence runs over the finite endpoints together.
+    """
+    finite = [x for x in (a, b) if not isinf(x)]
+    columns = iter(hermite_functions(np.array(finite), dim + 1).T)
+    (wronskian_a, products_a), (wronskian_b, products_b) = (
+        _boundary_terms(None if isinf(x) else next(columns), dim) for x in (a, b))
     n = np.arange(dim)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (wronskian_b - wronskian_a) / (2.0 * (n[None, :] - n[:, None]))

@@ -262,6 +262,44 @@ def test_hermite_functions_match_table_recurrence(x, n_max):
 
 
 @settings(max_examples=40, deadline=None)
+@given(x=st.lists(st.one_of(st.floats(-1e7, 1e7), st.floats(-100.0, 100.0)),
+                  min_size=1, max_size=24),
+       n_max=st.integers(1, 400))
+def test_hermite_rows_match_table_recurrence_at_largest_growth(x, n_max):
+    # |x| = 1e7 grows psi by up to 2^24 a row, so the rescaling checks of a
+    # number state, which skips the rows below it, run every 10 rows: none
+    # may be late, and none may change a bit
+    want = _table_hermite_functions(np.array(x), n_max)
+    got = hermite_functions(np.array(x), n_max)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    top = number_state(OscillatorBasis(dim=n_max + 1), n_max - 1)
+    assert np.array_equal(position_wavefunction(top, np.array(x)), want[-1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(0, 1100), extra=st.integers(1, 40),
+       x=st.lists(st.floats(-80.0, 80.0), min_size=1, max_size=16))
+def test_number_state_wavefunction_is_its_table_row(n, extra, x):
+    # the rows below n are computed but never unscaled; they must not move row n
+    psi = position_wavefunction(number_state(OscillatorBasis(dim=n + extra + 1), n), np.array(x))
+    assert np.array_equal(psi.real, _table_hermite_functions(np.array(x), n + 1)[n])
+    assert np.all(psi.imag == 0.0)
+
+
+def test_hermite_functions_non_finite_points():
+    finite = np.array([-np.inf, -1e200, -1e7, -45.0, -3.0, -0.0, 0.0, 2.5, 40.0, 1e7, 1e200,
+                       np.inf])
+    x = np.insert(finite, [0, 4, 9, 12], np.nan)
+    got = hermite_functions(x, 300)
+    assert np.all(np.isnan(got[:, np.isnan(x)]))
+    rest = got[:, ~np.isnan(x)]
+    for want in (hermite_functions(finite, 300), _table_hermite_functions(finite, 300)):
+        assert np.array_equal(rest, want)
+        assert np.array_equal(np.signbit(rest), np.signbit(want))
+
+
+@settings(max_examples=40, deadline=None)
 @given(dim=st.integers(2, 300), x=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=24),
        seed=st.integers(0, 2**32 - 1))
 def test_position_wavefunction_matches_table_contraction(dim, x, seed):

@@ -5,9 +5,10 @@ from .errors import (NumericalError, PostSelectionError, ProtmeasError,
 from .oscillator import (DualState, OscillatorBasis, StateVector, backward_state,
                          coherent_state, evolve, hamiltonian, hermite_functions,
                          number_state, overlap, position_wavefunction)
-from .projectors import (FULL_LINE, IntervalRegion, ProjectorMatrix, bin_regions,
+from .projectors import (FULL_LINE, IntervalRegion, ProjectorMatrix, bin_edges,
                          heisenberg_projector, projector_matrix,
                          time_averaged_projector)
+from .quadrature import bin_probabilities
 from .weak import (MeasurementSchedule, PointerTrace, closed_form_pvi_weak,
                    expectation, pointer_trace, weak_value, weak_value_series)
 from .simulation import (BipartiteResult, PointerGrid, ZenoResult,

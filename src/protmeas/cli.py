@@ -24,8 +24,9 @@ import numpy as np
 from . import ergodicity, simulation, twostate
 from .errors import NumericalError, ProtmeasError, UsageError
 from .oscillator import OscillatorBasis, StateVector, coherent_state, number_state
-from .projectors import (IntervalRegion, bin_regions, heisenberg_projector,
+from .projectors import (IntervalRegion, bin_edges, heisenberg_projector,
                          projector_matrix, time_averaged_projector)
+from .quadrature import bin_probabilities
 from .svgplot import emit_plot
 from .tables import ResultTable
 from .weak import (MeasurementSchedule, closed_form_pvi_weak, expectation,
@@ -92,15 +93,13 @@ def _window(x0, w) -> IntervalRegion:
 def run_sketch(*, dim, omega, zero_point, bin_width, L, n=None, alpha=None):
     """|psi|^2 per bin of [-L, L] for |n> (|0> by default), or for |alpha> if alpha is given."""
     basis = _basis(dim, omega, zero_point)
-    _require(bin_width > 0, "bin_width must be positive")
-    _require(L > 0, "L must be positive")
+    edges = _checked(bin_edges, bin_width, L)
     _require(n is None or alpha is None, "sketch draws |n> or |alpha>: give n or alpha, not both")
     state = (_checked(number_state, basis, n or 0) if alpha is None
              else _checked(coherent_state, basis, alpha))
     table = ResultTable(["bin_center", "probability"], ["", ""])
-    for region in bin_regions(bin_width, L):
-        prob = expectation(projector_matrix(region, basis), state)
-        table.add_row(0.5 * (region.lower + region.upper), prob)
+    for a, b, prob in zip(edges[:-1], edges[1:], bin_probabilities(state.amplitudes, edges)):
+        table.add_row(0.5 * (a + b), prob)
     return table, [("sketch.svg", "bin_center", ["probability"], ["|psi|^2 per bin"],
                     "wavefunction sketch")]
 
@@ -148,11 +147,10 @@ def run_pointer_trace(*, dim, omega, zero_point, T, ramp, steps, x0, w, alpha, d
 def run_heisenberg(*, dim, omega, zero_point, a, b, T, max_index, t):
     basis = _basis(dim, omega, zero_point)
     region = _checked(IntervalRegion, a, b)
-    _require(T > 0, "averaging window T must be positive")
     k = min(max_index, basis.dim)
     P = projector_matrix(region, basis)
     Pt = heisenberg_projector(P, t)
-    avg = time_averaged_projector(P, T)
+    avg = _checked(time_averaged_projector, P, T)
     table = ResultTable(
         ["m", "n", "p_re", "p_im", "heis_re", "heis_im", "avg_re", "avg_im", "bound"],
         ["", "", "", "", "", "", "", "", ""], int_columns=frozenset(["m", "n"]))

@@ -1,16 +1,16 @@
 """Interval projection operators in the number basis and their Heisenberg dynamics.
 
 The projector onto a position interval V has matrix elements
-<m|P_V|n> = integral over V = [a, b] of phi_m(x) phi_n(x) dx, in closed form
-(see `quadrature`): off the diagonal it is the Wronskian difference
-[phi_m' phi_n - phi_m phi_n']_a^b / (2(n - m)), and on it the recurrence
-D_{n+1} = D_n - [phi_n phi_{n+1}]_a^b / sqrt(2(n+1)) from D_0 = (erf b - erf a)/2.
+<m|P_V|n> = integral over V of phi_m(x) phi_n(x) dx, in closed form from the
+Hermite functions at the interval's edges (see `quadrature`, which also
+gives sketch bin probabilities from the edges that `bin_edges` returns).
 In the Heisenberg picture the matrix acquires phases e^{-i(m-n) omega t};
 averaging those phases over a measurement window suppresses every
 off-diagonal entry by at least 2 / (|m-n| omega T).
 """
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -68,8 +68,8 @@ def heisenberg_projector(P: ProjectorMatrix, t: float) -> np.ndarray:
 
 def time_averaged_projector(P: ProjectorMatrix, duration: float) -> np.ndarray:
     """(1/T) integral of P_V(t) over [0, T], phase factors in closed form."""
-    if not duration > 0:
-        raise ValueError(f"averaging window must be positive, got {duration}")
+    if not 0 < duration < inf:
+        raise ValueError(f"averaging window must be positive and finite, got {duration}")
     m = np.arange(P.basis.dim)
     delta = (m[:, None] - m[None, :]) * P.basis.omega
     z = delta * duration
@@ -78,10 +78,25 @@ def time_averaged_projector(P: ProjectorMatrix, duration: float) -> np.ndarray:
     return P.entries * factor
 
 
-def bin_regions(width: float = 0.1, extent: float = 6.0) -> list[IntervalRegion]:
-    """Contiguous bins of `width` covering [-extent, extent] for sketching."""
-    if width <= 0 or extent <= 0:
-        raise ValueError("bin width and extent must be positive")
-    n = int(round(2.0 * extent / width))
-    edges = np.linspace(-extent, extent, n + 1)
-    return [IntervalRegion(float(a), float(b)) for a, b in zip(edges[:-1], edges[1:])]
+# quadrature.bin_probabilities holds up to four (dim + 1) x (bins + 1) tables
+# of floats at once: about 135 MB for this many bins at dim 1024
+MAX_BINS = 4096
+
+
+def bin_edges(width: float = 0.1, extent: float = 6.0) -> np.ndarray:
+    """The edges of contiguous bins of `width` covering [-extent, extent] for sketching.
+
+    Raises ValueError unless width and extent are finite and positive and
+    the bins number a whole 2 extent / width (to 1e-9 relative) between 1
+    and MAX_BINS.
+    """
+    if not (0 < width < inf and 0 < extent < inf):
+        raise ValueError(f"bin width {width} and extent {extent} must be finite and positive")
+    count = 2.0 * extent / width
+    if not 0.5 <= count < MAX_BINS + 0.5:
+        raise ValueError(f"bin width {width} over [-{extent}, {extent}] gives {count:g} bins, "
+                         f"outside [1, MAX_BINS = {MAX_BINS}]")
+    if abs(count - round(count)) > 1e-9 * count:
+        raise ValueError(f"bin width {width} does not divide [-{extent}, {extent}] into "
+                         f"whole bins (2 extent / width = {count!r})")
+    return np.linspace(-extent, extent, round(count) + 1)

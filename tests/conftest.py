@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from protmeas import OscillatorBasis, StateVector
+from protmeas import IntervalRegion, OscillatorBasis, StateVector, bin_edges
 
 
 @pytest.fixture
@@ -22,3 +22,9 @@ def random_state(rng, basis) -> StateVector:
 def random_hermitian(rng, dim) -> np.ndarray:
     M = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return 0.5 * (M + M.conj().T)
+
+
+def edge_regions(width, extent) -> list:
+    """The IntervalRegion between each pair of consecutive `bin_edges`."""
+    edges = bin_edges(width, extent)
+    return [IntervalRegion(float(a), float(b)) for a, b in zip(edges[:-1], edges[1:])]

@@ -21,10 +21,9 @@ from protmeas import (IntervalRegion, MeasurementSchedule, OscillatorBasis,
                       classical_ensemble_average, uniform_phase_ensemble,
                       correspondence_check, StateVector)
 from protmeas.ergodicity import sampling_error
-from protmeas.projectors import bin_regions
 from protmeas.weak import closed_form_pvi_weak
 
-from conftest import random_hermitian, random_state
+from conftest import edge_regions, random_hermitian, random_state
 
 HALF_TAIL = 0.07864960352514258    # erfc(1)/2
 OMEGA, T_FIG, X0, ALPHA, WIDTH = 1.0, 100.0, 1.0, 2.5, 0.05
@@ -188,7 +187,7 @@ def test_criterion_7_weak_value_identities(basis, rng):
 
     pre = number_state(basis, 0)
     post = coherent_state(basis, 2.5).dual()
-    regions = ([IntervalRegion(-np.inf, -6.0)] + bin_regions(0.25, 6.0)
+    regions = ([IntervalRegion(-np.inf, -6.0)] + edge_regions(0.25, 6.0)
                + [IntervalRegion(6.0, np.inf)])
     times = np.linspace(0.0, 100.0, 11)
     total = np.zeros(times.size, dtype=complex)

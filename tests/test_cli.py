@@ -139,6 +139,20 @@ def test_sketch_matches_quadrature_oracle(tmp_path):
     assert total == pytest.approx(1.0, abs=1e-4)   # [-4, 4] misses only the tails
 
 
+@pytest.mark.parametrize("state", [[], ["--n", "5"], ["--alpha", "2.5"]])
+def test_sketch_does_not_depend_on_dim(state, tmp_path):
+    # the README sketch flags at dim 64 and 128: no bin moves beyond 1e-12
+    probs = {}
+    for dim in ("64", "128"):
+        out = tmp_path / dim
+        assert main(["sketch", "--bin-width", "0.1", "--L", "4", *state, "--dim", dim,
+                     "--out", str(out)]) == 0
+        lines = read(out / "sketch.csv").decode().splitlines()[1:]
+        probs[dim] = np.array([float(ln.split(",")[1]) for ln in lines])
+    assert probs["64"].size == 80
+    assert np.max(np.abs(probs["64"] - probs["128"])) <= 1e-12
+
+
 def test_config_file_with_flag_override(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"beta": 1.0, "dim": 32}))
@@ -239,6 +253,13 @@ def test_module_precondition_maps_to_usage_exit(tmp_path, capsys):
     ["thermal", "--sweep", "zero_point=0,1"],
     ["thermal", "--sweep", "dim=32,32.5"],
     ["thermal", "--sweep", "beta=1,two"],
+    # sketch bins that do not tile [-L, L], or too many of them
+    ["sketch", "--bin-width", "0.3", "--L", "4"],
+    ["sketch", "--bin-width", "20", "--L", "4"],
+    ["sketch", "--bin-width", "inf"],
+    ["sketch", "--L", "inf"],
+    ["sketch", "--bin-width", "1e-9"],
+    ["heisenberg-projector", "--T", "inf"],
 ])
 def test_invalid_parameter_is_usage_exit(args, tmp_path, capsys):
     assert main(args + ["--out", str(tmp_path)]) == 2
@@ -405,3 +426,19 @@ def test_benchmark_worker_traces_bipartite(tmp_path):
     assert len(spans) == 1
     assert spans[0]["steps"] == 64 and spans[0]["steps_used"] >= 128
     assert spans[0]["norm"] == pytest.approx(1.0, abs=1e-10)
+
+
+def test_benchmark_worker_traces_sketch(tmp_path):
+    # `--trace 1` wraps the public functions of protmeas.quadrature by name;
+    # sketch takes its bins from the shared edges, not from a projector per bin
+    root = Path(__file__).parents[1]
+    result = tmp_path / "R.json"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "worker.py"), "cli", "--result", str(result),
+         "--trace", "--", "sketch", "--bin-width", "0.1", "--L", "4", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    names = [s["name"] for s in json.loads(result.read_text(encoding="utf-8"))["spans"]]
+    assert names.count("quadrature.bin_probabilities") == 1
+    assert "projectors.projector_matrix" not in names

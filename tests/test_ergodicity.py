@@ -8,7 +8,9 @@ from protmeas import (ClassicalEnsemble, IntervalRegion, OscillatorBasis,
                       expectation, number_state, projector_matrix,
                       uniform_phase_ensemble)
 from protmeas.ergodicity import sampling_error
-from protmeas.projectors import FULL_LINE, bin_regions
+from protmeas.projectors import FULL_LINE
+
+from conftest import edge_regions
 
 ERF_ONE = 0.8427007929497148   # quantum dwell of |0> in [-1, 1]
 
@@ -144,7 +146,7 @@ def test_quantum_partition_sums_to_one(basis):
     totals = []
     for extent in (4.0, 6.0):
         total = sum(expectation(projector_matrix(r, basis), st)
-                    for r in bin_regions(width=0.5, extent=extent))
+                    for r in edge_regions(width=0.5, extent=extent))
         totals.append(total)
     assert totals[0] <= 1.0 + 1e-10
     assert totals[1] <= 1.0 + 1e-10

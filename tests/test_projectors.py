@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -6,10 +7,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import integrate
 
-from protmeas import (FULL_LINE, IntervalRegion, OscillatorBasis, evolve,
-                      expectation, heisenberg_projector, hermite_functions,
-                      number_state, projector_matrix, time_averaged_projector)
-from protmeas.projectors import bin_regions
+from protmeas import (FULL_LINE, IntervalRegion, OscillatorBasis, bin_edges,
+                      bin_probabilities, coherent_state, evolve, expectation,
+                      heisenberg_projector, hermite_functions, number_state,
+                      projector_matrix, time_averaged_projector)
+from protmeas.projectors import MAX_BINS
+from protmeas.quadrature import interval_overlaps
+
+from conftest import edge_regions
 
 HALF_TAIL = 0.07864960352514258   # erfc(1)/2
 
@@ -146,9 +151,84 @@ def test_stationary_state_time_average_is_diagonal_entry(basis, rng):
             assert expectation(P, evolve(st, t)) == pytest.approx(ref, abs=1e-12)
 
 
-def test_bin_regions_tile_the_interval():
-    regions = bin_regions(width=0.1, extent=6.0)
+def test_bin_edges_tile_the_interval():
+    regions = edge_regions(width=0.1, extent=6.0)
     assert len(regions) == 120
     assert regions[0].lower == -6.0 and regions[-1].upper == 6.0
     for left, right in zip(regions[:-1], regions[1:]):
-        assert left.upper == pytest.approx(right.lower, abs=1e-12)
+        assert left.upper == right.lower
+        assert left.upper - left.lower == pytest.approx(0.1, abs=1e-12)
+    assert len(bin_edges(8.0 / MAX_BINS, 4.0)) == MAX_BINS + 1
+
+
+@pytest.mark.parametrize("width, extent, message", [
+    (0.3, 4.0, "does not divide"),           # 26.67 bins
+    (20.0, 4.0, "gives 0.4 bins"),
+    (8.0 / (MAX_BINS + 1), 4.0, "outside"),
+    (1e-9, 4.0, "gives 8e+09 bins"),
+    (1e-300, 1e300, "gives inf bins"),
+    (math.inf, 4.0, "bin width inf"),
+    (0.1, math.inf, "extent inf"),
+    (math.nan, 4.0, "bin width nan"),
+    (0.0, 4.0, "must be finite and positive"),
+    (0.1, -4.0, "must be finite and positive"),
+])
+def test_bin_edges_reject_what_they_cannot_tile(width, extent, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        bin_edges(width, extent)
+
+
+@pytest.mark.parametrize("duration", [0.0, -1.0, math.inf, math.nan])
+def test_time_average_needs_a_finite_positive_window(basis, duration):
+    P = projector_matrix(IntervalRegion(0.0, 1.0), basis)
+    with pytest.raises(ValueError, match=f"got {duration}"):
+        time_averaged_projector(P, duration)
+
+
+@pytest.mark.parametrize("dim, stride", [(64, 1), (1024, 10)])
+def test_bin_probabilities_match_dense_projectors(dim, stride):
+    # the dense <c|P_V|c> per bin is the oracle; at dim 1024 every 10th bin
+    basis = OscillatorBasis(dim=dim)
+    states = {"0": number_state(basis, 0), "5": number_state(basis, 5),
+              "alpha": coherent_state(basis, 2.5)}
+    edges = bin_edges(0.1, 4.0)
+    bins = {k: bin_probabilities(s.amplitudes, edges) for k, s in states.items()}
+    for i, region in list(enumerate(edge_regions(0.1, 4.0)))[::stride]:
+        P = projector_matrix(region, basis)
+        dense = {k: expectation(P, s) for k, s in states.items()}
+        assert bins["0"][i] == dense["0"]
+        for k in states:
+            assert abs(bins[k][i] - dense[k]) <= 1e-15
+    whole = projector_matrix(IntervalRegion(-4.0, 4.0), basis)
+    for k, s in states.items():   # the bins telescope to the whole interval
+        assert abs(np.sum(bins[k]) - expectation(whole, s)) <= 1e-15
+
+
+def _per_endpoint_overlaps(a, b, dim):
+    """interval_overlaps with a Hermite column, Wronskian and products per endpoint."""
+    def boundary_terms(phi):
+        if phi is None:
+            return np.zeros((dim, dim)), np.zeros(dim - 1)
+        n = np.arange(dim)
+        dphi = -np.sqrt((n + 1) / 2.0) * phi[1:]
+        dphi[1:] += np.sqrt(n[1:] / 2.0) * phi[:dim - 1]
+        phi = phi[:dim]
+        return np.outer(dphi, phi) - np.outer(phi, dphi), phi[:-1] * phi[1:]
+
+    finite = [x for x in (a, b) if not math.isinf(x)]
+    columns = iter(hermite_functions(np.array(finite), dim + 1).T)
+    (wronskian_a, products_a), (wronskian_b, products_b) = (
+        boundary_terms(None if math.isinf(x) else next(columns)) for x in (a, b))
+    n = np.arange(dim)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (wronskian_b - wronskian_a) / (2.0 * (n[None, :] - n[:, None]))
+    steps = (products_b - products_a) / np.sqrt(2.0 * n[1:])
+    out[n, n] = 0.5 * (math.erf(b) - math.erf(a)) - np.concatenate(([0.0], np.cumsum(steps)))
+    return out
+
+
+@pytest.mark.parametrize("dim", [2, 16, 64, 1024])
+def test_interval_overlaps_keep_the_per_endpoint_arithmetic(dim):
+    for a, b in [(-np.inf, 1.0), (1.0, np.inf), (-0.7, 1.3), (-np.inf, np.inf),
+                 (39.0, np.inf), (0.975, 1.025)]:
+        assert np.array_equal(interval_overlaps(a, b, dim), _per_endpoint_overlaps(a, b, dim))

@@ -12,10 +12,9 @@ from protmeas import (IntervalRegion, MeasurementSchedule, OscillatorBasis,
                       weak_value_series)
 from protmeas.oscillator import COHERENT_TAIL_LIMIT, coherent_tail
 from protmeas import weak as weak_module
-from protmeas.projectors import bin_regions
 from protmeas.weak import as_matrix, closed_form_pvi_weak, post_selection_overlap
 
-from conftest import random_hermitian, random_state
+from conftest import edge_regions, random_hermitian, random_state
 
 HALF_TAIL = 0.07864960352514258   # erfc(1)/2
 
@@ -148,7 +147,7 @@ def test_partition_sum_rule(basis):
     # completeness survives post-selection: sum of interval weak values is 1
     pre = number_state(basis, 0)
     post = coherent_state(basis, 2.5).dual()
-    regions = bin_regions(width=0.25, extent=6.0)
+    regions = edge_regions(width=0.25, extent=6.0)
     regions = [IntervalRegion(-np.inf, -6.0)] + regions + [IntervalRegion(6.0, np.inf)]
     times = np.linspace(0.0, 100.0, 21)
     total = np.zeros(times.size, dtype=complex)

@@ -8,7 +8,7 @@ from .oscillator import (DualState, OscillatorBasis, StateVector, backward_state
 from .projectors import (FULL_LINE, IntervalRegion, ProjectorMatrix, bin_edges,
                          heisenberg_projector, projector_matrix,
                          time_averaged_projector)
-from .quadrature import bin_probabilities
+from .quadrature import bin_probabilities, interval_diagonal
 from .weak import (MeasurementSchedule, PointerTrace, closed_form_pvi_weak,
                    expectation, pointer_trace, weak_value, weak_value_series)
 from .simulation import (BipartiteResult, PointerGrid, ZenoResult,

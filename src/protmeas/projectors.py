@@ -16,6 +16,7 @@ import numpy as np
 
 from .oscillator import OscillatorBasis
 from .quadrature import interval_overlaps
+from .weak import hermitian_defect
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,7 @@ class ProjectorMatrix:
     basis: OscillatorBasis
 
     def __post_init__(self):
-        h = np.max(np.abs(self.entries - self.entries.conj().T))
+        h = hermitian_defect(self.entries)
         if h > 1e-10:
             raise ValueError(f"projector entries not Hermitian (defect {h:.3e})")
 

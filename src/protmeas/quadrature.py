@@ -15,7 +15,9 @@ follows from the ladder operators by the two-term recurrence
     D_0 = (erf b - erf a) / 2.
 
 Both need only phi_0..phi_dim at the finite edges (`_edge_terms`); an
-infinite edge contributes nothing, since every phi_n vanishes there.
+infinite edge contributes nothing, since every phi_n vanishes there.  The
+diagonal alone (`interval_diagonal`, the dwell probabilities <n|P_V|n>)
+needs only phi_0..phi_{n} and no dim x dim array.
 """
 
 from math import erf, isinf
@@ -56,9 +58,34 @@ def interval_overlaps(a: float, b: float, dim: int) -> np.ndarray:
     n = np.arange(dim)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (wronskian_b - wronskian_a) / (2.0 * (n[None, :] - n[:, None]))
-    steps = (products_b - products_a) / np.sqrt(2.0 * n[1:])
-    out[n, n] = 0.5 * (erf(b) - erf(a)) - np.concatenate(([0.0], np.cumsum(steps)))
+    out[n, n] = _diagonal(a, b, products_a, products_b)
     return out
+
+
+def _diagonal(a, b, products_a, products_b) -> np.ndarray:
+    """D_0..D_k by the ladder recurrence, from phi_n phi_{n+1} (n < k) at a and at b."""
+    steps = (products_b - products_a) / np.sqrt(2.0 * np.arange(1, products_a.size + 1))
+    return 0.5 * (erf(b) - erf(a)) - np.concatenate(([0.0], np.cumsum(steps)))
+
+
+def interval_diagonal(a: float, b: float, count: int) -> np.ndarray:
+    """int_a^b phi_n^2 dx = <n|P_[a,b]|n> for n < count; a or b may be infinite.
+
+    The diagonal of `interval_overlaps(a, b, dim)` for any dim >= count, bit
+    for bit, from a Hermite recurrence to phi_{count-1} at the finite edges
+    alone: O(count) work and memory.
+    """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    columns = iter(hermite_functions(np.array([x for x in (a, b) if not isinf(x)]), count).T)
+
+    def products(x):
+        if isinf(x):
+            return np.zeros(count - 1)
+        p = next(columns)
+        return p[:-1] * p[1:]
+
+    return _diagonal(a, b, products(a), products(b))
 
 
 def bin_probabilities(amplitudes, edges) -> np.ndarray:
@@ -71,6 +98,22 @@ def bin_probabilities(amplitudes, edges) -> np.ndarray:
                + 2 phi'^T M phi,    M_mn = Re(conj(c_m) c_n) / (2(n - m)), M_nn = 0.
 
     Without the |c|^2/2, bins of |0> are (erf b - erf a)/2 exactly.
+
+    Rounding: a bin is the difference of two cumulative values and carries
+    both of their absolute errors, however small the bin.  F(x) sums about
+    2 dim terms whose magnitudes add up to
+
+        S(x) = |erf x| |c|^2/2 + sum_k |phi_k phi_{k+1}| sum_{n>k} w_n / sqrt(2(k+1))
+               + 2 |phi'|^T |M| |phi|,
+
+    from phi_n that carry the rounding of n recurrence steps, so it is off
+    by at most about dim u S(x), u = eps/2 (the worst case of a dim-term
+    sum, Higham 2002, sec. 3.1).  A bin is then off by at most about
+    dim u (S(a) + S(b)), and one where the state has almost no weight can
+    come out negative by up to that much.  S stays below 3 for unit states
+    up to |alpha| = 10, and measured errors stay far inside the bound:
+    -5.0e-16 for |alpha = 4> and -7.0e-15 for |alpha = 10>.  Bins are not
+    clipped, so they still add up to the whole interval's probability.
     """
     c = np.asarray(amplitudes)
     phi, dphi = _edge_terms(edges, c.size)

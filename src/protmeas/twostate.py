@@ -19,7 +19,7 @@ import numpy as np
 from .errors import TruncationError
 from .oscillator import (DualState, OscillatorBasis, StateVector, backward_state,
                          evolve, number_state)
-from .weak import as_matrix, post_selection_overlap
+from .weak import as_matrix, hermitian_defect, post_selection_overlap
 
 THERMAL_TAIL_LIMIT = 1e-10
 
@@ -33,7 +33,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         e = self.entries
-        if np.max(np.abs(e - e.conj().T)) > 1e-10:
+        if hermitian_defect(e) > 1e-10:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(e) - 1.0) > 1e-10:
             raise ValueError("density matrix trace differs from 1")

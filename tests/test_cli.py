@@ -153,6 +153,16 @@ def test_sketch_does_not_depend_on_dim(state, tmp_path):
     assert np.max(np.abs(probs["64"] - probs["128"])) <= 1e-12
 
 
+def test_correspondence_does_not_depend_on_dim(tmp_path):
+    # the README correspondence run: <50|P|50> needs phi_0..phi_50 at the edges only
+    csv = {}
+    for dim in ("128", "256"):
+        assert main(["correspondence", "--n", "50", "--a", "2", "--b", "4", "--dim", dim,
+                     "--out", str(tmp_path / dim)]) == 0
+        csv[dim] = read(tmp_path / dim / "correspondence.csv")
+    assert csv["128"] == csv["256"]
+
+
 def test_config_file_with_flag_override(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"beta": 1.0, "dim": 32}))
@@ -442,3 +452,20 @@ def test_benchmark_worker_traces_sketch(tmp_path):
     names = [s["name"] for s in json.loads(result.read_text(encoding="utf-8"))["spans"]]
     assert names.count("quadrature.bin_probabilities") == 1
     assert "projectors.projector_matrix" not in names
+
+
+def test_benchmark_worker_traces_correspondence(tmp_path):
+    # the dwell probability comes off the diagonal recurrence: no projector, no expectation
+    root = Path(__file__).parents[1]
+    result = tmp_path / "R.json"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "worker.py"), "cli", "--result", str(result),
+         "--trace", "--", "correspondence", "--n", "50", "--a", "2", "--b", "4", "--dim", "128",
+         "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    names = [s["name"] for s in json.loads(result.read_text(encoding="utf-8"))["spans"]]
+    assert names.count("quadrature.interval_diagonal") == 1
+    assert "projectors.projector_matrix" not in names
+    assert "weak.expectation" not in names

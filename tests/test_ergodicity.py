@@ -7,6 +7,7 @@ from protmeas import (ClassicalEnsemble, IntervalRegion, OscillatorBasis,
                       classical_time_average, correspondence_check,
                       expectation, number_state, projector_matrix,
                       uniform_phase_ensemble)
+from protmeas import projectors, quadrature
 from protmeas.ergodicity import sampling_error
 from protmeas.projectors import FULL_LINE
 
@@ -132,6 +133,27 @@ def test_correspondence_beyond_turning_point():
 def test_correspondence_margin_check():
     with pytest.raises(ValueError):
         correspondence_check(40, IntervalRegion(0.0, 1.0), OscillatorBasis(dim=64))
+
+
+def test_correspondence_builds_no_projector(monkeypatch):
+    # <n|P|n> comes off the diagonal recurrence, bit for bit the projector's entry
+    region, basis = IntervalRegion(2.0, 4.0), OscillatorBasis(dim=128)
+    entry = projector_matrix(region, basis).entries[50, 50]
+
+    def no_projector(*args):
+        raise AssertionError("correspondence_check built a dim x dim projector")
+    monkeypatch.setattr(quadrature, "interval_overlaps", no_projector)
+    monkeypatch.setattr(projectors, "interval_overlaps", no_projector)
+    report = correspondence_check(50, region, basis, n_samples=1001, n_periods=10)
+    assert report.quantum_fraction == entry
+
+
+def test_quantum_fraction_does_not_depend_on_dim():
+    region = IntervalRegion(2.0, 4.0)
+    fractions = [correspondence_check(200, region, OscillatorBasis(dim=dim), n_samples=1001,
+                                      n_periods=10).quantum_fraction for dim in (512, 1024)]
+    assert fractions[0] == fractions[1]
+    assert abs(fractions[0] - classical_dwell_fraction(np.sqrt(401.0), region)) < 0.02
 
 
 def test_correspondence_with_ensemble_needs_seed():

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy import integrate
 
-from protmeas import (FULL_LINE, IntervalRegion, OscillatorBasis, bin_edges,
-                      bin_probabilities, coherent_state, evolve, expectation,
-                      heisenberg_projector, hermite_functions, number_state,
-                      projector_matrix, time_averaged_projector)
+from protmeas import (FULL_LINE, IntervalRegion, OscillatorBasis, ProjectorMatrix,
+                      bin_edges, bin_probabilities, coherent_state, evolve,
+                      expectation, heisenberg_projector, hermite_functions,
+                      interval_diagonal, number_state, projector_matrix,
+                      time_averaged_projector)
 from protmeas.projectors import MAX_BINS
 from protmeas.quadrature import interval_overlaps
 
@@ -232,3 +233,56 @@ def test_interval_overlaps_keep_the_per_endpoint_arithmetic(dim):
     for a, b in [(-np.inf, 1.0), (1.0, np.inf), (-0.7, 1.3), (-np.inf, np.inf),
                  (39.0, np.inf), (0.975, 1.025)]:
         assert np.array_equal(interval_overlaps(a, b, dim), _per_endpoint_overlaps(a, b, dim))
+
+
+@pytest.mark.parametrize("dim", [2, 16, 64, 512, 1024])
+def test_interval_diagonal_is_the_overlap_diagonal(dim):
+    for a, b in [(-np.inf, 1.1), (1.1, np.inf), (-0.7, 1.3), (0.975, 1.025),
+                 (39.0, np.inf), (-np.inf, np.inf)]:
+        diagonal = np.diag(interval_overlaps(a, b, dim))
+        assert np.array_equal(interval_diagonal(a, b, dim), diagonal)
+        assert np.array_equal(interval_diagonal(a, b, dim // 2 + 1), diagonal[:dim // 2 + 1])
+    with pytest.raises(ValueError, match="count"):
+        interval_diagonal(0.0, 1.0, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_projector_rejects_non_finite_entries(bad):
+    entries = np.eye(4)
+    entries[1, 2] = bad
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ProjectorMatrix(entries, FULL_LINE, OscillatorBasis(dim=4))
+
+
+def _magnitude_sums(c, edges):
+    """S(x) of the bin_probabilities docstring: the magnitudes of the terms of F(x), summed."""
+    n = np.arange(c.size)
+    phi = hermite_functions(edges, c.size + 1)
+    dphi = -np.sqrt((n[:, None] + 1) / 2.0) * phi[1:]
+    dphi[1:] += np.sqrt(n[1:, None] / 2.0) * phi[:-2]
+    phi = phi[:-1]
+    weights = np.abs(c) ** 2
+    tails = np.cumsum(weights[::-1])[::-1][1:] / np.sqrt(2.0 * n[1:])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        M = np.abs(np.real(np.outer(np.conj(c), c)) / (2.0 * (n[None, :] - n[:, None])))
+    M[n, n] = 0.0
+    return (np.abs([math.erf(x) for x in edges]) / 2 * weights.sum()
+            + tails @ np.abs(phi[:-1] * phi[1:])
+            + 2.0 * np.sum(np.abs(dphi) * (M @ np.abs(phi)), axis=0))
+
+
+@pytest.mark.parametrize("dim", [64, 1024])
+def test_bins_stay_above_their_rounding_bound(dim):
+    # a bin is F(b) - F(a); each F(x) is off by at most dim u S(x), u = eps/2,
+    # so a bin where the state has no weight reads no lower than minus the sum
+    basis = OscillatorBasis(dim=dim)
+    edges = bin_edges(0.1, 4.0)
+    u = np.finfo(float).eps / 2
+    negative = 0
+    for state in (number_state(basis, 0), number_state(basis, 5),
+                  coherent_state(basis, 2.5), coherent_state(basis, 4.0)):
+        bins = bin_probabilities(state.amplitudes, edges)
+        sums = _magnitude_sums(state.amplitudes, edges)
+        assert np.all(bins >= -dim * u * (sums[:-1] + sums[1:]))
+        negative += np.count_nonzero(bins < 0)
+    assert negative > 0   # the coherent states' empty tail bins do round below 0

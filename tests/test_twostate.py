@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from protmeas import (IntervalRegion, OscillatorBasis, PostSelectionError,
+from protmeas import (DensityMatrix, IntervalRegion, OscillatorBasis, PostSelectionError,
                       TruncationError, coherent_state, evolve, expectation,
                       hamiltonian, number_state, projector_matrix,
                       thermal_density, thermal_purification, two_state_canonical,
@@ -20,6 +20,14 @@ def test_thermal_ground_state_limit(basis):
     target = np.zeros((basis.dim, basis.dim))
     target[0, 0] = 1.0
     assert np.max(np.abs(rho.entries - target)) < 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_density_matrix_rejects_non_finite_entries(bad):
+    entries = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    entries[1, 2] = bad
+    with pytest.raises(ValueError, match="not Hermitian"):
+        DensityMatrix(entries, OscillatorBasis(dim=4))
 
 
 def test_thermal_trace_one(basis):

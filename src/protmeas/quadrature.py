@@ -45,26 +45,39 @@ def interval_overlaps(a: float, b: float, dim: int) -> np.ndarray:
     phi, dphi = _edge_terms([x for x in (a, b) if not isinf(x)], dim)
     columns = zip(phi.T, dphi.T)
 
-    def boundary_terms(x):
-        """Wronskians phi_m' phi_n - phi_m phi_n' and products phi_n phi_{n+1} at x."""
+    def wronskian(x):
+        """phi_m' phi_n - phi_m phi_n' at x."""
         # zeros where every phi_n vanishes; a scalar 0 gives the same bits, but
         # glibc then trimmed the heap more and dim-512 passes faulted 3x as often
         if isinf(x):
-            return np.zeros((dim, dim)), np.zeros(dim - 1)
+            return np.zeros((dim, dim))
         p, d = next(columns)
-        return np.outer(d, p) - np.outer(p, d), p[:-1] * p[1:]
+        return np.outer(d, p) - np.outer(p, d)
 
-    (wronskian_a, products_a), (wronskian_b, products_b) = boundary_terms(a), boundary_terms(b)
+    wronskian_a, wronskian_b = wronskian(a), wronskian(b)
     n = np.arange(dim)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (wronskian_b - wronskian_a) / (2.0 * (n[None, :] - n[:, None]))
-    out[n, n] = _diagonal(a, b, products_a, products_b)
+    out[n, n] = _diagonal(a, b, phi)
     return out
 
 
-def _diagonal(a, b, products_a, products_b) -> np.ndarray:
-    """D_0..D_k by the ladder recurrence, from phi_n phi_{n+1} (n < k) at a and at b."""
-    steps = (products_b - products_a) / np.sqrt(2.0 * np.arange(1, products_a.size + 1))
+def _diagonal(a, b, phi) -> np.ndarray:
+    """D_0..D_{k-1} by the ladder recurrence, from phi_n (n < k) at the finite edges.
+
+    phi has one column per finite edge among a, b, in that order; an
+    infinite edge contributes no products phi_n phi_{n+1}.
+    """
+    columns = iter(phi.T)
+
+    def products(x):
+        if isinf(x):
+            return np.zeros(len(phi) - 1)
+        p = next(columns)
+        return p[:-1] * p[1:]
+
+    products_a = products(a)
+    steps = (products(b) - products_a) / np.sqrt(2.0 * np.arange(1, len(phi)))
     return 0.5 * (erf(b) - erf(a)) - np.concatenate(([0.0], np.cumsum(steps)))
 
 
@@ -75,17 +88,11 @@ def interval_diagonal(a: float, b: float, count: int) -> np.ndarray:
     for bit, from a Hermite recurrence to phi_{count-1} at the finite edges
     alone: O(count) work and memory.
     """
+    if not a < b:
+        raise ValueError(f"interval requires a < b, got [{a}, {b}]")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    columns = iter(hermite_functions(np.array([x for x in (a, b) if not isinf(x)]), count).T)
-
-    def products(x):
-        if isinf(x):
-            return np.zeros(count - 1)
-        p = next(columns)
-        return p[:-1] * p[1:]
-
-    return _diagonal(a, b, products(a), products(b))
+    return _diagonal(a, b, hermite_functions(np.array([x for x in (a, b) if not isinf(x)]), count))
 
 
 def bin_probabilities(amplitudes, edges) -> np.ndarray:

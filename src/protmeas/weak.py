@@ -114,40 +114,30 @@ def as_matrix(A) -> np.ndarray:
 def hermitian_defect(A) -> float:
     """max |A - A^H| over the entries; inf if any entry is NaN or infinite.
 
-    A matrix equal to its conjugate transpose has defect 0 without forming
-    A - A^H; callers compare the defect with their own tolerance.
+    A NaN or infinite entry makes some entry of A - A^H NaN or infinite
+    (inf - inf is NaN), so the maximum is NaN or inf.  Callers compare the
+    defect with their own tolerance.
     """
     A = np.asarray(A)
-    if not np.all(np.isfinite(A)):
-        return np.inf
-    adjoint = A.conj().T
-    if np.array_equal(A, adjoint):
-        return 0.0
-    return float(np.max(np.abs(A - adjoint)))
+    with np.errstate(invalid="ignore"):
+        defect = float(np.max(np.abs(A - A.conj().T)))
+    return defect if defect == defect else np.inf
 
 
 def _require_hermitian(A: np.ndarray):
+    scale = max(1.0, float(np.max(np.abs(A))))
     defect = hermitian_defect(A)
-    # an infinite defect means a non-finite entry, which leaves no finite scale
-    if defect and (defect == np.inf or defect > 1e-10 * max(1.0, float(np.max(np.abs(A))))):
+    # an infinite entry makes the scale infinite too, so refuse inf outright
+    if defect == np.inf or defect > 1e-10 * scale:
         raise ValueError(f"operator is not Hermitian (defect {defect:.3e})")
 
 
 def expectation(A, state: StateVector) -> float:
-    """<state|A|state> for Hermitian A; the roundoff imaginary part is dropped.
-
-    A real A is applied to the real and imaginary parts of the amplitudes
-    as one real product with two columns, without a complex copy of A.
-    That sums the same terms in another order: number states give the
-    same bits as the complex product, other states agree to rounding.
-    """
+    """<state|A|state> for Hermitian A; the roundoff imaginary part is dropped."""
     mat = as_matrix(A)
     _require_hermitian(mat)
-    a = state.amplitudes
-    if np.isrealobj(mat):
-        parts = a.view(float).reshape(-1, 2)
-        return float(np.vdot(parts, mat @ parts))
-    return complex(np.vdot(a, mat @ a)).real
+    val = complex(np.vdot(state.amplitudes, mat @ state.amplitudes))
+    return val.real
 
 
 def post_selection_overlap(pre: StateVector, post: DualState, duration: float) -> complex:

@@ -244,6 +244,9 @@ def test_interval_diagonal_is_the_overlap_diagonal(dim):
         assert np.array_equal(interval_diagonal(a, b, dim // 2 + 1), diagonal[:dim // 2 + 1])
     with pytest.raises(ValueError, match="count"):
         interval_diagonal(0.0, 1.0, 0)
+    for a, b in [(1.0, 0.0), (1.0, 1.0), (np.nan, 1.0), (0.0, np.nan), (np.inf, np.inf)]:
+        with pytest.raises(ValueError, match="a < b"):
+            interval_diagonal(a, b, 3)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -1,5 +1,4 @@
 import time
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -86,45 +85,9 @@ def test_hermitian_check_rejects_non_finite_entries(basis, bad):
     with pytest.raises(ValueError, match="not Hermitian"):
         weak_module._require_hermitian(np.array([[1.0, bad], [0.0, 1.0]]))
     assert weak_module.hermitian_defect(A) == np.inf
-
-
-def test_expectation_of_real_matrix_matches_the_complex_product():
-    # a real P is applied to the float view of the amplitudes: number states
-    # give the same bits, other states agree to 4 eps ||P|| ||a||^2
-    eps = np.finfo(float).eps
-    for dim in (48, 512):
-        basis = OscillatorBasis(dim=dim)
-        P = projector_matrix(IntervalRegion(-0.7, 1.3), basis)
-        norm = np.linalg.norm(P.entries, 2)
-        for n in (0, 1, 7, dim - 1):
-            a = number_state(basis, n).amplitudes
-            upcast = np.vdot(a, P.entries.astype(complex) @ a).real
-            assert expectation(P, number_state(basis, n)) == upcast
-        for alpha in (0.5, 1 + 1j, 2.5, -3j):
-            state = coherent_state(basis, alpha)
-            a = state.amplitudes
-            upcast = np.vdot(a, P.entries.astype(complex) @ a).real
-            assert abs(expectation(P, state) - upcast) <= 4 * eps * norm * np.vdot(a, a).real
-
-
-def test_expectation_of_real_matrix_makes_no_complex_copy():
-    basis = OscillatorBasis(dim=512)
-    P = projector_matrix(IntervalRegion(-0.7, 1.3), basis)
-    state = coherent_state(basis, 1 + 1j)
-    tracemalloc.start()
-    try:
-        expectation(P, state)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * basis.dim ** 2   # a complex copy would take 16 bytes per entry
-
-
-def test_expectation_of_complex_hermitian_keeps_the_complex_product(basis, rng):
-    A = random_hermitian(rng, basis.dim)
-    state = random_state(rng, basis)
-    a = state.amplitudes
-    assert expectation(A, state) == np.vdot(a, A @ a).real
+    diagonal = np.eye(2)
+    diagonal[1, 1] = bad   # equal to its own adjoint, but inf - inf is NaN
+    assert weak_module.hermitian_defect(diagonal) == np.inf
 
 
 # -------------------------------------------------------------- weak value

@@ -4,7 +4,7 @@ from .errors import (NumericalError, PostSelectionError, ProtmeasError,
                      TruncationError, UsageError)
 from .oscillator import (DualState, OscillatorBasis, StateVector, backward_state,
                          coherent_state, evolve, hamiltonian, hermite_functions,
-                         number_state, overlap, position_wavefunction)
+                         number_state, position_wavefunction)
 from .projectors import (FULL_LINE, IntervalRegion, ProjectorMatrix, bin_edges,
                          heisenberg_projector, projector_matrix,
                          time_averaged_projector)

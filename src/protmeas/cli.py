@@ -5,12 +5,12 @@ Usage:  protmeas <experiment> [--config file.json] [--param value ...] --out DIR
 A runner's keyword-only signature lists the parameters its experiment
 takes, with any default that differs from PARAMS.  Flags override config
 values, which override the defaults; a key the experiment does not take, a
-non-boolean bool or a non-integral int is a usage error.  Outputs are
-deterministic for a fixed config and seed: CSV files are written atomically
-and SVG plots carry no timestamps or environment-dependent bytes.  Exit
-codes: 0 ok, 2 usage, 3 numerical failure, 4 I/O failure.  Only parameters
-the runners validate give a usage error; any other exception is a package
-fault and propagates.
+non-boolean bool, a non-integral int or a non-finite float (other than the
+interval ends a and b) is a usage error.  Outputs are deterministic for a
+fixed config and seed: CSV files are written atomically and SVG plots carry
+no timestamps or environment-dependent bytes.  Exit codes: 0 ok, 2 usage,
+3 numerical failure, 4 I/O failure.  Only parameters the runners validate
+give a usage error; any other exception is a package fault and propagates.
 """
 
 import argparse
@@ -205,7 +205,8 @@ def run_zeno(*, dim, omega, zero_point, a, b, T, n_list, coupling, n=1):
     table = ResultTable(["n_protections", "survival", "max_op_jump"], ["", "", ""],
                         int_columns=frozenset(["n_protections"]))
     for count in _parse_n_list(n_list):
-        res = simulation.zeno_protect_sim(initial, count, T, measured=P, coupling=coupling)
+        res = _checked(simulation.zeno_protect_sim, initial, count, T, measured=P,
+                       coupling=coupling)
         table.add_row(count, res.survival_probability, res.jump_norms.max(initial=0.0))
     return table, [("zeno.svg", "n_protections", ["survival"], ["survival"],
                     "Zeno protection")]
@@ -275,7 +276,7 @@ def run_correspondence(*, omega, zero_point, n_samples, periods, n=50, a=2.0, b=
                        dim=128):
     basis = _basis(dim, omega, zero_point)
     region = _checked(IntervalRegion, a, b)
-    _require(0 <= 2 * n <= basis.dim, f"n={n} must satisfy 0 <= 2n <= dim")
+    _require(n >= 0, f"n={n} must be >= 0")
     _require(n_samples >= 1, "n_samples must be >= 1")
     report = ergodicity.correspondence_check(
         n, region, basis, n_samples=n_samples, n_periods=periods)
@@ -326,8 +327,9 @@ def _convert(key: str, value, default, token=False):
     """A config or flag value, or a --sweep token, as a value of PARAMS[key]'s type.
 
     null stays None where the default is None; booleans must be JSON booleans
-    or the tokens true/false, integers must be integral, and n_list may be a
-    JSON array.  Anything else raises UsageError.
+    or the tokens true/false, integers must be integral, floats other than
+    the interval ends a and b must be finite, and n_list may be a JSON
+    array.  Anything else raises UsageError.
     """
     kind = PARAMS[key][0]
     if value is None and default is None:
@@ -343,7 +345,10 @@ def _convert(key: str, value, default, token=False):
     try:
         if (isinstance(value, kind) if kind in (bool, str) else
                 number and (kind is float or isinstance(value, int) or value.is_integer())):
-            return kind(value)
+            value = kind(value)
+            _require(kind is not float or key in ("a", "b") or np.isfinite(value),
+                     f"{key}={value!r} is not finite")
+            return value
     except OverflowError:   # an integer beyond the float range
         pass
     raise UsageError(f"{key}={value!r} is not a valid {kind.__name__}")

@@ -61,13 +61,12 @@ def uniform_phase_ensemble(size: int, amplitude: float, omega: float,
 @dataclass(frozen=True)
 class DwellReport:
     time_average: float
-    ensemble_average: float
     analytic_fraction: float
     statistical_error: float
     quantum_fraction: float | None = None
 
     def __post_init__(self):
-        for name in ("time_average", "ensemble_average", "analytic_fraction"):
+        for name in ("time_average", "analytic_fraction"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} outside [0, 1]")
@@ -113,21 +112,15 @@ def sampling_error(fraction: float, n_samples: int) -> float:
 
 
 def correspondence_check(n: int, region: IntervalRegion, basis: OscillatorBasis,
-                         n_samples: int = 200_001, n_periods: int = 1000,
-                         ensemble_size: int = 0, seed: int | None = None) -> DwellReport:
+                         n_samples: int = 200_001, n_periods: int = 1000) -> DwellReport:
     """Quantum dwell <n|P|n> against the energy-matched classical oscillator.
 
     The classical amplitude is A = sqrt(2n+1) so both sides carry the energy
     (n + 1/2) omega.  The sampled time average uses a sample count coprime
-    with the number of periods to equidistribute phases; an ensemble average
-    is included when `ensemble_size` and `seed` are given.  <n|P|n> is read
+    with the number of periods to equidistribute phases.  <n|P|n> is read
     off the diagonal recurrence, which needs phi_0..phi_n only, so it does
-    not depend on basis.dim once the dim >= 2n margin holds.
+    not depend on basis.dim.
     """
-    if basis.dim < 2 * n:
-        raise ValueError(
-            f"truncation margin violated: need dim >= {2 * n} for n={n}, "
-            f"got dim={basis.dim}")
     quantum = interval_diagonal(region.lower, region.upper, n + 1)[n]
     amplitude = float(np.sqrt(2.0 * n + 1.0))
     analytic = classical_dwell_fraction(amplitude, region)
@@ -135,14 +128,6 @@ def correspondence_check(n: int, region: IntervalRegion, basis: OscillatorBasis,
     time_avg = classical_time_average(amplitude, 0.0, basis.omega, region,
                                       duration, n_samples)
     err = sampling_error(time_avg, n_samples)
-    if ensemble_size > 0:
-        if seed is None:
-            raise ValueError("an ensemble average requires an explicit seed")
-        ens = uniform_phase_ensemble(ensemble_size, amplitude, basis.omega, seed)
-        ens_avg = classical_ensemble_average(ens, region)
-        err = float(np.hypot(err, sampling_error(ens_avg, ensemble_size)))
-    else:
-        ens_avg = analytic
-    return DwellReport(time_average=time_avg, ensemble_average=ens_avg,
-                       analytic_fraction=analytic, statistical_error=err,
+    return DwellReport(time_average=time_avg, analytic_fraction=analytic,
+                       statistical_error=err,
                        quantum_fraction=float(np.clip(quantum, 0.0, 1.0)))

@@ -109,11 +109,6 @@ class DualState:
         object.__setattr__(self, "amplitudes", _normalized(self.amplitudes, self.basis.dim))
 
 
-def overlap(dual: DualState, state: StateVector) -> complex:
-    """<Phi|Psi> for a bra and a ket over the same basis."""
-    return complex(np.dot(dual.amplitudes, state.amplitudes))
-
-
 def number_state(basis: OscillatorBasis, n: int) -> StateVector:
     """The energy eigenstate |n>."""
     if not 0 <= n < basis.dim:

@@ -34,7 +34,7 @@ and each protection costs O(dim^2).
 """
 
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -44,24 +44,27 @@ from .projectors import ProjectorMatrix
 from .weak import MeasurementSchedule, as_matrix
 
 
+# half-width of the pointer grid in units of the initial Gaussian's sigma
+SPAN_SIGMAS = 8.0
+
+
 @dataclass(frozen=True)
 class PointerGrid:
     """Uniform pointer position grid; sigma is the initial Gaussian std dev."""
 
     points: int = 512
     sigma: float = 10.0
-    span_sigmas: float = 8.0
 
     def __post_init__(self):
         if self.points < 8 or self.points & (self.points - 1):
             raise ValueError(f"pointer grid size must be a power of two >= 8, got {self.points}")
-        if self.sigma <= 0 or self.span_sigmas <= 0:
-            raise ValueError("pointer sigma and span must be positive")
+        if self.sigma <= 0:
+            raise ValueError("pointer sigma must be positive")
 
     @property
     def extent(self) -> float:
         """The largest |x| on the grid."""
-        return self.span_sigmas * self.sigma
+        return SPAN_SIGMAS * self.sigma
 
     @property
     def x(self) -> np.ndarray:
@@ -87,8 +90,6 @@ class BipartiteResult:
     survival_probability: float
     steps_used: int
     pointer_mean_final: float
-    # descriptor of the final joint state: (system dim, pointer points, norm)
-    final_state_shape: tuple = ()
     final_norm: float = 1.0
     # pointer-momentum columns propagated, the initial weight W of the rest,
     # and the bound 2 ||X a|| sqrt(W) + L W that W puts on pointer_shift
@@ -245,8 +246,7 @@ def bipartite_protective_sim(P: ProjectorMatrix, schedule: MeasurementSchedule,
             return BipartiteResult(
                 pointer_shift=float(mean[1]) - x0, energy_shift_per_p=float(de_per_p[1]),
                 survival_probability=float(survival[1]), steps_used=steps,
-                pointer_mean_final=float(mean[1]),
-                final_state_shape=(P.basis.dim, grid.points), final_norm=float(norm[1]),
+                pointer_mean_final=float(mean[1]), final_norm=float(norm[1]),
                 kept_columns=len(columns), dropped_weight=dropped,
                 shift_bound=2.0 * float(x_norm[1]) * sqrt(dropped) + grid.extent * dropped,
                 ladder_error=gap / 3.0)
@@ -274,6 +274,7 @@ def zeno_protect_sim(initial: StateVector, n_protections: int, duration: float,
     U^dag B U is an elementwise phase product.  The non-selective update
     B -> Pi B Pi + Q B Q, Pi = s s^dag, is B - s b - a s^dag with
     a = Q B s and b = s^dag B Q, and its jump norm is sqrt(|a|^2 + |b|^2).
+    Raises ValueError if a phase E dt overflows the float range.
     """
     if n_protections < 1:
         raise ValueError(f"need at least one protection, got {n_protections}")
@@ -286,6 +287,9 @@ def zeno_protect_sim(initial: StateVector, n_protections: int, duration: float,
         H = H + (coupling / duration) * as_matrix(measured)
     evals, vecs = np.linalg.eigh(H)
     dt = duration / n_protections
+    top = float(np.max(np.abs(evals)))
+    if not isfinite(float(dt) * top):   # a Python float overflows to inf without a warning
+        raise ValueError(f"the phase E*dt overflows at dt={dt:g}, max|E|={top:g}")
     U = (vecs * np.exp(-1j * evals * dt)) @ vecs.conj().T
 
     s = initial.amplitudes

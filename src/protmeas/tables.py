@@ -11,15 +11,12 @@ class ResultTable:
 
     columns: list
     units: list
-    rows: list = field(default_factory=list)
+    rows: list = field(default_factory=list, init=False)
     int_columns: frozenset = frozenset()
 
     def __post_init__(self):
         if len(self.columns) != len(self.units):
             raise ValueError("columns and units must align")
-        for r in self.rows:
-            if len(r) != len(self.columns):
-                raise ValueError("ragged row in result table")
 
     def add_row(self, *values):
         if len(values) != len(self.columns):

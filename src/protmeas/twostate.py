@@ -49,7 +49,7 @@ class TwoStateDensity:
     basis: OscillatorBasis
 
     def __post_init__(self):
-        if abs(np.trace(self.entries) - 1.0) > 1e-10:
+        if not abs(np.trace(self.entries) - 1.0) <= 1e-10:
             raise ValueError("two-state density trace differs from 1")
 
     def hermiticity_defect(self) -> float:
@@ -151,19 +151,13 @@ def two_state_canonical(beta: float, basis: OscillatorBasis) -> TwoStateDensity:
 
     The double-coordinate Boltzmann weighting multiplies the |m><n| kernel
     component by e^{-beta E_m} e^{+beta E_n}; applied to the
-    infinite-temperature kernel (the identity) and normalized by the
-    truncated trace this leaves the maximally mixed operator, whose weak
-    values (e.g. of H) depend on the truncation dim.  The untruncated trace
-    diverges, so every result is tied to `basis.dim`.
+    infinite-temperature kernel (the identity) it leaves every diagonal
+    weight at 1, so normalizing by the truncated trace gives the maximally
+    mixed operator at every beta > 0, whose weak values (e.g. of H) depend on
+    the truncation dim.  The untruncated trace diverges, so every result is
+    tied to `basis.dim`.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    energies = basis.energies()
-    if abs(beta * energies[-1]) > 700.0:
-        raise ValueError(
-            f"beta*E_max = {beta * energies[-1]:.3g} overflows the two-sided "
-            "Boltzmann weights; reduce beta or dim")
-    weights = np.exp(-beta * energies[:, None] + beta * energies[None, :])
-    kernel = weights * np.eye(basis.dim)
-    entries = kernel / np.trace(kernel)
-    return TwoStateDensity(entries=entries.astype(np.complex128), basis=basis)
+    entries = np.eye(basis.dim, dtype=np.complex128) / basis.dim
+    return TwoStateDensity(entries=entries, basis=basis)

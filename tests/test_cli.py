@@ -156,11 +156,11 @@ def test_sketch_does_not_depend_on_dim(state, tmp_path):
 def test_correspondence_does_not_depend_on_dim(tmp_path):
     # the README correspondence run: <50|P|50> needs phi_0..phi_50 at the edges only
     csv = {}
-    for dim in ("128", "256"):
+    for dim in ("64", "128", "256"):
         assert main(["correspondence", "--n", "50", "--a", "2", "--b", "4", "--dim", dim,
                      "--out", str(tmp_path / dim)]) == 0
         csv[dim] = read(tmp_path / dim / "correspondence.csv")
-    assert csv["128"] == csv["256"]
+    assert csv["64"] == csv["128"] == csv["256"]
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -248,7 +248,7 @@ def test_module_precondition_maps_to_usage_exit(tmp_path, capsys):
     ["thermal", "--beta", "0"],
     ["ergodic", "--seed", "1", "--amplitude", "0"],
     ["ergodic", "--seed", "1", "--omega", "0"],
-    ["correspondence", "--n", "65"],
+    ["correspondence", "--n", "-1"],
     ["correspondence", "--n-samples", "0"],
     ["zeno", "--T", "0", "--coupling", "0.3"],
     ["zeno", "--T", "-3"],
@@ -270,6 +270,18 @@ def test_module_precondition_maps_to_usage_exit(tmp_path, capsys):
     ["sketch", "--L", "inf"],
     ["sketch", "--bin-width", "1e-9"],
     ["heisenberg-projector", "--T", "inf"],
+    # float values that are not finite, or a phase that overflows
+    ["zeno", "--T", "inf"],
+    ["zeno", "--T", "1e308"],
+    ["zeno", "--coupling", "nan"],
+    ["heisenberg-projector", "--t", "inf"],
+    ["ergodic", "--seed", "1", "--omega", "inf"],
+    ["pointer-trace", "--T", "inf"],
+    ["two-state", "--T", "nan"],
+    ["thermal", "--beta", "inf"],
+    ["bipartite", "--T", "inf"],
+    ["bipartite", "--pointer-sigma", "inf"],
+    ["thermal", "--sweep", "beta=1,inf"],
 ])
 def test_invalid_parameter_is_usage_exit(args, tmp_path, capsys):
     assert main(args + ["--out", str(tmp_path)]) == 2
@@ -407,6 +419,18 @@ def test_readme_commands_are_accepted():
     parser = build_parser()
     for argv in commands:
         assert merge_params(parser.parse_args(argv))
+
+
+def test_readme_python_example_runs(tmp_path, capsys):
+    # the README's python block uses only the public API; its reading is the
+    # final_alpha of the README Fig. 1 command, which takes the same inputs
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+    reading = capsys.readouterr().out.strip()
+    assert main(["pointer-trace", "--alpha", "2.5", "--x0", "1", "--omega", "1", "--T", "100",
+                 "--w", "0.05", "--out", str(tmp_path)]) == 0
+    assert f"final_alpha={reading}" in capsys.readouterr().out.splitlines()
 
 
 def test_readme_lists_each_experiments_parameters():

@@ -56,7 +56,6 @@ def test_protective_limit_reads_expectation(basis32, tail_projector):
     assert abs(res.pointer_shift - HALF_TAIL) / HALF_TAIL < 0.05
     assert 0.99 <= res.survival_probability <= 1.0 + 1e-10
     assert res.final_norm == pytest.approx(1.0, abs=1e-10)
-    assert res.final_state_shape == (32, 512)
 
 
 def test_energy_shift_scales_inversely_with_duration(basis32, tail_projector):
@@ -215,7 +214,7 @@ def test_column_cut_at_readme_defaults():
     assert 0.0 < res.shift_bound <= 1e-4 / 10
     assert res.ladder_error < 1e-4
     # the cut depends on the momentum spacing and width, both fixed by
-    # span_sigmas, so not on the number of points
+    # SPAN_SIGMAS, so not on the number of points
     for points in (64, 128, 256, 1024, 2048):
         grid = PointerGrid(points=points)
         columns, W = _kept_columns(grid, 1e-4)
@@ -373,3 +372,6 @@ def test_zeno_validation(basis32, tail_projector):
     for duration in (0.0, -3.0):
         with pytest.raises(ValueError):
             zeno_protect_sim(init, 4, duration, measured=tail_projector, coupling=0.3)
+    # E_max * dt = 31 * 2.5e307 overflows, without a RuntimeWarning on the way
+    with pytest.raises(ValueError, match="overflows"):
+        zeno_protect_sim(init, 4, 1e308, measured=tail_projector)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from protmeas import (DensityMatrix, IntervalRegion, OscillatorBasis, PostSelectionError,
-                      TruncationError, coherent_state, evolve, expectation,
+                      TruncationError, TwoStateDensity, coherent_state, evolve, expectation,
                       hamiltonian, number_state, projector_matrix,
                       thermal_density, thermal_purification, two_state_canonical,
                       two_state_density, von_neumann_residual, weak_value,
@@ -117,6 +117,11 @@ def test_two_state_trace_one(basis, rng):
         assert np.trace(rho.entries) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_two_state_density_rejects_nan_trace():
+    with pytest.raises(ValueError, match="trace differs from 1"):
+        TwoStateDensity(np.full((2, 2), np.nan + 0j), OscillatorBasis(dim=2))
+
+
 def test_two_state_non_hermitian_for_coherent_post(basis):
     rho = two_state_density(number_state(basis, 0), coherent_state(basis, 2.5).dual(),
                             2.0, 10.0)
@@ -219,6 +224,7 @@ def test_canonical_energy_weak_value_is_truncation_dependent():
     assert abs(h32 - h16) > 1.0                        # invariance under dim fails
 
 
-def test_canonical_overflow_guard():
-    with pytest.raises(ValueError):
-        two_state_canonical(50.0, OscillatorBasis(dim=16))
+def test_canonical_is_maximally_mixed_at_low_temperature():
+    # beta * E_max = 750 would overflow e^{beta E}, but no weight is formed
+    rho = two_state_canonical(50.0, OscillatorBasis(dim=16))
+    assert np.array_equal(rho.entries, np.eye(16) / 16)

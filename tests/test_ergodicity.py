@@ -130,6 +130,14 @@ def test_correspondence_beyond_turning_point():
         previous = report.quantum_fraction
 
 
+def test_correspondence_margin_check():
+    # dim below 2n needs no margin and gives the same bits: <40|P|40> needs phi_0..phi_40 only
+    fractions = [correspondence_check(40, IntervalRegion(0.0, 1.0), OscillatorBasis(dim=dim),
+                                      n_samples=1001, n_periods=10).quantum_fraction
+                 for dim in (64, 1024)]
+    assert fractions == [0.03390070902506814] * 2
+
+
 def test_correspondence_builds_no_projector(monkeypatch):
     # <n|P|n> comes off the diagonal recurrence, bit for bit the projector's entry
     region, basis = IntervalRegion(2.0, 4.0), OscillatorBasis(dim=128)
@@ -149,11 +157,6 @@ def test_quantum_fraction_does_not_depend_on_dim():
                                       n_periods=10).quantum_fraction for dim in (512, 1024)]
     assert fractions[0] == fractions[1]
     assert abs(fractions[0] - classical_dwell_fraction(np.sqrt(401.0), region)) < 0.02
-    # dim below 2n gives the same bits: <40|P|40> needs phi_0..phi_40 only
-    fractions = [correspondence_check(40, IntervalRegion(0.0, 1.0), OscillatorBasis(dim=dim),
-                                      n_samples=1001, n_periods=10).quantum_fraction
-                 for dim in (64, 1024)]
-    assert fractions == [0.03390070902506814] * 2
 
 
 def test_quantum_partition_sums_to_one(basis):

@@ -15,7 +15,7 @@ from .simulation import (BipartiteResult, PointerGrid, ZenoResult,
                          bipartite_protective_sim, zeno_protect_sim)
 from .twostate import (DensityMatrix, TwoStateDensity, sample_thermal_eigenstate,
                        thermal_density, thermal_pointer_rate,
-                       thermal_purification, two_state_canonical,
+                       thermal_purification, thermal_weights, two_state_canonical,
                        two_state_density, von_neumann_residual,
                        weak_value_from_density)
 from .ergodicity import (ClassicalEnsemble, DwellReport, classical_dwell_fraction,

@@ -5,8 +5,9 @@ Usage:  protmeas <experiment> [--config file.json] [--param value ...] --out DIR
 A runner's keyword-only signature lists the parameters its experiment
 takes, with any default that differs from PARAMS.  Flags override config
 values, which override the defaults; a key the experiment does not take, a
-non-boolean bool, a non-integral int or a non-finite float (other than the
-interval ends a and b) is a usage error.  Outputs are deterministic for a
+non-boolean bool, a non-integral int, a non-finite float (other than the
+interval ends a and b) or a time whose largest phase overflows is a usage
+error.  Outputs are deterministic for a
 fixed config and seed: CSV files are written atomically and SVG plots carry
 no timestamps or environment-dependent bytes.  Exit codes: 0 ok, 2 usage,
 3 numerical failure, 4 I/O failure.  Only parameters the runners validate
@@ -23,7 +24,8 @@ import numpy as np
 
 from . import ergodicity, simulation, twostate
 from .errors import NumericalError, ProtmeasError, UsageError
-from .oscillator import OscillatorBasis, StateVector, coherent_state, number_state
+from .oscillator import (OscillatorBasis, StateVector, check_phase, coherent_state,
+                         number_state)
 from .projectors import (IntervalRegion, bin_edges, heisenberg_projector,
                          projector_matrix, time_averaged_projector)
 from .quadrature import bin_probabilities
@@ -84,6 +86,15 @@ def _basis(dim, omega, zero_point) -> OscillatorBasis:
     return _checked(OscillatorBasis, dim=dim, omega=omega, include_zero_point=zero_point)
 
 
+def _phase_time(basis: OscillatorBasis, key: str, value: float):
+    """A time whose phase E_max |value| overflows is a usage error naming `key`.
+
+    The largest energy bounds every phase the runners form from a time:
+    E_n t, and the Heisenberg (m - n) omega t.
+    """
+    _checked(check_phase, basis.energies()[-1], value, key)
+
+
 def _window(x0, w) -> IntervalRegion:
     """The interval of width w centred on x0."""
     _require(w > 0, "interval width w must be positive")
@@ -108,6 +119,7 @@ def run_pointer_trace(*, dim, omega, zero_point, T, ramp, steps, x0, w, alpha, d
                       alpha2):
     basis = _basis(dim, omega, zero_point)
     schedule = _checked(MeasurementSchedule, T, ramp, steps)
+    _phase_time(basis, "T", T)
     P = projector_matrix(_window(x0, w), basis)
     pre = number_state(basis, 0)
 
@@ -147,6 +159,8 @@ def run_pointer_trace(*, dim, omega, zero_point, T, ramp, steps, x0, w, alpha, d
 def run_heisenberg(*, dim, omega, zero_point, a, b, T, max_index, t):
     basis = _basis(dim, omega, zero_point)
     region = _checked(IntervalRegion, a, b)
+    _phase_time(basis, "T", T)
+    _phase_time(basis, "t", t)
     k = min(max_index, basis.dim)
     P = projector_matrix(region, basis)
     Pt = heisenberg_projector(P, t)
@@ -164,11 +178,12 @@ def run_heisenberg(*, dim, omega, zero_point, a, b, T, max_index, t):
     return table, []
 
 
-def run_bipartite(*, dim, omega, zero_point, a, b, T, ramp, steps, pointer_points,
-                  pointer_sigma, shift_tol):
+def run_bipartite(*, dim, omega, zero_point, a, b, T, ramp,
+                  steps=simulation.LADDER_START, pointer_points, pointer_sigma, shift_tol):
     basis = _basis(dim, omega, zero_point)
     region = _checked(IntervalRegion, a, b)
     schedule = _checked(MeasurementSchedule, T, ramp, steps)
+    _phase_time(basis, "T", T)
     P = projector_matrix(region, basis)
     grid = _checked(simulation.PointerGrid, points=pointer_points, sigma=pointer_sigma)
     _require(shift_tol >= 0, "shift_tol must be non-negative")
@@ -215,12 +230,12 @@ def run_zeno(*, dim, omega, zero_point, a, b, T, n_list, coupling, n=1):
 def run_thermal(*, dim, omega, zero_point, beta):
     basis = _basis(dim, omega, zero_point)
     _require(beta > 0, f"beta must be positive, got {beta}")
-    rho = twostate.thermal_density(beta, basis)
+    weights = twostate.thermal_weights(beta, basis)
     pure = twostate.thermal_purification(beta, basis)
     table = ResultTable(["n", "weight", "purification_amp"], ["", "", ""],
                         int_columns=frozenset(["n"]))
     for n in range(basis.dim):
-        table.add_row(n, rho.entries[n, n].real, pure.amplitudes[n].real)
+        table.add_row(n, weights[n], pure.amplitudes[n].real)
     return table, [("thermal.svg", "n", ["weight"], ["Boltzmann weight"],
                     "thermal occupation")]
 
@@ -228,6 +243,7 @@ def run_thermal(*, dim, omega, zero_point, beta):
 def run_two_state(*, dim, omega, zero_point, T, ramp, steps, x0, w, alpha, delta):
     basis = _basis(dim, omega, zero_point)
     schedule = _checked(MeasurementSchedule, T, ramp, steps)
+    _phase_time(basis, "T", T)
     P = projector_matrix(_window(x0, w), basis)
     pre = number_state(basis, 0)
     post = _checked(coherent_state, basis, alpha * np.exp(1j * delta)).dual()
@@ -415,9 +431,30 @@ def run_single(experiment: str, params: dict, out_dir: str, plot: bool) -> str:
     return csv_path
 
 
+def _join_interval_ends(argv: list) -> list:
+    """argv with '--a -inf' joined into '--a=-inf', and so for --b.
+
+    argparse takes a token with a leading dash for a flag unless it looks
+    like -1 or -.5, but an interval end may be -inf or -1e3.  Only a number
+    after --a or --b is joined; every other token is left as it is.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] in ("--a", "--b") and tok.startswith("-"):
+            try:
+                float(tok)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + tok
+                continue
+        out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_interval_ends(sys.argv[1:] if argv is None else argv))
     try:
         for out_dir, params in merge_params(args):
             run_single(args.experiment, params, out_dir, args.plot)

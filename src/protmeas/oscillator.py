@@ -190,6 +190,17 @@ def coherent_state(basis: OscillatorBasis, alpha: complex) -> StateVector:
     return StateVector(amps, basis)
 
 
+def check_phase(rate: float, t: float, name: str = "t") -> None:
+    """Raise ValueError unless the phase rate * |t| is finite.
+
+    `rate` is the largest frequency a caller multiplies by t, so this one
+    Python float product (which overflows to inf without a warning) stands
+    for every entry of the phase array it bounds.
+    """
+    if not math.isfinite(float(rate) * abs(float(t))):
+        raise ValueError(f"the phase {rate:g}*|{name}| overflows at {name}={t:g}")
+
+
 def evolve(state: StateVector, t: float) -> StateVector:
     """Free evolution: c_n -> e^{-i E_n t} c_n."""
     phases = np.exp(-1j * state.basis.energies() * t)

@@ -14,7 +14,7 @@ from math import inf
 
 import numpy as np
 
-from .oscillator import OscillatorBasis
+from .oscillator import OscillatorBasis, check_phase
 from .quadrature import interval_overlaps
 from .weak import hermitian_defect
 
@@ -58,19 +58,28 @@ def projector_matrix(region: IntervalRegion, basis: OscillatorBasis) -> Projecto
 
 
 def _phases(basis: OscillatorBasis, t: float) -> np.ndarray:
+    check_phase(basis.omega * (basis.dim - 1), t)
     m = np.arange(basis.dim)
     return np.exp(-1j * (m[:, None] - m[None, :]) * basis.omega * t)
 
 
 def heisenberg_projector(P: ProjectorMatrix, t: float) -> np.ndarray:
-    """P_V(t) with entries e^{-i(m-n) omega t} <m|P_V|n>."""
+    """P_V(t) with entries e^{-i(m-n) omega t} <m|P_V|n>.
+
+    Raises ValueError if the largest phase (dim - 1) omega |t| overflows.
+    """
     return P.entries * _phases(P.basis, t)
 
 
 def time_averaged_projector(P: ProjectorMatrix, duration: float) -> np.ndarray:
-    """(1/T) integral of P_V(t) over [0, T], phase factors in closed form."""
+    """(1/T) integral of P_V(t) over [0, T], phase factors in closed form.
+
+    Raises ValueError unless T is positive and finite and the largest phase
+    (dim - 1) omega T is finite.
+    """
     if not 0 < duration < inf:
         raise ValueError(f"averaging window must be positive and finite, got {duration}")
+    check_phase(P.basis.omega * (P.basis.dim - 1), duration, "duration")
     m = np.arange(P.basis.dim)
     delta = (m[:, None] - m[None, :]) * P.basis.omega
     z = delta * duration

@@ -34,12 +34,12 @@ and each protection costs O(dim^2).
 """
 
 from dataclasses import dataclass
-from math import isfinite, sqrt
+from math import sqrt
 
 import numpy as np
 
 from .errors import NumericalError
-from .oscillator import StateVector, hamiltonian, number_state
+from .oscillator import StateVector, check_phase, hamiltonian, number_state
 from .projectors import ProjectorMatrix
 from .weak import MeasurementSchedule, as_matrix
 
@@ -58,8 +58,8 @@ class PointerGrid:
     def __post_init__(self):
         if self.points < 8 or self.points & (self.points - 1):
             raise ValueError(f"pointer grid size must be a power of two >= 8, got {self.points}")
-        if self.sigma <= 0:
-            raise ValueError("pointer sigma must be positive")
+        if not self.sigma > 0:
+            raise ValueError(f"pointer sigma must be positive, got {self.sigma}")
 
     @property
     def extent(self) -> float:
@@ -96,8 +96,8 @@ class BipartiteResult:
     kept_columns: int = 0
     dropped_weight: float = 0.0
     shift_bound: float = 0.0
-    # |s_2n - s_n| / 3 over the last two ladder rungs: the O(dt^2) estimate
-    # of the step error in pointer_shift
+    # |s_2n - s_n| over the last two ladder rungs: an estimate of the step
+    # error in pointer_shift (see bipartite_protective_sim)
     ladder_error: float = 0.0
 
 
@@ -213,14 +213,17 @@ def _rungs(P: ProjectorMatrix, schedule: MeasurementSchedule, pre: StateVector,
     return mean_final, energy_shift_per_p, survival, norm, x_norm
 
 
-# step doublings the ladder tries after its first rung
-REFINEMENTS = 3
+# window steps of the ladder's first rung, and the doublings it tries: the
+# rungs run from (512, 1024) to (16384, 32768).  The ramps are 5 % of the
+# window each at the defaults, so the first rung steps each ramp 26 times
+LADDER_START = 512
+REFINEMENTS = 6
 
 
 def bipartite_protective_sim(P: ProjectorMatrix, schedule: MeasurementSchedule,
                              pre: StateVector | None = None,
                              grid: PointerGrid = PointerGrid(),
-                             steps: int = 4096,
+                             steps: int = LADDER_START,
                              shift_tol: float = 1e-4) -> BipartiteResult:
     """Evolve system x pointer through a full measurement window.
 
@@ -231,6 +234,13 @@ def bipartite_protective_sim(P: ProjectorMatrix, schedule: MeasurementSchedule,
     times.  `steps_used` is the accepted rung.  Only the pointer-momentum
     columns chosen by `_kept_columns(grid, shift_tol)` are propagated.
     Raises NumericalError if the ladder is exhausted without convergence.
+
+    `ladder_error` is the full gap |s_2n - s_n| between the last two rungs,
+    an estimate of the accepted rung's step error, not a bound.  In the
+    O(dt^2) regime the error is a third of the gap, but at the default start
+    the ramps are not always there: against a 16384-step run the gap covered
+    the error at dim 64 and 256 for T = 5, 20 and 40, and at dim 64 for
+    T = 100, while at dim 256, T = 100 it read 6.3e-11 against 1.2e-10.
     """
     if pre is None:
         pre = number_state(P.basis, 0)
@@ -249,7 +259,7 @@ def bipartite_protective_sim(P: ProjectorMatrix, schedule: MeasurementSchedule,
                 pointer_mean_final=float(mean[1]), final_norm=float(norm[1]),
                 kept_columns=len(columns), dropped_weight=dropped,
                 shift_bound=2.0 * float(x_norm[1]) * sqrt(dropped) + grid.extent * dropped,
-                ladder_error=gap / 3.0)
+                ladder_error=gap)
     raise NumericalError(
         f"pointer shift did not converge: last change {gap:.3e} "
         f"at {steps} steps (tol {shift_tol:g})")
@@ -287,9 +297,7 @@ def zeno_protect_sim(initial: StateVector, n_protections: int, duration: float,
         H = H + (coupling / duration) * as_matrix(measured)
     evals, vecs = np.linalg.eigh(H)
     dt = duration / n_protections
-    top = float(np.max(np.abs(evals)))
-    if not isfinite(float(dt) * top):   # a Python float overflows to inf without a warning
-        raise ValueError(f"the phase E*dt overflows at dt={dt:g}, max|E|={top:g}")
+    check_phase(np.max(np.abs(evals)), dt, "dt")
     U = (vecs * np.exp(-1j * evals * dt)) @ vecs.conj().T
 
     s = initial.amplitudes

@@ -68,12 +68,19 @@ def _boltzmann_check(beta: float, basis: OscillatorBasis):
     return bw
 
 
-def thermal_density(beta: float, basis: OscillatorBasis) -> DensityMatrix:
-    """Boltzmann thermal state, renormalized on the truncated basis."""
+def thermal_weights(beta: float, basis: OscillatorBasis) -> np.ndarray:
+    """The Boltzmann occupations e^{-beta omega n}, renormalized on the truncated basis.
+
+    They are the diagonal of `thermal_density`, in O(dim) with no dense matrix.
+    """
     bw = _boltzmann_check(beta, basis)
     w = np.exp(-bw * np.arange(basis.dim))
-    w /= w.sum()
-    return DensityMatrix(np.diag(w).astype(np.complex128), basis)
+    return w / w.sum()
+
+
+def thermal_density(beta: float, basis: OscillatorBasis) -> DensityMatrix:
+    """Boltzmann thermal state, renormalized on the truncated basis."""
+    return DensityMatrix(np.diag(thermal_weights(beta, basis)).astype(np.complex128), basis)
 
 
 def thermal_purification(beta: float, basis: OscillatorBasis) -> StateVector:
@@ -96,8 +103,7 @@ def sample_thermal_eigenstate(beta: float, basis: OscillatorBasis,
     probes a single pure |n> drawn with weight e^{-beta E_n} instead of the
     mixture.
     """
-    rho = thermal_density(beta, basis)
-    weights = np.diag(rho.entries).real
+    weights = thermal_weights(beta, basis)
     n = int(np.random.default_rng(seed).choice(basis.dim, p=weights / weights.sum()))
     return n, number_state(basis, n)
 

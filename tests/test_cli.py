@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import os
 import re
 import shlex
@@ -294,6 +295,52 @@ def test_non_finite_alpha_is_named(args, tmp_path, capsys):
     # any RuntimeWarning on the way would fail the test (filterwarnings = error)
     assert main(args + ["--out", str(tmp_path)]) == 2
     assert "is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, named", [
+    (["heisenberg-projector", "--T", "1e308"], "T=1e+308"),
+    (["heisenberg-projector", "--t", "1e308"], "t=1e+308"),
+    (["heisenberg-projector", "--t=-1e308"], "t=-1e+308"),
+    (["pointer-trace", "--T", "1e308"], "T=1e+308"),
+    (["two-state", "--T", "1e308", "--steps", "16"], "T=1e+308"),
+    (["bipartite", "--T", "1e308", "--dim", "16"], "T=1e+308"),
+])
+def test_overflowing_phase_is_named(args, named, tmp_path, capsys):
+    # finite times whose phase E_max T overflows the float range at dim 64
+    assert main(args + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "overflows" in err and named in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_largest_finite_phase_runs(tmp_path):
+    # (dim - 1) T = 15e307 is still finite: every cell is a number
+    assert main(["heisenberg-projector", "--dim", "16", "--T", "1e307", "--t", "1e307",
+                 "--out", str(tmp_path)]) == 0
+    rows = read(tmp_path / "heisenberg_projector.csv").decode().splitlines()[1:]
+    assert len(rows) == 256
+    assert all(np.isfinite(float(cell)) for row in rows for cell in row.split(","))
+
+
+def test_interval_ends_take_a_leading_dash(tmp_path):
+    # '--a -inf' is one flag and its value, as '--a=-inf' is
+    for name, ends in (("sep", ["--a", "-inf", "--b", "-0.5"]),
+                       ("eq", ["--a=-inf", "--b=-0.5"])):
+        assert main(["heisenberg-projector", "--dim", "16", *ends,
+                     "--out", str(tmp_path / name)]) == 0
+    csv = read(tmp_path / "sep" / "heisenberg_projector.csv")
+    assert csv == read(tmp_path / "eq" / "heisenberg_projector.csv")
+    p00 = float(csv.splitlines()[1].split(b",")[2])
+    assert p00 == pytest.approx(0.5 * math.erfc(0.5), abs=1e-14)   # <0|P_(-inf,-0.5]|0>
+    assert main(["zeno", "--dim", "16", "--a", "-1e3", "--b", "-inf",
+                 "--out", str(tmp_path / "zeno")]) == 2
+
+
+def test_interval_end_tokens_leave_other_flags_alone():
+    from protmeas.cli import _join_interval_ends
+    argv = ["--t", "-1", "--a", "-inf", "--b", "-2e3", "--x0", "-3", "--a", "--b", "1"]
+    assert _join_interval_ends(argv) == [
+        "--t", "-1", "--a=-inf", "--b=-2e3", "--x0", "-3", "--a", "--b", "1"]
 
 
 def test_library_fault_is_not_a_usage_error(tmp_path, monkeypatch):

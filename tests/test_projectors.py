@@ -186,6 +186,19 @@ def test_time_average_needs_a_finite_positive_window(basis, duration):
         time_averaged_projector(P, duration)
 
 
+def test_overflowing_phase_is_refused(basis):
+    # (dim - 1) omega t = 63e308 overflows: refused before any NaN phase is formed
+    P = projector_matrix(IntervalRegion(0.0, 1.0), basis)
+    with pytest.raises(ValueError, match=re.escape("overflows at t=1e+308")):
+        heisenberg_projector(P, 1e308)
+    with pytest.raises(ValueError, match=re.escape("overflows at duration=1e+308")):
+        time_averaged_projector(P, 1e308)
+    # the largest phase still finite: every entry is finite
+    t = 1.7e308 / (basis.dim - 1)
+    assert np.all(np.isfinite(heisenberg_projector(P, -t)))
+    assert np.all(np.isfinite(time_averaged_projector(P, t)))
+
+
 @pytest.mark.parametrize("dim, stride", [(64, 1), (1024, 10)])
 def test_bin_probabilities_match_dense_projectors(dim, stride):
     # the dense <c|P_V|c> per bin is the oracle; at dim 1024 every 10th bin

@@ -206,9 +206,9 @@ def test_column_cut_within_its_bound(sigma, points, T):
 def test_column_cut_at_readme_defaults():
     P = projector_matrix(IntervalRegion(1.0, np.inf), OscillatorBasis(dim=64))
     res = bipartite_protective_sim(P, MeasurementSchedule(20.0))
-    assert res.steps_used == 8192
+    assert res.steps_used == 1024
     # the ramp propagator is not re-unitarised, so the norm drift is the
-    # roundoff of 2 x 410 dense ramp steps
+    # roundoff of 2 x 51 dense ramp steps
     assert abs(1.0 - res.final_norm) <= 1e-12
     assert res.kept_columns <= 32
     assert 0.0 < res.shift_bound <= 1e-4 / 10
@@ -237,6 +237,27 @@ def test_rungs_sharing_a_plateau_match_single_rungs(dim):
             assert both[r] == pytest.approx(one[0], rel=1e-13, abs=0)
 
 
+@pytest.mark.parametrize("dim", [64, 256])
+def test_default_ladder_start_matches_a_finer_start(dim):
+    # a ladder started at 4096 steps accepts 8192, whose step error is about
+    # 1/64 of the default's accepted 1024; the largest gap seen was 4.0e-10
+    # (survival at dim 256, T = 100)
+    P = projector_matrix(IntervalRegion(1.0, np.inf), OscillatorBasis(dim=dim))
+    for T in (5.0, 20.0, 40.0, 100.0):
+        sched = MeasurementSchedule(T)
+        res = bipartite_protective_sim(P, sched)
+        fine = bipartite_protective_sim(P, sched, steps=4096)
+        assert (res.steps_used, fine.steps_used) == (1024, 8192)
+        assert abs(res.pointer_shift - fine.pointer_shift) <= 1e-9
+        assert abs(res.energy_shift_per_p - fine.energy_shift_per_p) <= 1e-9
+        assert abs(res.survival_probability - fine.survival_probability) <= 1e-9
+        # the full rung gap estimates the pointer-shift error, and covers it
+        # except where the ramps are not yet in the O(dt^2) regime (the
+        # docstring's dim 256, T = 100 case)
+        if (dim, T) != (256, 100.0):
+            assert res.ladder_error >= abs(res.pointer_shift - fine.pointer_shift)
+
+
 def test_large_bipartite_is_bounded():
     # propagating all 512 pointer columns took about 17 s on 2 cores
     P = projector_matrix(IntervalRegion(1.0, np.inf), OscillatorBasis(dim=256))
@@ -250,8 +271,9 @@ def test_large_bipartite_is_bounded():
 def test_pointer_grid_validation():
     with pytest.raises(ValueError):
         PointerGrid(points=100)
-    with pytest.raises(ValueError):
-        PointerGrid(sigma=-1.0)
+    for sigma in (-1.0, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            PointerGrid(sigma=sigma)
 
 
 # --------------------------------------------------------------------- zeno

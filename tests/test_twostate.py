@@ -4,7 +4,8 @@ import pytest
 from protmeas import (DensityMatrix, IntervalRegion, OscillatorBasis, PostSelectionError,
                       TruncationError, TwoStateDensity, coherent_state, evolve, expectation,
                       hamiltonian, number_state, projector_matrix,
-                      thermal_density, thermal_purification, two_state_canonical,
+                      thermal_density, thermal_purification, thermal_weights,
+                      two_state_canonical,
                       two_state_density, von_neumann_residual, weak_value,
                       weak_value_from_density)
 
@@ -45,6 +46,13 @@ def test_thermal_weights_sorted_like_boltzmann(basis):
     rho = thermal_density(0.7, basis)
     d = np.diag(rho.entries).real
     assert np.all(np.diff(d) < 0)
+
+
+@pytest.mark.parametrize("beta, zero_point", [(1.0, False), (0.7, True), (50.0, False)])
+def test_thermal_weights_are_the_density_diagonal(beta, zero_point):
+    basis = OscillatorBasis(dim=64, include_zero_point=zero_point)
+    rho = thermal_density(beta, basis)
+    assert np.array_equal(thermal_weights(beta, basis), np.diag(rho.entries).real)
 
 
 def test_thermal_truncation_guard():

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 import protmeas
-from protmeas.cli import RUNNERS, build_parser, main, merge_params
+from protmeas.cli import RUNNERS, _join_interval_ends, build_parser, main, merge_params
 from protmeas.svgplot import emit_plot
 from protmeas.tables import ResultTable
 
@@ -337,7 +337,6 @@ def test_interval_ends_take_a_leading_dash(tmp_path):
 
 
 def test_interval_end_tokens_leave_other_flags_alone():
-    from protmeas.cli import _join_interval_ends
     argv = ["--t", "-1", "--a", "-inf", "--b", "-2e3", "--x0", "-3", "--a", "--b", "1"]
     assert _join_interval_ends(argv) == [
         "--t", "-1", "--a=-inf", "--b=-2e3", "--x0", "-3", "--a", "--b", "1"]

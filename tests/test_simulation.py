@@ -240,7 +240,7 @@ def test_rungs_sharing_a_plateau_match_single_rungs(dim):
 @pytest.mark.parametrize("dim", [64, 256])
 def test_default_ladder_start_matches_a_finer_start(dim):
     # a ladder started at 4096 steps accepts 8192, whose step error is about
-    # 1/64 of the default's accepted 1024; the largest gap seen was 4.0e-10
+    # 1/64 of the default's accepted 1024; the largest gap seen was 4.1e-10
     # (survival at dim 256, T = 100)
     P = projector_matrix(IntervalRegion(1.0, np.inf), OscillatorBasis(dim=dim))
     for T in (5.0, 20.0, 40.0, 100.0):

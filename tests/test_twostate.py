@@ -49,10 +49,13 @@ def test_thermal_weights_sorted_like_boltzmann(basis):
 
 
 @pytest.mark.parametrize("beta, zero_point", [(1.0, False), (0.7, True), (50.0, False)])
-def test_thermal_weights_are_the_density_diagonal(beta, zero_point):
+def test_thermal_weights_closed_form(beta, zero_point):
+    # a geometric series renormalized on the truncated basis; the zero point
+    # multiplies every weight by one factor, which the normalization removes
     basis = OscillatorBasis(dim=64, include_zero_point=zero_point)
-    rho = thermal_density(beta, basis)
-    assert np.array_equal(thermal_weights(beta, basis), np.diag(rho.entries).real)
+    q, n = np.exp(-beta * basis.omega), np.arange(basis.dim)
+    expected = (1.0 - q) * q ** n / (1.0 - q ** basis.dim)
+    np.testing.assert_allclose(thermal_weights(beta, basis), expected, rtol=1e-13, atol=0)
 
 
 def test_thermal_truncation_guard():

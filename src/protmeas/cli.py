@@ -108,9 +108,8 @@ def run_sketch(*, dim, omega, zero_point, bin_width, L, n=None, alpha=None):
     _require(n is None or alpha is None, "sketch draws |n> or |alpha>: give n or alpha, not both")
     state = (_checked(number_state, basis, n or 0) if alpha is None
              else _checked(coherent_state, basis, alpha))
-    table = ResultTable(["bin_center", "probability"], ["", ""])
-    for a, b, prob in zip(edges[:-1], edges[1:], bin_probabilities(state.amplitudes, edges)):
-        table.add_row(0.5 * (a + b), prob)
+    table = ResultTable([("bin_center", "", 0.5 * (edges[:-1] + edges[1:])),
+                         ("probability", "", bin_probabilities(state.amplitudes, edges))])
     return table, [("sketch.svg", "bin_center", ["probability"], ["|psi|^2 per bin"],
                     "wavefunction sketch")]
 
@@ -127,33 +126,25 @@ def run_pointer_trace(*, dim, omega, zero_point, T, ramp, steps, x0, w, alpha, d
     post = _checked(coherent_state, basis, alpha * np.exp(1j * delta)).dual()
     sel = pointer_trace(schedule, pre, P, post)
 
-    cols = ["t", "reading_trivial", "reading_alpha", "wv_re_alpha", "closed_form"]
-    units = ["s", "", "", "", ""]
     closed = closed_form_pvi_weak(abs(alpha), delta, x0, omega, T, schedule.times)
-    series = [trivial.readings, sel.readings, sel.values, closed * w]
+    columns = [("t", "s", schedule.times), ("reading_trivial", "", trivial.readings),
+               ("reading_alpha", "", sel.readings), ("wv_re_alpha", "", sel.values),
+               ("closed_form", "", closed * w)]
     plots = [("fig1.svg", "t", ["reading_alpha", "reading_trivial"],
-              ["alpha post-selection", "trivial post-selection"],
-              "pointer readings")]
+              ["alpha post-selection", "trivial post-selection"], "pointer readings")]
     if alpha2 is not None:
         post2 = _checked(coherent_state, basis, alpha2 * np.exp(1j * delta)).dual()
         sel2 = pointer_trace(schedule, pre, P, post2)
-        cols += ["reading_alpha2", "wv_re_alpha2"]
-        units += ["", ""]
-        series += [sel2.readings, sel2.values]
+        columns += [("reading_alpha2", "", sel2.readings), ("wv_re_alpha2", "", sel2.values)]
         plots.append(("fig2.svg", "t", ["wv_re_alpha", "wv_re_alpha2"],
-                      [f"alpha={alpha:g}", f"alpha={alpha2:g}"],
-                      "weak value comparison"))
-    table = ResultTable(cols, units)
-    for i, t in enumerate(schedule.times):
-        table.add_row(t, *[s[i] for s in series])
-
+                      [f"alpha={alpha:g}", f"alpha={alpha2:g}"], "weak value comparison"))
     gap = abs(sel.final_reading - trivial.final_reading) / max(abs(trivial.final_reading), 1e-300)
     print(f"final_trivial={trivial.final_reading!r}")
     print(f"final_alpha={sel.final_reading!r}")
     print(f"relative_gap={gap!r}")
     if sel.any_flagged:
         print(f"flagged_points={int(np.count_nonzero(sel.flagged))}")
-    return table, plots
+    return ResultTable(columns), plots
 
 
 def run_heisenberg(*, dim, omega, zero_point, a, b, T, max_index, t):
@@ -165,16 +156,13 @@ def run_heisenberg(*, dim, omega, zero_point, a, b, T, max_index, t):
     P = projector_matrix(region, basis)
     Pt = heisenberg_projector(P, t)
     avg = _checked(time_averaged_projector, P, T)
-    table = ResultTable(
-        ["m", "n", "p_re", "p_im", "heis_re", "heis_im", "avg_re", "avg_im", "bound"],
-        ["", "", "", "", "", "", "", "", ""], int_columns=frozenset(["m", "n"]))
-    for m in range(k):
-        for n in range(k):
-            bound = (2.0 * abs(P.entries[m, n]) / (abs(m - n) * basis.omega * T)
-                     if m != n else abs(P.entries[m, n]))
-            table.add_row(m, n, P.entries[m, n].real, P.entries[m, n].imag,
-                          Pt[m, n].real, Pt[m, n].imag,
-                          avg[m, n].real, avg[m, n].imag, bound)
+    m, n = np.indices((k, k)).reshape(2, -1)
+    p, pt, pa = (M[m, n] for M in (P.entries, Pt, avg))
+    with np.errstate(divide="ignore", invalid="ignore"):   # the diagonal takes abs(p)
+        bound = np.where(m != n, 2.0 * abs(p) / (abs(m - n) * basis.omega * T), abs(p))
+    table = ResultTable([("m", "", m), ("n", "", n), ("p_re", "", p.real), ("p_im", "", p.imag),
+                         ("heis_re", "", pt.real), ("heis_im", "", pt.imag),
+                         ("avg_re", "", pa.real), ("avg_im", "", pa.imag), ("bound", "", bound)])
     return table, []
 
 
@@ -190,12 +178,10 @@ def run_bipartite(*, dim, omega, zero_point, a, b, T, ramp,
     result = simulation.bipartite_protective_sim(
         P, schedule, grid=grid, steps=steps, shift_tol=shift_tol)
     ref = expectation(P, number_state(basis, 0))
-    table = ResultTable(
-        ["T", "pointer_shift", "energy_shift_per_p", "survival", "steps_used",
-         "expectation_P"],
-        ["s", "", "1/s", "", "", ""], int_columns=frozenset(["steps_used"]))
-    table.add_row(T, result.pointer_shift, result.energy_shift_per_p,
-                  result.survival_probability, result.steps_used, ref)
+    table = ResultTable([("T", "s", [T]), ("pointer_shift", "", [result.pointer_shift]),
+                         ("energy_shift_per_p", "1/s", [result.energy_shift_per_p]),
+                         ("survival", "", [result.survival_probability]),
+                         ("steps_used", "", [result.steps_used]), ("expectation_P", "", [ref])])
     return table, []
 
 
@@ -217,12 +203,12 @@ def run_zeno(*, dim, omega, zero_point, a, b, T, n_list, coupling, n=1):
     amps[0] = amps[n] = 1.0  # superposition of |0> and |n>
     initial = StateVector(amps, basis)
     P = projector_matrix(_checked(IntervalRegion, a, b), basis)
-    table = ResultTable(["n_protections", "survival", "max_op_jump"], ["", "", ""],
-                        int_columns=frozenset(["n_protections"]))
-    for count in _parse_n_list(n_list):
-        res = _checked(simulation.zeno_protect_sim, initial, count, T, measured=P,
-                       coupling=coupling)
-        table.add_row(count, res.survival_probability, res.jump_norms.max(initial=0.0))
+    counts = _parse_n_list(n_list)
+    runs = [_checked(simulation.zeno_protect_sim, initial, count, T, measured=P,
+                     coupling=coupling) for count in counts]
+    table = ResultTable([("n_protections", "", counts),
+                         ("survival", "", [r.survival_probability for r in runs]),
+                         ("max_op_jump", "", [r.jump_norms.max(initial=0.0) for r in runs])])
     return table, [("zeno.svg", "n_protections", ["survival"], ["survival"],
                     "Zeno protection")]
 
@@ -230,12 +216,10 @@ def run_zeno(*, dim, omega, zero_point, a, b, T, n_list, coupling, n=1):
 def run_thermal(*, dim, omega, zero_point, beta):
     basis = _basis(dim, omega, zero_point)
     _require(beta > 0, f"beta must be positive, got {beta}")
-    weights = twostate.thermal_weights(beta, basis)
     pure = twostate.thermal_purification(beta, basis)
-    table = ResultTable(["n", "weight", "purification_amp"], ["", "", ""],
-                        int_columns=frozenset(["n"]))
-    for n in range(basis.dim):
-        table.add_row(n, weights[n], pure.amplitudes[n].real)
+    table = ResultTable([("n", "", np.arange(basis.dim)),
+                         ("weight", "", twostate.thermal_weights(beta, basis)),
+                         ("purification_amp", "", pure.amplitudes.real)])
     return table, [("thermal.svg", "n", ["weight"], ["Boltzmann weight"],
                     "thermal occupation")]
 
@@ -247,16 +231,16 @@ def run_two_state(*, dim, omega, zero_point, T, ramp, steps, x0, w, alpha, delta
     P = projector_matrix(_window(x0, w), basis)
     pre = number_state(basis, 0)
     post = _checked(coherent_state, basis, alpha * np.exp(1j * delta)).dual()
-    table = ResultTable(
-        ["t", "wv_direct_re", "wv_direct_im", "wv_trace_re", "wv_trace_im",
-         "herm_defect"],
-        ["s", "", "", "", "", ""])
     direct, _ = weak_value_series(P, pre, post, schedule.times, T)
-    for t, d in zip(schedule.times, direct):
+    traced, defect = np.empty_like(direct), np.empty(direct.shape)
+    for i, t in enumerate(schedule.times):   # one dim x dim density alive at a time
         rho = twostate.two_state_density(pre, post, float(t), T)
-        traced = twostate.weak_value_from_density(P, rho)
-        table.add_row(t, d.real, d.imag, traced.real, traced.imag,
-                      rho.hermiticity_defect())
+        traced[i] = twostate.weak_value_from_density(P, rho)
+        defect[i] = rho.hermiticity_defect()
+    table = ResultTable([("t", "s", schedule.times),
+                         ("wv_direct_re", "", direct.real), ("wv_direct_im", "", direct.imag),
+                         ("wv_trace_re", "", traced.real), ("wv_trace_im", "", traced.imag),
+                         ("herm_defect", "", defect)])
     return table, [("two_state.svg", "t", ["wv_direct_re"], ["Re weak value"],
                     "two-state weak value")]
 
@@ -280,11 +264,9 @@ def run_ergodic(*, omega, seed, amplitude, n_samples, ensemble_n, periods, t,
     err_e = ergodicity.sampling_error(ens_avg, ensemble_n)
     combined = float(np.hypot(err_t, err_e))
     gap_sigmas = abs(time_avg - ens_avg) / combined if combined > 0 else 0.0
-    table = ResultTable(
-        ["time_average", "ensemble_average", "analytic_fraction",
-         "stat_error_time", "stat_error_ensemble", "gap_sigmas"],
-        ["", "", "", "", "", ""])
-    table.add_row(time_avg, ens_avg, analytic, err_t, err_e, gap_sigmas)
+    table = ResultTable([("time_average", "", [time_avg]), ("ensemble_average", "", [ens_avg]),
+                         ("analytic_fraction", "", [analytic]), ("stat_error_time", "", [err_t]),
+                         ("stat_error_ensemble", "", [err_e]), ("gap_sigmas", "", [gap_sigmas])])
     return table, []
 
 
@@ -298,11 +280,9 @@ def run_correspondence(*, omega, zero_point, n_samples, periods, n=50, a=2.0, b=
         n, region, basis, n_samples=n_samples, n_periods=periods)
     rel_gap = (abs(report.quantum_fraction - report.analytic_fraction)
                / max(report.analytic_fraction, 1e-300))
-    table = ResultTable(
-        ["n", "quantum_fraction", "classical_fraction", "time_average", "rel_gap"],
-        ["", "", "", "", ""], int_columns=frozenset(["n"]))
-    table.add_row(n, report.quantum_fraction, report.analytic_fraction,
-                  report.time_average, rel_gap)
+    table = ResultTable([("n", "", [n]), ("quantum_fraction", "", [report.quantum_fraction]),
+                         ("classical_fraction", "", [report.analytic_fraction]),
+                         ("time_average", "", [report.time_average]), ("rel_gap", "", [rel_gap])])
     return table, []
 
 
@@ -431,16 +411,18 @@ def run_single(experiment: str, params: dict, out_dir: str, plot: bool) -> str:
     return csv_path
 
 
-def _join_interval_ends(argv: list) -> list:
-    """argv with '--a -inf' joined into '--a=-inf', and so for --b.
+def _join_negative_values(parser: argparse.ArgumentParser, argv: list) -> list:
+    """argv with '--delta -1e-3' joined into '--delta=-1e-3', for every flag that takes a value.
 
     argparse takes a token with a leading dash for a flag unless it looks
-    like -1 or -.5, but an interval end may be -inf or -1e3.  Only a number
-    after --a or --b is joined; every other token is left as it is.
+    like -1 or -.5, but a value may be -inf or -1e3.  Only a number after
+    a flag that takes a value is joined; every other token is left as it is.
     """
+    takes_value = {flag for action in parser._actions if action.nargs != 0
+                   for flag in action.option_strings}
     out = []
     for tok in argv:
-        if out and out[-1] in ("--a", "--b") and tok.startswith("-"):
+        if out and out[-1] in takes_value and tok.startswith("-"):
             try:
                 float(tok)
             except ValueError:
@@ -454,7 +436,8 @@ def _join_interval_ends(argv: list) -> list:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_join_interval_ends(sys.argv[1:] if argv is None else argv))
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_join_negative_values(parser, argv))
     try:
         for out_dir, params in merge_params(args):
             run_single(args.experiment, params, out_dir, args.plot)

@@ -203,8 +203,9 @@ def check_phase(rate: float, t: float, name: str = "t") -> None:
 
 def evolve(state: StateVector, t: float) -> StateVector:
     """Free evolution: c_n -> e^{-i E_n t} c_n."""
-    phases = np.exp(-1j * state.basis.energies() * t)
-    return StateVector(state.amplitudes * phases, state.basis)
+    energies = state.basis.energies()
+    check_phase(energies[-1], t)
+    return StateVector(state.amplitudes * np.exp(-1j * energies * t), state.basis)
 
 
 def backward_state(final: DualState, t: float, duration: float) -> DualState:
@@ -216,8 +217,9 @@ def backward_state(final: DualState, t: float, duration: float) -> DualState:
     """
     if not 0.0 <= t <= duration:
         raise ValueError(f"t={t} outside the measurement window [0, {duration}]")
-    phases = np.exp(-1j * final.basis.energies() * (duration - t))
-    return DualState(final.amplitudes * phases, final.basis)
+    energies = final.basis.energies()
+    check_phase(energies[-1], duration - t, "duration - t")
+    return DualState(final.amplitudes * np.exp(-1j * energies * (duration - t)), final.basis)
 
 
 def _hermite_rows(x, targets):

@@ -2,46 +2,38 @@
 
 import os
 import tempfile
-from dataclasses import dataclass, field
+
+import numpy as np
 
 
-@dataclass
 class ResultTable:
-    """Columns with unit labels; values are floats (ints format without dot)."""
+    """Whole real columns, given as (name, unit, values) triples of equal length.
 
-    columns: list
-    units: list
-    rows: list = field(default_factory=list, init=False)
-    int_columns: frozenset = frozenset()
+    A column with an integer dtype prints without a dot; every other value
+    prints as repr(float(v)).
+    """
 
-    def __post_init__(self):
-        if len(self.columns) != len(self.units):
-            raise ValueError("columns and units must align")
-
-    def add_row(self, *values):
-        if len(values) != len(self.columns):
-            raise ValueError(f"row has {len(values)} cells, table has {len(self.columns)} columns")
-        self.rows.append(list(values))
+    def __init__(self, columns):
+        self.columns, self.units, values = map(list, zip(*columns))
+        self.values = [np.asarray(v) for v in values]
+        if (any(v.ndim != 1 or v.dtype.kind not in "biuf" for v in self.values)
+                or len({v.size for v in self.values}) > 1):
+            shapes = ", ".join(f"{c} {v.dtype}{list(v.shape)}"
+                               for c, v in zip(self.columns, self.values))
+            raise ValueError(f"columns must be real, one-dimensional, of equal length: {shapes}")
 
     def header(self) -> list:
         return [f"{c} [{u}]" if u else c for c, u in zip(self.columns, self.units)]
 
-    def column(self, name):
+    def column(self, name) -> np.ndarray:
         if name not in self.columns:
             raise KeyError(f"column {name!r} not in table (have {', '.join(self.columns)})")
-        i = self.columns.index(name)
-        return [r[i] for r in self.rows]
-
-    def _format(self, name, value) -> str:
-        if name in self.int_columns:
-            return str(int(value))
-        return repr(float(value))
+        return self.values[self.columns.index(name)]
 
     def to_csv(self) -> str:
-        lines = [",".join(self.header())]
-        for r in self.rows:
-            lines.append(",".join(self._format(c, v) for c, v in zip(self.columns, r)))
-        return "\n".join(lines) + "\n"
+        cells = [map(repr, (v if v.dtype.kind in "iu" else v.astype(float)).tolist())
+                 for v in self.values]
+        return "\n".join([",".join(self.header()), *map(",".join, zip(*cells))]) + "\n"
 
     def write_csv(self, path):
         write_atomic(path, self.to_csv().encode("ascii"))

@@ -108,9 +108,14 @@ def sample_thermal_eigenstate(beta: float, basis: OscillatorBasis,
     return n, number_state(basis, n)
 
 
+def _trace_product(A, rho: np.ndarray) -> np.complex128:
+    """tr(A rho) as sum_mn A_mn rho_nm, O(dim^2) without the product A rho."""
+    return np.sum(as_matrix(A) * rho.T)
+
+
 def thermal_pointer_rate(A, rho: DensityMatrix) -> float:
     """Pointer drift rate tr(A rho) with the bath kept on during measurement."""
-    return float(np.trace(as_matrix(A) @ rho.entries).real)
+    return float(_trace_product(A, rho.entries).real)
 
 
 def two_state_density(pre: StateVector, post: DualState, t: float,
@@ -123,12 +128,8 @@ def two_state_density(pre: StateVector, post: DualState, t: float,
 
 
 def weak_value_from_density(A, rho: TwoStateDensity) -> complex:
-    """A_w = tr(A rho) / tr(rho); identical to the direct two-state formula.
-
-    tr(A rho) is sum_mn A_mn rho_nm, O(dim^2) without the product A rho.
-    """
-    mat = as_matrix(A)
-    return complex(np.sum(mat * rho.entries.T) / np.trace(rho.entries))
+    """A_w = tr(A rho) / tr(rho); identical to the direct two-state formula."""
+    return complex(_trace_product(A, rho.entries) / np.trace(rho.entries))
 
 
 def von_neumann_residual(pre: StateVector, post: DualState, H, t: float,

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PostSelectionError
-from .oscillator import DualState, StateVector, evolve
+from .oscillator import DualState, StateVector, check_phase, evolve
 
 OVERLAP_FLOOR = 1e-8
 
@@ -145,10 +145,12 @@ def post_selection_overlap(pre: StateVector, post: DualState, duration: float) -
 
     U(T) multiplies each a_n by e^{-i E_n T} with no renormalization, so a
     NaN or infinite amplitude makes the overlap non-finite.  Raises
-    PostSelectionError unless its modulus is finite and at least the floor.
+    PostSelectionError unless its modulus is finite and at least the floor,
+    and ValueError (from `check_phase`) if the phase E_max * duration overflows.
     """
-    phases = np.exp(-1j * pre.basis.energies() * duration)
-    den = complex(np.dot(post.amplitudes, pre.amplitudes * phases))
+    energies = pre.basis.energies()
+    check_phase(energies[-1], duration, "duration")
+    den = complex(np.dot(post.amplitudes, pre.amplitudes * np.exp(-1j * energies * duration)))
     if not OVERLAP_FLOOR <= abs(den) < np.inf:
         raise PostSelectionError(
             f"pre/post overlap {abs(den):.3e} is not a finite value above floor "

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 import protmeas
-from protmeas.cli import RUNNERS, _join_interval_ends, build_parser, main, merge_params
+from protmeas.cli import RUNNERS, _join_negative_values, build_parser, main, merge_params
 from protmeas.svgplot import emit_plot
 from protmeas.tables import ResultTable
 
@@ -28,27 +28,29 @@ def read(path) -> bytes:
 # ------------------------------------------------------------------- tables
 
 def test_table_round_trip(tmp_path):
-    t = ResultTable(["n", "value"], ["", "s"], int_columns=frozenset(["n"]))
-    t.add_row(1, 0.5)
-    t.add_row(2, 0.25)
+    # an integer column prints without a dot, every other value as repr(float(v))
+    t = ResultTable([("n", "", np.arange(1, 3)), ("value", "s", [0.5, 0.25]),
+                     ("whole", "", np.array([3.0, -0.0])), ("flag", "", [True, False])])
     path = tmp_path / "t.csv"
     t.write_csv(path)
     text = read(path).decode()
-    assert text == "n,value [s]\n1,0.5\n2,0.25\n"
-    assert t.column("value") == [0.5, 0.25]
+    assert text == "n,value [s],whole,flag\n1,0.5,3.0,1.0\n2,0.25,-0.0,0.0\n"
+    assert t.column("value").tolist() == [0.5, 0.25]
     with pytest.raises(KeyError, match="nope"):
         t.column("nope")
 
 
-def test_table_rejects_ragged_rows():
-    t = ResultTable(["a", "b"], ["", ""])
-    with pytest.raises(ValueError):
-        t.add_row(1.0)
+def test_table_rejects_ragged_columns():
+    for columns in ([("a", "", [1.0, 2.0]), ("b", "", [1.0])],     # unequal lengths
+                    [("a", "", np.zeros((2, 2)))],                  # 2-D
+                    [("a", "", 1.0)],                               # 0-D
+                    [("a", "", [1j, 2.0])]):                        # complex: pass _re/_im
+        with pytest.raises(ValueError, match="one-dimensional"):
+            ResultTable(columns)
 
 
 def test_no_partial_files_left(tmp_path):
-    t = ResultTable(["a"], [""])
-    t.add_row(1.0)
+    t = ResultTable([("a", "", [1.0])])
     t.write_csv(tmp_path / "out.csv")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
@@ -56,9 +58,8 @@ def test_no_partial_files_left(tmp_path):
 # --------------------------------------------------------------------- svg
 
 def test_svg_single_series(tmp_path):
-    t = ResultTable(["x", "y"], ["", ""])
-    for i in range(10):
-        t.add_row(float(i), float(i * i))
+    x = np.arange(10.0)
+    t = ResultTable([("x", "", x), ("y", "", x * x)])
     data = emit_plot(t, "x", ["y"], tmp_path / "p.svg")
     assert data.startswith(b"<svg")
     assert data.count(b"<polyline") == 1
@@ -66,16 +67,14 @@ def test_svg_single_series(tmp_path):
 
 
 def test_svg_missing_column_named(tmp_path):
-    t = ResultTable(["x"], [""])
-    t.add_row(1.0)
+    t = ResultTable([("x", "", [1.0])])
     with pytest.raises(KeyError, match="ghost"):
         emit_plot(t, "x", ["ghost"], tmp_path / "p.svg")
 
 
 def test_svg_deterministic_bytes(tmp_path):
-    t = ResultTable(["x", "y", "z"], ["s", "", ""])
-    for i in range(50):
-        t.add_row(i * 0.1, np.sin(i * 0.1), np.cos(i * 0.1))
+    x = np.arange(50) * 0.1
+    t = ResultTable([("x", "s", x), ("y", "", np.sin(x)), ("z", "", np.cos(x))])
     a = emit_plot(t, "x", ["y", "z"], tmp_path / "a.svg")
     b = emit_plot(t, "x", ["y", "z"], tmp_path / "b.svg")
     assert a == b
@@ -334,12 +333,23 @@ def test_interval_ends_take_a_leading_dash(tmp_path):
     assert p00 == pytest.approx(0.5 * math.erfc(0.5), abs=1e-14)   # <0|P_(-inf,-0.5]|0>
     assert main(["zeno", "--dim", "16", "--a", "-1e3", "--b", "-inf",
                  "--out", str(tmp_path / "zeno")]) == 2
+    # so is any flag that takes a value and a number in exponent form
+    for name, args in (("delta", ["pointer-trace", "--delta", "-1e-3", "--T", "5",
+                                  "--steps", "16"]),
+                       ("t", ["heisenberg-projector", "--dim", "16", "--t", "-1e3"])):
+        assert main(args + ["--out", str(tmp_path / name)]) == 0
+        eq = [a + "=" + b for a, b in zip(args[1::2], args[2::2])]
+        assert main(args[:1] + eq + ["--out", str(tmp_path / (name + "_eq"))]) == 0
+        out = args[0].replace("-", "_") + ".csv"
+        assert read(tmp_path / name / out) == read(tmp_path / (name + "_eq") / out)
 
 
 def test_interval_end_tokens_leave_other_flags_alone():
-    argv = ["--t", "-1", "--a", "-inf", "--b", "-2e3", "--x0", "-3", "--a", "--b", "1"]
-    assert _join_interval_ends(argv) == [
-        "--t", "-1", "--a=-inf", "--b=-2e3", "--x0", "-3", "--a", "--b", "1"]
+    # only a number after a flag that takes a value is joined
+    argv = ["--t", "-1", "--a", "-inf", "--b", "-2e3", "--plot", "-3", "--out", "-x",
+            "--a", "--b", "1"]
+    assert _join_negative_values(build_parser(), argv) == [
+        "--t=-1", "--a=-inf", "--b=-2e3", "--plot", "-3", "--out", "-x", "--a", "--b", "1"]
 
 
 def test_library_fault_is_not_a_usage_error(tmp_path, monkeypatch):
@@ -456,15 +466,49 @@ def test_cli_import_leaves_scipy_unloaded():
 README = Path(__file__).parents[1] / "README.md"
 
 
-def test_readme_commands_are_accepted():
-    # every `protmeas ...` line of the README's sh blocks parses and merges
+def readme_commands() -> list:
+    """The argv of every `protmeas ...` line of the README's sh blocks."""
     blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
-    commands = [shlex.split(line, comments=True)[1:] for block in blocks
-                for line in block.splitlines() if line.startswith("protmeas ")]
+    return [shlex.split(line, comments=True)[1:] for block in blocks
+            for line in block.splitlines() if line.startswith("protmeas ")]
+
+
+def test_readme_commands_are_accepted():
+    # every README command parses and merges
+    commands = readme_commands()
     assert {argv[0] for argv in commands} == set(RUNNERS)
     parser = build_parser()
     for argv in commands:
         assert merge_params(parser.parse_args(argv))
+
+
+# flags that make a README command cheap, where its experiment takes them
+SMALL = {"dim": "32", "steps": "64", "n_samples": "1001", "ensemble_n": "1000"}
+INT_COLUMNS = {"n_protections", "steps_used", "m", "n"}
+
+
+@pytest.mark.parametrize("argv", readme_commands(),
+                         ids=lambda argv: argv[argv.index("--out") + 1].split("/")[-1])
+def test_readme_command_writes_whole_columns(argv, tmp_path):
+    # integer columns print without a dot, every other cell as repr(float(v)),
+    # and a rerun writes the same bytes, SVG plots included
+    taken = inspect.signature(RUNNERS[argv[0]]).parameters
+    small = [a for k, v in SMALL.items() if k in taken for a in ("--" + k.replace("_", "-"), v)]
+    argv, out = list(argv), argv.index("--out") + 1
+    for run in ("a", "b"):
+        argv[out] = str(tmp_path / run)
+        assert main(argv + small + ["--plot"]) == 0
+    a, b = ([p.relative_to(tmp_path / run) for p in sorted((tmp_path / run).rglob("*"))
+             if p.is_file()] for run in ("a", "b"))
+    assert a == b
+    for name in a:
+        assert read(tmp_path / "a" / name) == read(tmp_path / "b" / name)
+        if name.suffix != ".csv":
+            continue
+        header, *rows = read(tmp_path / "a" / name).decode().splitlines()
+        for column, cells in zip(header.split(","), zip(*(r.split(",") for r in rows))):
+            kind = int if column.split(" [")[0] in INT_COLUMNS else float
+            assert all(repr(kind(c)) == c for c in cells), column
 
 
 def test_readme_python_example_runs(tmp_path, capsys):

@@ -373,3 +373,13 @@ def test_phase_convention_independence(dim, T, t_frac, seed):
     assert np.all(np.abs(sa - sb) <= 1e-12 * (1.0 + np.abs(sa)))
     assert np.max(np.abs(ra - rb)) <= 1e-12 * (1.0 + np.max(np.abs(sa)))
     assert np.max(np.abs(qa - qb)) <= 1e-12
+
+
+def test_evolution_names_an_overflowing_phase():
+    # E_max t = 63e308 overflows: named before a NaN phase reaches the normalization
+    state = coherent_state(OscillatorBasis(64), 1.0)
+    with pytest.raises(ValueError, match="overflows"):
+        evolve(state, 1e308)
+    with pytest.raises(ValueError, match="overflows"):
+        backward_state(state.dual(), 0.0, 1e308)
+    assert np.all(np.isfinite(evolve(state, -1.7e308 / 63).amplitudes))

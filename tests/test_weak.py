@@ -475,3 +475,15 @@ def test_subnormal_ramp_fraction_raises_no_warning():
         warnings.simplefilter("error")
         assert s.cumulative([0.0, 0.5, 1.0]).tolist() == [0.0, 0.5, 1.0]
         assert s.g([0.0, 0.5, 1.0]).tolist() == [0.0, 1.0, 1.0]
+
+
+def test_weak_value_names_an_overflowing_phase():
+    # the overflow is a ValueError naming it, not a NaN overlap read as a PostSelectionError
+    basis = OscillatorBasis(dim=64)
+    P = projector_matrix(IntervalRegion(0.0, 1.0), basis)
+    pre, post = number_state(basis, 0), coherent_state(basis, 1.0).dual()
+    with pytest.raises(ValueError, match="overflows") as err:
+        weak_value(P, pre, post, 0.0, duration=1e308)
+    assert not isinstance(err.value, PostSelectionError)
+    with pytest.raises(ValueError, match="overflows"):
+        post_selection_overlap(pre, post, 1e308)

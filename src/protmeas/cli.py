@@ -142,8 +142,8 @@ def run_pointer_trace(*, dim, omega, zero_point, T, ramp, steps, x0, w, alpha, d
     print(f"final_trivial={trivial.final_reading!r}")
     print(f"final_alpha={sel.final_reading!r}")
     print(f"relative_gap={gap!r}")
-    if sel.any_flagged:
-        print(f"flagged_points={int(np.count_nonzero(sel.flagged))}")
+    if sel.flagged:
+        print(f"flagged_points={sel.times.size}")
     return ResultTable(columns), plots
 
 
@@ -152,8 +152,10 @@ def run_heisenberg(*, dim, omega, zero_point, a, b, T, max_index, t):
     region = _checked(IntervalRegion, a, b)
     _phase_time(basis, "T", T)
     _phase_time(basis, "t", t)
+    _require(max_index >= 1, f"max_index must be >= 1, got {max_index}")
     k = min(max_index, basis.dim)
-    P = projector_matrix(region, basis)
+    # entries with m, n < k need phi_0..phi_k only: P on the first max(k, 2) levels
+    P = projector_matrix(region, OscillatorBasis(max(k, 2), omega, zero_point))
     Pt = heisenberg_projector(P, t)
     avg = _checked(time_averaged_projector, P, T)
     m, n = np.indices((k, k)).reshape(2, -1)
@@ -215,8 +217,7 @@ def run_zeno(*, dim, omega, zero_point, a, b, T, n_list, coupling, n=1):
 
 def run_thermal(*, dim, omega, zero_point, beta):
     basis = _basis(dim, omega, zero_point)
-    _require(beta > 0, f"beta must be positive, got {beta}")
-    pure = twostate.thermal_purification(beta, basis)
+    pure = _checked(twostate.thermal_purification, beta, basis)
     table = ResultTable([("n", "", np.arange(basis.dim)),
                          ("weight", "", twostate.thermal_weights(beta, basis)),
                          ("purification_amp", "", pure.amplitudes.real)])
@@ -231,7 +232,7 @@ def run_two_state(*, dim, omega, zero_point, T, ramp, steps, x0, w, alpha, delta
     P = projector_matrix(_window(x0, w), basis)
     pre = number_state(basis, 0)
     post = _checked(coherent_state, basis, alpha * np.exp(1j * delta)).dual()
-    direct, _ = weak_value_series(P, pre, post, schedule.times, T)
+    direct = weak_value_series(P, pre, post, schedule.times, T)
     traced, defect = np.empty_like(direct), np.empty(direct.shape)
     for i, t in enumerate(schedule.times):   # one dim x dim density alive at a time
         rho = twostate.two_state_density(pre, post, float(t), T)
@@ -253,6 +254,7 @@ def run_ergodic(*, omega, seed, amplitude, n_samples, ensemble_n, periods, t,
     _require(ensemble_n >= 1, "ensemble_n must be >= 1")
     _require(amplitude > 0, f"amplitude must be positive, got {amplitude}")
     _require(omega > 0, f"omega must be positive, got {omega}")
+    _require(periods >= 1, f"periods must be >= 1, got {periods}")
     region = _checked(IntervalRegion, a, b)
     duration = periods * 2.0 * np.pi / omega
     time_avg = ergodicity.classical_time_average(
@@ -276,6 +278,7 @@ def run_correspondence(*, omega, zero_point, n_samples, periods, n=50, a=2.0, b=
     region = _checked(IntervalRegion, a, b)
     _require(n >= 0, f"n={n} must be >= 0")
     _require(n_samples >= 1, "n_samples must be >= 1")
+    _require(periods >= 1, f"periods must be >= 1, got {periods}")
     report = ergodicity.correspondence_check(
         n, region, basis, n_samples=n_samples, n_periods=periods)
     rel_gap = (abs(report.quantum_fraction - report.analytic_fraction)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oscillator import OscillatorBasis
+from .oscillator import OscillatorBasis, check_positive
 from .projectors import IntervalRegion
 from .quadrature import interval_diagonal
 
@@ -35,8 +35,8 @@ class ClassicalEnsemble:
         p = np.asarray(self.phases, dtype=float)
         if a.size < 1 or a.shape != p.shape:
             raise ValueError("need matching, non-empty amplitude and phase arrays")
-        if np.any(a <= 0):
-            raise ValueError("all amplitudes must be positive")
+        if not np.all((a > 0) & (a < np.inf) & np.isfinite(p)):
+            raise ValueError("amplitudes must be positive and finite, phases finite")
         object.__setattr__(self, "amplitudes", a)
         object.__setattr__(self, "phases", p)
         if self.weights is not None:
@@ -97,8 +97,7 @@ def classical_ensemble_average(ensemble: ClassicalEnsemble, region: IntervalRegi
 
 def classical_dwell_fraction(amplitude: float, region: IntervalRegion) -> float:
     """Closed-form dwell fraction of one oscillator in `region`."""
-    if amplitude <= 0:
-        raise ValueError(f"amplitude must be positive, got {amplitude}")
+    check_positive(amplitude, "amplitude")
     lo = max(region.lower, -amplitude)
     hi = min(region.upper, amplitude)
     if lo >= hi:

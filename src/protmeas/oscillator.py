@@ -51,8 +51,7 @@ class OscillatorBasis:
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError(f"basis dim must be >= 2, got {self.dim}")
-        if self.omega <= 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+        check_positive(self.omega, "omega")
 
     def energies(self) -> np.ndarray:
         n = np.arange(self.dim, dtype=float)
@@ -188,6 +187,12 @@ def coherent_state(basis: OscillatorBasis, alpha: complex) -> StateVector:
     log_mag = -abs(alpha) ** 2 / 2 + n * np.log(abs(alpha)) - log_fact / 2
     amps = np.exp(log_mag) * np.exp(1j * np.angle(alpha) * n)
     return StateVector(amps, basis)
+
+
+def check_positive(value: float, name: str) -> None:
+    """Raise ValueError naming `name` unless 0 < value < inf (NaN fails too)."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def check_phase(rate: float, t: float, name: str = "t") -> None:

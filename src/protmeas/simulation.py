@@ -39,7 +39,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import NumericalError
-from .oscillator import StateVector, check_phase, hamiltonian, number_state
+from .oscillator import StateVector, check_phase, check_positive, hamiltonian, number_state
 from .projectors import ProjectorMatrix
 from .weak import MeasurementSchedule, as_matrix
 
@@ -58,8 +58,7 @@ class PointerGrid:
     def __post_init__(self):
         if self.points < 8 or self.points & (self.points - 1):
             raise ValueError(f"pointer grid size must be a power of two >= 8, got {self.points}")
-        if not self.sigma > 0:
-            raise ValueError(f"pointer sigma must be positive, got {self.sigma}")
+        check_positive(self.sigma, "pointer sigma")
 
     @property
     def extent(self) -> float:
@@ -233,7 +232,9 @@ def bipartite_protective_sim(P: ProjectorMatrix, schedule: MeasurementSchedule,
     by less than `shift_tol`; otherwise it doubles `steps`, up to REFINEMENTS
     times.  `steps_used` is the accepted rung.  Only the pointer-momentum
     columns chosen by `_kept_columns(grid, shift_tol)` are propagated.
-    Raises NumericalError if the ladder is exhausted without convergence.
+    Raises ValueError if the phase E_max * duration overflows, and
+    NumericalError if a rung's pointer shift is not finite or the ladder is
+    exhausted without convergence.
 
     `ladder_error` is the full gap |s_2n - s_n| between the last two rungs,
     an estimate of the accepted rung's step error, not a bound.  In the
@@ -242,6 +243,7 @@ def bipartite_protective_sim(P: ProjectorMatrix, schedule: MeasurementSchedule,
     the error at dim 64 and 256 for T = 5, 20 and 40, and at dim 64 for
     T = 100, while at dim 256, T = 100 it read 6.3e-11 against 1.2e-10.
     """
+    check_phase(P.basis.energies()[-1], schedule.duration, "duration")
     if pre is None:
         pre = number_state(P.basis, 0)
     columns, dropped = _kept_columns(grid, shift_tol)
@@ -251,6 +253,8 @@ def bipartite_protective_sim(P: ProjectorMatrix, schedule: MeasurementSchedule,
                                                         [steps, 2 * steps], columns)
         steps *= 2
         gap = abs(mean[1] - mean[0])
+        if not np.isfinite(gap):
+            raise NumericalError(f"pointer shift is not finite at {steps} steps")
         if gap < shift_tol:
             x0 = float(np.sum(grid.x * np.abs(grid.initial_wave()) ** 2))
             return BipartiteResult(
@@ -288,8 +292,7 @@ def zeno_protect_sim(initial: StateVector, n_protections: int, duration: float,
     """
     if n_protections < 1:
         raise ValueError(f"need at least one protection, got {n_protections}")
-    if duration <= 0:
-        raise ValueError(f"protection window must be positive, got {duration}")
+    check_positive(duration, "protection window")
     H = hamiltonian(initial.basis)
     if coupling != 0.0:
         if measured is None:

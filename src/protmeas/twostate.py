@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import TruncationError
 from .oscillator import (DualState, OscillatorBasis, StateVector, backward_state,
-                         evolve, number_state)
+                         check_positive, evolve, number_state)
 from .weak import as_matrix, hermitian_defect, post_selection_overlap
 
 THERMAL_TAIL_LIMIT = 1e-10
@@ -57,8 +57,7 @@ class TwoStateDensity:
 
 
 def _boltzmann_check(beta: float, basis: OscillatorBasis):
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    check_positive(beta, "beta")
     bw = beta * basis.omega
     tail = np.exp(-basis.dim * bw) / (1.0 - np.exp(-bw))
     if tail > THERMAL_TAIL_LIMIT:
@@ -140,8 +139,7 @@ def von_neumann_residual(pre: StateVector, post: DualState, H, t: float,
     as O(dt^2) for the exact two-state evolution.  `duration` fixes the
     backward-evolution reference time and defaults to t + dt.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    check_positive(dt, "dt")
     if duration is None:
         duration = t + dt
     mat = as_matrix(H)
@@ -164,7 +162,6 @@ def two_state_canonical(beta: float, basis: OscillatorBasis) -> TwoStateDensity:
     the truncation dim.  The untruncated trace diverges, so every result is
     tied to `basis.dim`.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    check_positive(beta, "beta")
     entries = np.eye(basis.dim, dtype=np.complex128) / basis.dim
     return TwoStateDensity(entries=entries, basis=basis)

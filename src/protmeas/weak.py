@@ -14,8 +14,8 @@ integrates its real part, taking the trivial post-selection to be the bra
 <Psi_i| U(T)^dagger, for which A_w(t) is the expectation value in the evolved
 pre-selected state.  The denominator is time independent, so it is computed
 once per call by `post_selection_overlap` (which `twostate` shares) and
-checked once against OVERLAP_FLOOR: below the floor every grid point is
-flagged.
+checked once against OVERLAP_FLOOR: below the floor the whole run fails
+with PostSelectionError, and a pointer trace records one flag.
 
 With <Phi_f| = sum_m d_m <m| and |Psi_i> = sum_n a_n |n>, the numerator is
 
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PostSelectionError
-from .oscillator import DualState, StateVector, check_phase, evolve
+from .oscillator import DualState, StateVector, check_phase, check_positive, evolve
 
 OVERLAP_FLOOR = 1e-8
 
@@ -63,8 +63,7 @@ class MeasurementSchedule:
     steps: int = 4096
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
+        check_positive(self.duration, "duration")
         if not 0.0 <= self.ramp_fraction <= 0.5:
             raise ValueError(f"ramp_fraction must lie in [0, 0.5], got {self.ramp_fraction}")
         if self.steps < 2:
@@ -192,18 +191,15 @@ def weak_value_series(A, pre: StateVector, post: DualState, times, duration: flo
     `_significant` keeps are folded, and each half of the c_k is cut the
     same way before Horner's rule: A_w moves by at most 3 u max|A_mn|
     ||d||_1 ||a||_1 / |<Phi_f|U(T)|Psi_i>| (u = eps/2), and vectors with no
-    negligible tail give the full fold exactly.  Returns (values, flagged).
-    The denominator is computed once, so flagged is all true or all false:
-    when the overlap is below the floor every value is NaN rather than
-    extrapolated.  Times outside [0, duration], or NaN, raise ValueError.
+    negligible tail give the full fold exactly.  The denominator is formed
+    once: below OVERLAP_FLOOR the PostSelectionError of
+    `post_selection_overlap` propagates.  Times outside [0, duration], or
+    NaN, raise ValueError.
     """
     times = np.asarray(times, dtype=float)
     if not np.all((times >= 0.0) & (times <= duration)):
         raise ValueError(f"times must lie inside the measurement window [0, {duration}]")
-    try:
-        den = post_selection_overlap(pre, post, duration)
-    except PostSelectionError:
-        return np.full(times.shape, np.nan + 0j), np.ones(times.shape, dtype=bool)
+    den = post_selection_overlap(pre, post, duration)
     basis = pre.basis
     bra = _significant(post.amplitudes * np.exp(-1j * basis.energies() * duration))
     ket = _significant(pre.amplitudes)
@@ -215,16 +211,12 @@ def weak_value_series(A, pre: StateVector, post: DualState, times, duration: flo
               + 1j * np.bincount(diagonal, terms.imag.ravel(), 2 * basis.dim - 1))
     z = np.exp(1j * basis.omega * times)
     values = _horner(coeffs[zero:], z) + _horner(coeffs[zero - 1::-1], z.conj()) * z.conj()
-    values /= den
-    return values, np.zeros(times.shape, dtype=bool)
+    return values / den
 
 
 def weak_value(A, pre: StateVector, post: DualState, t: float, duration: float) -> complex:
     """The exact weak value of A at time t; raises PostSelectionError below the floor."""
-    values, flagged = weak_value_series(A, pre, post, [t], duration)
-    if flagged[0]:
-        post_selection_overlap(pre, post, duration)   # raises, naming the overlap
-    return complex(values[0])
+    return complex(weak_value_series(A, pre, post, [t], duration)[0])
 
 
 def closed_form_pvi_weak(alpha_mod: float, delta: float, x0: float,
@@ -259,16 +251,12 @@ class PointerTrace:
 
     times: np.ndarray
     readings: np.ndarray
-    values: np.ndarray       # integrand: Re weak value (0 where flagged)
-    flagged: np.ndarray      # all true when the overlap is below the floor
+    values: np.ndarray       # integrand: Re weak value (0 when flagged)
+    flagged: bool            # the overlap is below the floor
 
     @property
     def final_reading(self) -> float:
         return float(self.readings[-1])
-
-    @property
-    def any_flagged(self) -> bool:
-        return bool(np.any(self.flagged))
 
 
 def pointer_trace(schedule: MeasurementSchedule, pre: StateVector, A,
@@ -279,16 +267,19 @@ def pointer_trace(schedule: MeasurementSchedule, pre: StateVector, A,
     by the trapezoid rule on the schedule grid.  With `post=None` (trivial
     post-selection) the bra is the evolved pre-selection <Psi_i| U(T)^dagger,
     for which the weak value is the expectation value in the evolved
-    pre-selected state.  Flagged grid points contribute zero and are reported
-    on the trace instead of failing the run.
+    pre-selected state.  A post-selection below OVERLAP_FLOOR does not fail
+    the run: the trace has zero values and readings and `flagged` set.
     """
     times = schedule.times
     if post is None:
         _require_hermitian(as_matrix(A))
         post = evolve(pre, schedule.duration).dual()
-    wv, flagged = weak_value_series(A, pre, post, times, schedule.duration)
-    values = np.where(flagged, 0.0, wv.real)
+    try:
+        values = weak_value_series(A, pre, post, times, schedule.duration).real
+    except PostSelectionError:
+        return PointerTrace(times=times, readings=np.zeros(times.shape),
+                            values=np.zeros(times.shape), flagged=True)
     rate = schedule.g(times) * values
     increments = 0.5 * (rate[1:] + rate[:-1]) * np.diff(times)
     readings = np.concatenate([[0.0], np.cumsum(increments)])
-    return PointerTrace(times=times, readings=readings, values=values, flagged=flagged)
+    return PointerTrace(times=times, readings=readings, values=values, flagged=False)

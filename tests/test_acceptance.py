@@ -80,8 +80,7 @@ def test_criterion_2_fig2_amplitude_ordering(fig1):
     amplitudes = {}
     for alpha in (2.5, 1.0):
         post = coherent_state(fig1["basis"], alpha).dual()
-        wv, flagged = weak_value_series(fig1["P"], fig1["pre"], post, times, T_FIG)
-        assert not flagged.any()
+        wv = weak_value_series(fig1["P"], fig1["pre"], post, times, T_FIG)
         amplitudes[alpha] = 0.5 * (wv.real.max() - wv.real.min())
     report(2, amplitudes[2.5] > amplitudes[1.0],
            f"oscillation amplitude alpha=2.5: {amplitudes[2.5]:.4g} > "
@@ -104,7 +103,7 @@ def test_criterion_4_closed_form_vs_exact(fig1):
     worst_overall = 0.0
     for w in (0.05, 0.02):
         P = projector_matrix(IntervalRegion(X0 - w / 2, X0 + w / 2), fig1["basis"])
-        wv, _ = weak_value_series(P, fig1["pre"], fig1["post"], times, T_FIG)
+        wv = weak_value_series(P, fig1["pre"], fig1["post"], times, T_FIG)
         exact = np.abs(wv.real) / w
         closed = np.abs(closed_form_pvi_weak(ALPHA, 0.0, X0, OMEGA, T_FIG, times))
         ipk_e, _ = find_peaks(exact)
@@ -193,8 +192,7 @@ def test_criterion_7_weak_value_identities(basis, rng):
     total = np.zeros(times.size, dtype=complex)
     for region in regions:
         P = projector_matrix(region, basis)
-        vals, _ = weak_value_series(P, pre, post, times, 100.0)
-        total += vals
+        total += weak_value_series(P, pre, post, times, 100.0)
     sum_rule_ok = float(np.max(np.abs(total - 1.0))) <= 1e-8
     report(7, identity_ok and trivial_ok and sum_rule_ok,
            f"trace-vs-direct {worst_identity:.2e} <= 1e-12, trivial "

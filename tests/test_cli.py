@@ -125,6 +125,16 @@ def test_pointer_trace_fig2_overlay(tmp_path):
     assert "#1f77b4" in svg and "#d62728" in svg   # blue + red analogues
 
 
+def test_pointer_trace_below_the_floor_is_flagged_not_failed(tmp_path, capsys):
+    # |<alpha=6.2|U(T)|0>| = e^{-6.2^2/2} is below the 1e-8 floor: one flag, zero readings
+    assert main(["pointer-trace", "--dim", "128", "--alpha", "6.2", "--T", "5", "--steps", "16",
+                 "--out", str(tmp_path)]) == 0
+    assert "flagged_points=17\n" in capsys.readouterr().out
+    lines = read(tmp_path / "pointer_trace.csv").decode().splitlines()
+    col = lines[0].split(",").index("reading_alpha")
+    assert [ln.split(",")[col] for ln in lines[1:]] == ["0.0"] * 17
+
+
 def test_sketch_matches_quadrature_oracle(tmp_path):
     assert main(["sketch", "--bin-width", "0.1", "--L", "4", "--out", str(tmp_path)]) == 0
     lines = read(tmp_path / "sketch.csv").decode().splitlines()
@@ -161,6 +171,16 @@ def test_correspondence_does_not_depend_on_dim(tmp_path):
                      "--out", str(tmp_path / dim)]) == 0
         csv[dim] = read(tmp_path / dim / "correspondence.csv")
     assert csv["64"] == csv["128"] == csv["256"]
+
+
+def test_heisenberg_does_not_depend_on_dim(tmp_path):
+    # the README heisenberg-projector run: its 20 x 20 block needs phi_0..phi_20 only
+    csv = {}
+    for dim in ("64", "1024"):
+        assert main(["heisenberg-projector", "--T", "100", "--dim", dim,
+                     "--out", str(tmp_path / dim)]) == 0
+        csv[dim] = read(tmp_path / dim / "heisenberg_projector.csv")
+    assert csv["64"] == csv["1024"]
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -282,6 +302,12 @@ def test_module_precondition_maps_to_usage_exit(tmp_path, capsys):
     ["bipartite", "--T", "inf"],
     ["bipartite", "--pointer-sigma", "inf"],
     ["thermal", "--sweep", "beta=1,inf"],
+    # counts below 1 name the flag
+    ["heisenberg-projector", "--max-index", "0"],
+    ["heisenberg-projector", "--max-index", "-1"],
+    ["ergodic", "--seed", "1", "--periods", "0"],
+    ["ergodic", "--seed", "1", "--periods", "-3"],
+    ["correspondence", "--periods", "0"],
 ])
 def test_invalid_parameter_is_usage_exit(args, tmp_path, capsys):
     assert main(args + ["--out", str(tmp_path)]) == 2

@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, special
 
-from protmeas import (DualState, MeasurementSchedule, OscillatorBasis, StateVector,
-                      TruncationError, backward_state, coherent_state, evolve,
-                      expectation, number_state, pointer_trace,
-                      position_wavefunction, weak_value, weak_value_series)
+from protmeas import (ClassicalEnsemble, DualState, IntervalRegion, MeasurementSchedule,
+                      OscillatorBasis, PointerGrid, StateVector, TruncationError,
+                      backward_state, classical_dwell_fraction, coherent_state, evolve,
+                      expectation, hamiltonian, number_state, pointer_trace,
+                      position_wavefunction, thermal_purification, thermal_weights,
+                      two_state_canonical, von_neumann_residual, weak_value,
+                      weak_value_series, zeno_protect_sim)
 from protmeas.oscillator import coherent_tail, hermite_functions, required_coherent_dim
 
 from conftest import random_hermitian, random_state
@@ -364,7 +367,7 @@ def test_phase_convention_independence(dim, T, t_frac, seed):
         pre = StateVector(amps_pre, b)
         post = DualState(amps_post, b)
         results.append((weak_value(A, pre, post, t, T), expectation(A, evolve(pre, t)),
-                         weak_value_series(A, pre, post, schedule.times, T)[0],
+                         weak_value_series(A, pre, post, schedule.times, T),
                          pointer_trace(schedule, pre, A, post).readings,
                          pointer_trace(schedule, pre, A).readings))
     (wa, ea, sa, ra, qa), (wb, eb, sb, rb, qb) = results
@@ -383,3 +386,29 @@ def test_evolution_names_an_overflowing_phase():
     with pytest.raises(ValueError, match="overflows"):
         backward_state(state.dual(), 0.0, 1e308)
     assert np.all(np.isfinite(evolve(state, -1.7e308 / 63).amplitudes))
+
+
+
+_B = OscillatorBasis(dim=16)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name, build", [
+    pytest.param("omega", lambda x: OscillatorBasis(omega=x), id="basis"),
+    pytest.param("duration", lambda x: MeasurementSchedule(x), id="schedule"),
+    pytest.param("beta", lambda x: thermal_weights(x, _B), id="thermal_weights"),
+    pytest.param("beta", lambda x: thermal_purification(x, _B), id="purification"),
+    pytest.param("beta", lambda x: two_state_canonical(x, _B), id="canonical"),
+    pytest.param("pointer sigma", lambda x: PointerGrid(sigma=x), id="grid"),
+    pytest.param("amplitudes", lambda x: ClassicalEnsemble([x], [0.0]), id="ensemble"),
+    pytest.param("amplitude", lambda x: classical_dwell_fraction(x, IntervalRegion(0.0, 1.0)),
+                 id="dwell"),
+    pytest.param("protection window", lambda x: zeno_protect_sim(number_state(_B, 1), 4, x),
+                 id="zeno"),
+    pytest.param("dt", lambda x: von_neumann_residual(
+        number_state(_B, 0), number_state(_B, 0).dual(), hamiltonian(_B), 1.0, x), id="residual"),
+])
+def test_non_finite_parameter_is_refused_and_named(name, build, value):
+    # a ValueError naming the parameter, not NaN results, a RuntimeWarning or a phase overflow
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+        build(value)

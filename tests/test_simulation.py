@@ -8,6 +8,7 @@ from protmeas import (IntervalRegion, MeasurementSchedule, NumericalError,
                       OscillatorBasis, PointerGrid, StateVector, expectation,
                       hamiltonian, number_state, projector_matrix, zeno_protect_sim,
                       bipartite_protective_sim)
+from protmeas import simulation
 from protmeas.simulation import _kept_columns, _rungs
 
 from conftest import random_hermitian
@@ -79,6 +80,26 @@ def test_step_ladder_non_convergence_raises(basis32, tail_projector):
     with pytest.raises(NumericalError):
         bipartite_protective_sim(tail_projector, MeasurementSchedule(5.0),
                                  steps=64, shift_tol=0.0)
+
+
+def test_bipartite_names_an_overflowing_window():
+    # E_max T = 15e308 overflows: named before any NaN rung, with no RuntimeWarning
+    P = projector_matrix(IntervalRegion(0.0, np.inf), OscillatorBasis(dim=16))
+    with pytest.raises(ValueError, match="duration"):
+        bipartite_protective_sim(P, MeasurementSchedule(1e308), steps=64)
+
+
+def test_step_ladder_stops_at_a_non_finite_shift(basis32, tail_projector, monkeypatch):
+    calls = []
+
+    def nan_rungs(P, schedule, pre, grid, rungs, columns):
+        calls.append(rungs)
+        return (np.full(2, np.nan),) * 5
+
+    monkeypatch.setattr(simulation, "_rungs", nan_rungs)
+    with pytest.raises(NumericalError, match="not finite at 128 steps"):
+        bipartite_protective_sim(tail_projector, MeasurementSchedule(20.0), steps=64)
+    assert calls == [[64, 128]]
 
 
 def test_stepper_second_order_in_dt(basis32, tail_projector):

@@ -176,9 +176,8 @@ def run_bipartite(*, dim, omega, zero_point, a, b, T, ramp,
     _phase_time(basis, "T", T)
     P = projector_matrix(region, basis)
     grid = _checked(simulation.PointerGrid, points=pointer_points, sigma=pointer_sigma)
-    _require(shift_tol >= 0, "shift_tol must be non-negative")
-    result = simulation.bipartite_protective_sim(
-        P, schedule, grid=grid, steps=steps, shift_tol=shift_tol)
+    result = _checked(simulation.bipartite_protective_sim,
+                      P, schedule, grid=grid, steps=steps, shift_tol=shift_tol)
     ref = expectation(P, number_state(basis, 0))
     table = ResultTable([("T", "s", [T]), ("pointer_shift", "", [result.pointer_shift]),
                          ("energy_shift_per_p", "1/s", [result.energy_shift_per_p]),
@@ -257,8 +256,8 @@ def run_ergodic(*, omega, seed, amplitude, n_samples, ensemble_n, periods, t,
     _require(periods >= 1, f"periods must be >= 1, got {periods}")
     region = _checked(IntervalRegion, a, b)
     duration = periods * 2.0 * np.pi / omega
-    time_avg = ergodicity.classical_time_average(
-        amplitude, 0.0, omega, region, duration, n_samples)
+    time_avg = _checked(ergodicity.classical_time_average,
+                        amplitude, 0.0, omega, region, duration, n_samples)
     ens = ergodicity.uniform_phase_ensemble(ensemble_n, amplitude, omega, seed)
     ens_avg = ergodicity.classical_ensemble_average(ens, region, t)
     analytic = ergodicity.classical_dwell_fraction(amplitude, region)
@@ -279,8 +278,8 @@ def run_correspondence(*, omega, zero_point, n_samples, periods, n=50, a=2.0, b=
     _require(n >= 0, f"n={n} must be >= 0")
     _require(n_samples >= 1, "n_samples must be >= 1")
     _require(periods >= 1, f"periods must be >= 1, got {periods}")
-    report = ergodicity.correspondence_check(
-        n, region, basis, n_samples=n_samples, n_periods=periods)
+    report = _checked(ergodicity.correspondence_check,
+                      n, region, basis, n_samples=n_samples, n_periods=periods)
     rel_gap = (abs(report.quantum_fraction - report.analytic_fraction)
                / max(report.analytic_fraction, 1e-300))
     table = ResultTable([("n", "", [n]), ("quantum_fraction", "", [report.quantum_fraction]),

@@ -37,6 +37,7 @@ class ClassicalEnsemble:
             raise ValueError("need matching, non-empty amplitude and phase arrays")
         if not np.all((a > 0) & (a < np.inf) & np.isfinite(p)):
             raise ValueError("amplitudes must be positive and finite, phases finite")
+        check_positive(self.omega, "omega")
         object.__setattr__(self, "amplitudes", a)
         object.__setattr__(self, "phases", p)
         if self.weights is not None:
@@ -77,7 +78,14 @@ class DwellReport:
 def classical_time_average(amplitude: float, phase: float, omega: float,
                            region: IntervalRegion, duration: float,
                            n_samples: int) -> float:
-    """Fraction of sample times j*T/n at which the trajectory lies in `region`."""
+    """Fraction of sample times j*T/n at which the trajectory lies in `region`.
+
+    Raises ValueError naming the parameter unless amplitude, omega and
+    duration are positive and finite and n_samples >= 1.
+    """
+    check_positive(amplitude, "amplitude")
+    check_positive(omega, "omega")
+    check_positive(duration, "duration")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     t = duration * np.arange(1, n_samples + 1) / n_samples
@@ -118,8 +126,10 @@ def correspondence_check(n: int, region: IntervalRegion, basis: OscillatorBasis,
     (n + 1/2) omega.  The sampled time average uses a sample count coprime
     with the number of periods to equidistribute phases.  <n|P|n> is read
     off the diagonal recurrence, which needs phi_0..phi_n only, so it does
-    not depend on basis.dim.
+    not depend on basis.dim.  Raises ValueError unless n_periods >= 1.
     """
+    if n_periods < 1:
+        raise ValueError(f"n_periods must be >= 1, got {n_periods}")
     quantum = interval_diagonal(region.lower, region.upper, n + 1)[n]
     amplitude = float(np.sqrt(2.0 * n + 1.0))
     analytic = classical_dwell_fraction(amplitude, region)

@@ -29,6 +29,10 @@ _RESCALE_BITS = 256
 _SPLIT_BITS = 512
 # phi_n(x) underflows for every n < 1e13 beyond this, so clipping x changes no value
 _X_CLIP = 1e7
+# hermite_functions runs the recurrence on Python floats up to this many points
+_FEW_POINTS = 8
+# dim x dim builds and checks go through row blocks of about this many bytes
+_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -195,6 +199,16 @@ def check_positive(value: float, name: str) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def _row_blocks(A):
+    """Slices of consecutive rows of the 2-d array A, about _BLOCK_BYTES each, in order.
+
+    A pass that writes or reads A one block at a time needs temporaries of
+    one block, not of A: they stay in cache and are not paged in afresh.
+    """
+    step = max(1, _BLOCK_BYTES // max(1, A.shape[1] * A.itemsize))
+    return [slice(i, i + step) for i in range(0, A.shape[0], step)]
+
+
 def check_phase(rate: float, t: float, name: str = "t") -> None:
     """Raise ValueError unless the phase rate * |t| is finite.
 
@@ -304,19 +318,48 @@ def _unscaling(e):
     return np.ldexp(1.0, np.maximum(e, -1022 - _SPLIT_BITS) + _SPLIT_BITS)
 
 
+def _few_point_columns(x, n_max: int):
+    """phi_0..phi_{n_max-1} at each point of x, one list per point, on Python floats.
+
+    The unscaled recurrence of `_hermite_rows` (every point has e = 0), with
+    the same operations in the same order, (x sqrt(2/m)) phi_{m-1} -
+    phi_{m-2} sqrt((m-1)/m), from the same numpy phi_0: the values are the
+    vector path's, bit for bit.
+    """
+    up = [math.sqrt(2.0 / m) for m in range(1, n_max)]
+    down = [math.sqrt((m - 1) / m) for m in range(1, n_max)]
+    seeds = (np.pi ** -0.25 * np.exp(-(0.5 * x * x))).tolist()
+    for xj, cur in zip(x.tolist(), seeds):
+        prev, column = 0.0, [cur]
+        for u, d in zip(up, down):
+            prev, cur = cur, (xj * u) * cur - prev * d
+            column.append(cur)
+        yield column
+
+
 def hermite_functions(x, n_max: int) -> np.ndarray:
     """Orthonormal Hermite-Gaussian eigenfunctions phi_0..phi_{n_max-1} at x.
 
-    The rows of the scaled recurrence of `_hermite_rows`, each written
-    straight into its row of the result.  Returns an array of shape
-    (n_max,) + shape(x); n_max = 0 gives an empty one.
+    At most _FEW_POINTS points, none beyond the Gaussian floor (|x| <=
+    37.4, so none is ever rescaled), run the recurrence on Python floats
+    (`_few_point_columns`): interval edges are one or two points, for which
+    numpy's per-call overhead costs more than the arithmetic.  Every other
+    input takes the rows of the scaled recurrence of `_hermite_rows`, each
+    written straight into its row of the result.  Both give the same bits.
+    Returns an array of shape (n_max,) + shape(x); n_max = 0 gives an empty one.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     x = np.asarray(x, dtype=float)
     out = np.empty((n_max, x.size))
-    for _ in _hermite_rows(x, enumerate(out)):
-        pass
+    # on Python floats, where 0.5 x^2 overflows to inf without a warning
+    if n_max and x.size <= _FEW_POINTS and all(0.5 * v * v <= _GAUSSIAN_FLOOR
+                                               for v in x.ravel().tolist()):
+        for j, column in enumerate(_few_point_columns(x.ravel(), n_max)):
+            out[:, j] = column
+    else:
+        for _ in _hermite_rows(x, enumerate(out)):
+            pass
     return out.reshape((n_max,) + x.shape)
 
 

@@ -23,8 +23,9 @@ needs only phi_0..phi_{n} and no dim x dim array.
 from math import erf, isinf
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .oscillator import hermite_functions
+from .oscillator import _row_blocks, hermite_functions
 
 
 def _edge_terms(x, dim: int):
@@ -41,23 +42,41 @@ def _edge_terms(x, dim: int):
 
 
 def interval_overlaps(a: float, b: float, dim: int) -> np.ndarray:
-    """The dim x dim matrix of int_a^b phi_m phi_n dx; a or b may be infinite."""
+    """The dim x dim matrix of int_a^b phi_m phi_n dx; a or b may be infinite.
+
+    The result is allocated once and written one row block of about
+    256 KB at a time (`_row_blocks`): the Wronskian difference, then its
+    quotient by 2(n - m), which row m reads off a window of one vector of
+    2 dim - 1 floats.  Scratch memory is two blocks, O(block x dim), and
+    no dim x dim temporary is paged in.  Each entry keeps the operations
+    of W_b - W_a with W = 0 at an infinite edge, and so its bits and signed
+    zeros: W_b where a = -inf, 0 - W_a where b = inf, 0 - 0 on the whole line.
+    """
     phi, dphi = _edge_terms([x for x in (a, b) if not isinf(x)], dim)
-    columns = zip(phi.T, dphi.T)
+    p, d = phi.T.copy(), dphi.T.copy()          # one row per finite edge
+    out = np.empty((dim, dim))
+    blocks = _row_blocks(out)
+    tmp, wronskian_a = np.empty_like(out[blocks[0]]), np.empty_like(out[blocks[0]])
+    denominators = sliding_window_view(2.0 * np.arange(1 - dim, dim), dim)[::-1]
 
-    def wronskian(x):
-        """phi_m' phi_n - phi_m phi_n' at x."""
-        # zeros where every phi_n vanishes; a scalar 0 gives the same bits, but
-        # glibc then trimmed the heap more and dim-512 passes faulted 3x as often
-        if isinf(x):
-            return np.zeros((dim, dim))
-        p, d = next(columns)
-        return np.outer(d, p) - np.outer(p, d)
+    def wronskian(edge, rows, into):
+        """phi_m' phi_n - phi_m phi_n' at the finite edge `edge`, for the m of `rows`."""
+        np.multiply(d[edge, rows, None], p[edge], out=into)
+        np.subtract(into, np.multiply(p[edge, rows, None], d[edge], out=tmp[:len(into)]),
+                    out=into)
 
-    wronskian_a, wronskian_b = wronskian(a), wronskian(b)
-    n = np.arange(dim)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = (wronskian_b - wronskian_a) / (2.0 * (n[None, :] - n[:, None]))
+        for rows in blocks:
+            block = out[rows]
+            if isinf(b):
+                block[...] = 0.0
+            else:
+                wronskian(-1, rows, block)
+            if not isinf(a):
+                wronskian(0, rows, wronskian_a[:len(block)])
+                block -= wronskian_a[:len(block)]
+            np.divide(block, denominators[rows], out=block)
+    n = np.arange(dim)
     out[n, n] = _diagonal(a, b, phi)
     return out
 

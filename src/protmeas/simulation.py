@@ -232,9 +232,9 @@ def bipartite_protective_sim(P: ProjectorMatrix, schedule: MeasurementSchedule,
     by less than `shift_tol`; otherwise it doubles `steps`, up to REFINEMENTS
     times.  `steps_used` is the accepted rung.  Only the pointer-momentum
     columns chosen by `_kept_columns(grid, shift_tol)` are propagated.
-    Raises ValueError if the phase E_max * duration overflows, and
-    NumericalError if a rung's pointer shift is not finite or the ladder is
-    exhausted without convergence.
+    Raises ValueError if shift_tol is negative or NaN or the phase
+    E_max * duration overflows, and NumericalError if a rung's pointer shift
+    is not finite or the ladder is exhausted without convergence.
 
     `ladder_error` is the full gap |s_2n - s_n| between the last two rungs,
     an estimate of the accepted rung's step error, not a bound.  In the
@@ -243,6 +243,8 @@ def bipartite_protective_sim(P: ProjectorMatrix, schedule: MeasurementSchedule,
     the error at dim 64 and 256 for T = 5, 20 and 40, and at dim 64 for
     T = 100, while at dim 256, T = 100 it read 6.3e-11 against 1.2e-10.
     """
+    if not shift_tol >= 0:
+        raise ValueError(f"shift_tol must be non-negative, got {shift_tol}")
     check_phase(P.basis.energies()[-1], schedule.duration, "duration")
     if pre is None:
         pre = number_state(P.basis, 0)

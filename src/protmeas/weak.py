@@ -44,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PostSelectionError
-from .oscillator import DualState, StateVector, check_phase, check_positive, evolve
+from .oscillator import (DualState, StateVector, _row_blocks, check_phase, check_positive,
+                         evolve)
 
 OVERLAP_FLOOR = 1e-8
 
@@ -114,17 +115,19 @@ def hermitian_defect(A) -> float:
     """max |A - A^H| over the entries; inf if any entry is NaN or infinite.
 
     A NaN or infinite entry makes some entry of A - A^H NaN or infinite
-    (inf - inf is NaN), so the maximum is NaN or inf.  Callers compare the
-    defect with their own tolerance.
+    (inf - inf is NaN), so the maximum is NaN or inf.  A is read in the row
+    blocks of `_row_blocks`, so the temporaries are a block, not a copy of
+    A.  Callers compare the defect with their own tolerance.
     """
     A = np.asarray(A)
     with np.errstate(invalid="ignore"):
-        defect = float(np.max(np.abs(A - A.conj().T)))
+        defect = float(np.max([np.max(np.abs(A[rows] - A[:, rows].conj().T))
+                               for rows in _row_blocks(A)]))
     return defect if defect == defect else np.inf
 
 
 def _require_hermitian(A: np.ndarray):
-    scale = max(1.0, float(np.max(np.abs(A))))
+    scale = max(1.0, float(np.max([np.max(np.abs(A[rows])) for rows in _row_blocks(A)])))
     defect = hermitian_defect(A)
     # an infinite entry makes the scale infinite too, so refuse inf outright
     if defect == np.inf or defect > 1e-10 * scale:

@@ -308,6 +308,9 @@ def test_module_precondition_maps_to_usage_exit(tmp_path, capsys):
     ["ergodic", "--seed", "1", "--periods", "0"],
     ["ergodic", "--seed", "1", "--periods", "-3"],
     ["correspondence", "--periods", "0"],
+    # a window of periods 2 pi / omega that overflows to inf
+    ["ergodic", "--seed", "1", "--omega", "1e-308"],
+    ["correspondence", "--omega", "1e-308"],
 ])
 def test_invalid_parameter_is_usage_exit(args, tmp_path, capsys):
     assert main(args + ["--out", str(tmp_path)]) == 2

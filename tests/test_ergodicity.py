@@ -51,6 +51,37 @@ def test_time_average_validation():
         classical_time_average(1.0, 0.0, 1.0, FULL_LINE, 10.0, 0)
 
 
+_HALF = IntervalRegion(0.5, 1.0)
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: classical_time_average(np.nan, 0.0, 1.0, _HALF, 10.0, 100),
+                 "amplitude", id="time-average-nan-amplitude"),
+    pytest.param(lambda: classical_time_average(-1.0, 0.0, 1.0, _HALF, 10.0, 100),
+                 "amplitude", id="time-average-negative-amplitude"),
+    pytest.param(lambda: classical_time_average(1.0, 0.0, np.nan, _HALF, 10.0, 100),
+                 "omega", id="time-average-nan-omega"),
+    pytest.param(lambda: classical_time_average(1.0, 0.0, np.inf, _HALF, 10.0, 100),
+                 "omega", id="time-average-inf-omega"),
+    pytest.param(lambda: classical_time_average(1.0, 0.0, 1.0, _HALF, 0.0, 100),
+                 "duration", id="time-average-zero-duration"),
+    pytest.param(lambda: classical_time_average(1.0, 0.0, 1.0, _HALF, np.inf, 100),
+                 "duration", id="time-average-inf-duration"),
+    pytest.param(lambda: correspondence_check(50, IntervalRegion(2.0, 4.0),
+                                              OscillatorBasis(dim=128), n_periods=0),
+                 "n_periods", id="correspondence-zero-periods"),
+    pytest.param(lambda: uniform_phase_ensemble(10, 1.0, np.nan, 1),
+                 "omega", id="ensemble-nan-omega"),
+    pytest.param(lambda: ClassicalEnsemble(np.ones(2), np.zeros(2), omega=0.0),
+                 "omega", id="ensemble-zero-omega"),
+])
+def test_averages_refuse_what_they_cannot_average(call, name):
+    # each of these returned a number: 0.0 for a NaN amplitude or omega, the
+    # t = 0 fraction for a zero duration, 0.0 against 0.0665 for no periods
+    with pytest.raises(ValueError, match=name):
+        call()
+
+
 # -------------------------------------------------------- ensemble averages
 
 def test_ensemble_identical_members_inside():

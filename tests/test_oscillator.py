@@ -15,6 +15,7 @@ from protmeas import (ClassicalEnsemble, DualState, IntervalRegion, MeasurementS
                       position_wavefunction, thermal_purification, thermal_weights,
                       two_state_canonical, von_neumann_residual, weak_value,
                       weak_value_series, zeno_protect_sim)
+from protmeas import oscillator
 from protmeas.oscillator import coherent_tail, hermite_functions, required_coherent_dim
 
 from conftest import random_hermitian, random_state
@@ -278,6 +279,19 @@ def test_hermite_rows_match_table_recurrence_at_largest_growth(x, n_max):
     assert np.array_equal(np.signbit(got), np.signbit(want))
     top = number_state(OscillatorBasis(dim=n_max + 1), n_max - 1)
     assert np.array_equal(position_wavefunction(top, np.array(x)), want[-1])
+
+
+def test_few_point_hermite_rows_are_the_vector_rows():
+    # up to _FEW_POINTS points inside the Gaussian floor run on Python floats;
+    # the same points among more take the vector recurrence
+    edge = math.sqrt(2.0 * oscillator._GAUSSIAN_FLOOR)
+    few = np.array([-0.0, 0.0, 37.0, -edge, 1e-300, 0.9, -1.1, 2.5])
+    assert few.size == oscillator._FEW_POINTS
+    vector = hermite_functions(np.append(few, 39.0), 1100)[:, :-1]
+    for cols in (slice(None), slice(0, 1), slice(2, 4)):
+        got, want = hermite_functions(few[cols], 1100), vector[:, cols]
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @settings(max_examples=30, deadline=None)

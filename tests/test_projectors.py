@@ -1,6 +1,7 @@
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from protmeas import (FULL_LINE, IntervalRegion, OscillatorBasis, ProjectorMatri
                       time_averaged_projector)
 from protmeas.projectors import MAX_BINS
 from protmeas.quadrature import interval_overlaps
+from protmeas.weak import hermitian_defect
 
 from conftest import edge_regions
 
@@ -243,9 +245,30 @@ def _per_endpoint_overlaps(a, b, dim):
 
 @pytest.mark.parametrize("dim", [2, 16, 64, 1024])
 def test_interval_overlaps_keep_the_per_endpoint_arithmetic(dim):
+    # |x| = 37 runs the few-point Hermite recurrence, |x| = 39 the scaled vector
+    # one; array_equal takes -0.0 for 0.0, so the sign bits are compared too
     for a, b in [(-np.inf, 1.0), (1.0, np.inf), (-0.7, 1.3), (-np.inf, np.inf),
-                 (39.0, np.inf), (0.975, 1.025)]:
-        assert np.array_equal(interval_overlaps(a, b, dim), _per_endpoint_overlaps(a, b, dim))
+                 (39.0, np.inf), (0.975, 1.025), (37.0, np.inf), (-np.inf, -37.0),
+                 (-np.inf, -39.0), (-39.0, 37.0), (-37.0, 39.0), (37.0, 39.0)]:
+        got, want = interval_overlaps(a, b, dim), _per_endpoint_overlaps(a, b, dim)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_interval_overlaps_and_their_check_stay_near_the_result_size():
+    # the result is 2 MB; whole-matrix outer products and copies peaked at 10 MB
+    tracemalloc.start()
+    try:
+        entries = interval_overlaps(0.9, 1.1, 512)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        hermitian_defect(entries)
+        check_added = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert build_peak < 1.5 * entries.nbytes
+    assert check_added < 1e6
 
 
 @pytest.mark.parametrize("dim", [2, 16, 64, 512, 1024])

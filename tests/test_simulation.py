@@ -82,6 +82,16 @@ def test_step_ladder_non_convergence_raises(basis32, tail_projector):
                                  steps=64, shift_tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [-1.0, np.nan])
+def test_bipartite_refuses_a_negative_or_nan_shift_tol(tol, monkeypatch):
+    # refused before the ladder, which ran all six doublings and then raised
+    # NumericalError for what is a parameter error
+    P = projector_matrix(IntervalRegion(0.0, np.inf), OscillatorBasis(dim=16))
+    monkeypatch.setattr(simulation, "_rungs", None)
+    with pytest.raises(ValueError, match="shift_tol"):
+        bipartite_protective_sim(P, MeasurementSchedule(5.0), shift_tol=tol)
+
+
 def test_bipartite_names_an_overflowing_window():
     # E_max T = 15e308 overflows: named before any NaN rung, with no RuntimeWarning
     P = projector_matrix(IntervalRegion(0.0, np.inf), OscillatorBasis(dim=16))

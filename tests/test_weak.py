@@ -90,6 +90,20 @@ def test_hermitian_check_rejects_non_finite_entries(basis, bad):
     assert weak_module.hermitian_defect(diagonal) == np.inf
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_hermitian_defect_over_row_blocks_is_the_dense_maximum(dtype):
+    # 700 rows span several row blocks, the last one partial
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(700, 700)).astype(dtype)
+    A = A + A.conj().T
+    A[699, 3] += 1e-9
+    assert weak_module.hermitian_defect(A) == np.max(np.abs(A - A.conj().T))
+    A[698, 698] = np.inf
+    assert weak_module.hermitian_defect(A) == np.inf
+    with pytest.raises(ValueError, match="not Hermitian"):
+        weak_module._require_hermitian(A)
+
+
 # -------------------------------------------------------------- weak value
 
 def test_weak_value_trivial_post_selection_is_expectation(basis, rng):

@@ -18,6 +18,14 @@ Both need only phi_0..phi_dim at the finite edges (`_edge_terms`); an
 infinite edge contributes nothing, since every phi_n vanishes there.  The
 diagonal alone (`interval_diagonal`, the dwell probabilities <n|P_V|n>)
 needs only phi_0..phi_{n} and no dim x dim array.
+
+An interval has one or two finite edges, for which `hermite_functions`
+runs its recurrence on Python floats; the many edges of a sketch take its
+vector path.  With the edge terms in hand a dim-512 projector costs little
+arithmetic, and whole-matrix temporaries (outer products, their
+difference, an n - m matrix) used to cost more in fresh pages than the
+arithmetic did.  So `interval_overlaps` writes its result one row block
+at a time, and a build allocates its output and two blocks of scratch.
 """
 
 from math import erf, isinf

@@ -63,7 +63,6 @@ PARAMS = {
     "n_samples": (int, 100_001),
     "periods": (int, 1000),
     "ensemble_n": (int, 100_000),
-    "pointer_points": (int, 512),
     "pointer_sigma": (float, 10.0),
     "shift_tol": (float, 1e-4),
 }
@@ -169,13 +168,13 @@ def run_heisenberg(*, dim, omega, zero_point, a, b, T, max_index, t):
 
 
 def run_bipartite(*, dim, omega, zero_point, a, b, T, ramp,
-                  steps=simulation.LADDER_START, pointer_points, pointer_sigma, shift_tol):
+                  steps=simulation.LADDER_START, pointer_sigma, shift_tol):
     basis = _basis(dim, omega, zero_point)
     region = _checked(IntervalRegion, a, b)
     schedule = _checked(MeasurementSchedule, T, ramp, steps)
     _phase_time(basis, "T", T)
     P = projector_matrix(region, basis)
-    grid = _checked(simulation.PointerGrid, points=pointer_points, sigma=pointer_sigma)
+    grid = _checked(simulation.PointerGrid, sigma=pointer_sigma)
     result = _checked(simulation.bipartite_protective_sim,
                       P, schedule, grid=grid, steps=steps, shift_tol=shift_tol)
     ref = expectation(P, number_state(basis, 0))

@@ -189,7 +189,7 @@ def coherent_state(basis: OscillatorBasis, alpha: complex) -> StateVector:
         return number_state(basis, 0)
     n = np.arange(basis.dim)
     # log-domain to keep n! under control for large dim
-    log_fact = np.array([math.lgamma(k + 1.0) for k in n])
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(basis.dim)])
     log_mag = -abs(alpha) ** 2 / 2 + n * np.log(abs(alpha)) - log_fact / 2
     amps = np.exp(log_mag) * np.exp(1j * np.angle(alpha) * n)
     return StateVector(amps, basis)

@@ -264,7 +264,7 @@ def test_module_precondition_maps_to_usage_exit(tmp_path, capsys):
     ["two-state", "--w", "0"],
     ["two-state", "--ramp", "0.7"],
     ["sketch", "--n", "64"],
-    ["bipartite", "--pointer-points", "100"],
+    ["bipartite", "--pointer-sigma", "0"],
     ["thermal", "--beta", "0"],
     ["ergodic", "--seed", "1", "--amplitude", "0"],
     ["ergodic", "--seed", "1", "--omega", "0"],
@@ -391,8 +391,7 @@ def test_library_fault_is_not_a_usage_error(tmp_path, monkeypatch):
 
 def test_numerical_failure_exit_code(tmp_path):
     code = main(["bipartite", "--T", "2", "--steps", "64", "--dim", "16",
-                 "--pointer-points", "64", "--shift-tol", "0",
-                 "--out", str(tmp_path)])
+                 "--shift-tol", "0", "--out", str(tmp_path)])
     assert code == 3
 
 

@@ -80,6 +80,18 @@ def test_coherent_mean_occupation(basis):
     assert mean_n == pytest.approx(6.25, abs=1e-8)
 
 
+@pytest.mark.parametrize("dim", [512, 4096])
+def test_coherent_amplitudes_match_numpy_integer_log_factorials(dim):
+    # log n! on Python ints gives the same bits as on numpy int64 scalars
+    basis, alpha = OscillatorBasis(dim=dim), 12.0 - 5.0j
+    n = np.arange(dim)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in n])
+    log_mag = -abs(alpha) ** 2 / 2 + n * np.log(abs(alpha)) - log_fact / 2
+    amps = np.exp(log_mag) * np.exp(1j * np.angle(alpha) * n)
+    assert np.array_equal(coherent_state(basis, alpha).amplitudes,
+                          StateVector(amps, basis).amplitudes)
+
+
 def test_coherent_truncation_error_names_required_dim():
     b = OscillatorBasis(dim=8)
     with pytest.raises(TruncationError) as err:

@@ -92,6 +92,19 @@ def test_projector_is_a_compressed_projection(a, b, dim):
         assert P[n, n].real == pytest.approx(oracle, abs=1e-10)
 
 
+@settings(max_examples=40, deadline=None)
+@given(a=ENDPOINTS, b=ENDPOINTS, dim=st.integers(2, 1024))
+@example(a=-math.inf, b=0.0, dim=2)
+@example(a=0.975, b=1.025, dim=1024)
+@example(a=37.0, b=math.inf, dim=1024)
+def test_projector_entries_are_exactly_symmetric(a, b, dim):
+    # fl(d_m p_n) = fl(p_n d_m) makes each entry's Wronskian the exact
+    # negation of its transpose's, so the symmetry holds bit for bit
+    assume(a < b)
+    P = projector_matrix(IntervalRegion(a, b), OscillatorBasis(dim)).entries
+    assert np.array_equal(P, P.T)
+
+
 def test_deep_tail_diagonal_matches_grid_sum():
     # [39, inf) lies where exp(-x^2/2) underflows; phi_1023 is O(0.1) there
     P = projector_matrix(IntervalRegion(39.0, np.inf), OscillatorBasis(1024))

@@ -1,5 +1,31 @@
 """Protective measurements on a harmonic oscillator with pre- and post-selection."""
 
+import os
+import sys
+
+
+def _import_numpy_with_one_blas_thread():
+    """Import numpy with OpenBLAS at one thread, unless the caller chose already.
+
+    At the dims this package runs, no BLAS call is large enough for a second
+    thread to help, and the idle helper thread spins when the library loads
+    and after each threaded call.  OpenBLAS reads these variables once, when
+    it loads, so the one set here is removed after numpy's import: the
+    environment of the caller and of child processes stays as it was.
+    """
+    if "numpy" in sys.modules or any(
+            name in os.environ
+            for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+_import_numpy_with_one_blas_thread()
+
 from .errors import (NumericalError, PostSelectionError, ProtmeasError,
                      TruncationError, UsageError)
 from .oscillator import (DualState, OscillatorBasis, StateVector, backward_state,

@@ -211,6 +211,21 @@ def _row_blocks(A):
     return [slice(i, i + step) for i in range(0, A.shape[0], step)]
 
 
+def hermitian_defect(A) -> float:
+    """max |A - A^H| over the entries; inf if any entry is NaN or infinite.
+
+    A NaN or infinite entry makes some entry of A - A^H NaN or infinite
+    (inf - inf is NaN), so the maximum is NaN or inf.  A is read in the row
+    blocks of `_row_blocks`, so the temporaries are a block, not a copy of
+    A.  Callers compare the defect with their own tolerance.
+    """
+    A = np.asarray(A)
+    with np.errstate(invalid="ignore"):
+        defect = float(np.max([np.max(np.abs(A[rows] - A[:, rows].conj().T))
+                               for rows in _row_blocks(A)]))
+    return defect if defect == defect else np.inf
+
+
 def check_phase(rate: float, t: float, name: str = "t") -> None:
     """Raise ValueError unless the phase rate * |t| is finite.
 

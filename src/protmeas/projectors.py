@@ -14,9 +14,8 @@ from math import inf
 
 import numpy as np
 
-from .oscillator import OscillatorBasis, check_phase
+from .oscillator import OscillatorBasis, check_phase, hermitian_defect
 from .quadrature import interval_overlaps
-from .weak import hermitian_defect
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,12 @@ FULL_LINE = IntervalRegion(-np.inf, np.inf)
 
 @dataclass(frozen=True, eq=False)
 class ProjectorMatrix:
-    """Dense real symmetric matrix of P_V on a truncated basis."""
+    """Dense real symmetric matrix of P_V on a truncated basis.
+
+    Entries are checked for Hermiticity once, when the object is made, so
+    the functions that take one (`expectation`, `pointer_trace`) do not
+    check them again.
+    """
 
     entries: np.ndarray
     region: IntervalRegion
@@ -52,9 +56,17 @@ class ProjectorMatrix:
 
 
 def projector_matrix(region: IntervalRegion, basis: OscillatorBasis) -> ProjectorMatrix:
-    """Build P_V from the exact antiderivatives of phi_m phi_n."""
+    """Build P_V from the exact antiderivatives of phi_m phi_n.
+
+    `interval_overlaps` gives an exactly symmetric matrix, since
+    fl(d_m p_n) = fl(p_n d_m) (`test_projector_entries_are_exactly_symmetric`),
+    so the result skips the Hermiticity pass; its entries are read-only.
+    """
     entries = interval_overlaps(region.lower, region.upper, basis.dim)
-    return ProjectorMatrix(entries, region, basis)
+    entries.flags.writeable = False
+    P = object.__new__(ProjectorMatrix)   # bypasses __init__ and so the pass
+    P.__dict__.update(entries=entries, region=region, basis=basis)
+    return P
 
 
 def _phases(basis: OscillatorBasis, t: float) -> np.ndarray:

@@ -45,7 +45,8 @@ import numpy as np
 
 from .errors import PostSelectionError
 from .oscillator import (DualState, StateVector, _row_blocks, check_phase, check_positive,
-                         evolve)
+                         evolve, hermitian_defect)
+from .projectors import ProjectorMatrix
 
 OVERLAP_FLOOR = 1e-8
 
@@ -111,22 +112,11 @@ def as_matrix(A) -> np.ndarray:
     return np.asarray(getattr(A, "entries", A))
 
 
-def hermitian_defect(A) -> float:
-    """max |A - A^H| over the entries; inf if any entry is NaN or infinite.
-
-    A NaN or infinite entry makes some entry of A - A^H NaN or infinite
-    (inf - inf is NaN), so the maximum is NaN or inf.  A is read in the row
-    blocks of `_row_blocks`, so the temporaries are a block, not a copy of
-    A.  Callers compare the defect with their own tolerance.
-    """
-    A = np.asarray(A)
-    with np.errstate(invalid="ignore"):
-        defect = float(np.max([np.max(np.abs(A[rows] - A[:, rows].conj().T))
-                               for rows in _row_blocks(A)]))
-    return defect if defect == defect else np.inf
-
-
-def _require_hermitian(A: np.ndarray):
+def _require_hermitian(A):
+    """Refuse a non-Hermitian operator; a ProjectorMatrix was checked when it was made."""
+    if isinstance(A, ProjectorMatrix):
+        return
+    A = as_matrix(A)
     scale = max(1.0, float(np.max([np.max(np.abs(A[rows])) for rows in _row_blocks(A)])))
     defect = hermitian_defect(A)
     # an infinite entry makes the scale infinite too, so refuse inf outright
@@ -136,8 +126,8 @@ def _require_hermitian(A: np.ndarray):
 
 def expectation(A, state: StateVector) -> float:
     """<state|A|state> for Hermitian A; the roundoff imaginary part is dropped."""
+    _require_hermitian(A)
     mat = as_matrix(A)
-    _require_hermitian(mat)
     val = complex(np.vdot(state.amplitudes, mat @ state.amplitudes))
     return val.real
 
@@ -275,7 +265,7 @@ def pointer_trace(schedule: MeasurementSchedule, pre: StateVector, A,
     """
     times = schedule.times
     if post is None:
-        _require_hermitian(as_matrix(A))
+        _require_hermitian(A)
         post = evolve(pre, schedule.duration).dual()
     try:
         values = weak_value_series(A, pre, post, times, schedule.duration).real

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy import integrate
 
-from protmeas import (FULL_LINE, IntervalRegion, OscillatorBasis, ProjectorMatrix,
-                      bin_edges, bin_probabilities, coherent_state, evolve,
-                      expectation, heisenberg_projector, hermite_functions,
-                      interval_diagonal, number_state, projector_matrix,
+import protmeas.projectors as projectors_module
+import protmeas.weak as weak_module
+from protmeas import (FULL_LINE, IntervalRegion, MeasurementSchedule, OscillatorBasis,
+                      ProjectorMatrix, bin_edges, bin_probabilities, coherent_state,
+                      evolve, expectation, heisenberg_projector, hermite_functions,
+                      interval_diagonal, number_state, pointer_trace, projector_matrix,
                       time_averaged_projector)
 from protmeas.projectors import MAX_BINS
 from protmeas.quadrature import interval_overlaps
@@ -319,6 +321,32 @@ def test_projector_rejects_non_finite_entries(bad):
     entries[1, 2] = bad
     with pytest.raises(ValueError, match="not Hermitian"):
         ProjectorMatrix(entries, FULL_LINE, OscillatorBasis(dim=4))
+
+
+def test_a_built_projector_is_not_checked_again(monkeypatch):
+    # projector_matrix's entries are exactly symmetric (pinned above), so
+    # neither the build nor a call taking the result makes a Hermiticity pass;
+    # caller entries get one pass, when their ProjectorMatrix is made
+    calls = []
+
+    def counted(A):
+        calls.append(A)
+        return hermitian_defect(A)
+    monkeypatch.setattr(projectors_module, "hermitian_defect", counted)
+    monkeypatch.setattr(weak_module, "hermitian_defect", counted)
+    basis = OscillatorBasis(dim=32)
+    pre = coherent_state(basis, 1.0)
+    P = projector_matrix(IntervalRegion(0.0, 1.0), basis)
+    pointer_trace(MeasurementSchedule(5.0, 0.1, 16), pre, P)
+    expectation(P, pre)
+    assert calls == []
+    with pytest.raises(ValueError, match="read-only"):
+        P.entries[0, 1] = 1.0
+    made = ProjectorMatrix(P.entries.copy(), P.region, basis)
+    expectation(made, pre)
+    assert len(calls) == 1
+    expectation(P.entries, pre)
+    assert len(calls) == 2
 
 
 def _magnitude_sums(c, edges):

@@ -40,9 +40,9 @@ FULL_LINE = IntervalRegion(-np.inf, np.inf)
 class ProjectorMatrix:
     """Dense real symmetric matrix of P_V on a truncated basis.
 
-    Entries are checked for Hermiticity once, when the object is made, so
-    the functions that take one (`expectation`, `pointer_trace`) do not
-    check them again.
+    Entries are checked for Hermiticity once, when the object is made, and
+    kept read-only, so the functions that take one (`expectation`,
+    `pointer_trace`) do not check them again.
     """
 
     entries: np.ndarray
@@ -50,9 +50,13 @@ class ProjectorMatrix:
     basis: OscillatorBasis
 
     def __post_init__(self):
-        h = hermitian_defect(self.entries)
+        # a read-only copy: a later write to the caller's array cannot undo the check
+        entries = np.array(self.entries)
+        entries.flags.writeable = False
+        h = hermitian_defect(entries)
         if h > 1e-10:
             raise ValueError(f"projector entries not Hermitian (defect {h:.3e})")
+        object.__setattr__(self, "entries", entries)
 
 
 def projector_matrix(region: IntervalRegion, basis: OscillatorBasis) -> ProjectorMatrix:

@@ -342,8 +342,10 @@ def test_a_built_projector_is_not_checked_again(monkeypatch):
     assert calls == []
     with pytest.raises(ValueError, match="read-only"):
         P.entries[0, 1] = 1.0
-    made = ProjectorMatrix(P.entries.copy(), P.region, basis)
-    expectation(made, pre)
+    entries = P.entries.copy()
+    made = ProjectorMatrix(entries, P.region, basis)
+    entries[0, 1] = 1.0   # a write to the caller's array does not reach the checked copy
+    assert expectation(made, pre) == expectation(P, pre)
     assert len(calls) == 1
     expectation(P.entries, pre)
     assert len(calls) == 2

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oscillator import OscillatorBasis, check_positive
+from .oscillator import _BLOCK_BYTES, OscillatorBasis, check_positive
 from .projectors import IntervalRegion
 from .quadrature import interval_diagonal
 
@@ -80,17 +80,28 @@ def classical_time_average(amplitude: float, phase: float, omega: float,
                            n_samples: int) -> float:
     """Fraction of sample times j*T/n at which the trajectory lies in `region`.
 
-    Raises ValueError naming the parameter unless amplitude, omega and
-    duration are positive and finite and n_samples >= 1.
+    The positions amplitude * cos(omega * (T * j / n) + phase) are formed
+    in place, in blocks of _BLOCK_BYTES of floats, so memory does not
+    depend on n_samples.  Raises ValueError naming the parameter unless
+    amplitude, omega and duration are positive and finite and n_samples >= 1.
     """
     check_positive(amplitude, "amplitude")
     check_positive(omega, "omega")
     check_positive(duration, "duration")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    t = duration * np.arange(1, n_samples + 1) / n_samples
-    x = amplitude * np.cos(omega * t + phase)
-    return float(np.count_nonzero(region.contains(x)) / n_samples)
+    block = _BLOCK_BYTES // np.dtype(float).itemsize
+    inside = 0
+    for start in range(1, n_samples + 1, block):
+        x = np.arange(start, min(start + block, n_samples + 1), dtype=float)
+        x *= duration
+        x /= n_samples
+        x *= omega
+        x += phase
+        np.cos(x, out=x)
+        x *= amplitude
+        inside += int(np.count_nonzero(region.contains(x)))
+    return float(inside / n_samples)
 
 
 def classical_ensemble_average(ensemble: ClassicalEnsemble, region: IntervalRegion,

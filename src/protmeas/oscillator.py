@@ -266,7 +266,10 @@ def _hermite_rows(x, targets):
     three-term recurrence on the normalized functions
     phi_{n+1} = sqrt(2/(n+1)) x phi_n - sqrt(n/(n+1)) phi_{n-1},
     which never forms raw Hermite polynomials and stays finite for large n,
-    in preallocated buffers, so a row costs four passes and allocates nothing.
+    on three buffers: a row forms (x sqrt(2/m)) psi_{m-1} in the scratch
+    buffer, scales psi_{m-2} in place and overwrites it with the
+    difference, so it allocates nothing.  The operands and their order are
+    those of the formula, so the bits do not depend on the buffers.
     Every point carries an integer exponent e and the recurrence runs on
     psi_n = phi_n 2^-e.  e is 0 where exp(-x^2/2) is a normal float; beyond
     (|x| > 37.4) it takes up the Gaussian factor and every later rescaling
@@ -295,15 +298,15 @@ def _hermite_rows(x, targets):
         cadence = int(_RESCALE_BITS // math.log2(growth))
     scale = None
     prev, cur = np.zeros_like(x), np.pi ** -0.25 * np.exp(-half_sq)
-    a, b = np.empty_like(x), np.empty_like(x)
+    a = np.empty_like(x)
     m = 0
     for n, out in targets:
         while m < n:
             m += 1
             np.multiply(x, math.sqrt(2.0 / m), out=a)
-            np.multiply(a, cur, out=b)
-            np.multiply(prev, math.sqrt((m - 1) / m), out=a)
-            np.subtract(b, a, out=prev)
+            a *= cur
+            prev *= math.sqrt((m - 1) / m)
+            np.subtract(a, prev, out=prev)
             prev, cur = cur, prev
             if scaled and (m % cadence in (0, cadence - 1) or m == n):
                 big = np.abs(cur) > 2.0 ** _RESCALE_BITS
@@ -343,8 +346,10 @@ def _few_point_columns(x, n_max: int):
     phi_{m-2} sqrt((m-1)/m), from the same numpy phi_0: the values are the
     vector path's, bit for bit.
     """
-    up = [math.sqrt(2.0 / m) for m in range(1, n_max)]
-    down = [math.sqrt((m - 1) / m) for m in range(1, n_max)]
+    m = np.arange(1, n_max, dtype=float)
+    # IEEE division and sqrt round correctly, so these are math.sqrt's floats
+    up = np.sqrt(2.0 / m).tolist()
+    down = np.sqrt((m - 1.0) / m).tolist()
     seeds = (np.pi ** -0.25 * np.exp(-(0.5 * x * x))).tolist()
     for xj, cur in zip(x.tolist(), seeds):
         prev, column = 0.0, [cur]

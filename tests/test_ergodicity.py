@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -49,6 +51,35 @@ def test_time_average_converges_with_samples():
 def test_time_average_validation():
     with pytest.raises(ValueError):
         classical_time_average(1.0, 0.0, 1.0, FULL_LINE, 10.0, 0)
+
+
+@pytest.mark.parametrize("n", [1, 7, 32_768, 32_769, 3 * 32_768 + 1_001])
+def test_time_average_counts_the_one_array_samples(n):
+    # the blocked, in-place evaluation gives every sample the bits of this
+    # one-array expression: an edge placed on a sample counts that sample
+    # only if it does, in the first, a middle and the last (partial) block
+    amplitude, phase, omega, duration = 1.7, 0.3, 2.1, 1000 * 2 * np.pi
+    x = amplitude * np.cos(omega * (duration * np.arange(1, n + 1) / n) + phase)
+    for edge in x[[0, n // 2, n - 1]]:
+        for region in (IntervalRegion(edge, np.inf), IntervalRegion(-np.inf, edge),
+                       IntervalRegion(edge, edge + 0.5)):
+            want = np.count_nonzero(region.contains(x)) / n
+            assert classical_time_average(amplitude, phase, omega, region, duration,
+                                          n) == want
+
+
+def test_time_average_memory_does_not_grow_with_samples():
+    # one array of the 10^6 sample positions alone is 8 MB
+    n = 1_000_000
+    tracemalloc.start()
+    try:
+        avg = classical_time_average(1.0, 0.0, 1.0, IntervalRegion(0.5, 1.0),
+                                     1000 * 2 * np.pi, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert abs(avg - 1.0 / 3.0) < 2.0 / np.sqrt(n)
 
 
 _HALF = IntervalRegion(0.5, 1.0)

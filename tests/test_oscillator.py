@@ -356,6 +356,21 @@ def test_position_wavefunction_of_top_level_is_bounded():
     assert float(np.sum(np.abs(psi) ** 2)) * (x[1] - x[0]) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_position_wavefunction_works_in_a_few_point_arrays():
+    # about half of these points lie beyond |x| = 37.4, where the scaled
+    # recurrence keeps an exponent per point; a rows x points table would
+    # need about 1000 arrays of the point count
+    top = number_state(OscillatorBasis(dim=1024), 1023)
+    x = np.linspace(-50.0, -25.0, 2500)
+    tracemalloc.start()
+    try:
+        position_wavefunction(top, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * x.nbytes
+
+
 def test_coherent_tail_matches_regularized_gamma():
     for alpha in (0.3, 1.0, 2.5, 3.5, 12.0):
         for dim in (2, 5, 10, 20, 40, 64, 150, 300):

@@ -9,7 +9,7 @@ from protmeas import (ClassicalEnsemble, IntervalRegion, OscillatorBasis,
                       classical_time_average, correspondence_check,
                       expectation, number_state, projector_matrix,
                       uniform_phase_ensemble)
-from protmeas import projectors, quadrature
+from protmeas import oscillator, projectors, quadrature
 from protmeas.ergodicity import sampling_error
 from protmeas.projectors import FULL_LINE
 
@@ -53,7 +53,10 @@ def test_time_average_validation():
         classical_time_average(1.0, 0.0, 1.0, FULL_LINE, 10.0, 0)
 
 
-@pytest.mark.parametrize("n", [1, 7, 32_768, 32_769, 3 * 32_768 + 1_001])
+_BLOCK = oscillator._BLOCK_BYTES // 8   # samples in one block of the time average
+
+
+@pytest.mark.parametrize("n", [1, 7, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 1_001])
 def test_time_average_counts_the_one_array_samples(n):
     # the blocked, in-place evaluation gives every sample the bits of this
     # one-array expression: an edge placed on a sample counts that sample

@@ -143,6 +143,8 @@ def run_pointer_trace(*, dim, omega, zero_point, T, ramp, steps, x0, w, alpha, d
     print(f"relative_gap={gap!r}")
     if sel.flagged:
         print(f"flagged_points={sel.times.size}")
+    if alpha2 is not None and sel2.flagged:
+        print(f"flagged_points_alpha2={sel2.times.size}")
     return ResultTable(columns), plots
 
 

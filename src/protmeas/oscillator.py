@@ -211,6 +211,11 @@ def _row_blocks(A):
     return [slice(i, i + step) for i in range(0, A.shape[0], step)]
 
 
+def _real_matmul(W, S):
+    """W @ S for real W and complex S, as one real product on S's (re, im) pairs."""
+    return (W @ np.ascontiguousarray(S).view(np.float64)).view(np.complex128)
+
+
 def hermitian_defect(A) -> float:
     """max |A - A^H| over the entries; inf if any entry is NaN or infinite.
 

@@ -9,12 +9,12 @@ averaging those phases over a measurement window suppresses every
 off-diagonal entry by at least 2 / (|m-n| omega T).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import inf
 
 import numpy as np
 
-from .oscillator import OscillatorBasis, check_phase, hermitian_defect
+from .oscillator import OscillatorBasis, check_phase
 from .quadrature import interval_overlaps
 
 
@@ -38,39 +38,26 @@ FULL_LINE = IntervalRegion(-np.inf, np.inf)
 
 @dataclass(frozen=True, eq=False)
 class ProjectorMatrix:
-    """Dense real symmetric matrix of P_V on a truncated basis.
+    """P_V for `region` on the truncated `basis`, as a dense real symmetric matrix.
 
-    Entries are checked for Hermiticity once, when the object is made, and
-    kept read-only, so the functions that take one (`expectation`,
-    `pointer_trace`) do not check them again.
+    `entries` are read-only `interval_overlaps` of the region on the basis,
+    exactly symmetric since fl(d_m p_n) = fl(p_n d_m), so `expectation` and
+    `pointer_trace` make no Hermiticity pass on them.  Other matrices are passed bare.
     """
 
-    entries: np.ndarray
     region: IntervalRegion
     basis: OscillatorBasis
+    entries: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        # a read-only copy: a later write to the caller's array cannot undo the check
-        entries = np.array(self.entries)
+        entries = interval_overlaps(self.region.lower, self.region.upper, self.basis.dim)
         entries.flags.writeable = False
-        h = hermitian_defect(entries)
-        if h > 1e-10:
-            raise ValueError(f"projector entries not Hermitian (defect {h:.3e})")
         object.__setattr__(self, "entries", entries)
 
 
 def projector_matrix(region: IntervalRegion, basis: OscillatorBasis) -> ProjectorMatrix:
-    """Build P_V from the exact antiderivatives of phi_m phi_n.
-
-    `interval_overlaps` gives an exactly symmetric matrix, since
-    fl(d_m p_n) = fl(p_n d_m) (`test_projector_entries_are_exactly_symmetric`),
-    so the result skips the Hermiticity pass; its entries are read-only.
-    """
-    entries = interval_overlaps(region.lower, region.upper, basis.dim)
-    entries.flags.writeable = False
-    P = object.__new__(ProjectorMatrix)   # bypasses __init__ and so the pass
-    P.__dict__.update(entries=entries, region=region, basis=basis)
-    return P
+    """Build P_V from the exact antiderivatives of phi_m phi_n: `ProjectorMatrix(region, basis)`."""
+    return ProjectorMatrix(region, basis)
 
 
 def _phases(basis: OscillatorBasis, t: float) -> np.ndarray:

@@ -42,7 +42,8 @@ from math import pi, sqrt
 import numpy as np
 
 from .errors import NumericalError
-from .oscillator import StateVector, check_phase, check_positive, hamiltonian, number_state
+from .oscillator import (StateVector, _real_matmul, check_phase, check_positive, hamiltonian,
+                         number_state)
 from .projectors import ProjectorMatrix
 from .weak import MeasurementSchedule, as_matrix
 
@@ -86,11 +87,6 @@ def _phase(x: np.ndarray) -> np.ndarray:
     np.cos(x, out=out.real)
     np.sin(-x, out=out.imag)
     return out
-
-
-def _real_matmul(W, S):
-    """W @ S for real W and complex S, as one real product on S's (re, im) pairs."""
-    return (W @ np.ascontiguousarray(S).view(np.float64)).view(np.complex128)
 
 
 def _strang_ramp(S, W, energies, lam, p, schedule: MeasurementSchedule, t0: float,

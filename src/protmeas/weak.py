@@ -44,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PostSelectionError
-from .oscillator import (DualState, StateVector, _row_blocks, check_phase, check_positive,
-                         evolve, hermitian_defect)
+from .oscillator import (DualState, StateVector, _real_matmul, _row_blocks, check_phase,
+                         check_positive, evolve, hermitian_defect)
 from .projectors import ProjectorMatrix
 
 OVERLAP_FLOOR = 1e-8
@@ -113,7 +113,7 @@ def as_matrix(A) -> np.ndarray:
 
 
 def _require_hermitian(A):
-    """Refuse a non-Hermitian operator; a ProjectorMatrix was checked when it was made."""
+    """Refuse a non-Hermitian operator; a ProjectorMatrix is exactly symmetric as built."""
     if isinstance(A, ProjectorMatrix):
         return
     A = as_matrix(A)
@@ -128,8 +128,10 @@ def expectation(A, state: StateVector) -> float:
     """<state|A|state> for Hermitian A; the roundoff imaginary part is dropped."""
     _require_hermitian(A)
     mat = as_matrix(A)
-    val = complex(np.vdot(state.amplitudes, mat @ state.amplitudes))
-    return val.real
+    a = state.amplitudes
+    # a real A acts on the (re, im) pairs of a: `mat @ a` would make a complex copy of A
+    Aa = _real_matmul(mat, a[:, None])[:, 0] if np.isrealobj(mat) else mat @ a
+    return complex(np.vdot(a, Aa)).real
 
 
 def post_selection_overlap(pre: StateVector, post: DualState, duration: float) -> complex:

@@ -135,6 +135,20 @@ def test_pointer_trace_below_the_floor_is_flagged_not_failed(tmp_path, capsys):
     assert [ln.split(",")[col] for ln in lines[1:]] == ["0.0"] * 17
 
 
+def test_a_flagged_alpha2_trace_is_reported(tmp_path, capsys):
+    # alpha 2.5 stays above the overlap floor, alpha2 6.2 falls below it
+    assert main(["pointer-trace", "--dim", "128", "--alpha", "2.5", "--alpha2", "6.2", "--T", "5",
+                 "--steps", "16", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "flagged_points_alpha2=17\n" in out
+    assert "flagged_points=" not in out
+    lines = read(tmp_path / "pointer_trace.csv").decode().splitlines()
+    header = lines[0].split(",")
+    for name in ("reading_alpha2", "wv_re_alpha2"):
+        col = header.index(name)
+        assert [ln.split(",")[col] for ln in lines[1:]] == ["0.0"] * 17
+
+
 def test_sketch_matches_quadrature_oracle(tmp_path):
     assert main(["sketch", "--bin-width", "0.1", "--L", "4", "--out", str(tmp_path)]) == 0
     lines = read(tmp_path / "sketch.csv").decode().splitlines()

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy import integrate
 
-import protmeas.projectors as projectors_module
 import protmeas.weak as weak_module
 from protmeas import (FULL_LINE, IntervalRegion, MeasurementSchedule, OscillatorBasis,
                       ProjectorMatrix, bin_edges, bin_probabilities, coherent_state,
@@ -315,24 +314,29 @@ def test_interval_diagonal_is_the_overlap_diagonal(dim):
             interval_diagonal(a, b, 3)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_projector_rejects_non_finite_entries(bad):
-    entries = np.eye(4)
-    entries[1, 2] = bad
-    with pytest.raises(ValueError, match="not Hermitian"):
-        ProjectorMatrix(entries, FULL_LINE, OscillatorBasis(dim=4))
+@pytest.mark.parametrize("dim", [2, 64, 512])
+def test_projector_entries_are_the_interval_overlaps(dim):
+    # a ProjectorMatrix has one construction path: its entries come from its region and basis
+    for a, b in [(-0.7, 1.3), (0.975, 1.025), (-np.inf, 0.0), (1.0, np.inf), (37.0, np.inf),
+                 (-np.inf, np.inf)]:
+        P = ProjectorMatrix(IntervalRegion(a, b), OscillatorBasis(dim))
+        want = interval_overlaps(a, b, dim)
+        assert np.array_equal(P.entries, want)
+        assert np.array_equal(np.signbit(P.entries), np.signbit(want))
+        assert np.array_equal(projector_matrix(P.region, P.basis).entries, want)
+    with pytest.raises(TypeError):
+        ProjectorMatrix(np.eye(dim), FULL_LINE, OscillatorBasis(dim))
 
 
 def test_a_built_projector_is_not_checked_again(monkeypatch):
-    # projector_matrix's entries are exactly symmetric (pinned above), so
+    # a ProjectorMatrix's entries are exactly symmetric (pinned above), so
     # neither the build nor a call taking the result makes a Hermiticity pass;
-    # caller entries get one pass, when their ProjectorMatrix is made
+    # a bare matrix gets one pass per call
     calls = []
 
     def counted(A):
         calls.append(A)
         return hermitian_defect(A)
-    monkeypatch.setattr(projectors_module, "hermitian_defect", counted)
     monkeypatch.setattr(weak_module, "hermitian_defect", counted)
     basis = OscillatorBasis(dim=32)
     pre = coherent_state(basis, 1.0)
@@ -342,13 +346,8 @@ def test_a_built_projector_is_not_checked_again(monkeypatch):
     assert calls == []
     with pytest.raises(ValueError, match="read-only"):
         P.entries[0, 1] = 1.0
-    entries = P.entries.copy()
-    made = ProjectorMatrix(entries, P.region, basis)
-    entries[0, 1] = 1.0   # a write to the caller's array does not reach the checked copy
-    assert expectation(made, pre) == expectation(P, pre)
-    assert len(calls) == 1
     expectation(P.entries, pre)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def _magnitude_sums(c, edges):

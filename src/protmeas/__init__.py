@@ -37,8 +37,8 @@ from .projectors import (FULL_LINE, IntervalRegion, ProjectorMatrix, bin_edges,
 from .quadrature import bin_probabilities, interval_diagonal
 from .weak import (MeasurementSchedule, PointerTrace, closed_form_pvi_weak,
                    expectation, pointer_trace, weak_value, weak_value_series)
-from .simulation import (BipartiteResult, PointerGrid, ZenoResult,
-                         bipartite_protective_sim, zeno_protect_sim)
+from .simulation import (BipartiteResult, ZenoResult, bipartite_protective_sim,
+                         zeno_protect_sim)
 from .twostate import (DensityMatrix, TwoStateDensity, sample_thermal_eigenstate,
                        thermal_density, thermal_pointer_rate,
                        thermal_purification, thermal_weights, two_state_canonical,

@@ -176,9 +176,8 @@ def run_bipartite(*, dim, omega, zero_point, a, b, T, ramp,
     schedule = _checked(MeasurementSchedule, T, ramp, steps)
     _phase_time(basis, "T", T)
     P = projector_matrix(region, basis)
-    grid = _checked(simulation.PointerGrid, sigma=pointer_sigma)
-    result = _checked(simulation.bipartite_protective_sim,
-                      P, schedule, grid=grid, steps=steps, shift_tol=shift_tol)
+    result = _checked(simulation.bipartite_protective_sim, P, schedule,
+                      pointer_sigma=pointer_sigma, steps=steps, shift_tol=shift_tol)
     ref = expectation(P, number_state(basis, 0))
     table = ResultTable([("T", "s", [T]), ("pointer_shift", "", [result.pointer_shift]),
                          ("energy_shift_per_p", "1/s", [result.energy_shift_per_p]),
@@ -359,7 +358,8 @@ def merge_params(args: argparse.Namespace) -> list:
     Each argument starts at the PARAMS default, or at the runner's own
     default, then takes the config value and then the flag; --sweep gives
     one run per value, each in its own subdirectory.  A key the runner does
-    not take raises UsageError.
+    not take, or two sweep values that name the same subdirectory, raises
+    UsageError.
     """
     taken = inspect.signature(RUNNERS[args.experiment]).parameters
     params = {name: PARAMS[name][1] if p.default is p.empty else p.default
@@ -395,8 +395,14 @@ def merge_params(args: argparse.Namespace) -> list:
     values = [_convert(key, tok, params[key], token=True)
               for tok in tail.split(",") if tok.strip()]
     _require(len(values) > 0, "sweep needs at least one value")
-    return [(os.path.join(args.out, f"{key}={v:g}" if isinstance(v, float) else f"{key}={v}"),
-             {**params, key: v}) for v in values]
+    runs = {}
+    for v in values:
+        out_dir = os.path.join(args.out, f"{key}={v:g}" if isinstance(v, float) else f"{key}={v}")
+        if out_dir in runs:
+            raise UsageError(f"--sweep values {runs[out_dir]!r} and {v!r} would both write "
+                             f"to {out_dir}")
+        runs[out_dir] = v
+    return [(out_dir, {**params, key: v}) for out_dir, v in runs.items()]
 
 
 def run_single(experiment: str, params: dict, out_dir: str, plot: bool) -> str:

@@ -23,12 +23,11 @@ from .quadrature import interval_diagonal
 
 @dataclass(frozen=True, eq=False)
 class ClassicalEnsemble:
-    """Oscillator ensemble as (amplitude, phase) pairs with optional weights."""
+    """Equal-weight oscillator ensemble as (amplitude, phase) pairs."""
 
     amplitudes: np.ndarray
     phases: np.ndarray
     omega: float = 1.0
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         a = np.asarray(self.amplitudes, dtype=float)
@@ -40,11 +39,6 @@ class ClassicalEnsemble:
         check_positive(self.omega, "omega")
         object.__setattr__(self, "amplitudes", a)
         object.__setattr__(self, "phases", p)
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if w.shape != a.shape or np.any(w < 0) or w.sum() == 0:
-                raise ValueError("weights must be non-negative and match the members")
-            object.__setattr__(self, "weights", w / w.sum())
 
     @property
     def size(self) -> int:
@@ -106,12 +100,9 @@ def classical_time_average(amplitude: float, phase: float, omega: float,
 
 def classical_ensemble_average(ensemble: ClassicalEnsemble, region: IntervalRegion,
                                t: float = 0.0) -> float:
-    """Weighted fraction of members inside `region` at time t."""
+    """Fraction of members inside `region` at time t."""
     x = ensemble.amplitudes * np.cos(ensemble.omega * t + ensemble.phases)
-    inside = region.contains(x)
-    if ensemble.weights is None:
-        return float(np.count_nonzero(inside) / ensemble.size)
-    return float(np.sum(ensemble.weights[inside]))
+    return float(np.count_nonzero(region.contains(x)) / ensemble.size)
 
 
 def classical_dwell_fraction(amplitude: float, region: IntervalRegion) -> float:

@@ -211,6 +211,16 @@ def _row_blocks(A):
     return [slice(i, i + step) for i in range(0, A.shape[0], step)]
 
 
+def _significant(v):
+    """v less its longest trailing run of weight <= u ||v||_1, u = eps/2; one entry is kept.
+
+    A vector whose 1-norm is NaN or infinite is not cut: such entries reach the sum.
+    """
+    tail = np.cumsum(np.abs(v[::-1]))
+    cut = np.count_nonzero(tail <= 0.5 * np.finfo(float).eps * tail[-1])
+    return v[:v.size - cut or 1] if np.isfinite(tail[-1]) else v
+
+
 def _real_matmul(W, S):
     """W @ S for real W and complex S, as one real product on S's (re, im) pairs."""
     return (W @ np.ascontiguousarray(S).view(np.float64)).view(np.complex128)

@@ -96,7 +96,7 @@ def time_averaged_projector(P: ProjectorMatrix, duration: float) -> np.ndarray:
 MAX_BINS = 4096
 
 
-def bin_edges(width: float = 0.1, extent: float = 6.0) -> np.ndarray:
+def bin_edges(width: float, extent: float) -> np.ndarray:
     """The edges of contiguous bins of `width` covering [-extent, extent] for sketching.
 
     Raises ValueError unless width and extent are finite and positive and

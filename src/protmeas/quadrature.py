@@ -33,7 +33,7 @@ from math import erf, isinf
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .oscillator import _row_blocks, hermite_functions
+from .oscillator import _row_blocks, _significant, hermite_functions
 
 
 def _edge_terms(x, dim: int):
@@ -133,28 +133,33 @@ def bin_probabilities(amplitudes, edges) -> np.ndarray:
 
     Without the |c|^2/2, bins of |0> are (erf b - erf a)/2 exactly.
 
+    Only the K amplitudes that `_significant` keeps are folded, so the
+    Hermite recurrence runs to phi_K and M is K x K: |0> folds one term at
+    any dim.  The cut trailing run weighs at most u ||c||_1, u = eps/2, and
+    every term it drops carries one of its amplitudes.
+
     Rounding: a bin is the difference of two cumulative values and carries
     both of their absolute errors, however small the bin.  F(x) sums about
-    2 dim terms whose magnitudes add up to
+    2 K terms whose magnitudes add up to
 
         S(x) = |erf x| |c|^2/2 + sum_k |phi_k phi_{k+1}| sum_{n>k} w_n / sqrt(2(k+1))
                + 2 |phi'|^T |M| |phi|,
 
     from phi_n that carry the rounding of n recurrence steps, so it is off
-    by at most about dim u S(x), u = eps/2 (the worst case of a dim-term
-    sum, Higham 2002, sec. 3.1).  A bin is then off by at most about
-    dim u (S(a) + S(b)), and one where the state has almost no weight can
-    come out negative by up to that much.  S stays below 3 for unit states
-    up to |alpha| = 10, and measured errors stay far inside the bound:
-    -5.0e-16 for |alpha = 4> and -7.0e-15 for |alpha = 10>.  Bins are not
-    clipped, so they still add up to the whole interval's probability.
+    by at most about K u S(x) (the worst case of a K-term sum, Higham 2002,
+    sec. 3.1).  A bin is then off by at most about K u (S(a) + S(b)), and
+    one where the state has almost no weight can come out negative by up to
+    that much.  S stays below 3 for unit states up to |alpha| = 10, and
+    measured errors stay far inside the bound: -5.0e-16 for |alpha = 4> and
+    -7.0e-15 for |alpha = 10>.  Bins are not clipped, so they still add up
+    to the whole interval's probability.
     """
-    c = np.asarray(amplitudes)
+    c = _significant(np.asarray(amplitudes))
     phi, dphi = _edge_terms(edges, c.size)
     n = np.arange(c.size)
-    weights = np.abs(c) ** 2
-    tails = np.cumsum(weights[::-1])[::-1][1:] / np.sqrt(2.0 * n[1:])
-    diagonal = (np.array([erf(x) for x in edges]) / 2 * weights.sum()
+    w = np.abs(c) ** 2
+    tails = np.cumsum(w[::-1])[::-1][1:] / np.sqrt(2.0 * n[1:])
+    diagonal = (np.array([erf(x) for x in edges]) / 2 * w.sum()
                 - tails @ (phi[:-1] * phi[1:]))
     with np.errstate(divide="ignore", invalid="ignore"):
         M = np.real(np.outer(np.conj(c), c)) / (2.0 * (n[None, :] - n[:, None]))

@@ -54,22 +54,6 @@ NODES = 4
 
 
 @dataclass(frozen=True)
-class PointerGrid:
-    """The initial pointer: a Gaussian of position std dev sigma."""
-
-    sigma: float = 10.0
-
-    def __post_init__(self):
-        check_positive(self.sigma, "pointer sigma")
-
-    def nodes(self):
-        """Momenta p_k and weights w_k: sum_k w_k f(p_k) averages f over the
-        pointer's momentum distribution, a Gaussian of std dev 1 / (2 sigma)."""
-        xi, w = np.polynomial.hermite.hermgauss(NODES)
-        return xi / (sqrt(2.0) * self.sigma), w / sqrt(pi)
-
-
-@dataclass(frozen=True)
 class BipartiteResult:
     pointer_shift: float
     energy_shift_per_p: float
@@ -143,12 +127,14 @@ def _exact_plateau(S, A, lam, p, h: float, tau: float):
 
 
 def _rungs(P: ProjectorMatrix, schedule: MeasurementSchedule, pre: StateVector,
-           grid: PointerGrid, rungs):
+           sigma: float, rungs):
     """Each rung's ramps Strang-stepped at about dt = T/steps; one exact plateau.
 
-    `rungs` lists the step counts.  Every pointer node carries its own system
-    state, and each quantity is the nodes' weighted average.  Returns arrays
-    over the rungs: (pointer shift, dE per p, survival, norm).
+    `rungs` lists the step counts and `sigma` is the pointer's position
+    spread.  Every Gauss-Hermite momentum p_k carries its own system state,
+    and each quantity is the weighted average sum_k w_k f(p_k) over the
+    pointer's momentum distribution, a Gaussian of std dev 1 / (2 sigma).
+    Returns arrays over the rungs: (pointer shift, dE per p, survival, norm).
     """
     lam, W = np.linalg.eigh(P.entries)
     energies = P.basis.energies()
@@ -156,7 +142,8 @@ def _rungs(P: ProjectorMatrix, schedule: MeasurementSchedule, pre: StateVector,
     ramp = schedule.ramp_fraction * T
     ramp_steps = ([max(1, round(n * schedule.ramp_fraction)) for n in rungs]
                   if ramp > 0 else [])
-    p, w = grid.nodes()
+    xi, w = np.polynomial.hermite.hermgauss(NODES)
+    p, w = xi / (sqrt(2.0) * sigma), w / sqrt(pi)
     S = np.empty((len(rungs), len(lam), len(p)), dtype=np.complex128)
     S[...] = (W.T @ pre.amplitudes)[:, None]
     shift = np.zeros((len(rungs), len(p)))
@@ -187,7 +174,7 @@ REFINEMENTS = 6
 
 def bipartite_protective_sim(P: ProjectorMatrix, schedule: MeasurementSchedule,
                              pre: StateVector | None = None,
-                             grid: PointerGrid = PointerGrid(),
+                             pointer_sigma: float = 10.0,
                              steps: int = LADDER_START,
                              shift_tol: float = 1e-4) -> BipartiteResult:
     """Evolve system x pointer through a full measurement window.
@@ -197,9 +184,11 @@ def bipartite_protective_sim(P: ProjectorMatrix, schedule: MeasurementSchedule,
     one plateau pass and accepts the finer rung if the pointer shift changed
     by less than `shift_tol`; otherwise it doubles `steps`, up to REFINEMENTS
     times.  `steps_used` is the accepted rung.
-    Raises ValueError if shift_tol is negative or NaN or the phase
-    E_max * duration overflows, and NumericalError if a rung's pointer shift
-    is not finite or the ladder is exhausted without convergence.
+    The initial pointer is a Gaussian of position spread `pointer_sigma`.
+    Raises ValueError if pointer_sigma is not positive and finite, if
+    shift_tol is negative or NaN or if the phase E_max * duration overflows,
+    and NumericalError if a rung's pointer shift is not finite or the ladder
+    is exhausted without convergence.
 
     `ladder_error` is the full gap |s_2n - s_n| between the last two rungs,
     an estimate of the accepted rung's step error, not a bound.  In the
@@ -208,6 +197,7 @@ def bipartite_protective_sim(P: ProjectorMatrix, schedule: MeasurementSchedule,
     the error at dim 64 and 256 for T = 5, 20 and 40, and at dim 64 for
     T = 100, while at dim 256, T = 100 it read 6.3e-11 against 1.2e-10.
     """
+    check_positive(pointer_sigma, "pointer sigma")
     if not shift_tol >= 0:
         raise ValueError(f"shift_tol must be non-negative, got {shift_tol}")
     check_phase(P.basis.energies()[-1], schedule.duration, "duration")
@@ -215,7 +205,8 @@ def bipartite_protective_sim(P: ProjectorMatrix, schedule: MeasurementSchedule,
         pre = number_state(P.basis, 0)
 
     for _ in range(REFINEMENTS):
-        shift, de_per_p, survival, norm = _rungs(P, schedule, pre, grid, [steps, 2 * steps])
+        shift, de_per_p, survival, norm = _rungs(P, schedule, pre, pointer_sigma,
+                                                 [steps, 2 * steps])
         steps *= 2
         gap = abs(shift[1] - shift[0])
         if not np.isfinite(gap):

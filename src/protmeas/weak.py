@@ -44,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PostSelectionError
-from .oscillator import (DualState, StateVector, _real_matmul, _row_blocks, check_phase,
-                         check_positive, evolve, hermitian_defect)
+from .oscillator import (DualState, StateVector, _real_matmul, _row_blocks, _significant,
+                         check_phase, check_positive, evolve, hermitian_defect)
 from .projectors import ProjectorMatrix
 
 OVERLAP_FLOOR = 1e-8
@@ -150,16 +150,6 @@ def post_selection_overlap(pre: StateVector, post: DualState, duration: float) -
             f"pre/post overlap {abs(den):.3e} is not a finite value above floor "
             f"{OVERLAP_FLOOR:g}; weak value unreliable")
     return den
-
-
-def _significant(v):
-    """v less its longest trailing run of weight <= u ||v||_1, u = eps/2; one entry is kept.
-
-    A vector whose 1-norm is NaN or infinite is not cut: such entries reach the sum.
-    """
-    tail = np.cumsum(np.abs(v[::-1]))
-    cut = np.count_nonzero(tail <= 0.5 * np.finfo(float).eps * tail[-1])
-    return v[:v.size - cut or 1] if np.isfinite(tail[-1]) else v
 
 
 def _horner(coeffs, z):

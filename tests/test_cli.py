@@ -432,6 +432,20 @@ def test_sweep_runs_per_value(tmp_path):
     assert (tmp_path / "beta=2" / "thermal.csv").exists()
 
 
+@pytest.mark.parametrize("args, values, subdir", [
+    (["heisenberg-projector", "--T", "100", "--max-index", "2",
+      "--sweep", "t=1.0000001,1.0000002"], "1.0000001 and 1.0000002", "t=1"),
+    (["correspondence", "--sweep", "n=50,50"], "50 and 50", "n=50"),
+], ids=["float", "int"])
+def test_sweep_values_sharing_a_subdirectory_are_refused(args, values, subdir, tmp_path,
+                                                          capsys):
+    # each value would overwrite the one before in the same subdirectory
+    assert main(args + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"values {values} would both write to {tmp_path / subdir}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_output_lines_in_sweep_order(tmp_path, capsys):
     assert main(["pointer-trace", "--T", "20", "--steps", "128",
                  "--sweep", "x0=1,1.5", "--out", str(tmp_path)]) == 0

@@ -123,16 +123,6 @@ def test_ensemble_identical_members_inside():
     assert classical_ensemble_average(ens, IntervalRegion(1.5, 2.5), 0.0) == 1.0
 
 
-def test_ensemble_point_measure_reads_indicator():
-    ens = ClassicalEnsemble(np.array([1.0, 1.0]), np.array([0.0, np.pi]),
-                            weights=np.array([1.0, 0.0]))
-    region = IntervalRegion(0.5, 1.5)
-    assert classical_ensemble_average(ens, region, 0.0) == 1.0
-    flipped = ClassicalEnsemble(np.array([1.0, 1.0]), np.array([0.0, np.pi]),
-                                weights=np.array([0.0, 1.0]))
-    assert classical_ensemble_average(flipped, region, 0.0) == 0.0
-
-
 def test_ensemble_agrees_with_time_average():
     # the ergodic hypothesis at desk scale: one trajectory vs 10^5 members
     region = IntervalRegion(0.5, 1.0)
@@ -149,8 +139,6 @@ def test_ensemble_validation():
         ClassicalEnsemble(np.array([]), np.array([]))
     with pytest.raises(ValueError):
         ClassicalEnsemble(np.array([0.0]), np.array([0.0]))
-    with pytest.raises(ValueError):
-        ClassicalEnsemble(np.array([1.0]), np.array([0.0]), weights=np.array([-1.0]))
 
 
 # ------------------------------------------------------------ dwell fraction

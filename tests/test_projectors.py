@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy import integrate
 
 import protmeas.weak as weak_module
+from protmeas import quadrature
 from protmeas import (FULL_LINE, IntervalRegion, MeasurementSchedule, OscillatorBasis,
                       ProjectorMatrix, bin_edges, bin_probabilities, coherent_state,
                       evolve, expectation, heisenberg_projector, hermite_functions,
@@ -249,6 +250,27 @@ def test_bin_probabilities_match_dense_projectors(dim, stride):
         assert abs(np.sum(bins[k]) - expectation(whole, s)) <= 1e-15
 
 
+def test_sketch_folds_only_significant_amplitudes(monkeypatch):
+    # |0> folds one amplitude at any dim; the whole fold pages in dim x dim
+    # matrices, 137 MB at dim 2048
+    edges = bin_edges(0.1, 4.0)
+    vacuum = number_state(OscillatorBasis(dim=2048), 0)
+    tracemalloc.start()
+    try:
+        bin_probabilities(vacuum.amplitudes, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    # at dim 64 the cut leaves the bins of the whole fold, bit for bit
+    basis = OscillatorBasis(dim=64)
+    states = [number_state(basis, 0), coherent_state(basis, 2.5)]
+    cut = [bin_probabilities(s.amplitudes, edges) for s in states]
+    monkeypatch.setattr(quadrature, "_significant", lambda v: v)
+    for state, bins in zip(states, cut):
+        assert np.array_equal(bin_probabilities(state.amplitudes, edges), bins)
+
+
 def _per_endpoint_overlaps(a, b, dim):
     """interval_overlaps with a Hermite column, Wronskian and products per endpoint."""
     def boundary_terms(phi):
@@ -369,8 +391,9 @@ def _magnitude_sums(c, edges):
 
 @pytest.mark.parametrize("dim", [64, 1024])
 def test_bins_stay_above_their_rounding_bound(dim):
-    # a bin is F(b) - F(a); each F(x) is off by at most dim u S(x), u = eps/2,
-    # so a bin where the state has no weight reads no lower than minus the sum
+    # a bin is F(b) - F(a); each F(x) is off by at most K u S(x), u = eps/2,
+    # over the K kept amplitudes, so a bin where the state has no weight
+    # reads no lower than minus the sum
     basis = OscillatorBasis(dim=dim)
     edges = bin_edges(0.1, 4.0)
     u = np.finfo(float).eps / 2
@@ -378,7 +401,8 @@ def test_bins_stay_above_their_rounding_bound(dim):
     for state in (number_state(basis, 0), number_state(basis, 5),
                   coherent_state(basis, 2.5), coherent_state(basis, 4.0)):
         bins = bin_probabilities(state.amplitudes, edges)
-        sums = _magnitude_sums(state.amplitudes, edges)
-        assert np.all(bins >= -dim * u * (sums[:-1] + sums[1:]))
+        kept = quadrature._significant(state.amplitudes)
+        sums = _magnitude_sums(kept, edges)
+        assert np.all(bins >= -kept.size * u * (sums[:-1] + sums[1:]))
         negative += np.count_nonzero(bins < 0)
     assert negative > 0   # the coherent states' empty tail bins do round below 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from protmeas import (IntervalRegion, MeasurementSchedule, NumericalError,
-                      OscillatorBasis, PointerGrid, StateVector, expectation,
+                      OscillatorBasis, StateVector, expectation,
                       hamiltonian, number_state, projector_matrix, zeno_protect_sim,
                       bipartite_protective_sim)
 from protmeas import simulation
@@ -48,7 +48,7 @@ class Grid:
 
 def one_rung(P, sched, pre, steps):
     """One rung of the node code as (pointer shift, dE per p, survival, norm)."""
-    return tuple(float(q[0]) for q in _rungs(P, sched, pre, PointerGrid(), [steps]))
+    return tuple(float(q[0]) for q in _rungs(P, sched, pre, 10.0, [steps]))
 
 
 def grid_rung(P, sched, pre, grid, steps, shift_tol=1e-4):
@@ -162,7 +162,7 @@ def test_bipartite_names_an_overflowing_window():
 def test_step_ladder_stops_at_a_non_finite_shift(basis32, tail_projector, monkeypatch):
     calls = []
 
-    def nan_rungs(P, schedule, pre, grid, rungs):
+    def nan_rungs(P, schedule, pre, sigma, rungs):
         calls.append(rungs)
         return (np.full(2, np.nan),) * 4
 
@@ -307,10 +307,10 @@ def test_ladder_at_readme_defaults():
 def test_rungs_sharing_a_plateau_match_single_rungs(dim):
     basis = OscillatorBasis(dim=dim)
     P = projector_matrix(IntervalRegion(1.0, np.inf), basis)
-    pre, grid, sched = number_state(basis, 0), PointerGrid(), MeasurementSchedule(20.0)
-    paired = _rungs(P, sched, pre, grid, [256, 512])
+    pre, sched = number_state(basis, 0), MeasurementSchedule(20.0)
+    paired = _rungs(P, sched, pre, 10.0, [256, 512])
     for r, steps in enumerate((256, 512)):
-        single = _rungs(P, sched, pre, grid, [steps])
+        single = _rungs(P, sched, pre, 10.0, [steps])
         for both, one in zip(paired, single):
             assert both[r] == pytest.approx(one[0], rel=1e-13, abs=0)
 
@@ -347,10 +347,14 @@ def test_large_bipartite_is_bounded():
     assert res.final_norm == pytest.approx(1.0, abs=1e-10)
 
 
-def test_pointer_grid_validation():
+def test_pointer_grid_validation(monkeypatch):
+    # refused before the ladder, and before the shift_tol check
+    P = projector_matrix(IntervalRegion(0.0, np.inf), OscillatorBasis(dim=16))
+    monkeypatch.setattr(simulation, "_rungs", None)
     for sigma in (-1.0, 0.0, float("nan")):
         with pytest.raises(ValueError, match="sigma must be positive"):
-            PointerGrid(sigma=sigma)
+            bipartite_protective_sim(P, MeasurementSchedule(5.0), pointer_sigma=sigma,
+                                     shift_tol=-1.0)
 
 
 # --------------------------------------------------------------------- zeno

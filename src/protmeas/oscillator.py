@@ -252,11 +252,33 @@ def check_phase(rate: float, t: float, name: str = "t") -> None:
         raise ValueError(f"the phase {rate:g}*|{name}| overflows at {name}={t:g}")
 
 
+def _state_phases(basis: OscillatorBasis, t: float, name: str = "t") -> np.ndarray:
+    """e^{-i E_n t} for each level n, the free evolution of the amplitudes over t.
+
+    Raises ValueError (from `check_phase`, naming `name`) if the largest
+    phase E_max |t| overflows.
+    """
+    energies = basis.energies()
+    check_phase(energies[-1], t, name)
+    return np.exp(-1j * energies * t)
+
+
+def _heisenberg_phases(basis: OscillatorBasis, t: float, name: str = "t") -> np.ndarray:
+    """The real matrix (m - n) omega t: <m|A(t)|n> = e^{i (m - n) omega t} <m|A|n>.
+
+    A(t) = U(t)^dag A U(t) takes the phase (E_m - E_n) t, and E_m - E_n =
+    (m - n) omega under either zero-point convention.  Raises ValueError
+    (from `check_phase`, naming `name`) if the largest phase (dim - 1) omega |t|
+    overflows.
+    """
+    check_phase(basis.omega * (basis.dim - 1), t, name)
+    m = np.arange(basis.dim)
+    return (m[:, None] - m[None, :]) * basis.omega * t
+
+
 def evolve(state: StateVector, t: float) -> StateVector:
     """Free evolution: c_n -> e^{-i E_n t} c_n."""
-    energies = state.basis.energies()
-    check_phase(energies[-1], t)
-    return StateVector(state.amplitudes * np.exp(-1j * energies * t), state.basis)
+    return StateVector(state.amplitudes * _state_phases(state.basis, t), state.basis)
 
 
 def backward_state(final: DualState, t: float, duration: float) -> DualState:
@@ -268,9 +290,8 @@ def backward_state(final: DualState, t: float, duration: float) -> DualState:
     """
     if not 0.0 <= t <= duration:
         raise ValueError(f"t={t} outside the measurement window [0, {duration}]")
-    energies = final.basis.energies()
-    check_phase(energies[-1], duration - t, "duration - t")
-    return DualState(final.amplitudes * np.exp(-1j * energies * (duration - t)), final.basis)
+    phases = _state_phases(final.basis, duration - t, "duration - t")
+    return DualState(final.amplitudes * phases, final.basis)
 
 
 def _hermite_rows(x, targets):

@@ -14,7 +14,7 @@ from math import inf
 
 import numpy as np
 
-from .oscillator import OscillatorBasis, check_phase
+from .oscillator import OscillatorBasis, _heisenberg_phases
 from .quadrature import interval_overlaps
 
 
@@ -60,18 +60,12 @@ def projector_matrix(region: IntervalRegion, basis: OscillatorBasis) -> Projecto
     return ProjectorMatrix(region, basis)
 
 
-def _phases(basis: OscillatorBasis, t: float) -> np.ndarray:
-    check_phase(basis.omega * (basis.dim - 1), t)
-    m = np.arange(basis.dim)
-    return np.exp(-1j * (m[:, None] - m[None, :]) * basis.omega * t)
-
-
 def heisenberg_projector(P: ProjectorMatrix, t: float) -> np.ndarray:
     """P_V(t) with entries e^{-i(m-n) omega t} <m|P_V|n>.
 
     Raises ValueError if the largest phase (dim - 1) omega |t| overflows.
     """
-    return P.entries * _phases(P.basis, t)
+    return P.entries * np.exp(-1j * _heisenberg_phases(P.basis, t))
 
 
 def time_averaged_projector(P: ProjectorMatrix, duration: float) -> np.ndarray:
@@ -82,10 +76,7 @@ def time_averaged_projector(P: ProjectorMatrix, duration: float) -> np.ndarray:
     """
     if not 0 < duration < inf:
         raise ValueError(f"averaging window must be positive and finite, got {duration}")
-    check_phase(P.basis.omega * (P.basis.dim - 1), duration, "duration")
-    m = np.arange(P.basis.dim)
-    delta = (m[:, None] - m[None, :]) * P.basis.omega
-    z = delta * duration
+    z = _heisenberg_phases(P.basis, duration, "duration")
     with np.errstate(divide="ignore", invalid="ignore"):
         factor = np.where(z == 0.0, 1.0 + 0.0j, (1.0 - np.exp(-1j * z)) / (1j * z))
     return P.entries * factor

@@ -42,8 +42,8 @@ from math import pi, sqrt
 import numpy as np
 
 from .errors import NumericalError
-from .oscillator import (StateVector, _real_matmul, check_phase, check_positive, hamiltonian,
-                         number_state)
+from .oscillator import (StateVector, _real_matmul, _state_phases, check_phase, check_positive,
+                         hamiltonian, number_state)
 from .projectors import ProjectorMatrix
 from .weak import MeasurementSchedule, as_matrix
 
@@ -159,7 +159,7 @@ def _rungs(P: ProjectorMatrix, schedule: MeasurementSchedule, pre: StateVector,
         shift[r] += kicked
 
     # survival against the freely evolved pre-selected state
-    ref = W.T @ (pre.amplitudes * np.exp(-1j * energies * T))
+    ref = W.T @ (pre.amplitudes * _state_phases(P.basis, T, "duration"))
     survival = np.abs(ref.conj() @ S) ** 2                 # (rung, node)
     norm = np.sqrt(np.sum(np.abs(S) ** 2, axis=1) @ w)
     return shift @ w, energy @ w, survival @ w, norm
@@ -245,12 +245,14 @@ def zeno_protect_sim(initial: StateVector, n_protections: int, duration: float,
     if n_protections < 1:
         raise ValueError(f"need at least one protection, got {n_protections}")
     check_positive(duration, "protection window")
-    H = hamiltonian(initial.basis)
-    if coupling != 0.0:
+    if coupling == 0.0:
+        # H is diagonal: eigh would return exactly its energies and the identity
+        evals, vecs = initial.basis.energies(), np.eye(initial.basis.dim)
+    else:
         if measured is None:
             raise ValueError("a measurement coupling requires a measured operator")
-        H = H + (coupling / duration) * as_matrix(measured)
-    evals, vecs = np.linalg.eigh(H)
+        H = hamiltonian(initial.basis) + (coupling / duration) * as_matrix(measured)
+        evals, vecs = np.linalg.eigh(H)
     dt = duration / n_protections
     check_phase(np.max(np.abs(evals)), dt, "dt")
     U = (vecs * np.exp(-1j * evals * dt)) @ vecs.conj().T

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import PostSelectionError
 from .oscillator import (DualState, StateVector, _real_matmul, _row_blocks, _significant,
-                         check_phase, check_positive, evolve, hermitian_defect)
+                         _state_phases, check_positive, evolve, hermitian_defect)
 from .projectors import ProjectorMatrix
 
 OVERLAP_FLOOR = 1e-8
@@ -142,9 +142,8 @@ def post_selection_overlap(pre: StateVector, post: DualState, duration: float) -
     PostSelectionError unless its modulus is finite and at least the floor,
     and ValueError (from `check_phase`) if the phase E_max * duration overflows.
     """
-    energies = pre.basis.energies()
-    check_phase(energies[-1], duration, "duration")
-    den = complex(np.dot(post.amplitudes, pre.amplitudes * np.exp(-1j * energies * duration)))
+    phases = _state_phases(pre.basis, duration, "duration")
+    den = complex(np.dot(post.amplitudes, pre.amplitudes * phases))
     if not OVERLAP_FLOOR <= abs(den) < np.inf:
         raise PostSelectionError(
             f"pre/post overlap {abs(den):.3e} is not a finite value above floor "
@@ -186,7 +185,7 @@ def weak_value_series(A, pre: StateVector, post: DualState, times, duration: flo
         raise ValueError(f"times must lie inside the measurement window [0, {duration}]")
     den = post_selection_overlap(pre, post, duration)
     basis = pre.basis
-    bra = _significant(post.amplitudes * np.exp(-1j * basis.energies() * duration))
+    bra = _significant(post.amplitudes * _state_phases(basis, duration, "duration"))
     ket = _significant(pre.amplitudes)
     terms = bra[:, None] * as_matrix(A)[:bra.size, :ket.size] * ket[None, :]
     # c_k sums the diagonal m - n = k and is stored at index zero + k

@@ -444,6 +444,19 @@ def test_zeno_matches_dense_heisenberg_loop(dim, n, T, hermitian, coupling, seed
     np.testing.assert_allclose(res.jump_norms, jumps, rtol=1e-12, atol=atol)
 
 
+def test_zeno_diagonalizes_only_a_coupled_hamiltonian(basis32, tail_projector, monkeypatch):
+    # without coupling H is diagonal, and its energies and the identity are its eigenpairs
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda H: calls.append(H.shape) or eigh(H))
+    init = superposition01(basis32)
+    zeno_protect_sim(init, 8, np.pi, measured=tail_projector)
+    zeno_protect_sim(init, 8, np.pi)
+    assert calls == []
+    zeno_protect_sim(init, 8, np.pi, measured=tail_projector, coupling=0.3)
+    assert calls == [(32, 32)]
+
+
 def test_large_zeno_is_bounded():
     # two dense snapshots and six dense products per protection took about
     # 6.5 s on 2 cores

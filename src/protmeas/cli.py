@@ -161,8 +161,10 @@ def run_heisenberg(*, dim, omega, zero_point, a, b, T, max_index, t):
     avg = _checked(time_averaged_projector, P, T)
     m, n = np.indices((k, k)).reshape(2, -1)
     p, pt, pa = (M[m, n] for M in (P.entries, Pt, avg))
-    with np.errstate(divide="ignore", invalid="ignore"):   # the diagonal takes abs(p)
-        bound = np.where(m != n, 2.0 * abs(p) / (abs(m - n) * basis.omega * T), abs(p))
+    # 2|p| / (|m - n| omega T) is inf or NaN on the diagonal and inf where omega T
+    # underflows; fmin takes |p| there
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bound = np.fmin(abs(p), 2.0 * abs(p) / (abs(m - n) * basis.omega * T))
     table = ResultTable([("m", "", m), ("n", "", n), ("p_re", "", p.real), ("p_im", "", p.imag),
                          ("heis_re", "", pt.real), ("heis_im", "", pt.imag),
                          ("avg_re", "", pa.real), ("avg_im", "", pa.imag), ("bound", "", bound)])

@@ -133,10 +133,11 @@ def coherent_tail(dim: int, alpha: complex) -> float:
     This is the Poisson survival function sum_{n>=dim} |alpha|^2n e^-|alpha|^2 / n!.
     Above the mean the terms fall from n = dim on and are summed upward;
     otherwise the tail is 1 minus the head sum over n < dim.  A non-finite
-    alpha raises ValueError.
+    alpha, or one whose |alpha|^2 overflows, raises ValueError.
     """
-    if not math.isfinite(abs(alpha)):
-        raise ValueError(f"coherent amplitude alpha={alpha} is not finite")
+    if not math.isfinite(abs(alpha) * abs(alpha)):
+        raise ValueError(f"coherent amplitude alpha={alpha} is not finite or its |alpha|^2 "
+                         f"overflows")
     lam = abs(alpha) ** 2
     if lam == 0.0:
         return 0.0
@@ -264,12 +265,11 @@ def _state_phases(basis: OscillatorBasis, t: float, name: str = "t") -> np.ndarr
 
 
 def _heisenberg_phases(basis: OscillatorBasis, t: float, name: str = "t") -> np.ndarray:
-    """The real matrix (m - n) omega t: <m|A(t)|n> = e^{i (m - n) omega t} <m|A|n>.
+    """The real matrix (m - n) omega t, the phase of A(t)_mn = e^{i (m - n) omega t} A_mn.
 
-    A(t) = U(t)^dag A U(t) takes the phase (E_m - E_n) t, and E_m - E_n =
-    (m - n) omega under either zero-point convention.  Raises ValueError
-    (from `check_phase`, naming `name`) if the largest phase (dim - 1) omega |t|
-    overflows.
+    A(t) is U(t)^dag A U(t), and E_m - E_n = (m - n) omega under either
+    zero-point convention.  Raises ValueError (from `check_phase`, naming
+    `name`) if the largest phase (dim - 1) omega |t| overflows.
     """
     check_phase(basis.omega * (basis.dim - 1), t, name)
     m = np.arange(basis.dim)

@@ -4,7 +4,7 @@ The projector onto a position interval V has matrix elements
 <m|P_V|n> = integral over V of phi_m(x) phi_n(x) dx, in closed form from the
 Hermite functions at the interval's edges (see `quadrature`, which also
 gives sketch bin probabilities from the edges that `bin_edges` returns).
-In the Heisenberg picture the matrix acquires phases e^{-i(m-n) omega t};
+In the Heisenberg picture the matrix acquires phases e^{i(m-n) omega t};
 averaging those phases over a measurement window suppresses every
 off-diagonal entry by at least 2 / (|m-n| omega T).
 """
@@ -61,29 +61,33 @@ def projector_matrix(region: IntervalRegion, basis: OscillatorBasis) -> Projecto
 
 
 def heisenberg_projector(P: ProjectorMatrix, t: float) -> np.ndarray:
-    """P_V(t) with entries e^{-i(m-n) omega t} <m|P_V|n>.
+    """P_V(t) = U(t)^dag P_V U(t), with entries e^{i(m-n) omega t} <m|P_V|n>.
 
     Raises ValueError if the largest phase (dim - 1) omega |t| overflows.
     """
-    return P.entries * np.exp(-1j * _heisenberg_phases(P.basis, t))
+    return P.entries * np.exp(1j * _heisenberg_phases(P.basis, t))
 
 
 def time_averaged_projector(P: ProjectorMatrix, duration: float) -> np.ndarray:
     """(1/T) integral of P_V(t) over [0, T], phase factors in closed form.
 
+    With z = (m - n) omega T the factor (e^{iz} - 1) / (iz) is formed as
+    e^{iz/2} sin(z/2) / (z/2), and as 1 where z/2 is 0: this keeps its
+    imaginary part at small z and stays finite where omega T underflows.
     Raises ValueError unless T is positive and finite and the largest phase
     (dim - 1) omega T is finite.
     """
     if not 0 < duration < inf:
         raise ValueError(f"averaging window must be positive and finite, got {duration}")
-    z = _heisenberg_phases(P.basis, duration, "duration")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factor = np.where(z == 0.0, 1.0 + 0.0j, (1.0 - np.exp(-1j * z)) / (1j * z))
-    return P.entries * factor
+    half = 0.5 * _heisenberg_phases(P.basis, duration, "duration")
+    with np.errstate(invalid="ignore"):   # 0 / 0 where half is 0
+        sinc = np.where(half == 0.0, 1.0, np.sin(half) / half)
+    return P.entries * (np.exp(1j * half) * sinc)
 
 
-# quadrature.bin_probabilities holds up to four (dim + 1) x (bins + 1) tables
-# of floats at once: about 135 MB for this many bins at dim 1024
+# quadrature.bin_probabilities holds up to four (K + 1) x (bins + 1) tables of
+# floats at once, K <= dim the amplitudes it keeps: about 135 MB for this many
+# bins at K = 1024
 MAX_BINS = 4096
 
 

@@ -45,7 +45,7 @@ from .errors import NumericalError
 from .oscillator import (StateVector, _real_matmul, _state_phases, check_phase, check_positive,
                          hamiltonian, number_state)
 from .projectors import ProjectorMatrix
-from .weak import MeasurementSchedule, as_matrix
+from .weak import MeasurementSchedule, _require_hermitian, as_matrix
 
 
 # Gauss-Hermite pointer momenta; 8 and 16 nodes agree with 4 within 3e-14 in
@@ -240,7 +240,8 @@ def zeno_protect_sim(initial: StateVector, n_protections: int, duration: float,
     U^dag B U is an elementwise phase product.  The non-selective update
     B -> Pi B Pi + Q B Q, Pi = s s^dag, is B - s b - a s^dag with
     a = Q B s and b = s^dag B Q, and its jump norm is sqrt(|a|^2 + |b|^2).
-    Raises ValueError if a phase E dt overflows the float range.
+    Raises ValueError if a phase E dt overflows the float range, or if a
+    coupled operator is not Hermitian.
     """
     if n_protections < 1:
         raise ValueError(f"need at least one protection, got {n_protections}")
@@ -251,6 +252,8 @@ def zeno_protect_sim(initial: StateVector, n_protections: int, duration: float,
     else:
         if measured is None:
             raise ValueError("a measurement coupling requires a measured operator")
+        # eigh reads only the lower triangle, so a non-Hermitian H would pass unseen
+        _require_hermitian(measured)
         H = hamiltonian(initial.basis) + (coupling / duration) * as_matrix(measured)
         evals, vecs = np.linalg.eigh(H)
     dt = duration / n_protections

@@ -39,6 +39,7 @@ the c_k before Horner's rule, to the terms above rounding level; the cut
 moves N(t) by at most 3 u max|A_mn| ||d||_1 ||a||_1, u = eps/2.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,10 @@ class MeasurementSchedule:
             raise ValueError(f"ramp_fraction must lie in [0, 0.5], got {self.ramp_fraction}")
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
+        width = self.duration * (1.0 - self.ramp_fraction)   # zero if it underflows
+        if not (width > 0.0 and 1.0 / width < math.inf):
+            raise ValueError(f"the plateau height 1/(duration (1 - ramp_fraction)) overflows "
+                             f"at duration={self.duration:g}")
 
     @property
     def plateau(self) -> float:
@@ -215,8 +220,10 @@ def closed_form_pvi_weak(alpha_mod: float, delta: float, x0: float,
     with Xi(t) = omega T / 2 + (|a|^2 / 2) sin(2 (omega (T-t) + delta))
     - sqrt(2) |a| x0 sin(omega (T-t) + delta).  The value is per unit interval
     width; multiply by w to approximate the weak value of P over an interval
-    of width w around x0.
+    of width w around x0.  delta enters only through sines and cosines, so it
+    is first reduced to [-pi, pi], which leaves such a delta as it is.
     """
+    delta = math.remainder(delta, 2.0 * math.pi)
     t = np.asarray(t, dtype=float)
     if not np.all((t >= 0.0) & (t <= duration)):
         raise ValueError("t must lie inside the measurement window [0, duration]")

@@ -355,6 +355,34 @@ def test_overflowing_phase_is_named(args, named, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("args, named", [
+    pytest.param(["sketch", "--dim", "16", "--alpha", "1e308"], "alpha=1e+308",
+                 id="sketch-alpha"),
+    pytest.param(["sketch", "--dim", "16", "--alpha=-1e308"], "alpha=-1e+308",
+                 id="sketch-negative-alpha"),
+    pytest.param(["pointer-trace", "--dim", "32", "--alpha", "1", "--steps", "8",
+                  "--T", "5e-324"], "duration=", id="pointer-trace-T"),
+    pytest.param(["pointer-trace", "--dim", "32", "--alpha", "1", "--delta", "1e308"], None,
+                 id="pointer-trace-delta"),
+    pytest.param(["pointer-trace", "--dim", "32", "--alpha", "1", "--delta=-1e308"], None,
+                 id="pointer-trace-negative-delta"),
+    pytest.param(["heisenberg-projector", "--dim", "8", "--omega", "5e-324"], None,
+                 id="heisenberg-omega"),
+    pytest.param(["heisenberg-projector", "--dim", "8", "--T", "5e-324"], None,
+                 id="heisenberg-T"),
+])
+def test_extreme_values_are_refused_or_stay_finite(args, named, tmp_path, capsys):
+    # a refusal exits 2 and names the value; a run that goes ahead writes no
+    # NaN or infinite cell
+    code = main(args + ["--out", str(tmp_path)])
+    if named:
+        assert code == 2 and named in capsys.readouterr().err
+        return
+    assert code == 0
+    rows = read(next(tmp_path.glob("*.csv"))).decode().splitlines()[1:]
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
+
+
 def test_largest_finite_phase_runs(tmp_path):
     # (dim - 1) T = 15e307 is still finite: every cell is a number
     assert main(["heisenberg-projector", "--dim", "16", "--T", "1e307", "--t", "1e307",

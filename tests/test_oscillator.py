@@ -57,9 +57,11 @@ def test_non_finite_amplitudes_rejected(kind, bad):
         kind(amps, b)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.inf, 0.0)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.inf, 0.0), 1e308,
+                                 complex(0.0, -2e154)])
 def test_non_finite_alpha_rejected(bad):
-    # the tail of a NaN alpha is NaN, which no tail check rejects
+    # the tail of a NaN alpha is NaN, which no tail check rejects, and
+    # |alpha|^2 = inf would raise OverflowError
     with pytest.raises(ValueError, match=re.escape(f"alpha={bad} is not finite")):
         coherent_state(OscillatorBasis(dim=8), bad)
 

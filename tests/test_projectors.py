@@ -19,7 +19,7 @@ from protmeas.projectors import MAX_BINS
 from protmeas.quadrature import interval_overlaps
 from protmeas.weak import hermitian_defect
 
-from conftest import edge_regions
+from conftest import edge_regions, random_state
 
 HALF_TAIL = 0.07864960352514258   # erfc(1)/2
 
@@ -144,6 +144,33 @@ def test_heisenberg_preserves_spectrum(basis):
     for t in (0.7, 5.1):
         moved = np.sort(np.linalg.eigvalsh(heisenberg_projector(P, t)))
         assert np.max(np.abs(moved - base)) < 1e-8
+
+
+@pytest.mark.parametrize("zero_point", [False, True])
+def test_heisenberg_projector_is_the_schroedinger_expectation(zero_point, rng):
+    # <psi|P(t)|psi> = <psi(t)|P|psi(t)>, so P(t)_mn = e^{+i (m - n) omega t} P_mn
+    basis = OscillatorBasis(16, 1.3, zero_point)
+    P = projector_matrix(IntervalRegion(0.2, 1.5), basis)
+    for _ in range(4):
+        psi = random_state(rng, basis)
+        for t in (0.7, 2.9, -4.1, 37.0):
+            heis = np.vdot(psi.amplitudes, heisenberg_projector(P, t) @ psi.amplitudes).real
+            assert abs(heis - expectation(P, evolve(psi, t))) < 1e-13
+
+
+def test_time_average_is_the_average_of_the_heisenberg_projector(basis):
+    # the closed form against Gauss-Legendre on P(t), and at z = (m - n) omega T
+    # down to 1e-8 against the series 1 + iz/2 - z^2/6 of (e^{iz} - 1)/(iz)
+    P = projector_matrix(IntervalRegion(0.5, 2.0), OscillatorBasis(12))
+    x, w = np.polynomial.legendre.leggauss(64)
+    T = 3.0
+    quad = sum(wk * heisenberg_projector(P, 0.5 * T * (xk + 1)) for xk, wk in zip(x, w)) / 2
+    assert np.max(np.abs(time_averaged_projector(P, T) - quad)) < 1e-14
+    for T in (1e-5, 1e-8):
+        z = np.subtract.outer(np.arange(12), np.arange(12)) * T
+        series = 1 + 0.5j * z - z ** 2 / 6
+        np.testing.assert_allclose(time_averaged_projector(P, T), P.entries * series,
+                                   rtol=1e-12, atol=0)
 
 
 def test_time_average_keeps_diagonal_and_hermiticity(basis):

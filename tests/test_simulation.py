@@ -457,6 +457,15 @@ def test_zeno_diagonalizes_only_a_coupled_hamiltonian(basis32, tail_projector, m
     assert calls == [(32, 32)]
 
 
+def test_coupled_zeno_refuses_a_non_hermitian_operator(basis32, rng):
+    # eigh would read only the lower triangle of H + (coupling / T) O
+    init = superposition01(basis32)
+    O = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        zeno_protect_sim(init, 4, np.pi, measured=O, coupling=0.3)
+    assert zeno_protect_sim(init, 4, np.pi, measured=O).jump_norms.shape == (4,)
+
+
 def test_large_zeno_is_bounded():
     # two dense snapshots and six dense products per protection took about
     # 6.5 s on 2 cores

@@ -135,7 +135,9 @@ def coherent_tail(dim: int, alpha: complex) -> float:
     otherwise the tail is 1 minus the head sum over n < dim.  A non-finite
     alpha, or one whose |alpha|^2 overflows, raises ValueError.
     """
-    if not math.isfinite(abs(alpha) * abs(alpha)):
+    # a Python float product overflows to inf, where abs(alpha) ** 2 raises
+    # OverflowError and a numpy product warns
+    if not math.isfinite(float(abs(alpha)) * float(abs(alpha))):
         raise ValueError(f"coherent amplitude alpha={alpha} is not finite or its |alpha|^2 "
                          f"overflows")
     lam = abs(alpha) ** 2

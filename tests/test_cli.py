@@ -360,6 +360,8 @@ def test_overflowing_phase_is_named(args, named, tmp_path, capsys):
                  id="sketch-alpha"),
     pytest.param(["sketch", "--dim", "16", "--alpha=-1e308"], "alpha=-1e+308",
                  id="sketch-negative-alpha"),
+    pytest.param(["pointer-trace", "--dim", "32", "--alpha", "1e308"], "alpha=(1e+308",
+                 id="pointer-trace-alpha"),
     pytest.param(["pointer-trace", "--dim", "32", "--alpha", "1", "--steps", "8",
                   "--T", "5e-324"], "duration=", id="pointer-trace-T"),
     pytest.param(["pointer-trace", "--dim", "32", "--alpha", "1", "--delta", "1e308"], None,

@@ -158,7 +158,7 @@ def test_heisenberg_projector_is_the_schroedinger_expectation(zero_point, rng):
             assert abs(heis - expectation(P, evolve(psi, t))) < 1e-13
 
 
-def test_time_average_is_the_average_of_the_heisenberg_projector(basis):
+def test_time_average_is_the_average_of_the_heisenberg_projector():
     # the closed form against Gauss-Legendre on P(t), and at z = (m - n) omega T
     # down to 1e-8 against the series 1 + iz/2 - z^2/6 of (e^{iz} - 1)/(iz)
     P = projector_matrix(IntervalRegion(0.5, 2.0), OscillatorBasis(12))

@@ -251,9 +251,7 @@ def run_ergodic(*, omega, seed, amplitude, n_samples, ensemble_n, periods, t,
                 a=0.5, b=1.0):
     _require(seed is not None,
              "ergodic runs are stochastic: an explicit --seed is mandatory")
-    _require(n_samples >= 1, "n_samples must be >= 1")
     _require(ensemble_n >= 1, "ensemble_n must be >= 1")
-    _require(amplitude > 0, f"amplitude must be positive, got {amplitude}")
     _require(omega > 0, f"omega must be positive, got {omega}")
     _require(periods >= 1, f"periods must be >= 1, got {periods}")
     region = _checked(IntervalRegion, a, b)
@@ -278,7 +276,6 @@ def run_correspondence(*, omega, zero_point, n_samples, periods, n=50, a=2.0, b=
     basis = _basis(dim, omega, zero_point)
     region = _checked(IntervalRegion, a, b)
     _require(n >= 0, f"n={n} must be >= 0")
-    _require(n_samples >= 1, "n_samples must be >= 1")
     _require(periods >= 1, f"periods must be >= 1, got {periods}")
     report = _checked(ergodicity.correspondence_check,
                       n, region, basis, n_samples=n_samples, n_periods=periods)

@@ -278,6 +278,18 @@ def _heisenberg_phases(basis: OscillatorBasis, t: float, name: str = "t") -> np.
     return (m[:, None] - m[None, :]) * basis.omega * t
 
 
+def _sinc(x) -> np.ndarray:
+    """sin(x) / x for each entry of the real array x, and exactly 1 where x is 0.
+
+    It is the window integral of a phase: (1 / 2 tau) times the integral of
+    e^{i nu t} over [-tau, tau] is _sinc(nu tau).  No 0 / 0 is formed, so
+    nothing warns.
+    """
+    out = np.ones_like(x)
+    np.divide(np.sin(x), x, out=out, where=x != 0.0)
+    return out
+
+
 def evolve(state: StateVector, t: float) -> StateVector:
     """Free evolution: c_n -> e^{-i E_n t} c_n."""
     return StateVector(state.amplitudes * _state_phases(state.basis, t), state.basis)

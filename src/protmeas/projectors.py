@@ -14,7 +14,7 @@ from math import inf
 
 import numpy as np
 
-from .oscillator import OscillatorBasis, _heisenberg_phases
+from .oscillator import OscillatorBasis, _heisenberg_phases, _sinc, check_positive
 from .quadrature import interval_overlaps
 
 
@@ -72,17 +72,14 @@ def time_averaged_projector(P: ProjectorMatrix, duration: float) -> np.ndarray:
     """(1/T) integral of P_V(t) over [0, T], phase factors in closed form.
 
     With z = (m - n) omega T the factor (e^{iz} - 1) / (iz) is formed as
-    e^{iz/2} sin(z/2) / (z/2), and as 1 where z/2 is 0: this keeps its
+    e^{iz/2} _sinc(z/2), which is 1 where z/2 is 0: this keeps its
     imaginary part at small z and stays finite where omega T underflows.
     Raises ValueError unless T is positive and finite and the largest phase
     (dim - 1) omega T is finite.
     """
-    if not 0 < duration < inf:
-        raise ValueError(f"averaging window must be positive and finite, got {duration}")
+    check_positive(duration, "averaging window")
     half = 0.5 * _heisenberg_phases(P.basis, duration, "duration")
-    with np.errstate(invalid="ignore"):   # 0 / 0 where half is 0
-        sinc = np.where(half == 0.0, 1.0, np.sin(half) / half)
-    return P.entries * (np.exp(1j * half) * sinc)
+    return P.entries * (np.exp(1j * half) * _sinc(half))
 
 
 # quadrature.bin_probabilities holds up to four (K + 1) x (bins + 1) tables of

@@ -42,8 +42,8 @@ from math import pi, sqrt
 import numpy as np
 
 from .errors import NumericalError
-from .oscillator import (StateVector, _real_matmul, _state_phases, check_phase, check_positive,
-                         hamiltonian, number_state)
+from .oscillator import (StateVector, _real_matmul, _sinc, _state_phases, check_phase,
+                         check_positive, hamiltonian, number_state)
 from .projectors import ProjectorMatrix
 from .weak import MeasurementSchedule, _require_hermitian, as_matrix
 
@@ -103,8 +103,8 @@ def _exact_plateau(S, A, lam, p, h: float, tau: float):
     V diag(e) V^T, so in its eigenbasis y(t) = exp(-i e t) y(0) and
     <P_V>(t) = sum_ij conj(y_i) y_j Q_ij exp(i (e_i - e_j) t), Q = V^T diag(lam) V.
     With z = y(tau), the midpoint state, the plateau's shift is
-    h integral <P_V> dt = h z^dag (Q o G) z, G_ij = 2 sin((e_i - e_j) tau) / (e_i - e_j)
-    and G_ii = 2 tau.  Each node's eigh serves every rung, and the nodes go
+    h integral <P_V> dt = h z^dag (Q o G) z, G_ij = 2 tau _sinc((e_i - e_j) tau),
+    the integral of exp(i (e_i - e_j) t) over [-tau, tau].  Each node's eigh serves every rung, and the nodes go
     one at a time, so memory stays a few dim x dim arrays.  Returns (shift,
     h <P_V> at the midpoint), each (rung, node).
     """
@@ -114,11 +114,7 @@ def _exact_plateau(S, A, lam, p, h: float, tau: float):
         e, V = np.linalg.eigh(A + np.diag(h * pk * lam))
         phase = np.exp(-1j * tau * e)[:, None]
         z = phase * _real_matmul(V.T, S[:, :, k].T)            # (system, rung)
-        x = np.subtract.outer(e, e)
-        x *= tau
-        QG = np.ones_like(x)
-        np.divide(np.sin(x), x, out=QG, where=x != 0.0)
-        QG *= 2.0 * tau
+        QG = 2.0 * tau * _sinc(tau * np.subtract.outer(e, e))
         QG *= V.T @ (lam[:, None] * V)
         shift[:, k] = h * np.sum(z.conj() * _real_matmul(QG, z), axis=0).real
         energy[:, k] = h * (lam @ np.abs(_real_matmul(V, z)) ** 2)

@@ -84,16 +84,24 @@ class MeasurementSchedule:
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.duration, self.steps + 1)
 
+    def _ramps(self, t):
+        """(ramp length, rise mask, fall mask) of the float array t.
+
+        The rise is [0, ramp) and the fall the rest of (T - ramp, T].  Each
+        ramp is evaluated only where it applies: elsewhere t / ramp
+        overflows for a subnormal ramp.
+        """
+        T = self.duration
+        ramp = self.ramp_fraction * T
+        up = (t >= 0.0) & (t < ramp)
+        return ramp, up, ~up & (t > T - ramp) & (t <= T)
+
     def g(self, t):
         """Coupling strength at time t (vectorized, zero outside the window)."""
         t = np.asarray(t, dtype=float)
         h, T = self.plateau, self.duration
-        ramp = self.ramp_fraction * T
+        ramp, up, down = self._ramps(t)
         out = np.where((t >= 0.0) & (t <= T), h, 0.0)
-        # each ramp is evaluated only where it applies: elsewhere t / ramp
-        # overflows for a subnormal ramp
-        up = (t >= 0.0) & (t < ramp)
-        down = ~up & (t > T - ramp) & (t <= T)
         out[up] = 0.5 * h * (1.0 - np.cos(np.pi * t[up] / ramp))
         out[down] = 0.5 * h * (1.0 - np.cos(np.pi * (T - t[down]) / ramp))
         return out if out.shape else float(out)
@@ -101,11 +109,9 @@ class MeasurementSchedule:
     def cumulative(self, t):
         """Closed-form integral of g over [0, t]; cumulative(duration) == 1."""
         h, T = self.plateau, self.duration
-        ramp = self.ramp_fraction * T
         tc = np.clip(np.asarray(t, dtype=float), 0.0, T)
+        ramp, up, down = self._ramps(tc)
         out = np.asarray(0.5 * h * ramp + h * (tc - ramp))
-        up = tc < ramp
-        down = ~up & (tc > T - ramp)
         rise, tail = tc[up], T - tc[down]
         out[up] = 0.5 * h * (rise - (ramp / np.pi) * np.sin(np.pi * rise / ramp))
         out[down] = 1.0 - 0.5 * h * (tail - (ramp / np.pi) * np.sin(np.pi * tail / ramp))

@@ -44,7 +44,8 @@ class OscillatorBasis:
     dim:
         truncation size; the basis spans |0> .. |dim-1>.
     omega:
-        angular frequency in rad/s.
+        angular frequency in rad/s, positive and finite, with a finite top
+        energy omega (dim - 1) (or omega (dim - 1/2) with the zero point).
     include_zero_point:
         if True the evolution phases use E_n = (n + 1/2)*omega, otherwise
         E_n = n*omega.
@@ -58,6 +59,11 @@ class OscillatorBasis:
         if self.dim < 2:
             raise ValueError(f"basis dim must be >= 2, got {self.dim}")
         check_positive(self.omega, "omega")
+        # on Python floats, which overflow to inf without a warning
+        top = float(self.omega) * (self.dim - 1 + 0.5 * self.include_zero_point)
+        if not math.isfinite(top):
+            raise ValueError(f"omega={self.omega:g} makes the top energy overflow at "
+                             f"dim={self.dim}")
 
     def energies(self) -> np.ndarray:
         n = np.arange(self.dim, dtype=float)

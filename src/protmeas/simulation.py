@@ -37,7 +37,7 @@ and each protection costs O(dim^2).
 """
 
 from dataclasses import dataclass
-from math import pi, sqrt
+from math import isfinite, pi, sqrt
 
 import numpy as np
 
@@ -104,9 +104,10 @@ def _exact_plateau(S, A, lam, p, h: float, tau: float):
     <P_V>(t) = sum_ij conj(y_i) y_j Q_ij exp(i (e_i - e_j) t), Q = V^T diag(lam) V.
     With z = y(tau), the midpoint state, the plateau's shift is
     h integral <P_V> dt = h z^dag (Q o G) z, G_ij = 2 tau _sinc((e_i - e_j) tau),
-    the integral of exp(i (e_i - e_j) t) over [-tau, tau].  Each node's eigh serves every rung, and the nodes go
-    one at a time, so memory stays a few dim x dim arrays.  Returns (shift,
-    h <P_V> at the midpoint), each (rung, node).
+    the integral of exp(i (e_i - e_j) t) over [-tau, tau].  Each node's eigh
+    serves every rung, and the nodes go one at a time, so memory stays a few
+    dim x dim arrays.  Returns (shift, h <P_V> at the midpoint), each
+    (rung, node).
     """
     shift = np.empty((len(S), len(p)))
     energy = np.empty((len(S), len(p)))
@@ -181,10 +182,11 @@ def bipartite_protective_sim(P: ProjectorMatrix, schedule: MeasurementSchedule,
     by less than `shift_tol`; otherwise it doubles `steps`, up to REFINEMENTS
     times.  `steps_used` is the accepted rung.
     The initial pointer is a Gaussian of position spread `pointer_sigma`.
-    Raises ValueError if pointer_sigma is not positive and finite, if
-    shift_tol is negative or NaN or if the phase E_max * duration overflows,
-    and NumericalError if a rung's pointer shift is not finite or the ladder
-    is exhausted without convergence.
+    Raises ValueError if pointer_sigma is not positive and finite or so
+    small that a pointer momentum overflows, if shift_tol is negative or
+    NaN or if the phase E_max * duration overflows, and NumericalError if
+    a rung's pointer shift is not finite or the ladder is exhausted
+    without convergence.
 
     `ladder_error` is the full gap |s_2n - s_n| between the last two rungs,
     an estimate of the accepted rung's step error, not a bound.  In the
@@ -194,6 +196,10 @@ def bipartite_protective_sim(P: ProjectorMatrix, schedule: MeasurementSchedule,
     T = 100, while at dim 256, T = 100 it read 6.3e-11 against 1.2e-10.
     """
     check_positive(pointer_sigma, "pointer sigma")
+    # the largest momentum _rungs forms, on Python floats, which overflow without a warning
+    if not isfinite(float(np.polynomial.hermite.hermgauss(NODES)[0][-1])
+                    / (sqrt(2.0) * pointer_sigma)):
+        raise ValueError(f"pointer sigma={pointer_sigma:g} makes the pointer momenta overflow")
     if not shift_tol >= 0:
         raise ValueError(f"shift_tol must be non-negative, got {shift_tol}")
     check_phase(P.basis.energies()[-1], schedule.duration, "duration")

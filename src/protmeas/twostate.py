@@ -12,6 +12,7 @@ denominator out again, so the trace formula stays an independent check of
 the direct weak value.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,10 +57,20 @@ class TwoStateDensity:
         return float(np.linalg.norm(self.entries - self.entries.conj().T))
 
 
-def _boltzmann_check(beta: float, basis: OscillatorBasis):
+def _boltzmann_check(beta: float, basis: OscillatorBasis) -> float:
+    """beta omega, once it and the truncation tail are checked.
+
+    Raises ValueError naming beta unless beta and beta omega are positive
+    and finite, and TruncationError if the tail
+    e^{-dim beta omega} / (1 - e^{-beta omega}) exceeds THERMAL_TAIL_LIMIT.
+    The tail is formed on Python floats, which overflow to inf without a
+    warning, and its denominator as -expm1(-beta omega), which is positive
+    for every positive beta omega.
+    """
     check_positive(beta, "beta")
-    bw = beta * basis.omega
-    tail = np.exp(-basis.dim * bw) / (1.0 - np.exp(-bw))
+    bw = float(beta) * float(basis.omega)
+    check_positive(bw, "beta*omega")
+    tail = math.exp(-basis.dim * bw) / -math.expm1(-bw)
     if tail > THERMAL_TAIL_LIMIT:
         raise TruncationError(
             f"thermal tail {tail:.3e} exceeds {THERMAL_TAIL_LIMIT:g} at "
@@ -73,7 +84,8 @@ def thermal_weights(beta: float, basis: OscillatorBasis) -> np.ndarray:
     They are the diagonal of `thermal_density`, in O(dim) with no dense matrix.
     """
     bw = _boltzmann_check(beta, basis)
-    w = np.exp(-bw * np.arange(basis.dim))
+    with np.errstate(over="ignore"):   # -bw n overflows to -inf, whose exp is the 0 it stands for
+        w = np.exp(-bw * np.arange(basis.dim))
     return w / w.sum()
 
 
@@ -90,7 +102,8 @@ def thermal_purification(beta: float, basis: OscillatorBasis) -> StateVector:
     between components and generally disagree with the mixture.
     """
     bw = _boltzmann_check(beta, basis)
-    amps = np.exp(-0.5 * bw * np.arange(basis.dim))
+    with np.errstate(over="ignore"):   # as in thermal_weights
+        amps = np.exp(-0.5 * bw * np.arange(basis.dim))
     return StateVector(amps.astype(np.complex128), basis)
 
 

@@ -1,4 +1,6 @@
+import contextlib
 import inspect
+import io
 import json
 import math
 import os
@@ -15,7 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 import protmeas
-from protmeas.cli import RUNNERS, _join_negative_values, build_parser, main, merge_params
+from protmeas.cli import (PARAMS, RUNNERS, _join_negative_values, build_parser, main,
+                          merge_params)
 from protmeas.svgplot import emit_plot
 from protmeas.tables import ResultTable
 
@@ -372,6 +375,17 @@ def test_overflowing_phase_is_named(args, named, tmp_path, capsys):
                  id="heisenberg-omega"),
     pytest.param(["heisenberg-projector", "--dim", "8", "--T", "5e-324"], None,
                  id="heisenberg-T"),
+    # the top energy omega (dim - 1) overflows, named before any phase warns
+    *(pytest.param([experiment, "--dim", "12", "--omega", "1e308"], "omega=1e+308",
+                   id=f"{experiment}-omega")
+      for experiment in ("pointer-trace", "heisenberg-projector", "bipartite", "zeno",
+                         "two-state", "thermal")),
+    pytest.param(["bipartite", "--dim", "12", "--pointer-sigma", "5e-324"],
+                 "pointer sigma=4.94066e-324", id="bipartite-sigma"),
+    *(pytest.param(["thermal", "--dim", "12", flag, value], "beta*omega=",
+                   id=f"thermal{flag}-{value}")
+      for flag in ("--beta", "--omega") for value in ("5e-324", "1e-300")),
+    pytest.param(["thermal", "--dim", "12", "--beta", "1e308"], None, id="thermal-beta"),
 ])
 def test_extreme_values_are_refused_or_stay_finite(args, named, tmp_path, capsys):
     # a refusal exits 2 and names the value; a run that goes ahead writes no
@@ -392,6 +406,49 @@ def test_largest_finite_phase_runs(tmp_path):
     rows = read(tmp_path / "heisenberg_projector.csv").decode().splitlines()[1:]
     assert len(rows) == 256
     assert all(np.isfinite(float(cell)) for row in rows for cell in row.split(","))
+
+
+# small flags on which each experiment runs in a few milliseconds at dim 8 to 16;
+# the fuzz test below sets one float flag on top of them
+FUZZ_BASE = {
+    "sketch": ["--dim", "12"],
+    "pointer-trace": ["--dim", "16", "--steps", "16", "--alpha", "1"],
+    "heisenberg-projector": ["--dim", "8", "--max-index", "4"],
+    "bipartite": ["--dim", "12", "--T", "2", "--steps", "16"],
+    "zeno": ["--dim", "12", "--n-list", "4,8"],
+    "thermal": ["--dim", "12", "--beta", "4"],
+    "two-state": ["--dim", "16", "--T", "5", "--steps", "16", "--alpha", "1"],
+    "ergodic": ["--seed", "1", "--n-samples", "101", "--ensemble-n", "100", "--periods", "3"],
+    "correspondence": ["--n", "3", "--dim", "16", "--n-samples", "101", "--periods", "3"],
+}
+FUZZ_FLAGS = [(experiment, "--" + name.replace("_", "-"))
+              for experiment, runner in RUNNERS.items()
+              for name in inspect.signature(runner).parameters if PARAMS[name][0] is float]
+FUZZ_VALUES = ["0", "-0", "5e-324", "-5e-324", "1e-300", "1e308", "-1e308", "inf", "-inf",
+               "nan"]
+FUZZ_PREFIXES = {2: ("usage error", "error"), 3: ("numerical failure",)}
+
+
+# 46 float flags x 10 values = 460 pairs of a few ms each; 500 derandomized examples
+# reach every pair
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(flag=st.sampled_from(FUZZ_FLAGS), value=st.sampled_from(FUZZ_VALUES))
+def test_one_extreme_float_flag_exits_as_documented(flag, value):
+    # exit 0 with every CSV cell finite, or exit 2 or 3 with its prefix; any
+    # RuntimeWarning on the way fails the test (filterwarnings = error)
+    experiment, name = flag
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([experiment, *FUZZ_BASE[experiment], f"{name}={value}", "--out", out])
+        cells = [cell for path in Path(out).glob("*.csv")
+                 for row in path.read_text().splitlines()[1:] for cell in row.split(",")]
+    if code == 0:
+        assert cells and all(math.isfinite(float(cell)) for cell in cells)
+    else:
+        assert code in FUZZ_PREFIXES, err.getvalue()
+        assert err.getvalue().startswith(tuple(f"{prefix} ({experiment}): "
+                                               for prefix in FUZZ_PREFIXES[code]))
 
 
 def test_interval_ends_take_a_leading_dash(tmp_path):

@@ -29,6 +29,15 @@ def test_basis_rejects_tiny_dim():
         OscillatorBasis(dim=1)
 
 
+def test_basis_refuses_an_omega_whose_top_energy_overflows():
+    # omega (dim - 1) is 1.7e308, and 2.55e308 with the zero point; the
+    # check is on Python floats, so no RuntimeWarning comes first
+    assert OscillatorBasis(dim=2, omega=1.7e308).energies()[-1] == 1.7e308
+    for basis in ({"dim": 2, "include_zero_point": True}, {"dim": 3}):
+        with pytest.raises(ValueError, match="omega=1.7e"):
+            OscillatorBasis(omega=1.7e308, **basis)
+
+
 def test_number_state_basis_vectors():
     b = OscillatorBasis(dim=16)
     e0 = number_state(b, 0)

@@ -347,6 +347,14 @@ def test_large_bipartite_is_bounded():
     assert res.final_norm == pytest.approx(1.0, abs=1e-10)
 
 
+def test_a_sigma_whose_momenta_overflow_is_named(monkeypatch):
+    # xi / (sqrt(2) sigma) overflows at sigma = 5e-324: refused before the ladder
+    P = projector_matrix(IntervalRegion(0.0, np.inf), OscillatorBasis(dim=16))
+    monkeypatch.setattr(simulation, "_rungs", None)
+    with pytest.raises(ValueError, match="pointer sigma=4.94066e-324 makes the pointer"):
+        bipartite_protective_sim(P, MeasurementSchedule(5.0), pointer_sigma=5e-324)
+
+
 def test_pointer_grid_validation(monkeypatch):
     # refused before the ladder, and before the shift_tol check
     P = projector_matrix(IntervalRegion(0.0, np.inf), OscillatorBasis(dim=16))

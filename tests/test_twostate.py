@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,29 @@ def test_thermal_truncation_guard():
         thermal_density(0.1, OscillatorBasis(dim=64))
     with pytest.raises(ValueError):
         thermal_density(-1.0, OscillatorBasis(dim=64))
+
+
+@pytest.mark.parametrize("beta, omega, tail", [(1e-300, 1.0, "1.000e+300"),
+                                                (5e-324, 1.0, "inf"),
+                                                (1.0, 5e-324, "inf")])
+def test_a_tiny_beta_omega_is_refused_by_its_tail(beta, omega, tail):
+    # 1 - e^{-beta omega} rounds to 0 here; -expm1 keeps the denominator positive
+    with pytest.raises(TruncationError, match=re.escape(f"thermal tail {tail} exceeds")):
+        thermal_weights(beta, OscillatorBasis(dim=12, omega=omega))
+
+
+@pytest.mark.parametrize("beta, omega", [(1e308, 10.0), (5e-324, 0.5)])
+def test_a_beta_omega_that_overflows_or_underflows_is_named(beta, omega):
+    for build in (thermal_weights, thermal_purification):
+        with pytest.raises(ValueError, match="beta\\*omega must be positive and finite"):
+            build(beta, OscillatorBasis(dim=2, omega=omega))
+
+
+def test_an_extreme_beta_gives_the_ground_state_without_a_warning():
+    # beta omega n overflows to inf from n = 2: its weight is the 0 it stands for
+    basis = OscillatorBasis(dim=12)
+    assert thermal_weights(1e308, basis).tolist() == [1.0] + [0.0] * 11
+    assert thermal_purification(1e308, basis).amplitudes.tolist() == [1.0] + [0.0] * 11
 
 
 def test_purification_ground_state_limit(basis):

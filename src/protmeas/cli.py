@@ -100,6 +100,25 @@ def _window(x0, w) -> IntervalRegion:
     return _checked(IntervalRegion, x0 - w / 2, x0 + w / 2)
 
 
+def _measured(region: IntervalRegion, dim, omega, zero_point, T, ramp, steps):
+    """(basis, schedule, projector onto `region`, pre-selected |0>) of a measured run.
+
+    A T whose largest phase overflows is a usage error naming T.
+    """
+    basis = _basis(dim, omega, zero_point)
+    schedule = _checked(MeasurementSchedule, T, ramp, steps)
+    _phase_time(basis, "T", T)
+    return basis, schedule, projector_matrix(region, basis), number_state(basis, 0)
+
+
+def _post(basis: OscillatorBasis, key: str, alpha, delta) -> StateVector:
+    """The post-selected bra <alpha e^{i delta}|; a bad amplitude is a usage error naming `key`."""
+    try:
+        return coherent_state(basis, alpha * np.exp(1j * delta)).dual()
+    except ValueError as exc:
+        raise UsageError(f"{key}: {exc}") from None
+
+
 def run_sketch(*, dim, omega, zero_point, bin_width, L, n=None, alpha=None):
     """|psi|^2 per bin of [-L, L] for |n> (|0> by default), or for |alpha> if alpha is given."""
     basis = _basis(dim, omega, zero_point)
@@ -115,15 +134,10 @@ def run_sketch(*, dim, omega, zero_point, bin_width, L, n=None, alpha=None):
 
 def run_pointer_trace(*, dim, omega, zero_point, T, ramp, steps, x0, w, alpha, delta,
                       alpha2):
-    basis = _basis(dim, omega, zero_point)
-    schedule = _checked(MeasurementSchedule, T, ramp, steps)
-    _phase_time(basis, "T", T)
-    P = projector_matrix(_window(x0, w), basis)
-    pre = number_state(basis, 0)
+    basis, schedule, P, pre = _measured(_window(x0, w), dim, omega, zero_point, T, ramp, steps)
 
     trivial = pointer_trace(schedule, pre, P)
-    post = _checked(coherent_state, basis, alpha * np.exp(1j * delta)).dual()
-    sel = pointer_trace(schedule, pre, P, post)
+    sel = pointer_trace(schedule, pre, P, _post(basis, "alpha", alpha, delta))
 
     closed = closed_form_pvi_weak(abs(alpha), delta, x0, omega, T, schedule.times)
     columns = [("t", "s", schedule.times), ("reading_trivial", "", trivial.readings),
@@ -132,8 +146,7 @@ def run_pointer_trace(*, dim, omega, zero_point, T, ramp, steps, x0, w, alpha, d
     plots = [("fig1.svg", "t", ["reading_alpha", "reading_trivial"],
               ["alpha post-selection", "trivial post-selection"], "pointer readings")]
     if alpha2 is not None:
-        post2 = _checked(coherent_state, basis, alpha2 * np.exp(1j * delta)).dual()
-        sel2 = pointer_trace(schedule, pre, P, post2)
+        sel2 = pointer_trace(schedule, pre, P, _post(basis, "alpha2", alpha2, delta))
         columns += [("reading_alpha2", "", sel2.readings), ("wv_re_alpha2", "", sel2.values)]
         plots.append(("fig2.svg", "t", ["wv_re_alpha", "wv_re_alpha2"],
                       [f"alpha={alpha:g}", f"alpha={alpha2:g}"], "weak value comparison"))
@@ -173,14 +186,11 @@ def run_heisenberg(*, dim, omega, zero_point, a, b, T, max_index, t):
 
 def run_bipartite(*, dim, omega, zero_point, a, b, T, ramp,
                   steps=simulation.LADDER_START, pointer_sigma, shift_tol):
-    basis = _basis(dim, omega, zero_point)
-    region = _checked(IntervalRegion, a, b)
-    schedule = _checked(MeasurementSchedule, T, ramp, steps)
-    _phase_time(basis, "T", T)
-    P = projector_matrix(region, basis)
+    _, schedule, P, pre = _measured(_checked(IntervalRegion, a, b), dim, omega, zero_point,
+                                    T, ramp, steps)
     result = _checked(simulation.bipartite_protective_sim, P, schedule,
                       pointer_sigma=pointer_sigma, steps=steps, shift_tol=shift_tol)
-    ref = expectation(P, number_state(basis, 0))
+    ref = expectation(P, pre)
     table = ResultTable([("T", "s", [T]), ("pointer_shift", "", [result.pointer_shift]),
                          ("energy_shift_per_p", "1/s", [result.energy_shift_per_p]),
                          ("survival", "", [result.survival_probability]),
@@ -202,6 +212,9 @@ def run_zeno(*, dim, omega, zero_point, a, b, T, n_list, coupling, n=1):
     basis = _basis(dim, omega, zero_point)
     _require(0 < n < basis.dim, f"n={n} must satisfy 0 < n < dim")
     _require(T > 0, "protection window T must be positive")
+    # named T, not dt = T / n: a finite E_max T bounds every E_max dt, and a
+    # coupled eigenvalue is at most E_max + |coupling| / T
+    _phase_time(basis, "T", T)
     amps = np.zeros(basis.dim, dtype=complex)
     amps[0] = amps[n] = 1.0  # superposition of |0> and |n>
     initial = StateVector(amps, basis)
@@ -227,12 +240,8 @@ def run_thermal(*, dim, omega, zero_point, beta):
 
 
 def run_two_state(*, dim, omega, zero_point, T, ramp, steps, x0, w, alpha, delta):
-    basis = _basis(dim, omega, zero_point)
-    schedule = _checked(MeasurementSchedule, T, ramp, steps)
-    _phase_time(basis, "T", T)
-    P = projector_matrix(_window(x0, w), basis)
-    pre = number_state(basis, 0)
-    post = _checked(coherent_state, basis, alpha * np.exp(1j * delta)).dual()
+    basis, schedule, P, pre = _measured(_window(x0, w), dim, omega, zero_point, T, ramp, steps)
+    post = _post(basis, "alpha", alpha, delta)
     direct = weak_value_series(P, pre, post, schedule.times, T)
     traced, defect = np.empty_like(direct), np.empty(direct.shape)
     for i, t in enumerate(schedule.times):   # one dim x dim density alive at a time
@@ -251,6 +260,7 @@ def run_ergodic(*, omega, seed, amplitude, n_samples, ensemble_n, periods, t,
                 a=0.5, b=1.0):
     _require(seed is not None,
              "ergodic runs are stochastic: an explicit --seed is mandatory")
+    _require(seed >= 0, f"seed={seed} must be non-negative")
     _require(ensemble_n >= 1, "ensemble_n must be >= 1")
     _require(omega > 0, f"omega must be positive, got {omega}")
     _require(periods >= 1, f"periods must be >= 1, got {periods}")

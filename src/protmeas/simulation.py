@@ -37,7 +37,7 @@ and each protection costs O(dim^2).
 """
 
 from dataclasses import dataclass
-from math import isfinite, pi, sqrt
+from math import pi, sqrt
 
 import numpy as np
 
@@ -123,40 +123,54 @@ def _exact_plateau(S, A, lam, p, h: float, tau: float):
     return shift, energy
 
 
-def _rungs(P: ProjectorMatrix, schedule: MeasurementSchedule, pre: StateVector,
-           sigma: float, rungs):
-    """Each rung's ramps Strang-stepped at about dt = T/steps; one exact plateau.
+def _bipartite_model(P: ProjectorMatrix, schedule: MeasurementSchedule, pre: StateVector, sigma):
+    """The ladder's fixed inputs, formed once per call.
 
-    `rungs` lists the step counts and `sigma` is the pointer's position
-    spread.  Every Gauss-Hermite momentum p_k carries its own system state,
-    and each quantity is the weighted average sum_k w_k f(p_k) over the
-    pointer's momentum distribution, a Gaussian of std dev 1 / (2 sigma).
-    Returns arrays over the rungs: (pointer shift, dE per p, survival, norm).
+    `sigma` is the pointer's position spread, so its momentum is a Gaussian
+    of std dev 1 / (2 sigma), carried by NODES Gauss-Hermite momenta p with
+    weights w.  Returns the tuple (p, w, lam, W, energies, A, start, ref):
+    P_V = W diag(lam) W^T, the plateau's free generator A = W^T diag(E) W,
+    and the pre-selected state and its freely evolved survival reference,
+    both in P_V's eigenbasis.  Raises ValueError if a momentum or the phase
+    E_max * duration overflows.
     """
+    xi, w = np.polynomial.hermite.hermgauss(NODES)
+    with np.errstate(over="ignore"):
+        p = xi / (sqrt(2.0) * sigma)
+    if not np.isfinite(p).all():
+        raise ValueError(f"pointer sigma={sigma:g} makes the pointer momenta overflow")
+    phases = _state_phases(P.basis, schedule.duration, "duration")
     lam, W = np.linalg.eigh(P.entries)
     energies = P.basis.energies()
+    return (p, w / sqrt(pi), lam, W, energies, W.T @ (energies[:, None] * W),
+            W.T @ pre.amplitudes, W.T @ (pre.amplitudes * phases))
+
+
+def _rungs(model, schedule: MeasurementSchedule, rungs):
+    """Each rung's ramps Strang-stepped at about dt = T/steps; one exact plateau.
+
+    `model` is the tuple from `_bipartite_model` and `rungs` lists the step
+    counts.  Every momentum p_k carries its own system state, and each
+    quantity is the weighted average sum_k w_k f(p_k).  Returns arrays over
+    the rungs: (pointer shift, dE per p, survival, norm).
+    """
+    p, w, lam, W, energies, A, start, ref = model
     T = schedule.duration
     ramp = schedule.ramp_fraction * T
     ramp_steps = ([max(1, round(n * schedule.ramp_fraction)) for n in rungs]
                   if ramp > 0 else [])
-    xi, w = np.polynomial.hermite.hermgauss(NODES)
-    p, w = xi / (sqrt(2.0) * sigma), w / sqrt(pi)
-    S = np.empty((len(rungs), len(lam), len(p)), dtype=np.complex128)
-    S[...] = (W.T @ pre.amplitudes)[:, None]
+    S = np.tile(start[:, None], (len(rungs), 1, len(p)))    # (rung, system, node)
     shift = np.zeros((len(rungs), len(p)))
 
     for r, k in enumerate(ramp_steps):
         S[r], kicked = _strang_ramp(S[r], W, energies, lam, p, schedule, 0.0, ramp, k)
         shift[r] += kicked
-    plateau, energy = _exact_plateau(S, W.T @ (energies[:, None] * W), lam, p,
-                                     schedule.plateau, 0.5 * T - ramp)
+    plateau, energy = _exact_plateau(S, A, lam, p, schedule.plateau, 0.5 * T - ramp)
     shift += plateau
     for r, k in enumerate(ramp_steps):
         S[r], kicked = _strang_ramp(S[r], W, energies, lam, p, schedule, T - ramp, T, k)
         shift[r] += kicked
 
-    # survival against the freely evolved pre-selected state
-    ref = W.T @ (pre.amplitudes * _state_phases(P.basis, T, "duration"))
     survival = np.abs(ref.conj() @ S) ** 2                 # (rung, node)
     norm = np.sqrt(np.sum(np.abs(S) ** 2, axis=1) @ w)
     return shift @ w, energy @ w, survival @ w, norm
@@ -196,19 +210,14 @@ def bipartite_protective_sim(P: ProjectorMatrix, schedule: MeasurementSchedule,
     T = 100, while at dim 256, T = 100 it read 6.3e-11 against 1.2e-10.
     """
     check_positive(pointer_sigma, "pointer sigma")
-    # the largest momentum _rungs forms, on Python floats, which overflow without a warning
-    if not isfinite(float(np.polynomial.hermite.hermgauss(NODES)[0][-1])
-                    / (sqrt(2.0) * pointer_sigma)):
-        raise ValueError(f"pointer sigma={pointer_sigma:g} makes the pointer momenta overflow")
     if not shift_tol >= 0:
         raise ValueError(f"shift_tol must be non-negative, got {shift_tol}")
-    check_phase(P.basis.energies()[-1], schedule.duration, "duration")
     if pre is None:
         pre = number_state(P.basis, 0)
+    model = _bipartite_model(P, schedule, pre, pointer_sigma)
 
     for _ in range(REFINEMENTS):
-        shift, de_per_p, survival, norm = _rungs(P, schedule, pre, pointer_sigma,
-                                                 [steps, 2 * steps])
+        shift, de_per_p, survival, norm = _rungs(model, schedule, [steps, 2 * steps])
         steps *= 2
         gap = abs(shift[1] - shift[0])
         if not np.isfinite(gap):

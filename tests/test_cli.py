@@ -386,6 +386,12 @@ def test_overflowing_phase_is_named(args, named, tmp_path, capsys):
                    id=f"thermal{flag}-{value}")
       for flag in ("--beta", "--omega") for value in ("5e-324", "1e-300")),
     pytest.param(["thermal", "--dim", "12", "--beta", "1e308"], None, id="thermal-beta"),
+    # named T, where zeno_protect_sim's own check would name dt = T / n
+    pytest.param(["zeno", "--dim", "12", "--T", "1e308"], "T=1e+308", id="zeno-T"),
+    pytest.param(["pointer-trace", "--dim", "32", "--alpha", "1", "--alpha2", "1e308"],
+                 "alpha2: coherent amplitude", id="pointer-trace-alpha2"),
+    # numpy's seed sequence would raise ValueError, exit 1
+    pytest.param(["ergodic", "--seed=-1"], "seed=-1", id="ergodic-seed"),
 ])
 def test_extreme_values_are_refused_or_stay_finite(args, named, tmp_path, capsys):
     # a refusal exits 2 and names the value; a run that goes ahead writes no
@@ -409,7 +415,7 @@ def test_largest_finite_phase_runs(tmp_path):
 
 
 # small flags on which each experiment runs in a few milliseconds at dim 8 to 16;
-# the fuzz test below sets one float flag on top of them
+# the fuzz tests below set one float or int flag on top of them
 FUZZ_BASE = {
     "sketch": ["--dim", "12"],
     "pointer-trace": ["--dim", "16", "--steps", "16", "--alpha", "1"],
@@ -421,22 +427,39 @@ FUZZ_BASE = {
     "ergodic": ["--seed", "1", "--n-samples", "101", "--ensemble-n", "100", "--periods", "3"],
     "correspondence": ["--n", "3", "--dim", "16", "--n-samples", "101", "--periods", "3"],
 }
-FUZZ_FLAGS = [(experiment, "--" + name.replace("_", "-"))
-              for experiment, runner in RUNNERS.items()
-              for name in inspect.signature(runner).parameters if PARAMS[name][0] is float]
+
+
+def fuzz_flags(kind):
+    return [(experiment, "--" + name.replace("_", "-"))
+            for experiment, runner in RUNNERS.items()
+            for name in inspect.signature(runner).parameters if PARAMS[name][0] is kind]
+
+
 FUZZ_VALUES = ["0", "-0", "5e-324", "-5e-324", "1e-300", "1e308", "-1e308", "inf", "-inf",
                "nan"]
+# no large positive ints: --dim or --steps would allocate that many entries
+FUZZ_INTS = [str(-2 ** 63), "-2", "-1", "0", "1", "2", "3"]
 FUZZ_PREFIXES = {2: ("usage error", "error"), 3: ("numerical failure",)}
 
 
 # 46 float flags x 10 values = 460 pairs of a few ms each; 500 derandomized examples
 # reach every pair
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
-@given(flag=st.sampled_from(FUZZ_FLAGS), value=st.sampled_from(FUZZ_VALUES))
+@given(flag=st.sampled_from(fuzz_flags(float)), value=st.sampled_from(FUZZ_VALUES))
 def test_one_extreme_float_flag_exits_as_documented(flag, value):
-    # exit 0 with every CSV cell finite, or exit 2 or 3 with its prefix; any
-    # RuntimeWarning on the way fails the test (filterwarnings = error)
-    experiment, name = flag
+    exits_as_documented(*flag, value)
+
+
+# 21 int flags x 7 values = 147 pairs; 200 derandomized examples reach every pair
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(flag=st.sampled_from(fuzz_flags(int)), value=st.sampled_from(FUZZ_INTS))
+def test_one_extreme_int_flag_exits_as_documented(flag, value):
+    exits_as_documented(*flag, value)
+
+
+def exits_as_documented(experiment, name, value):
+    """Exit 0 with every CSV cell finite, or exit 2 or 3 with its prefix; any
+    RuntimeWarning on the way fails the test (filterwarnings = error)."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

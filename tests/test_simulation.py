@@ -9,7 +9,7 @@ from protmeas import (IntervalRegion, MeasurementSchedule, NumericalError,
                       hamiltonian, number_state, projector_matrix, zeno_protect_sim,
                       bipartite_protective_sim)
 from protmeas import simulation
-from protmeas.simulation import _rungs
+from protmeas.simulation import _bipartite_model, _rungs
 
 from conftest import random_hermitian
 
@@ -48,7 +48,8 @@ class Grid:
 
 def one_rung(P, sched, pre, steps):
     """One rung of the node code as (pointer shift, dE per p, survival, norm)."""
-    return tuple(float(q[0]) for q in _rungs(P, sched, pre, 10.0, [steps]))
+    return tuple(float(q[0]) for q in _rungs(_bipartite_model(P, sched, pre, 10.0), sched,
+                                              [steps]))
 
 
 def grid_rung(P, sched, pre, grid, steps, shift_tol=1e-4):
@@ -162,7 +163,7 @@ def test_bipartite_names_an_overflowing_window():
 def test_step_ladder_stops_at_a_non_finite_shift(basis32, tail_projector, monkeypatch):
     calls = []
 
-    def nan_rungs(P, schedule, pre, sigma, rungs):
+    def nan_rungs(model, schedule, rungs):
         calls.append(rungs)
         return (np.full(2, np.nan),) * 4
 
@@ -308,9 +309,10 @@ def test_rungs_sharing_a_plateau_match_single_rungs(dim):
     basis = OscillatorBasis(dim=dim)
     P = projector_matrix(IntervalRegion(1.0, np.inf), basis)
     pre, sched = number_state(basis, 0), MeasurementSchedule(20.0)
-    paired = _rungs(P, sched, pre, 10.0, [256, 512])
+    model = _bipartite_model(P, sched, pre, 10.0)
+    paired = _rungs(model, sched, [256, 512])
     for r, steps in enumerate((256, 512)):
-        single = _rungs(P, sched, pre, 10.0, [steps])
+        single = _rungs(model, sched, [steps])
         for both, one in zip(paired, single):
             assert both[r] == pytest.approx(one[0], rel=1e-13, abs=0)
 
@@ -345,6 +347,17 @@ def test_large_bipartite_is_bounded():
     assert time.perf_counter() - start < 5.0
     assert abs(res.pointer_shift - HALF_TAIL) / HALF_TAIL < 0.05
     assert res.final_norm == pytest.approx(1.0, abs=1e-10)
+
+
+def test_bipartite_diagonalizes_the_projector_once_per_call(tail_projector, monkeypatch):
+    # P's eigenbasis is formed before the ladder; each pass diagonalizes only
+    # the NODES plateau Hamiltonians
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda H: calls.append(H.shape) or eigh(H))
+    res = bipartite_protective_sim(tail_projector, MeasurementSchedule(20.0), shift_tol=1e-11)
+    assert res.steps_used == 8 * simulation.LADDER_START             # three passes
+    assert calls == [(32, 32)] * (1 + 3 * simulation.NODES)
 
 
 def test_a_sigma_whose_momenta_overflow_is_named(monkeypatch):

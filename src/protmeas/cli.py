@@ -11,7 +11,8 @@ error.  Outputs are deterministic for a
 fixed config and seed: CSV files are written atomically and SVG plots carry
 no timestamps or environment-dependent bytes.  Exit codes: 0 ok, 2 usage,
 3 numerical failure, 4 I/O failure.  Only parameters the runners validate
-give a usage error; any other exception is a package fault and propagates.
+give a usage error, and its message starts with the keys it refuses; any
+other exception is a package fault and propagates.
 """
 
 import argparse
@@ -23,9 +24,8 @@ import sys
 import numpy as np
 
 from . import ergodicity, simulation, twostate
-from .errors import NumericalError, ProtmeasError, UsageError
-from .oscillator import (OscillatorBasis, StateVector, check_phase, coherent_state,
-                         number_state)
+from .errors import NumericalError, ProtmeasError, TruncationError, UsageError
+from .oscillator import OscillatorBasis, StateVector, check_phase, coherent_state, number_state
 from .projectors import (IntervalRegion, bin_edges, heisenberg_projector,
                          projector_matrix, time_averaged_projector)
 from .quadrature import bin_probabilities
@@ -68,12 +68,17 @@ PARAMS = {
 }
 
 
-def _checked(build, *args, **kwargs):
-    """Build an object from user parameters; its ValueError is a usage error."""
+def _checked(keys: str, build, *args, **kwargs):
+    """build(*args, **kwargs) on user parameters; its refusal is a usage error naming them.
+
+    `keys` lists the parameters whose values the call checks, as in
+    "T, ramp, steps"; a ValueError or TruncationError of the call becomes a
+    UsageError that starts "<keys>: ".
+    """
     try:
         return build(*args, **kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    except (ValueError, TruncationError) as exc:
+        raise UsageError(f"{keys}: {exc}") from None
 
 
 def _require(cond: bool, message: str):
@@ -82,7 +87,7 @@ def _require(cond: bool, message: str):
 
 
 def _basis(dim, omega, zero_point) -> OscillatorBasis:
-    return _checked(OscillatorBasis, dim=dim, omega=omega, include_zero_point=zero_point)
+    return _checked("dim, omega, zero_point", OscillatorBasis, dim, omega, zero_point)
 
 
 def _phase_time(basis: OscillatorBasis, key: str, value: float):
@@ -91,13 +96,12 @@ def _phase_time(basis: OscillatorBasis, key: str, value: float):
     The largest energy bounds every phase the runners form from a time:
     E_n t, and the Heisenberg (m - n) omega t.
     """
-    _checked(check_phase, basis.energies()[-1], value, key)
+    _checked(key, check_phase, basis.energies()[-1], value, key)
 
 
 def _window(x0, w) -> IntervalRegion:
     """The interval of width w centred on x0."""
-    _require(w > 0, "interval width w must be positive")
-    return _checked(IntervalRegion, x0 - w / 2, x0 + w / 2)
+    return _checked("x0, w", IntervalRegion, x0 - w / 2, x0 + w / 2)
 
 
 def _measured(region: IntervalRegion, dim, omega, zero_point, T, ramp, steps):
@@ -106,26 +110,19 @@ def _measured(region: IntervalRegion, dim, omega, zero_point, T, ramp, steps):
     A T whose largest phase overflows is a usage error naming T.
     """
     basis = _basis(dim, omega, zero_point)
-    schedule = _checked(MeasurementSchedule, T, ramp, steps)
+    schedule = _checked("T, ramp, steps", MeasurementSchedule, T, ramp, steps)
     _phase_time(basis, "T", T)
     return basis, schedule, projector_matrix(region, basis), number_state(basis, 0)
-
-
-def _post(basis: OscillatorBasis, key: str, alpha, delta) -> StateVector:
-    """The post-selected bra <alpha e^{i delta}|; a bad amplitude is a usage error naming `key`."""
-    try:
-        return coherent_state(basis, alpha * np.exp(1j * delta)).dual()
-    except ValueError as exc:
-        raise UsageError(f"{key}: {exc}") from None
 
 
 def run_sketch(*, dim, omega, zero_point, bin_width, L, n=None, alpha=None):
     """|psi|^2 per bin of [-L, L] for |n> (|0> by default), or for |alpha> if alpha is given."""
     basis = _basis(dim, omega, zero_point)
-    edges = _checked(bin_edges, bin_width, L)
-    _require(n is None or alpha is None, "sketch draws |n> or |alpha>: give n or alpha, not both")
-    state = (_checked(number_state, basis, n or 0) if alpha is None
-             else _checked(coherent_state, basis, alpha))
+    edges = _checked("bin_width, L", bin_edges, bin_width, L)
+    _require(n is None or alpha is None,
+             f"n={n}, alpha={alpha}: sketch draws |n> or |alpha>, give one of them")
+    state = (_checked("n", number_state, basis, n or 0) if alpha is None
+             else _checked("alpha", coherent_state, basis, alpha))
     table = ResultTable([("bin_center", "", 0.5 * (edges[:-1] + edges[1:])),
                          ("probability", "", bin_probabilities(state.amplitudes, edges))])
     return table, [("sketch.svg", "bin_center", ["probability"], ["|psi|^2 per bin"],
@@ -137,7 +134,8 @@ def run_pointer_trace(*, dim, omega, zero_point, T, ramp, steps, x0, w, alpha, d
     basis, schedule, P, pre = _measured(_window(x0, w), dim, omega, zero_point, T, ramp, steps)
 
     trivial = pointer_trace(schedule, pre, P)
-    sel = pointer_trace(schedule, pre, P, _post(basis, "alpha", alpha, delta))
+    post = _checked("alpha", coherent_state, basis, alpha * np.exp(1j * delta)).dual()
+    sel = pointer_trace(schedule, pre, P, post)
 
     closed = closed_form_pvi_weak(abs(alpha), delta, x0, omega, T, schedule.times)
     columns = [("t", "s", schedule.times), ("reading_trivial", "", trivial.readings),
@@ -146,7 +144,8 @@ def run_pointer_trace(*, dim, omega, zero_point, T, ramp, steps, x0, w, alpha, d
     plots = [("fig1.svg", "t", ["reading_alpha", "reading_trivial"],
               ["alpha post-selection", "trivial post-selection"], "pointer readings")]
     if alpha2 is not None:
-        sel2 = pointer_trace(schedule, pre, P, _post(basis, "alpha2", alpha2, delta))
+        post2 = _checked("alpha2", coherent_state, basis, alpha2 * np.exp(1j * delta)).dual()
+        sel2 = pointer_trace(schedule, pre, P, post2)
         columns += [("reading_alpha2", "", sel2.readings), ("wv_re_alpha2", "", sel2.values)]
         plots.append(("fig2.svg", "t", ["wv_re_alpha", "wv_re_alpha2"],
                       [f"alpha={alpha:g}", f"alpha={alpha2:g}"], "weak value comparison"))
@@ -163,15 +162,15 @@ def run_pointer_trace(*, dim, omega, zero_point, T, ramp, steps, x0, w, alpha, d
 
 def run_heisenberg(*, dim, omega, zero_point, a, b, T, max_index, t):
     basis = _basis(dim, omega, zero_point)
-    region = _checked(IntervalRegion, a, b)
+    region = _checked("a, b", IntervalRegion, a, b)
     _phase_time(basis, "T", T)
     _phase_time(basis, "t", t)
-    _require(max_index >= 1, f"max_index must be >= 1, got {max_index}")
+    _require(max_index >= 1, f"max_index={max_index} must be >= 1")
     k = min(max_index, basis.dim)
     # entries with m, n < k need phi_0..phi_k only: P on the first max(k, 2) levels
     P = projector_matrix(region, OscillatorBasis(max(k, 2), omega, zero_point))
     Pt = heisenberg_projector(P, t)
-    avg = _checked(time_averaged_projector, P, T)
+    avg = _checked("T", time_averaged_projector, P, T)
     m, n = np.indices((k, k)).reshape(2, -1)
     p, pt, pa = (M[m, n] for M in (P.entries, Pt, avg))
     # 2|p| / (|m - n| omega T) is inf or NaN on the diagonal and inf where omega T
@@ -186,9 +185,9 @@ def run_heisenberg(*, dim, omega, zero_point, a, b, T, max_index, t):
 
 def run_bipartite(*, dim, omega, zero_point, a, b, T, ramp,
                   steps=simulation.LADDER_START, pointer_sigma, shift_tol):
-    _, schedule, P, pre = _measured(_checked(IntervalRegion, a, b), dim, omega, zero_point,
-                                    T, ramp, steps)
-    result = _checked(simulation.bipartite_protective_sim, P, schedule,
+    _, schedule, P, pre = _measured(_checked("a, b", IntervalRegion, a, b), dim, omega,
+                                    zero_point, T, ramp, steps)
+    result = _checked("pointer_sigma, shift_tol", simulation.bipartite_protective_sim, P, schedule,
                       pointer_sigma=pointer_sigma, steps=steps, shift_tol=shift_tol)
     ref = expectation(P, pre)
     table = ResultTable([("T", "s", [T]), ("pointer_shift", "", [result.pointer_shift]),
@@ -202,25 +201,24 @@ def _parse_n_list(raw: str) -> list:
     try:
         values = [int(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
-        raise UsageError(f"n_list must be comma-separated integers, got {raw!r}") from None
+        raise UsageError(f"n_list={raw!r} must be comma-separated integers") from None
     _require(len(values) > 0 and all(v >= 1 for v in values),
-             "n_list must contain positive protection counts")
+             f"n_list={raw!r} must list positive protection counts")
     return values
 
 
 def run_zeno(*, dim, omega, zero_point, a, b, T, n_list, coupling, n=1):
     basis = _basis(dim, omega, zero_point)
     _require(0 < n < basis.dim, f"n={n} must satisfy 0 < n < dim")
-    _require(T > 0, "protection window T must be positive")
     # named T, not dt = T / n: a finite E_max T bounds every E_max dt, and a
     # coupled eigenvalue is at most E_max + |coupling| / T
     _phase_time(basis, "T", T)
     amps = np.zeros(basis.dim, dtype=complex)
     amps[0] = amps[n] = 1.0  # superposition of |0> and |n>
     initial = StateVector(amps, basis)
-    P = projector_matrix(_checked(IntervalRegion, a, b), basis)
+    P = projector_matrix(_checked("a, b", IntervalRegion, a, b), basis)
     counts = _parse_n_list(n_list)
-    runs = [_checked(simulation.zeno_protect_sim, initial, count, T, measured=P,
+    runs = [_checked("T, coupling", simulation.zeno_protect_sim, initial, count, T, measured=P,
                      coupling=coupling) for count in counts]
     table = ResultTable([("n_protections", "", counts),
                          ("survival", "", [r.survival_probability for r in runs]),
@@ -231,7 +229,7 @@ def run_zeno(*, dim, omega, zero_point, a, b, T, n_list, coupling, n=1):
 
 def run_thermal(*, dim, omega, zero_point, beta):
     basis = _basis(dim, omega, zero_point)
-    pure = _checked(twostate.thermal_purification, beta, basis)
+    pure = _checked("beta, omega", twostate.thermal_purification, beta, basis)
     table = ResultTable([("n", "", np.arange(basis.dim)),
                          ("weight", "", twostate.thermal_weights(beta, basis)),
                          ("purification_amp", "", pure.amplitudes.real)])
@@ -241,7 +239,7 @@ def run_thermal(*, dim, omega, zero_point, beta):
 
 def run_two_state(*, dim, omega, zero_point, T, ramp, steps, x0, w, alpha, delta):
     basis, schedule, P, pre = _measured(_window(x0, w), dim, omega, zero_point, T, ramp, steps)
-    post = _post(basis, "alpha", alpha, delta)
+    post = _checked("alpha", coherent_state, basis, alpha * np.exp(1j * delta)).dual()
     direct = weak_value_series(P, pre, post, schedule.times, T)
     traced, defect = np.empty_like(direct), np.empty(direct.shape)
     for i, t in enumerate(schedule.times):   # one dim x dim density alive at a time
@@ -258,17 +256,15 @@ def run_two_state(*, dim, omega, zero_point, T, ramp, steps, x0, w, alpha, delta
 
 def run_ergodic(*, omega, seed, amplitude, n_samples, ensemble_n, periods, t,
                 a=0.5, b=1.0):
-    _require(seed is not None,
-             "ergodic runs are stochastic: an explicit --seed is mandatory")
-    _require(seed >= 0, f"seed={seed} must be non-negative")
-    _require(ensemble_n >= 1, "ensemble_n must be >= 1")
-    _require(omega > 0, f"omega must be positive, got {omega}")
-    _require(periods >= 1, f"periods must be >= 1, got {periods}")
-    region = _checked(IntervalRegion, a, b)
+    _require(seed is not None and seed >= 0,
+             f"seed={seed}: ergodic runs are stochastic and need a non-negative --seed")
+    _require(omega > 0, f"omega={omega} must be positive")   # the window divides by it
+    region = _checked("a, b", IntervalRegion, a, b)
     duration = periods * 2.0 * np.pi / omega
-    time_avg = _checked(ergodicity.classical_time_average,
+    time_avg = _checked("amplitude, omega, periods, n_samples", ergodicity.classical_time_average,
                         amplitude, 0.0, omega, region, duration, n_samples)
-    ens = ergodicity.uniform_phase_ensemble(ensemble_n, amplitude, omega, seed)
+    ens = _checked("ensemble_n", ergodicity.uniform_phase_ensemble,
+                   ensemble_n, amplitude, omega, seed)
     ens_avg = ergodicity.classical_ensemble_average(ens, region, t)
     analytic = ergodicity.classical_dwell_fraction(amplitude, region)
     err_t = ergodicity.sampling_error(time_avg, n_samples)
@@ -284,10 +280,8 @@ def run_ergodic(*, omega, seed, amplitude, n_samples, ensemble_n, periods, t,
 def run_correspondence(*, omega, zero_point, n_samples, periods, n=50, a=2.0, b=4.0,
                        dim=128):
     basis = _basis(dim, omega, zero_point)
-    region = _checked(IntervalRegion, a, b)
-    _require(n >= 0, f"n={n} must be >= 0")
-    _require(periods >= 1, f"periods must be >= 1, got {periods}")
-    report = _checked(ergodicity.correspondence_check,
+    region = _checked("a, b", IntervalRegion, a, b)
+    report = _checked("n, omega, n_samples, periods", ergodicity.correspondence_check,
                       n, region, basis, n_samples=n_samples, n_periods=periods)
     rel_gap = (abs(report.quantum_fraction - report.analytic_fraction)
                / max(report.analytic_fraction, 1e-300))

@@ -47,7 +47,12 @@ class ClassicalEnsemble:
 
 def uniform_phase_ensemble(size: int, amplitude: float, omega: float,
                            seed: int) -> ClassicalEnsemble:
-    """Common amplitude, phases drawn uniformly on [0, 2 pi)."""
+    """Common amplitude, phases drawn uniformly on [0, 2 pi).
+
+    Raises ValueError unless size >= 1.
+    """
+    if size < 1:
+        raise ValueError(f"ensemble size must be >= 1, got {size}")
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * np.pi, size)
     return ClassicalEnsemble(np.full(size, float(amplitude)), phases, omega)

@@ -163,6 +163,11 @@ def coherent_tail(dim: int, alpha: complex) -> float:
     return 1.0 - math.exp(_log_poisson(lam, dim - 1)) * total
 
 
+def _plain(z) -> str:
+    """A complex number as a message shows it: 40 for 40+0j, 3+4j otherwise."""
+    return f"{z.real:g}" if z.imag == 0 else f"{complex(z):g}"
+
+
 def required_coherent_dim(alpha: complex, limit: float = COHERENT_TAIL_LIMIT) -> int:
     """Smallest truncation for which the coherent tail drops below `limit`.
 
@@ -170,7 +175,7 @@ def required_coherent_dim(alpha: complex, limit: float = COHERENT_TAIL_LIMIT) ->
     [2, MAX_COHERENT_DIM].
     """
     if coherent_tail(MAX_COHERENT_DIM, alpha) >= limit:
-        raise TruncationError(f"no reasonable truncation holds alpha={alpha!r}")
+        raise TruncationError(f"no reasonable truncation holds alpha={_plain(alpha)}")
     lo, hi = 1, MAX_COHERENT_DIM       # the answer lies in (lo, hi]
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -191,7 +196,7 @@ def coherent_state(basis: OscillatorBasis, alpha: complex) -> StateVector:
     if tail >= COHERENT_TAIL_LIMIT:
         need = required_coherent_dim(alpha)
         raise TruncationError(
-            f"coherent state alpha={alpha!r} has truncation tail {tail:.3e} "
+            f"coherent state alpha={_plain(alpha)} has truncation tail {tail:.3e} "
             f"on dim={basis.dim}; requires dim >= {need}"
         )
     if alpha == 0:
@@ -355,14 +360,16 @@ def _hermite_rows(x, targets):
     scale = None
     prev, cur = np.zeros_like(x), np.pi ** -0.25 * np.exp(-half_sq)
     a = np.empty_like(x)
+    targets = list(targets)     # the last n is the last row the recurrence forms
+    up, down = _recurrence_coefficients(targets[-1][0] + 1 if targets else 0)
     m = 0
     for n, out in targets:
         while m < n:
             m += 1
-            np.multiply(x, math.sqrt(2.0 / m), out=a)
+            np.multiply(x, up[m - 1], a)
             a *= cur
-            prev *= math.sqrt((m - 1) / m)
-            np.subtract(a, prev, out=prev)
+            prev *= down[m - 1]
+            np.subtract(a, prev, prev)
             prev, cur = cur, prev
             if scaled and (m % cadence in (0, cadence - 1) or m == n):
                 big = np.abs(cur) > 2.0 ** _RESCALE_BITS
@@ -394,18 +401,24 @@ def _unscaling(e):
     return np.ldexp(1.0, np.maximum(e, -1022 - _SPLIT_BITS) + _SPLIT_BITS)
 
 
+def _recurrence_coefficients(n_max: int):
+    """The lists of sqrt(2/m) and of sqrt((m-1)/m), m = 1..n_max-1, as Python floats.
+
+    Both recurrences read their coefficients here, so they share every float.
+    """
+    m = np.arange(1, n_max, dtype=float)
+    return np.sqrt(2.0 / m).tolist(), np.sqrt((m - 1.0) / m).tolist()
+
+
 def _few_point_columns(x, n_max: int):
     """phi_0..phi_{n_max-1} at each point of x, one list per point, on Python floats.
 
     The unscaled recurrence of `_hermite_rows` (every point has e = 0), with
-    the same operations in the same order, (x sqrt(2/m)) phi_{m-1} -
-    phi_{m-2} sqrt((m-1)/m), from the same numpy phi_0: the values are the
-    vector path's, bit for bit.
+    the same coefficients and operations in the same order, (x sqrt(2/m))
+    phi_{m-1} - phi_{m-2} sqrt((m-1)/m), from the same numpy phi_0: the
+    values are the vector path's, bit for bit.
     """
-    m = np.arange(1, n_max, dtype=float)
-    # IEEE division and sqrt round correctly, so these are math.sqrt's floats
-    up = np.sqrt(2.0 / m).tolist()
-    down = np.sqrt((m - 1.0) / m).tolist()
+    up, down = _recurrence_coefficients(n_max)
     seeds = (np.pi ** -0.25 * np.exp(-(0.5 * x * x))).tolist()
     for xj, cur in zip(x.tolist(), seeds):
         prev, column = 0.0, [cur]

@@ -390,6 +390,12 @@ def test_overflowing_phase_is_named(args, named, tmp_path, capsys):
     pytest.param(["zeno", "--dim", "12", "--T", "1e308"], "T=1e+308", id="zeno-T"),
     pytest.param(["pointer-trace", "--dim", "32", "--alpha", "1", "--alpha2", "1e308"],
                  "alpha2: coherent amplitude", id="pointer-trace-alpha2"),
+    # a truncation refusal names its flag and shows alpha as a plain number
+    pytest.param(["pointer-trace", "--dim", "16", "--alpha", "1", "--alpha2", "40",
+                  "--steps", "16"],
+                 "alpha2: coherent state alpha=40 ", id="pointer-trace-alpha2-truncation"),
+    pytest.param(["two-state", "--dim", "16", "--T", "5", "--steps", "16", "--alpha", "40"],
+                 "alpha: coherent state alpha=40 ", id="two-state-alpha-truncation"),
     # numpy's seed sequence would raise ValueError, exit 1
     pytest.param(["ergodic", "--seed=-1"], "seed=-1", id="ergodic-seed"),
 ])
@@ -457,9 +463,16 @@ def test_one_extreme_int_flag_exits_as_documented(flag, value):
     exits_as_documented(*flag, value)
 
 
+def leading_keys(err):
+    """The comma list of keys that starts a refusal's message, after its "(<experiment>): "."""
+    head, sep, _ = err.partition("): ")[2].partition(": ")
+    return head.split(", ") if sep else []
+
+
 def exits_as_documented(experiment, name, value):
     """Exit 0 with every CSV cell finite, or exit 2 or 3 with its prefix; any
-    RuntimeWarning on the way fails the test (filterwarnings = error)."""
+    RuntimeWarning on the way fails the test (filterwarnings = error).  An
+    exit 2 names the flag's key, in the keys that start the message or as key=."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -472,6 +485,31 @@ def exits_as_documented(experiment, name, value):
         assert code in FUZZ_PREFIXES, err.getvalue()
         assert err.getvalue().startswith(tuple(f"{prefix} ({experiment}): "
                                                for prefix in FUZZ_PREFIXES[code]))
+        key = name[2:].replace("-", "_")   # "beta*omega=" does not name omega
+        assert code == 3 or key in leading_keys(err.getvalue()) or re.search(
+            rf"(?<![\w*]){key}=", err.getvalue()), err.getvalue()
+
+
+# refusals the library words in its own terms ("duration", "region", "extent"):
+# the message starts with the keys whose values the refused call checked
+@pytest.mark.parametrize("args, key", [
+    pytest.param(["pointer-trace", "--T", "0"], "T", id="T-duration"),
+    pytest.param(["heisenberg-projector", "--T", "0"], "T", id="T-averaging-window"),
+    pytest.param(["two-state", "--T", "5e-324", "--steps", "8"], "T", id="T-plateau-height"),
+    pytest.param(["bipartite", "--ramp", "0.7"], "ramp", id="ramp-fraction"),
+    pytest.param(["zeno", "--a", "2", "--b", "1"], "a", id="a-region"),
+    pytest.param(["heisenberg-projector", "--b", "-inf"], "b", id="b-region"),
+    pytest.param(["two-state", "--x0", "1e308"], "x0", id="x0-region"),
+    pytest.param(["pointer-trace", "--w", "0"], "w", id="w-region"),
+    pytest.param(["sketch", "--L", "0"], "L", id="L-extent"),
+    pytest.param(["sketch", "--bin-width", "0.3"], "bin_width", id="bin-width-extent"),
+    pytest.param(["ergodic", "--seed", "1", "--omega", "1e-308"], "omega", id="ergodic-omega"),
+    pytest.param(["correspondence", "--omega", "1e-308"], "omega", id="correspondence-omega"),
+])
+def test_a_refusal_in_library_terms_names_its_flag(args, key, tmp_path, capsys):
+    assert main(args + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error ({args[0]}): ") and key in leading_keys(err), err
 
 
 def test_interval_ends_take_a_leading_dash(tmp_path):

@@ -116,6 +116,12 @@ def test_averages_refuse_what_they_cannot_average(call, name):
         call()
 
 
+@pytest.mark.parametrize("size", [0, -1])
+def test_an_ensemble_without_members_is_refused_by_its_size(size):
+    with pytest.raises(ValueError, match=f"ensemble size must be >= 1, got {size}"):
+        uniform_phase_ensemble(size, 1.0, 1.0, 1)
+
+
 # -------------------------------------------------------- ensemble averages
 
 def test_ensemble_identical_members_inside():

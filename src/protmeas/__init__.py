@@ -46,6 +46,6 @@ from .twostate import (DensityMatrix, TwoStateDensity, sample_thermal_eigenstate
                        weak_value_from_density)
 from .ergodicity import (ClassicalEnsemble, DwellReport, classical_dwell_fraction,
                          classical_ensemble_average, classical_time_average,
-                         correspondence_check, uniform_phase_ensemble)
+                         correspondence_check, dwell_report, uniform_phase_ensemble)
 
 __version__ = "0.1.0"

@@ -258,21 +258,19 @@ def run_ergodic(*, omega, seed, amplitude, n_samples, ensemble_n, periods, t,
                 a=0.5, b=1.0):
     _require(seed is not None and seed >= 0,
              f"seed={seed}: ergodic runs are stochastic and need a non-negative --seed")
-    _require(omega > 0, f"omega={omega} must be positive")   # the window divides by it
     region = _checked("a, b", IntervalRegion, a, b)
-    duration = periods * 2.0 * np.pi / omega
-    time_avg = _checked("amplitude, omega, periods, n_samples", ergodicity.classical_time_average,
-                        amplitude, 0.0, omega, region, duration, n_samples)
+    dwell = _checked("amplitude, omega, periods, n_samples", ergodicity.dwell_report,
+                     amplitude, region, omega, n_samples, periods)
     ens = _checked("ensemble_n", ergodicity.uniform_phase_ensemble,
                    ensemble_n, amplitude, omega, seed)
     ens_avg = ergodicity.classical_ensemble_average(ens, region, t)
-    analytic = ergodicity.classical_dwell_fraction(amplitude, region)
-    err_t = ergodicity.sampling_error(time_avg, n_samples)
     err_e = ergodicity.sampling_error(ens_avg, ensemble_n)
-    combined = float(np.hypot(err_t, err_e))
-    gap_sigmas = abs(time_avg - ens_avg) / combined if combined > 0 else 0.0
-    table = ResultTable([("time_average", "", [time_avg]), ("ensemble_average", "", [ens_avg]),
-                         ("analytic_fraction", "", [analytic]), ("stat_error_time", "", [err_t]),
+    combined = float(np.hypot(dwell.statistical_error, err_e))
+    gap_sigmas = abs(dwell.time_average - ens_avg) / combined if combined > 0 else 0.0
+    table = ResultTable([("time_average", "", [dwell.time_average]),
+                         ("ensemble_average", "", [ens_avg]),
+                         ("analytic_fraction", "", [dwell.analytic_fraction]),
+                         ("stat_error_time", "", [dwell.statistical_error]),
                          ("stat_error_ensemble", "", [err_e]), ("gap_sigmas", "", [gap_sigmas])])
     return table, []
 

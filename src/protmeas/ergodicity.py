@@ -12,7 +12,7 @@ excited states and bins wide enough to average over the wavefunction's
 oscillations.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,26 +23,23 @@ from .quadrature import interval_diagonal
 
 @dataclass(frozen=True, eq=False)
 class ClassicalEnsemble:
-    """Equal-weight oscillator ensemble as (amplitude, phase) pairs."""
+    """Equal-weight ensemble of oscillators of one amplitude, one phase per member."""
 
-    amplitudes: np.ndarray
+    amplitude: float
     phases: np.ndarray
     omega: float = 1.0
 
     def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=float)
         p = np.asarray(self.phases, dtype=float)
-        if a.size < 1 or a.shape != p.shape:
-            raise ValueError("need matching, non-empty amplitude and phase arrays")
-        if not np.all((a > 0) & (a < np.inf) & np.isfinite(p)):
-            raise ValueError("amplitudes must be positive and finite, phases finite")
+        if p.size < 1 or not np.all(np.isfinite(p)):
+            raise ValueError("need a non-empty array of finite phases")
+        check_positive(self.amplitude, "amplitude")
         check_positive(self.omega, "omega")
-        object.__setattr__(self, "amplitudes", a)
         object.__setattr__(self, "phases", p)
 
     @property
     def size(self) -> int:
-        return int(self.amplitudes.size)
+        return int(self.phases.size)
 
 
 def uniform_phase_ensemble(size: int, amplitude: float, omega: float,
@@ -55,7 +52,7 @@ def uniform_phase_ensemble(size: int, amplitude: float, omega: float,
         raise ValueError(f"ensemble size must be >= 1, got {size}")
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * np.pi, size)
-    return ClassicalEnsemble(np.full(size, float(amplitude)), phases, omega)
+    return ClassicalEnsemble(float(amplitude), phases, omega)
 
 
 @dataclass(frozen=True)
@@ -66,12 +63,10 @@ class DwellReport:
     quantum_fraction: float | None = None
 
     def __post_init__(self):
-        for name in ("time_average", "analytic_fraction"):
+        for name in ("time_average", "analytic_fraction", "quantum_fraction"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
+            if v is not None and not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} outside [0, 1]")
-        if self.quantum_fraction is not None and not 0.0 <= self.quantum_fraction <= 1.0:
-            raise ValueError(f"quantum_fraction={self.quantum_fraction} outside [0, 1]")
 
 
 def classical_time_average(amplitude: float, phase: float, omega: float,
@@ -106,7 +101,7 @@ def classical_time_average(amplitude: float, phase: float, omega: float,
 def classical_ensemble_average(ensemble: ClassicalEnsemble, region: IntervalRegion,
                                t: float = 0.0) -> float:
     """Fraction of members inside `region` at time t."""
-    x = ensemble.amplitudes * np.cos(ensemble.omega * t + ensemble.phases)
+    x = ensemble.amplitude * np.cos(ensemble.omega * t + ensemble.phases)
     return float(np.count_nonzero(region.contains(x)) / ensemble.size)
 
 
@@ -125,25 +120,39 @@ def sampling_error(fraction: float, n_samples: int) -> float:
     return float(np.sqrt(max(fraction * (1.0 - fraction), 1e-30) / n_samples))
 
 
+def dwell_report(amplitude: float, region: IntervalRegion, omega: float, n_samples: int,
+                 n_periods: int) -> DwellReport:
+    """One oscillator's dwell in `region`: sampled over n_periods periods and in closed form.
+
+    The trajectory amplitude * cos(omega t) is sampled n_samples times over
+    the window n_periods * 2 pi / omega; the report carries that time
+    average, its sampling error and the arcsin fraction.  Raises ValueError
+    naming omega or n_periods unless omega is positive and finite and
+    n_periods >= 1, and classical_time_average's refusals otherwise.
+    """
+    check_positive(omega, "omega")
+    if n_periods < 1:
+        raise ValueError(f"n_periods must be >= 1, got {n_periods}")
+    time_avg = classical_time_average(amplitude, 0.0, omega, region,
+                                      n_periods * 2.0 * np.pi / omega, n_samples)
+    return DwellReport(time_average=time_avg,
+                       analytic_fraction=classical_dwell_fraction(amplitude, region),
+                       statistical_error=sampling_error(time_avg, n_samples))
+
+
 def correspondence_check(n: int, region: IntervalRegion, basis: OscillatorBasis,
                          n_samples: int = 200_001, n_periods: int = 1000) -> DwellReport:
     """Quantum dwell <n|P|n> against the energy-matched classical oscillator.
 
-    The classical amplitude is A = sqrt(2n+1) so both sides carry the energy
-    (n + 1/2) omega.  The sampled time average uses a sample count coprime
-    with the number of periods to equidistribute phases.  <n|P|n> is read
-    off the diagonal recurrence, which needs phi_0..phi_n only, so it does
-    not depend on basis.dim.  Raises ValueError unless n_periods >= 1.
+    The classical side is dwell_report at A = sqrt(2n+1), so both sides
+    carry the energy (n + 1/2) omega; a sample count coprime with the number
+    of periods equidistributes the phases.  <n|P|n> is read off the diagonal
+    recurrence, which needs phi_0..phi_n only, so it does not depend on
+    basis.dim.  Raises ValueError unless n >= 0, and dwell_report's refusals.
     """
-    if n_periods < 1:
-        raise ValueError(f"n_periods must be >= 1, got {n_periods}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    classical = dwell_report(float(np.sqrt(2.0 * n + 1.0)), region, basis.omega,
+                             n_samples, n_periods)
     quantum = interval_diagonal(region.lower, region.upper, n + 1)[n]
-    amplitude = float(np.sqrt(2.0 * n + 1.0))
-    analytic = classical_dwell_fraction(amplitude, region)
-    duration = n_periods * 2.0 * np.pi / basis.omega
-    time_avg = classical_time_average(amplitude, 0.0, basis.omega, region,
-                                      duration, n_samples)
-    err = sampling_error(time_avg, n_samples)
-    return DwellReport(time_average=time_avg, analytic_fraction=analytic,
-                       statistical_error=err,
-                       quantum_fraction=float(np.clip(quantum, 0.0, 1.0)))
+    return replace(classical, quantum_fraction=float(np.clip(quantum, 0.0, 1.0)))

@@ -131,14 +131,16 @@ def _bipartite_model(P: ProjectorMatrix, schedule: MeasurementSchedule, pre: Sta
     weights w.  Returns the tuple (p, w, lam, W, energies, A, start, ref):
     P_V = W diag(lam) W^T, the plateau's free generator A = W^T diag(E) W,
     and the pre-selected state and its freely evolved survival reference,
-    both in P_V's eigenbasis.  Raises ValueError if a momentum or the phase
-    E_max * duration overflows.
+    both in P_V's eigenbasis.  Raises ValueError if a momentum reaches
+    2**52 or the phase E_max * duration overflows.
     """
     xi, w = np.polynomial.hermite.hermgauss(NODES)
     with np.errstate(over="ignore"):
         p = xi / (sqrt(2.0) * sigma)
-    if not np.isfinite(p).all():
-        raise ValueError(f"pointer sigma={sigma:g} makes the pointer momenta overflow")
+    # the window's kick phase reaches max|p| * integral(g) = max|p|, whose ulp is
+    # 1 rad or more from 2**52 on: no step count resolves it
+    if not np.abs(p).max() < 2.0 ** 52:
+        raise ValueError(f"pointer sigma={sigma:g} makes the pointer momenta reach 2**52")
     phases = _state_phases(P.basis, schedule.duration, "duration")
     lam, W = np.linalg.eigh(P.entries)
     energies = P.basis.energies()
@@ -197,7 +199,7 @@ def bipartite_protective_sim(P: ProjectorMatrix, schedule: MeasurementSchedule,
     times.  `steps_used` is the accepted rung.
     The initial pointer is a Gaussian of position spread `pointer_sigma`.
     Raises ValueError if pointer_sigma is not positive and finite or so
-    small that a pointer momentum overflows, if shift_tol is negative or
+    small that a pointer momentum reaches 2**52, if shift_tol is negative or
     NaN or if the phase E_max * duration overflows, and NumericalError if
     a rung's pointer shift is not finite or the ladder is exhausted
     without convergence.

@@ -97,6 +97,13 @@ def test_ergodic_requires_seed(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_a_small_resolvable_pointer_sigma_runs_the_ladder(tmp_path, capsys):
+    # at sigma = 1e-8 every kick phase is representable: the ladder runs and fails to converge
+    assert main(["bipartite", "--dim", "12", "--T", "2", "--steps", "16",
+                 "--pointer-sigma", "1e-8", "--out", str(tmp_path)]) == 3
+    assert "pointer shift did not converge" in capsys.readouterr().err
+
+
 def test_pointer_trace_columns_and_determinism(tmp_path, capsys):
     args = ["pointer-trace", "--T", "20", "--steps", "256", "--plot"]
     assert main(args + ["--out", str(tmp_path / "a")]) == 0
@@ -382,6 +389,10 @@ def test_overflowing_phase_is_named(args, named, tmp_path, capsys):
                          "two-state", "thermal")),
     pytest.param(["bipartite", "--dim", "12", "--pointer-sigma", "5e-324"],
                  "pointer sigma=4.94066e-324", id="bipartite-sigma"),
+    # finite momenta whose kick phase cannot resolve a radian: refused before the ladder
+    pytest.param(["bipartite", "--dim", "12", "--T", "2", "--steps", "16",
+                  "--pointer-sigma", "1e-300"], "pointer_sigma, shift_tol: pointer sigma=1e-300",
+                 id="bipartite-sigma-unresolvable"),
     *(pytest.param(["thermal", "--dim", "12", flag, value], "beta*omega=",
                    id=f"thermal{flag}-{value}")
       for flag in ("--beta", "--omega") for value in ("5e-324", "1e-300")),
@@ -396,6 +407,9 @@ def test_overflowing_phase_is_named(args, named, tmp_path, capsys):
                  "alpha2: coherent state alpha=40 ", id="pointer-trace-alpha2-truncation"),
     pytest.param(["two-state", "--dim", "16", "--T", "5", "--steps", "16", "--alpha", "40"],
                  "alpha: coherent state alpha=40 ", id="two-state-alpha-truncation"),
+    # named by correspondence itself, not as the recurrence's count n + 1 = 0
+    pytest.param(["correspondence", "--n", "-1"], "n, omega, n_samples, periods: n must be >= 0, "
+                 "got -1", id="correspondence-negative-n"),
     # numpy's seed sequence would raise ValueError, exit 1
     pytest.param(["ergodic", "--seed=-1"], "seed=-1", id="ergodic-seed"),
 ])

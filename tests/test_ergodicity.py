@@ -6,10 +6,11 @@ from scipy import integrate
 
 from protmeas import (ClassicalEnsemble, IntervalRegion, OscillatorBasis,
                       classical_dwell_fraction, classical_ensemble_average,
-                      classical_time_average, correspondence_check,
+                      classical_time_average, correspondence_check, dwell_report,
                       expectation, number_state, projector_matrix,
                       uniform_phase_ensemble)
 from protmeas import oscillator, projectors, quadrature
+from protmeas.cli import main
 from protmeas.ergodicity import sampling_error
 from protmeas.projectors import FULL_LINE
 
@@ -104,9 +105,13 @@ _HALF = IntervalRegion(0.5, 1.0)
     pytest.param(lambda: correspondence_check(50, IntervalRegion(2.0, 4.0),
                                               OscillatorBasis(dim=128), n_periods=0),
                  "n_periods", id="correspondence-zero-periods"),
+    pytest.param(lambda: dwell_report(1.0, _HALF, 0.0, 100, 10), "omega",
+                 id="dwell-zero-omega"),
+    pytest.param(lambda: dwell_report(1.0, _HALF, 1.0, 100, 0), "n_periods",
+                 id="dwell-zero-periods"),
     pytest.param(lambda: uniform_phase_ensemble(10, 1.0, np.nan, 1),
                  "omega", id="ensemble-nan-omega"),
-    pytest.param(lambda: ClassicalEnsemble(np.ones(2), np.zeros(2), omega=0.0),
+    pytest.param(lambda: ClassicalEnsemble(1.0, np.zeros(2), omega=0.0),
                  "omega", id="ensemble-zero-omega"),
 ])
 def test_averages_refuse_what_they_cannot_average(call, name):
@@ -125,7 +130,7 @@ def test_an_ensemble_without_members_is_refused_by_its_size(size):
 # -------------------------------------------------------- ensemble averages
 
 def test_ensemble_identical_members_inside():
-    ens = ClassicalEnsemble(np.full(10, 2.0), np.zeros(10))
+    ens = ClassicalEnsemble(2.0, np.zeros(10))
     assert classical_ensemble_average(ens, IntervalRegion(1.5, 2.5), 0.0) == 1.0
 
 
@@ -142,9 +147,9 @@ def test_ensemble_agrees_with_time_average():
 
 def test_ensemble_validation():
     with pytest.raises(ValueError):
-        ClassicalEnsemble(np.array([]), np.array([]))
+        ClassicalEnsemble(1.0, np.array([]))
     with pytest.raises(ValueError):
-        ClassicalEnsemble(np.array([0.0]), np.array([0.0]))
+        ClassicalEnsemble(0.0, np.array([0.0]))
 
 
 # ------------------------------------------------------------ dwell fraction
@@ -208,6 +213,29 @@ def test_correspondence_builds_no_projector(monkeypatch):
     monkeypatch.setattr(projectors, "interval_overlaps", no_projector)
     report = correspondence_check(50, region, basis, n_samples=1001, n_periods=10)
     assert report.quantum_fraction == entry
+
+
+def test_ergodic_and_correspondence_read_one_dwell_report(tmp_path):
+    # both runners take the window, time average, arcsin fraction and error from
+    # dwell_report, bit for bit; the window is n_periods * 2 pi / omega
+    region, omega = IntervalRegion(0.5, 1.5), 1.3
+    fields = ("time_average", "analytic_fraction", "statistical_error")
+    for n in (0, 3, 50):
+        amplitude = float(np.sqrt(2.0 * n + 1.0))
+        report = correspondence_check(n, region, OscillatorBasis(dim=128, omega=omega),
+                                      n_samples=1001, n_periods=10)
+        dwell = dwell_report(amplitude, region, omega, 1001, 10)
+        assert [getattr(report, f) for f in fields] == [getattr(dwell, f) for f in fields]
+        assert dwell.time_average == classical_time_average(
+            amplitude, 0.0, omega, region, 10 * 2.0 * np.pi / omega, 1001)
+    assert main(["ergodic", "--seed", "1", "--amplitude", "1.7", "--omega", "1.3", "--a", "0.5",
+                 "--b", "1.5", "--n-samples", "1001", "--periods", "10", "--ensemble-n", "100",
+                 "--out", str(tmp_path)]) == 0
+    header, row = (tmp_path / "ergodic.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), map(float, row.split(","))))
+    dwell = dwell_report(1.7, region, omega, 1001, 10)
+    assert [row[c] for c in ("time_average", "analytic_fraction", "stat_error_time")] \
+        == [getattr(dwell, f) for f in fields]
 
 
 def test_quantum_fraction_does_not_depend_on_dim():

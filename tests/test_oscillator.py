@@ -454,7 +454,7 @@ _B = OscillatorBasis(dim=16)
     pytest.param("pointer sigma", lambda x: bipartite_protective_sim(
         projector_matrix(IntervalRegion(0.0, 1.0), _B), MeasurementSchedule(1.0),
         pointer_sigma=x), id="grid"),
-    pytest.param("amplitudes", lambda x: ClassicalEnsemble([x], [0.0]), id="ensemble"),
+    pytest.param("amplitude", lambda x: ClassicalEnsemble(x, [0.0]), id="ensemble"),
     pytest.param("amplitude", lambda x: classical_dwell_fraction(x, IntervalRegion(0.0, 1.0)),
                  id="dwell"),
     pytest.param("protection window", lambda x: zeno_protect_sim(number_state(_B, 1), 4, x),

@@ -368,6 +368,19 @@ def test_a_sigma_whose_momenta_overflow_is_named(monkeypatch):
         bipartite_protective_sim(P, MeasurementSchedule(5.0), pointer_sigma=5e-324)
 
 
+def test_a_sigma_whose_kick_phase_cannot_resolve_a_radian_is_refused(monkeypatch):
+    # at sigma = 1e-300 the momenta are finite, about 1.2e300, but the window's kick
+    # phase max|p| has an ulp far above 1 rad: refused before the ladder
+    P = projector_matrix(IntervalRegion(0.0, np.inf), OscillatorBasis(dim=16))
+    monkeypatch.setattr(simulation, "_rungs", None)
+    with pytest.raises(ValueError, match=r"^pointer sigma=1e-300 makes the pointer momenta reach"):
+        bipartite_protective_sim(P, MeasurementSchedule(5.0), pointer_sigma=1e-300)
+    # max|p| = 1.1672 / sigma crosses 2**52 between these two widths
+    _bipartite_model(P, MeasurementSchedule(5.0), number_state(P.basis, 0), 3e-16)
+    with pytest.raises(ValueError, match=r"reach 2\*\*52$"):
+        _bipartite_model(P, MeasurementSchedule(5.0), number_state(P.basis, 0), 2e-16)
+
+
 def test_pointer_grid_validation(monkeypatch):
     # refused before the ladder, and before the shift_tol check
     P = projector_matrix(IntervalRegion(0.0, np.inf), OscillatorBasis(dim=16))

@@ -4,15 +4,20 @@ Usage:  protmeas <experiment> [--config file.json] [--param value ...] --out DIR
 
 A runner's keyword-only signature lists the parameters its experiment
 takes, with any default that differs from PARAMS.  Flags override config
-values, which override the defaults; a key the experiment does not take, a
-non-boolean bool, a non-integral int, a non-finite float (other than the
-interval ends a and b) or a time whose largest phase overflows is a usage
-error.  Outputs are deterministic for a
+values, which override the defaults.  argparse only splits the command
+line: `_convert` alone parses a flag value or --sweep token by its
+parameter's kind and checks it, as it checks a config value, so a value is
+refused with the same "key=value ..." message from all three.  A key the
+experiment does not take, a non-boolean bool, a non-integral int, a
+non-finite float (other than the interval ends a and b) or a time whose
+largest phase overflows is a usage error.  Outputs are deterministic for a
 fixed config and seed: CSV files are written atomically and SVG plots carry
 no timestamps or environment-dependent bytes.  Exit codes: 0 ok, 2 usage,
 3 numerical failure, 4 I/O failure.  Only parameters the runners validate
 give a usage error, and its message starts with the keys it refuses; any
-other exception is a package fault and propagates.
+other exception is a package fault and propagates.  argparse's own errors
+(an unknown experiment or flag, a flag without its value) exit 2 through
+SystemExit.
 """
 
 import argparse
@@ -55,7 +60,7 @@ PARAMS = {
     "L": (float, 4.0),
     "bin_width": (float, 0.1),
     "max_index": (int, 20),
-    "n_list": (str, "4,8,16,32,64,128,256"),
+    "n_list": (list, [4, 8, 16, 32, 64, 128, 256]),
     "coupling": (float, 0.0),
     "t": (float, 0.0),
     "seed": (int, None),
@@ -197,16 +202,6 @@ def run_bipartite(*, dim, omega, zero_point, a, b, T, ramp,
     return table, []
 
 
-def _parse_n_list(raw: str) -> list:
-    try:
-        values = [int(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError:
-        raise UsageError(f"n_list={raw!r} must be comma-separated integers") from None
-    _require(len(values) > 0 and all(v >= 1 for v in values),
-             f"n_list={raw!r} must list positive protection counts")
-    return values
-
-
 def run_zeno(*, dim, omega, zero_point, a, b, T, n_list, coupling, n=1):
     basis = _basis(dim, omega, zero_point)
     _require(0 < n < basis.dim, f"n={n} must satisfy 0 < n < dim")
@@ -217,10 +212,9 @@ def run_zeno(*, dim, omega, zero_point, a, b, T, n_list, coupling, n=1):
     amps[0] = amps[n] = 1.0  # superposition of |0> and |n>
     initial = StateVector(amps, basis)
     P = projector_matrix(_checked("a, b", IntervalRegion, a, b), basis)
-    counts = _parse_n_list(n_list)
     runs = [_checked("T, coupling", simulation.zeno_protect_sim, initial, count, T, measured=P,
-                     coupling=coupling) for count in counts]
-    table = ResultTable([("n_protections", "", counts),
+                     coupling=coupling) for count in n_list]
+    table = ResultTable([("n_protections", "", n_list),
                          ("survival", "", [r.survival_probability for r in runs]),
                          ("max_op_jump", "", [r.jump_norms.max(initial=0.0) for r in runs])])
     return table, [("zeno.svg", "n_protections", ["survival"], ["survival"],
@@ -315,42 +309,56 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (kind, default) in PARAMS.items():
         flag = "--" + name.replace("_", "-")
         if kind is bool:
-            parser.add_argument(flag, dest=name, action="store_const", const=True,
-                                default=None)
+            parser.add_argument(flag, dest=name, action="store_const", const=True)
         else:
-            parser.add_argument(flag, dest=name, type=kind, default=None)
+            parser.add_argument(flag, dest=name)
     return parser
 
 
-def _convert(key: str, value, default, token=False):
-    """A config or flag value, or a --sweep token, as a value of PARAMS[key]'s type.
+# how a flag value or --sweep token reads as each kind: the first reader that
+# does not raise wins, and text that no reader takes is left for _convert to refuse
+_READERS = {
+    bool: [lambda text: {"true": True, "false": False}[text.strip()]],
+    int: [int, float],      # exactly, or an integral float such as 1e2 or 16.0
+    float: [float],
+    list: [lambda text: [int(tok) for tok in text.split(",") if tok.strip()]],
+}
 
-    null stays None where the default is None; booleans must be JSON booleans
-    or the tokens true/false, integers must be integral, floats other than
-    the interval ends a and b must be finite, and n_list may be a JSON
-    array.  Anything else raises UsageError.
+
+def _convert(key: str, value, default, token=False):
+    """A parameter value as a value of PARAMS[key]'s kind; the one place values are parsed.
+
+    A flag value or --sweep token (`token`) is text, read by _READERS; a
+    config value keeps its JSON type, but an n_list string is read as a
+    token is.  null stays None where the default is None; booleans must be
+    booleans, integers integral, floats other than the interval ends a and
+    b finite, and n_list a non-empty list of integers >= 1.  Anything else
+    raises UsageError "<key>=<value> ...".
     """
     kind = PARAMS[key][0]
     if value is None and default is None:
         return None
-    if isinstance(value, list) and kind is str:       # n_list as a JSON array
-        value = ",".join(map(str, value))
-    elif token:
-        try:
-            value = {"true": True, "false": False}[value.strip()] if kind is bool else float(value)
-        except (KeyError, ValueError):
-            pass
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(value, str) and (token or kind is list):
+        for reader in _READERS[kind]:
+            try:
+                value = reader(value)
+                break
+            except (KeyError, ValueError):
+                pass
+    valid = {bool: type(value) is bool, float: type(value) in (int, float),
+             int: type(value) is int or type(value) is float and value.is_integer(),
+             list: type(value) is list and value != [] and all(type(v) is int and v >= 1
+                                                                for v in value)}[kind]
     try:
-        if (isinstance(value, kind) if kind in (bool, str) else
-                number and (kind is float or isinstance(value, int) or value.is_integer())):
+        if valid:
             value = kind(value)
             _require(kind is not float or key in ("a", "b") or np.isfinite(value),
                      f"{key}={value!r} is not finite")
             return value
     except OverflowError:   # an integer beyond the float range
         pass
-    raise UsageError(f"{key}={value!r} is not a valid {kind.__name__}")
+    what = "list of counts >= 1" if kind is list else kind.__name__
+    raise UsageError(f"{key}={value!r} is not a valid {what}")
 
 
 def merge_params(args: argparse.Namespace) -> list:
@@ -381,10 +389,10 @@ def merge_params(args: argparse.Namespace) -> list:
         _require(isinstance(config, dict), "config file must hold a JSON object")
         config = {k: v for k, v in config.items() if k not in ("experiment", "out", "plot")}
     flags = {name: getattr(args, name) for name in PARAMS if getattr(args, name) is not None}
-    for source, given in (("the config", config), ("a flag", flags)):
+    for source, given, token in (("the config", config, False), ("a flag", flags, True)):
         for key, value in given.items():
             accept(key, source)
-            params[key] = _convert(key, value, params[key])
+            params[key] = _convert(key, value, params[key], token)
     if not args.sweep:
         return [(args.out, params)]
 

@@ -173,9 +173,9 @@ def _rungs(model, schedule: MeasurementSchedule, rungs):
         S[r], kicked = _strang_ramp(S[r], W, energies, lam, p, schedule, T - ramp, T, k)
         shift[r] += kicked
 
-    survival = np.abs(ref.conj() @ S) ** 2                 # (rung, node)
-    norm = np.sqrt(np.sum(np.abs(S) ** 2, axis=1) @ w)
-    return shift @ w, energy @ w, survival @ w, norm
+    norm2 = np.sum(np.abs(S) ** 2, axis=1)                 # (rung, node)
+    survival = np.abs(ref.conj() @ S) ** 2 / norm2         # of each node's final state
+    return shift @ w, energy @ w, survival @ w, np.sqrt(norm2 @ w)
 
 
 # window steps of the ladder's first rung, and the doublings it tries: the

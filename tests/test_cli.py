@@ -225,6 +225,27 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+# refusals whose value a command line spells too: named -> (experiment, the text
+# of a flag value or --sweep token that spells the config value)
+SPELLED_ALIKE = {
+    "dim=32.9": ("thermal", "32.9"),
+    "dim=1.5 is not a valid int": ("thermal", "1.5"),
+    "dim='abc' is not a valid int": ("thermal", "abc"),
+    "dim=inf is not a valid int": ("thermal", "inf"),
+    "dim=nan is not a valid int": ("thermal", "nan"),
+    "beta='two' is not a valid float": ("thermal", "two"),
+    "beta=inf is not finite": ("thermal", "inf"),
+    "omega=nan is not finite": ("thermal", "nan"),
+    "zero_point='yes' is not a valid bool": ("thermal", "yes"),
+    "seed=1.5 is not a valid int": ("ergodic", "1.5"),
+    "max_index=inf is not a valid int": ("heisenberg-projector", "1e400"),
+    "n_list='4,x' is not a valid list": ("zeno", "4,x"),
+    "n_list=[0] is not a valid list": ("zeno", "0"),
+    "n_list=[] is not a valid list": ("zeno", ","),
+    "n_list=[4, 0] is not a valid list": ("zeno", "4,0"),
+}
+
+
 @pytest.mark.parametrize("config, named", [
     ({"alpha": 3}, "thermal does not take 'alpha'"),
     ({"dim": 32, "n_list": "4,8"}, "thermal does not take 'n_list'"),
@@ -234,15 +255,40 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     ({"dim": True}, "dim=True"),
     ({"beta": "2"}, "beta='2'"),
     ({"beta": None}, "beta=None"),
-    ({"beta": 10 ** 400}, "beta=1000"),
+    ({"beta": 10 ** 400}, "beta=1000"),   # a JSON integer; the text 1000...0 reads as inf
+    ({"dim": 1.5}, "dim=1.5 is not a valid int"),
+    ({"dim": "abc"}, "dim='abc' is not a valid int"),
+    ({"dim": math.inf}, "dim=inf is not a valid int"),
+    ({"dim": math.nan}, "dim=nan is not a valid int"),
+    ({"beta": "two"}, "beta='two' is not a valid float"),
+    ({"beta": math.inf}, "beta=inf is not finite"),
+    ({"omega": math.nan}, "omega=nan is not finite"),
+    ({"zero_point": "yes"}, "zero_point='yes' is not a valid bool"),
+    ({"seed": 1.5}, "seed=1.5 is not a valid int"),
+    ({"max_index": math.inf}, "max_index=inf is not a valid int"),
+    ({"n_list": "4,x"}, "n_list='4,x' is not a valid list"),
+    ({"n_list": "0"}, "n_list=[0] is not a valid list"),
+    ({"n_list": ","}, "n_list=[] is not a valid list"),
+    ({"n_list": [4, 0]}, "n_list=[4, 0] is not a valid list"),
 ])
 def test_config_value_rejected_and_named(config, named, tmp_path, capsys):
+    # a value a command line spells too is refused with the same line as a flag
+    # and as a one-value sweep; a bool flag takes no value, n_list is not swept
+    experiment, text = SPELLED_ALIKE.get(named, ("thermal", None))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
-    assert main(["thermal", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert main([experiment, "--config", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert "usage error (thermal)" in err and named in err
-    assert not (tmp_path / "thermal.csv").exists()
+    assert err.startswith(f"usage error ({experiment}): ") and named in err, err
+    if text is not None:
+        (key, _), = config.items()
+        forms = [["--sweep", f"{key}={text}"]] if key != "n_list" else []
+        if PARAMS[key][0] is not bool:
+            forms.append([f"--{key.replace('_', '-')}={text}"])
+        for form in forms:
+            assert main([experiment, *form, "--out", str(tmp_path)]) == 2
+            assert capsys.readouterr().err == err
+    assert not any(tmp_path.glob("**/*.csv"))
 
 
 def test_config_and_sweep_values_keep_their_type(tmp_path):
@@ -250,13 +296,25 @@ def test_config_and_sweep_values_keep_their_type(tmp_path):
     config.write_text(json.dumps({"dim": 16.0, "zero_point": True, "n_list": [4, 8],
                                   "T": 3}))
     assert main(["zeno", "--config", str(config), "--out", str(tmp_path / "c")]) == 0
-    assert main(["zeno", "--dim", "16", "--zero-point", "--n-list", "4,8", "--T", "3",
-                 "--out", str(tmp_path / "f")]) == 0
-    assert read(tmp_path / "c" / "zeno.csv") == read(tmp_path / "f" / "zeno.csv")
+    for dim in ("16", "16.0", "1.6e1"):   # a flag takes an integral float as a config does
+        assert main(["zeno", "--dim", dim, "--zero-point", "--n-list", "4,8", "--T", "3",
+                     "--out", str(tmp_path / dim)]) == 0
+        assert read(tmp_path / "c" / "zeno.csv") == read(tmp_path / dim / "zeno.csv")
     assert main(["thermal", "--dim", "32", "--sweep", "zero_point=false,true",
                  "--out", str(tmp_path / "s")]) == 0
     assert sorted(p.name for p in (tmp_path / "s").iterdir()) == [
         "zero_point=False", "zero_point=True"]
+
+
+def test_a_sweep_token_keeps_every_digit_of_an_integer(tmp_path):
+    # 2**53 + 1 has no float: read as one, the sweep ran seed 2**53
+    base = ["ergodic", "--n-samples", "101", "--ensemble-n", "100", "--periods", "3"]
+    assert main(base + ["--sweep", "seed=9007199254740993,3", "--out", str(tmp_path / "s")]) == 0
+    assert sorted(p.name for p in (tmp_path / "s").iterdir()) == [
+        "seed=3", "seed=9007199254740993"]
+    assert main(base + ["--seed", "9007199254740993", "--out", str(tmp_path / "f")]) == 0
+    assert (read(tmp_path / "s" / "seed=9007199254740993" / "ergodic.csv")
+            == read(tmp_path / "f" / "ergodic.csv"))
 
 
 def test_sketch_draws_number_or_coherent_state(tmp_path):

@@ -220,6 +220,20 @@ def test_exact_plateau_matches_full_window_strang(ramp_fraction):
     assert norm == pytest.approx(1.0, abs=1e-12)
 
 
+def test_survival_is_read_off_each_nodes_normalised_state():
+    # a start of norm 2 stands in for a norm drift: |<ref|psi>|^2 alone reads it 4 times
+    basis = OscillatorBasis(dim=16)
+    P = projector_matrix(IntervalRegion(1.0, np.inf), basis)
+    sched = MeasurementSchedule(5.0)
+    model = _bipartite_model(P, sched, number_state(basis, 0), 10.0)
+    *fixed, start, ref = model
+    _, _, survival, norm = _rungs(model, sched, [64, 128])
+    _, _, survival2, norm2 = _rungs((*fixed, 2.0 * start, ref), sched, [64, 128])
+    np.testing.assert_allclose(norm2, 2.0 * norm, rtol=1e-15)
+    np.testing.assert_allclose(survival2, survival, rtol=1e-14)
+    assert np.all(survival <= 1.0)
+
+
 def ehrenfest_shift(P, sched, pre, grid):
     """h sum_l w_l integral_0^T <P_V>_l dt over the grid's momentum columns,
     for a schedule with no ramps.

@@ -6,18 +6,21 @@ A runner's keyword-only signature lists the parameters its experiment
 takes, with any default that differs from PARAMS.  Flags override config
 values, which override the defaults.  argparse only splits the command
 line: `_convert` alone parses a flag value or --sweep token by its
-parameter's kind and checks it, as it checks a config value, so a value is
+parameter's kind and checks it, as it checks a config value, whose JSON
+integers read by their digits as on the command line, so a value is
 refused with the same "key=value ..." message from all three.  A key the
 experiment does not take, a non-boolean bool, a non-integral int, a
-non-finite float (other than the interval ends a and b) or a time whose
-largest phase overflows is a usage error.  Outputs are deterministic for a
-fixed config and seed: CSV files are written atomically and SVG plots carry
-no timestamps or environment-dependent bytes.  Exit codes: 0 ok, 2 usage,
-3 numerical failure, 4 I/O failure.  Only parameters the runners validate
-give a usage error, and its message starts with the keys it refuses; any
-other exception is a package fault and propagates.  argparse's own errors
-(an unknown experiment or flag, a flag without its value) exit 2 through
-SystemExit.
+non-finite float (other than the interval ends a and b), a size above its
+LIMITS bound or a time whose largest phase overflows is a usage error.
+Outputs are deterministic for a fixed config and seed: CSV files are
+written atomically and SVG plots carry no timestamps or
+environment-dependent bytes.  Exit codes: 0 ok, 2 usage, 3 numerical
+failure, 4 I/O failure.  A library refusal (ValueError, TruncationError or
+PostSelectionError) becomes a usage error in `_checked` alone, so only
+parameters the runners validate give one, and its message starts with
+the keys it refuses; any other exception is a package fault and
+propagates.  argparse's own errors (an unknown experiment or flag, a flag
+without its value) exit 2 through SystemExit.
 """
 
 import argparse
@@ -29,7 +32,7 @@ import sys
 import numpy as np
 
 from . import ergodicity, simulation, twostate
-from .errors import NumericalError, ProtmeasError, TruncationError, UsageError
+from .errors import NumericalError, PostSelectionError, TruncationError, UsageError
 from .oscillator import OscillatorBasis, StateVector, check_phase, coherent_state, number_state
 from .projectors import (IntervalRegion, bin_edges, heisenberg_projector,
                          projector_matrix, time_averaged_projector)
@@ -77,12 +80,12 @@ def _checked(keys: str, build, *args, **kwargs):
     """build(*args, **kwargs) on user parameters; its refusal is a usage error naming them.
 
     `keys` lists the parameters whose values the call checks, as in
-    "T, ramp, steps"; a ValueError or TruncationError of the call becomes a
-    UsageError that starts "<keys>: ".
+    "T, ramp, steps"; a ValueError, TruncationError or PostSelectionError of
+    the call becomes a UsageError that starts "<keys>: ".
     """
     try:
         return build(*args, **kwargs)
-    except (ValueError, TruncationError) as exc:
+    except (ValueError, TruncationError, PostSelectionError) as exc:
         raise UsageError(f"{keys}: {exc}") from None
 
 
@@ -234,7 +237,7 @@ def run_thermal(*, dim, omega, zero_point, beta):
 def run_two_state(*, dim, omega, zero_point, T, ramp, steps, x0, w, alpha, delta):
     basis, schedule, P, pre = _measured(_window(x0, w), dim, omega, zero_point, T, ramp, steps)
     post = _checked("alpha", coherent_state, basis, alpha * np.exp(1j * delta)).dual()
-    direct = weak_value_series(P, pre, post, schedule.times, T)
+    direct = _checked("alpha, delta, T", weak_value_series, P, pre, post, schedule.times, T)
     traced, defect = np.empty_like(direct), np.empty(direct.shape)
     for i, t in enumerate(schedule.times):   # one dim x dim density alive at a time
         rho = twostate.two_state_density(pre, post, float(t), T)
@@ -315,8 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# how a flag value or --sweep token reads as each kind: the first reader that
-# does not raise wins, and text that no reader takes is left for _convert to refuse
+# how a flag value, --sweep token or JSON integer reads as each kind: the first
+# reader that does not raise wins, and text that no reader takes is left for
+# _convert to refuse
 _READERS = {
     bool: [lambda text: {"true": True, "false": False}[text.strip()]],
     int: [int, float],      # exactly, or an integral float such as 1e2 or 16.0
@@ -324,41 +328,57 @@ _READERS = {
     list: [lambda text: [int(tok) for tok in text.split(",") if tok.strip()]],
 }
 
+# the largest value of each size parameter (each count, for n_list), so that a
+# run can allocate its arrays and finish its loops.  At 2**14 levels one dim x
+# dim complex matrix takes 4 GiB, and correspondence's recurrence runs over
+# phi_0..phi_n (sketch and zeno need n < dim).  Measured on 2 cores, one
+# process each: pointer-trace at 2**20 steps and dim 64 took 5 s and 0.5 GB, a
+# Zeno protection 27 us at dim 12 and 4.5 ms at dim 512, ergodic 25 ns per
+# dwell sample and 80 ns per ensemble member
+LIMITS = {"dim": 2 ** 14, "n": 2 ** 14, "steps": 2 ** 20, "n_list": 2 ** 16,
+          "n_samples": 2 ** 30, "ensemble_n": 2 ** 24}
+
+
+def _read(kind, text: str):
+    """`text` read by the first of _READERS[kind] that takes it, or `text` if none does."""
+    for reader in _READERS[kind]:
+        try:
+            return reader(text)
+        except (KeyError, ValueError):
+            pass
+    return text
+
 
 def _convert(key: str, value, default, token=False):
     """A parameter value as a value of PARAMS[key]'s kind; the one place values are parsed.
 
     A flag value or --sweep token (`token`) is text, read by _READERS; a
     config value keeps its JSON type, but an n_list string is read as a
-    token is.  null stays None where the default is None; booleans must be
-    booleans, integers integral, floats other than the interval ends a and
-    b finite, and n_list a non-empty list of integers >= 1.  Anything else
-    raises UsageError "<key>=<value> ...".
+    token is, and a float parameter reads a JSON integer by its digits, as
+    float() reads the same flag value: beyond the float range it is +-inf.
+    null stays None where the default is None; booleans must be booleans,
+    integers integral, floats other than the interval ends a and b finite,
+    n_list a non-empty list of integers >= 1, and a size no larger than its
+    LIMITS bound.  Anything else raises UsageError "<key>=<value> ...".
     """
     kind = PARAMS[key][0]
     if value is None and default is None:
         return None
     if isinstance(value, str) and (token or kind is list):
-        for reader in _READERS[kind]:
-            try:
-                value = reader(value)
-                break
-            except (KeyError, ValueError):
-                pass
+        value = _read(kind, value)
     valid = {bool: type(value) is bool, float: type(value) in (int, float),
              int: type(value) is int or type(value) is float and value.is_integer(),
              list: type(value) is list and value != [] and all(type(v) is int and v >= 1
                                                                 for v in value)}[kind]
-    try:
-        if valid:
-            value = kind(value)
-            _require(kind is not float or key in ("a", "b") or np.isfinite(value),
-                     f"{key}={value!r} is not finite")
-            return value
-    except OverflowError:   # an integer beyond the float range
-        pass
-    what = "list of counts >= 1" if kind is list else kind.__name__
-    raise UsageError(f"{key}={value!r} is not a valid {what}")
+    if not valid:
+        what = "list of counts >= 1" if kind is list else kind.__name__
+        raise UsageError(f"{key}={value!r} is not a valid {what}")
+    value = float(str(value)) if kind is float else kind(value)
+    _require(kind is not float or key in ("a", "b") or np.isfinite(value),
+             f"{key}={value!r} is not finite")
+    _require(key not in LIMITS or max(value if kind is list else [value]) <= LIMITS[key],
+             f"{key}={value!r} exceeds the bound {LIMITS.get(key)}")
+    return value
 
 
 def merge_params(args: argparse.Namespace) -> list:
@@ -383,7 +403,7 @@ def merge_params(args: argparse.Namespace) -> list:
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                config = json.load(fh)
+                config = json.load(fh, parse_int=lambda text: _read(int, text))
         except json.JSONDecodeError as exc:
             raise UsageError(f"config {args.config} is not valid JSON: {exc}") from None
         _require(isinstance(config, dict), "config file must hold a JSON object")
@@ -465,9 +485,6 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure ({args.experiment}): {exc}", file=sys.stderr)
         return 3
-    except ProtmeasError as exc:
-        print(f"error ({args.experiment}): {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"I/O failure ({args.experiment}): {exc}", file=sys.stderr)
         return 4

@@ -17,8 +17,9 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 import protmeas
-from protmeas.cli import (PARAMS, RUNNERS, _join_negative_values, build_parser, main,
+from protmeas.cli import (LIMITS, PARAMS, RUNNERS, _join_negative_values, build_parser, main,
                           merge_params)
+from protmeas.errors import UsageError
 from protmeas.svgplot import emit_plot
 from protmeas.tables import ResultTable
 
@@ -159,6 +160,18 @@ def test_a_flagged_alpha2_trace_is_reported(tmp_path, capsys):
         assert [ln.split(",")[col] for ln in lines[1:]] == ["0.0"] * 17
 
 
+def test_an_all_zero_plot_is_written_and_deterministic(tmp_path):
+    # both post-selections fall below the overlap floor, so fig2 draws two
+    # all-zero columns on a flat y range
+    args = ["pointer-trace", "--dim", "128", "--alpha", "6.2", "--alpha2", "6.5", "--T", "5",
+            "--steps", "16", "--plot"]
+    for run in ("a", "b"):
+        assert main(args + ["--out", str(tmp_path / run)]) == 0
+    svg = read(tmp_path / "a" / "fig2.svg")
+    assert svg.count(b"<polyline") == 2
+    assert svg == read(tmp_path / "b" / "fig2.svg")
+
+
 def test_sketch_matches_quadrature_oracle(tmp_path):
     assert main(["sketch", "--bin-width", "0.1", "--L", "4", "--out", str(tmp_path)]) == 0
     lines = read(tmp_path / "sketch.csv").decode().splitlines()
@@ -225,7 +238,7 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
-# refusals whose value a command line spells too: named -> (experiment, the text
+# refusals whose value a command line spells too: named -> (experiment, each text
 # of a flag value or --sweep token that spells the config value)
 SPELLED_ALIKE = {
     "dim=32.9": ("thermal", "32.9"),
@@ -233,8 +246,11 @@ SPELLED_ALIKE = {
     "dim='abc' is not a valid int": ("thermal", "abc"),
     "dim=inf is not a valid int": ("thermal", "inf"),
     "dim=nan is not a valid int": ("thermal", "nan"),
+    "dim=100000000000000000000 exceeds the bound 16384": ("thermal", "1e20",
+                                                          "100000000000000000000"),
     "beta='two' is not a valid float": ("thermal", "two"),
-    "beta=inf is not finite": ("thermal", "inf"),
+    # the digits of 10**400 read as inf, in a config as on a command line
+    "beta=inf is not finite": ("thermal", "inf", "1" + "0" * 400),
     "omega=nan is not finite": ("thermal", "nan"),
     "zero_point='yes' is not a valid bool": ("thermal", "yes"),
     "seed=1.5 is not a valid int": ("ergodic", "1.5"),
@@ -243,6 +259,7 @@ SPELLED_ALIKE = {
     "n_list=[0] is not a valid list": ("zeno", "0"),
     "n_list=[] is not a valid list": ("zeno", ","),
     "n_list=[4, 0] is not a valid list": ("zeno", "4,0"),
+    "n_list=[4, 100000000000000] exceeds the bound 65536": ("zeno", "4,100000000000000"),
 }
 
 
@@ -255,7 +272,7 @@ SPELLED_ALIKE = {
     ({"dim": True}, "dim=True"),
     ({"beta": "2"}, "beta='2'"),
     ({"beta": None}, "beta=None"),
-    ({"beta": 10 ** 400}, "beta=1000"),   # a JSON integer; the text 1000...0 reads as inf
+    ({"beta": 10 ** 400}, "beta=inf is not finite"),
     ({"dim": 1.5}, "dim=1.5 is not a valid int"),
     ({"dim": "abc"}, "dim='abc' is not a valid int"),
     ({"dim": math.inf}, "dim=inf is not a valid int"),
@@ -270,17 +287,19 @@ SPELLED_ALIKE = {
     ({"n_list": "0"}, "n_list=[0] is not a valid list"),
     ({"n_list": ","}, "n_list=[] is not a valid list"),
     ({"n_list": [4, 0]}, "n_list=[4, 0] is not a valid list"),
+    ({"dim": 1e20}, "dim=100000000000000000000 exceeds the bound 16384"),
+    ({"n_list": [4, 10 ** 14]}, "n_list=[4, 100000000000000] exceeds the bound 65536"),
 ])
 def test_config_value_rejected_and_named(config, named, tmp_path, capsys):
     # a value a command line spells too is refused with the same line as a flag
     # and as a one-value sweep; a bool flag takes no value, n_list is not swept
-    experiment, text = SPELLED_ALIKE.get(named, ("thermal", None))
+    experiment, *texts = SPELLED_ALIKE.get(named, ("thermal",))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     assert main([experiment, "--config", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"usage error ({experiment}): ") and named in err, err
-    if text is not None:
+    for text in texts:
         (key, _), = config.items()
         forms = [["--sweep", f"{key}={text}"]] if key != "n_list" else []
         if PARAMS[key][0] is not bool:
@@ -315,6 +334,53 @@ def test_a_sweep_token_keeps_every_digit_of_an_integer(tmp_path):
     assert main(base + ["--seed", "9007199254740993", "--out", str(tmp_path / "f")]) == 0
     assert (read(tmp_path / "s" / "seed=9007199254740993" / "ergodic.csv")
             == read(tmp_path / "f" / "ergodic.csv"))
+
+
+@pytest.mark.parametrize("experiment, key, text, code", [
+    ("heisenberg-projector", "a", "-1" + "0" * 400, 0),
+    ("heisenberg-projector", "a", "-1" + "0" * 5000, 0),
+    ("thermal", "beta", "1" + "0" * 5000, 2),
+    ("thermal", "dim", "1" + "0" * 5000, 2),
+], ids=["a-401-digits", "a-5001-digits", "beta-5001-digits", "dim-5001-digits"])
+def test_a_config_integer_reads_as_its_digits_on_a_command_line(experiment, key, text, code,
+                                                                 tmp_path, capsys):
+    # beyond the float range the digits read as -inf or inf, and past Python's
+    # 4,300-digit int limit they read as a float, as a flag's do
+    (tmp_path / "cfg.json").write_text(f'{{"{key}": {text}}}')
+    runs = []
+    for name, given in (("config", ["--config", str(tmp_path / "cfg.json")]),
+                        ("flag", [f"--{key}={text}"])):
+        assert main([experiment, *given, "--out", str(tmp_path / name)]) == code
+        csv = [read(path) for path in (tmp_path / name).glob("*.csv")]
+        runs.append((capsys.readouterr().err, csv))
+    assert runs[0] == runs[1]
+    err, csv = runs[0]
+    assert csv if code == 0 else err.startswith(f"usage error ({experiment}): {key}=")
+
+
+@pytest.mark.parametrize("key", sorted(LIMITS))
+def test_a_size_at_its_bound_is_taken(key):
+    # the bound itself is accepted, the next integer refused by name before any run
+    experiment = next(e for e, run in RUNNERS.items() if key in inspect.signature(run).parameters)
+    flag, limit = "--" + key.replace("_", "-"), LIMITS[key]
+    parser = build_parser()
+    (_, params), = merge_params(parser.parse_args([experiment, f"{flag}={limit}"]))
+    assert params[key] == ([limit] if key == "n_list" else limit)
+    with pytest.raises(UsageError, match=rf"^{key}=\[?{limit + 1}\]? exceeds the bound {limit}$"):
+        merge_params(parser.parse_args([experiment, f"{flag}={limit + 1}"]))
+
+
+def test_a_null_config_value_keeps_a_none_default(tmp_path, capsys):
+    # null leaves alpha2 at its None default; seed has no other default to take
+    (tmp_path / "alpha2.json").write_text('{"alpha2": null}')
+    args = ["pointer-trace", "--T", "5", "--steps", "16", "--out"]
+    assert main(args + [str(tmp_path / "c"), "--config", str(tmp_path / "alpha2.json")]) == 0
+    assert main(args + [str(tmp_path / "f")]) == 0
+    assert read(tmp_path / "c" / "pointer_trace.csv") == read(tmp_path / "f" / "pointer_trace.csv")
+    (tmp_path / "seed.json").write_text('{"seed": null}')
+    capsys.readouterr()
+    assert main(["ergodic", "--config", str(tmp_path / "seed.json"), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("usage error (ergodic): seed=None: ")
 
 
 def test_sketch_draws_number_or_coherent_state(tmp_path):
@@ -470,13 +536,34 @@ def test_overflowing_phase_is_named(args, named, tmp_path, capsys):
                  "got -1", id="correspondence-negative-n"),
     # numpy's seed sequence would raise ValueError, exit 1
     pytest.param(["ergodic", "--seed=-1"], "seed=-1", id="ergodic-seed"),
+    # sizes beyond LIMITS: a traceback (an int too large for a float, numpy's
+    # maximum array size or a 728 TiB allocation), another key's name, or a
+    # loop that does not end
+    pytest.param(["thermal", "--dim", "1" + "0" * 400], "dim=1" + "0" * 400 + " exceeds",
+                 id="thermal-dim-401-digits"),
+    pytest.param(["thermal", "--dim", "1e20"], "dim=100000000000000000000 exceeds",
+                 id="thermal-dim-1e20"),
+    pytest.param(["sketch", "--dim", "1e20"], "dim=100000000000000000000 exceeds",
+                 id="sketch-dim-1e20"),
+    pytest.param(["pointer-trace", "--steps", "100000000000000000000"],
+                 "steps=100000000000000000000 exceeds", id="pointer-trace-steps"),
+    pytest.param(["zeno", "--dim", "12", "--n-list", "100000000000000"],
+                 "n_list=[100000000000000] exceeds", id="zeno-n-list"),
+    pytest.param(["ergodic", "--seed", "3", "--n-samples", "100000000000000000000"],
+                 "n_samples=100000000000000000000 exceeds", id="ergodic-n-samples"),
+    pytest.param(["ergodic", "--seed", "3", "--ensemble-n", "100000000000000"],
+                 "ensemble_n=100000000000000 exceeds", id="ergodic-ensemble-n"),
+    pytest.param(["correspondence", "--n", "100000000000000"], "n=100000000000000 exceeds",
+                 id="correspondence-n"),
 ])
 def test_extreme_values_are_refused_or_stay_finite(args, named, tmp_path, capsys):
-    # a refusal exits 2 and names the value; a run that goes ahead writes no
-    # NaN or infinite cell
+    # a refusal exits 2, names the value and writes no CSV; a run that goes
+    # ahead writes no NaN or infinite cell
     code = main(args + ["--out", str(tmp_path)])
     if named:
-        assert code == 2 and named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith(f"usage error ({args[0]}): ") and named in err, err
+        assert not any(tmp_path.glob("**/*.csv"))
         return
     assert code == 0
     rows = read(next(tmp_path.glob("*.csv"))).decode().splitlines()[1:]
@@ -517,7 +604,7 @@ FUZZ_VALUES = ["0", "-0", "5e-324", "-5e-324", "1e-300", "1e308", "-1e308", "inf
                "nan"]
 # no large positive ints: --dim or --steps would allocate that many entries
 FUZZ_INTS = [str(-2 ** 63), "-2", "-1", "0", "1", "2", "3"]
-FUZZ_PREFIXES = {2: ("usage error", "error"), 3: ("numerical failure",)}
+FUZZ_PREFIXES = {2: ("usage error",), 3: ("numerical failure",)}
 
 
 # 46 float flags x 10 values = 460 pairs of a few ms each; 500 derandomized examples
@@ -577,11 +664,16 @@ def exits_as_documented(experiment, name, value):
     pytest.param(["sketch", "--bin-width", "0.3"], "bin_width", id="bin-width-extent"),
     pytest.param(["ergodic", "--seed", "1", "--omega", "1e-308"], "omega", id="ergodic-omega"),
     pytest.param(["correspondence", "--omega", "1e-308"], "omega", id="correspondence-omega"),
+    # |<alpha=7|U(T)|0>| = e^{-49/2} = 2.3e-11, below the 1e-8 floor on the
+    # overlap that the two-state density divides by
+    pytest.param(["two-state", "--alpha", "7", "--dim", "128", "--T", "20", "--steps", "8"],
+                 "alpha", id="alpha-overlap-floor"),
 ])
 def test_a_refusal_in_library_terms_names_its_flag(args, key, tmp_path, capsys):
     assert main(args + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"usage error ({args[0]}): ") and key in leading_keys(err), err
+    assert not any(tmp_path.glob("**/*.csv"))
 
 
 def test_interval_ends_take_a_leading_dash(tmp_path):

@@ -65,14 +65,6 @@ class BipartiteResult:
     ladder_error: float = 0.0
 
 
-def _phase(x: np.ndarray) -> np.ndarray:
-    """exp(-i x) for real x; cos and sin cost about a third of complex exp."""
-    out = np.empty(x.shape, dtype=np.complex128)
-    np.cos(x, out=out.real)
-    np.sin(-x, out=out.imag)
-    return out
-
-
 def _strang_ramp(S, W, energies, lam, p, schedule: MeasurementSchedule, t0: float,
                  t1: float, steps: int):
     """Strang-split evolution over [t0, t1] of S, (system, node), in the
@@ -85,12 +77,12 @@ def _strang_ramp(S, W, energies, lam, p, schedule: MeasurementSchedule, t0: floa
     """
     kicks = np.diff(schedule.cumulative(np.linspace(t0, t1, steps + 1)))
     merged = 0.5 * (np.append(kicks, 0.0) + np.insert(kicks, 0, 0.0))
-    free = _phase(energies * (t1 - t0) / steps)[:, None]
+    free = np.exp(-1j * (energies * (t1 - t0) / steps))[:, None]
     lam_p = np.outer(lam, p)
-    S = _phase(merged[0] * lam_p) * S
+    S = np.exp(-1j * (merged[0] * lam_p)) * S
     moments = [lam @ np.abs(S) ** 2]
     for theta in merged[1:]:
-        S = _phase(theta * lam_p) * _real_matmul(W.T, free * _real_matmul(W, S))
+        S = np.exp(-1j * (theta * lam_p)) * _real_matmul(W.T, free * _real_matmul(W, S))
         moments.append(lam @ np.abs(S) ** 2)
     return S, merged @ np.array(moments)
 
@@ -261,7 +253,7 @@ def zeno_protect_sim(initial: StateVector, n_protections: int, duration: float,
     check_positive(duration, "protection window")
     if coupling == 0.0:
         # H is diagonal: eigh would return exactly its energies and the identity
-        evals, vecs = initial.basis.energies(), np.eye(initial.basis.dim)
+        evals, vecs = initial.basis.energies(), None
     else:
         if measured is None:
             raise ValueError("a measurement coupling requires a measured operator")
@@ -271,7 +263,9 @@ def zeno_protect_sim(initial: StateVector, n_protections: int, duration: float,
         evals, vecs = np.linalg.eigh(H)
     dt = duration / n_protections
     check_phase(np.max(np.abs(evals)), dt, "dt")
-    U = (vecs * np.exp(-1j * evals * dt)) @ vecs.conj().T
+    phase = np.exp(-1j * evals * dt)
+    # U stays dense in the number basis: phase * s rounds differently from U @ s
+    U = np.diag(phase) if vecs is None else (vecs * phase) @ vecs.conj().T
 
     s = initial.amplitudes
     amp = complex(np.vdot(s, U @ s))          # state resets to s at each projection
@@ -279,16 +273,20 @@ def zeno_protect_sim(initial: StateVector, n_protections: int, duration: float,
 
     jumps = np.empty(0 if measured is None else n_protections)
     if measured is not None:
-        B = (vecs.conj().T @ as_matrix(measured) @ vecs).astype(np.complex128)
-        s = vecs.conj().T @ s
-        phase = np.exp(1j * evals * dt)
-        R = np.outer(phase, phase.conj())
+        B = as_matrix(measured)
+        if vecs is not None:
+            B, s = vecs.conj().T @ B @ vecs, vecs.conj().T @ s
+        B = B.astype(np.complex128)
+        R = np.outer(phase.conj(), phase)
+        # the rank-two update reuses two buffers: fresh dim^2 temporaries at
+        # every protection would each be mapped afresh by the allocator
+        update, term = np.empty_like(B), np.empty_like(B)
         for k in range(n_protections):
             B *= R
             v, w = B @ s, s.conj() @ B
             mu = np.vdot(s, v)
             a, b = v - mu * s, w - mu * s.conj()
             jumps[k] = np.hypot(np.linalg.norm(a), np.linalg.norm(b))
-            B -= np.outer(s, b) + np.outer(a, s.conj())
+            B -= np.add(np.outer(s, b, out=update), np.outer(a, s.conj(), out=term), out=update)
     return ZenoResult(survival_probability=float(survival),
                       n_protections=n_protections, jump_norms=jumps)

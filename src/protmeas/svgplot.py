@@ -14,9 +14,12 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64.0, 16.0, 28.0, 44.0
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
 
 
+def _widen(lo: float, hi: float) -> float:
+    """hi, or lo + max(1, 1e-6 |lo|) for an empty range: from 2**53 on, lo + 1 == lo."""
+    return hi if hi > lo else lo + max(1.0, 1e-6 * abs(lo))
+
+
 def _nice_ticks(lo: float, hi: float, target: int = 6):
-    if hi <= lo:
-        hi = lo + 1.0
     raw = (hi - lo) / target
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
@@ -28,6 +31,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 6):
     v = first
     while v <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(v) < 1e-12 * step else v)
+        if v + step == v:           # the step vanishes in the ulp of v
+            break
         v += step
     return ticks
 
@@ -48,10 +53,7 @@ def emit_plot(table: ResultTable, x: str, ys: list, path, title: str = "",
     xlo, xhi = min(xs), max(xs)
     ylo = min(min(s) for s in series)
     yhi = max(max(s) for s in series)
-    if xhi == xlo:
-        xhi = xlo + 1.0
-    if yhi == ylo:
-        yhi = ylo + 1.0
+    xhi, yhi = _widen(xlo, xhi), _widen(ylo, yhi)
     pad = 0.05 * (yhi - ylo)
     ylo, yhi = ylo - pad, yhi + pad
 

@@ -5,6 +5,11 @@ import tempfile
 
 import numpy as np
 
+# Python floats and strings exist for one block of rows at a time, so writing a
+# table holds its CSV bytes about twice (the blocks and their join), not the
+# whole table as Python objects as well
+CSV_BLOCK_ROWS = 4096
+
 
 class ResultTable:
     """Whole real columns, given as (name, unit, values) triples of equal length.
@@ -30,13 +35,14 @@ class ResultTable:
             raise KeyError(f"column {name!r} not in table (have {', '.join(self.columns)})")
         return self.values[self.columns.index(name)]
 
-    def to_csv(self) -> str:
-        cells = [map(repr, (v if v.dtype.kind in "iu" else v.astype(float)).tolist())
-                 for v in self.values]
-        return "\n".join([",".join(self.header()), *map(",".join, zip(*cells))]) + "\n"
-
     def write_csv(self, path):
-        write_atomic(path, self.to_csv().encode("ascii"))
+        """Write the header and rows as ASCII CSV, formatted CSV_BLOCK_ROWS rows at a time."""
+        values = [v if v.dtype.kind in "iu" else v.astype(float, copy=False) for v in self.values]
+        blocks = [",".join(self.header()).encode("ascii") + b"\n"]
+        for start in range(0, values[0].size, CSV_BLOCK_ROWS):
+            cells = [map(repr, v[start:start + CSV_BLOCK_ROWS].tolist()) for v in values]
+            blocks.append(("\n".join(map(",".join, zip(*cells))) + "\n").encode("ascii"))
+        write_atomic(path, b"".join(blocks))
 
 
 def write_atomic(path, data: bytes):

@@ -6,9 +6,11 @@ import math
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,7 @@ from protmeas.cli import (LIMITS, PARAMS, RUNNERS, _join_negative_values, build_
                           merge_params)
 from protmeas.errors import UsageError
 from protmeas.svgplot import emit_plot
-from protmeas.tables import ResultTable
+from protmeas.tables import CSV_BLOCK_ROWS, ResultTable
 
 
 def read(path) -> bytes:
@@ -42,6 +44,39 @@ def test_table_round_trip(tmp_path):
     assert t.column("value").tolist() == [0.5, 0.25]
     with pytest.raises(KeyError, match="nope"):
         t.column("nope")
+
+
+def _csv_formula(table) -> bytes:
+    """The whole-table CSV of one join over every row: the reference the blocked writer keeps."""
+    cells = [map(repr, (v if v.dtype.kind in "iu" else v.astype(float)).tolist())
+             for v in table.values]
+    return ("\n".join([",".join(table.header()), *map(",".join, zip(*cells))]) + "\n").encode()
+
+
+def test_table_blocks_write_the_formula_bytes(tmp_path):
+    # the rows cross two block boundaries, and every kind of value comes around
+    n = 2 * CSV_BLOCK_ROWS + 3
+    specials = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e308, -1e308, 0.1])
+    t = ResultTable([("i", "", np.arange(n) - 7), ("u", "", np.arange(n, dtype=np.uint8)),
+                     ("x", "s", np.resize(specials, n)),
+                     ("f", "", np.linspace(-1, 1, n, dtype=np.float32)),
+                     ("b", "", np.arange(n) % 3 == 0)])
+    for table in (t, ResultTable([("x", "", np.empty(0))])):
+        table.write_csv(tmp_path / "t.csv")
+        assert read(tmp_path / "t.csv") == _csv_formula(table)
+
+
+def test_table_write_holds_the_csv_about_twice(tmp_path):
+    # 65,536 rows of 5 floats: the whole-table formula peaked at 3.9 times the file
+    rng = np.random.default_rng(7)
+    t = ResultTable([(f"c{i}", "", rng.normal(size=65536)) for i in range(5)])
+    tracemalloc.start()
+    try:
+        t.write_csv(tmp_path / "t.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * os.path.getsize(tmp_path / "t.csv")
 
 
 def test_table_rejects_ragged_columns():
@@ -74,6 +109,25 @@ def test_svg_missing_column_named(tmp_path):
     t = ResultTable([("x", "", [1.0])])
     with pytest.raises(KeyError, match="ghost"):
         emit_plot(t, "x", ["ghost"], tmp_path / "p.svg")
+
+
+@pytest.mark.parametrize("y", [1e17 + np.array([0.0, 16.0, 0.0, 16.0]), np.full(4, 1e17)])
+def test_svg_ticks_end_beyond_2_to_53(tmp_path, y):
+    # the tick step 5 is below the ulp 16 of 1e17, and 1e17 + 1.0 == 1e17 leaves a
+    # constant column no range: the alarm turns a tick loop that never ends into a failure
+    def hung(signum, frame):
+        raise TimeoutError("emit_plot did not finish within 1 s")
+
+    t = ResultTable([("x", "", np.arange(4.0)), ("y", "", y)])
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(1)
+    try:
+        data = emit_plot(t, "x", ["y"], tmp_path / "p.svg")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    labels = re.findall(r'text-anchor="end">([^<]*)<', data.decode())
+    assert labels and len(set(labels)) == len(labels)
 
 
 def test_svg_deterministic_bytes(tmp_path):

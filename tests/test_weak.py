@@ -4,18 +4,18 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.signal import find_peaks
 
 from protmeas import (IntervalRegion, MeasurementSchedule, OscillatorBasis,
-                      PostSelectionError, coherent_state, evolve, expectation,
+                      PostSelectionError, bin_edges, coherent_state, evolve, expectation,
                       number_state, pointer_trace, projector_matrix, weak_value,
                       weak_value_series)
 from protmeas.oscillator import COHERENT_TAIL_LIMIT, coherent_tail
 from protmeas import weak as weak_module
 from protmeas.weak import as_matrix, closed_form_pvi_weak, post_selection_overlap
 
-from conftest import edge_regions, random_hermitian, random_state
+from conftest import random_hermitian, random_state
 
 HALF_TAIL = 0.07864960352514258   # erfc(1)/2
 
@@ -199,18 +199,31 @@ def test_weak_value_series_matches_scalar(basis, rng):
         assert abs(v - weak_value(P, pre, post, float(t), 10.0)) < 1e-13
 
 
-def test_partition_sum_rule(basis):
-    # completeness survives post-selection: sum of interval weak values is 1
-    pre = number_state(basis, 0)
-    post = coherent_state(basis, 2.5).dual()
-    regions = edge_regions(width=0.25, extent=6.0)
-    regions = [IntervalRegion(-np.inf, -6.0)] + regions + [IntervalRegion(6.0, np.inf)]
-    times = np.linspace(0.0, 100.0, 21)
-    total = np.zeros(times.size, dtype=complex)
-    for region in regions:
-        P = projector_matrix(region, basis)
-        total += weak_value_series(P, pre, post, times, 100.0)
-    assert np.max(np.abs(total - 1.0)) < 1e-8
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(8, 64),
+       cuts=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2, unique=True).map(sorted),
+       alpha=st.complex_numbers(max_magnitude=5.0), alpha2=st.complex_numbers(max_magnitude=5.0),
+       T=st.floats(0.5, 100.0))
+@example(dim=64, cuts=bin_edges(0.25, 6.0).tolist(), alpha=0j, alpha2=2.5 + 0j, T=100.0)
+def test_partition_sum_rule(dim, cuts, alpha, alpha2, T):
+    # completeness survives post-selection: the weak values of the intervals
+    # (-inf, c_0], [c_0, c_1], ..., [c_k, inf) sum to 1 at every time
+    basis = OscillatorBasis(dim=dim)
+    assume(max(coherent_tail(dim, alpha), coherent_tail(dim, alpha2)) < COHERENT_TAIL_LIMIT)
+    pre, post = coherent_state(basis, alpha), coherent_state(basis, alpha2).dual()
+    try:
+        den = post_selection_overlap(pre, post, T)
+    except PostSelectionError:
+        assume(False)
+    ends = [-np.inf, *cuts, np.inf]
+    regions = [IntervalRegion(a, b) for a, b in zip(ends[:-1], ends[1:])]
+    times = np.linspace(0.0, T, 21)
+    total = sum(weak_value_series(projector_matrix(region, basis), pre, post, times, T)
+                for region in regions)
+    # each region folds the terms d_m e^{-i E_m T} P_mn a_n, |P_mn| <= 1, and
+    # Horner's rule rounds up to dim times at each time
+    terms = len(regions) * np.sum(np.abs(post.amplitudes)) * np.sum(np.abs(pre.amplitudes))
+    assert np.max(np.abs(total - 1.0)) <= dim * np.finfo(float).eps * terms / abs(den)
 
 
 # ------------------------------------------- series against the array oracle

@@ -33,7 +33,8 @@ import numpy as np
 
 from . import ergodicity, simulation, twostate
 from .errors import NumericalError, PostSelectionError, TruncationError, UsageError
-from .oscillator import OscillatorBasis, StateVector, check_phase, coherent_state, number_state
+from .oscillator import (OscillatorBasis, StateVector, _real_matmul, backward_state, check_phase,
+                         coherent_state, evolve, number_state)
 from .projectors import (IntervalRegion, bin_edges, heisenberg_projector,
                          projector_matrix, time_averaged_projector)
 from .quadrature import bin_probabilities
@@ -208,8 +209,8 @@ def run_bipartite(*, dim, omega, zero_point, a, b, T, ramp,
 def run_zeno(*, dim, omega, zero_point, a, b, T, n_list, coupling, n=1):
     basis = _basis(dim, omega, zero_point)
     _require(0 < n < basis.dim, f"n={n} must satisfy 0 < n < dim")
-    # named T, not dt = T / n: a finite E_max T bounds every E_max dt, and a
-    # coupled eigenvalue is at most E_max + |coupling| / T
+    # named T here, where zeno_protect_sim's own check would name the duration; a
+    # coupled eigenvalue is at most E_max + |coupling| / T, its phase E_max T + |coupling|
     _phase_time(basis, "T", T)
     amps = np.zeros(basis.dim, dtype=complex)
     amps[0] = amps[n] = 1.0  # superposition of |0> and |n>
@@ -238,15 +239,21 @@ def run_two_state(*, dim, omega, zero_point, T, ramp, steps, x0, w, alpha, delta
     basis, schedule, P, pre = _measured(_window(x0, w), dim, omega, zero_point, T, ramp, steps)
     post = _checked("alpha", coherent_state, basis, alpha * np.exp(1j * delta)).dual()
     direct = _checked("alpha, delta, T", weak_value_series, P, pre, post, schedule.times, T)
-    traced, defect = np.empty_like(direct), np.empty(direct.shape)
-    for i, t in enumerate(schedule.times):   # one dim x dim density alive at a time
-        rho = twostate.two_state_density(pre, post, float(t), T)
-        traced[i] = twostate.weak_value_from_density(P, rho)
-        defect[i] = rho.hermiticity_defect()
+    # rho(t) = |k><b| / (b.k), k = U(t)|Psi>, <b| = <Phi|U(T - t), has rank one and unit
+    # trace, so each row reads off the two vectors and no dim x dim density is formed
+    # (twostate.two_state_density is the tests' reference): tr(P rho) / tr(rho) =
+    # b.(P k) / (b.k), and ||rho - rho^dag||_F^2 = 2 ||rho||_F^2 - 2 Re tr(rho^2) =
+    # 2 (|k|^2 |b|^2 / |b.k|^2 - 1), >= 0 by Cauchy-Schwarz; rounding can take it below
+    # 0 where k and b are parallel (--alpha 0), so it is clipped there
+    traced, ratio = np.empty_like(direct), np.empty(direct.shape)
+    for i, t in enumerate(schedule.times):
+        k, b = evolve(pre, t).amplitudes, backward_state(post, t, T).amplitudes
+        traced[i] = b @ _real_matmul(P.entries, k[:, None])[:, 0] / (b @ k)
+        ratio[i] = np.vdot(k, k).real * np.vdot(b, b).real / abs(b @ k) ** 2
     table = ResultTable([("t", "s", schedule.times),
                          ("wv_direct_re", "", direct.real), ("wv_direct_im", "", direct.imag),
                          ("wv_trace_re", "", traced.real), ("wv_trace_im", "", traced.imag),
-                         ("herm_defect", "", defect)])
+                         ("herm_defect", "", np.sqrt(np.maximum(2.0 * (ratio - 1.0), 0.0)))])
     return table, [("two_state.svg", "t", ["wv_direct_re"], ["Re weak value"],
                     "two-state weak value")]
 

@@ -32,8 +32,10 @@ stored and no pointer column is cut.
 Zeno protection is modeled as repeated projection onto the initial
 superposition at equally spaced times, which halts the free dephasing of the
 superposition; the measured operator, watched in the Heisenberg picture,
-changes abruptly at each projection.  Only the norm of each jump is kept,
-and each protection costs O(dim^2).
+changes abruptly at each projection.  Only the norm of each jump is kept.
+The loop keeps the operator fixed and moves the state, U^k s, so each
+protection is two matrix-vector products and one rank-two update: O(dim^2),
+with no dim x dim array formed per protection.
 """
 
 from dataclasses import dataclass
@@ -241,12 +243,15 @@ def zeno_protect_sim(initial: StateVector, n_protections: int, duration: float,
     The state evolves freely (optionally with a flat measurement coupling
     coupling/T * P added to the Hamiltonian) for duration/n between
     projections onto s = |initial>.  The `measured` operator B, Hermitian or
-    not, is tracked in the Heisenberg picture in the eigenbasis of H, where
-    U^dag B U is an elementwise phase product.  The non-selective update
-    B -> Pi B Pi + Q B Q, Pi = s s^dag, is B - s b - a s^dag with
-    a = Q B s and b = s^dag B Q, and its jump norm is sqrt(|a|^2 + |b|^2).
-    Raises ValueError if a phase E dt overflows the float range, or if a
-    coupled operator is not Hermitian.
+    not, is watched in the Heisenberg picture, U^dag^k B U^k at protection
+    k, in the eigenbasis of H.  The loop works in the frame where the state
+    evolves: it keeps B and projects onto s_k = U^k s = e^{-i E k dt} o s,
+    which conjugates every update by U^k and leaves its norm alone, so B
+    changes only by its rank-two updates.  The non-selective update
+    B -> Pi B Pi + Q B Q, Pi = s_k s_k^dag, is B - s_k b - a s_k^dag with
+    a = Q B s_k and b = s_k^dag B Q, and its jump norm is
+    sqrt(|a|^2 + |b|^2).  Raises ValueError if the phase E_max duration
+    overflows the float range, or if a coupled operator is not Hermitian.
     """
     if n_protections < 1:
         raise ValueError(f"need at least one protection, got {n_protections}")
@@ -261,8 +266,9 @@ def zeno_protect_sim(initial: StateVector, n_protections: int, duration: float,
         _require_hermitian(measured)
         H = hamiltonian(initial.basis) + (coupling / duration) * as_matrix(measured)
         evals, vecs = np.linalg.eigh(H)
+    # protection k forms its phases from k dt, up to E_max T
+    check_phase(np.max(np.abs(evals)), duration, "duration")
     dt = duration / n_protections
-    check_phase(np.max(np.abs(evals)), dt, "dt")
     phase = np.exp(-1j * evals * dt)
     # U stays dense in the number basis: phase * s rounds differently from U @ s
     U = np.diag(phase) if vecs is None else (vecs * phase) @ vecs.conj().T
@@ -277,16 +283,18 @@ def zeno_protect_sim(initial: StateVector, n_protections: int, duration: float,
         if vecs is not None:
             B, s = vecs.conj().T @ B @ vecs, vecs.conj().T @ s
         B = B.astype(np.complex128)
-        R = np.outer(phase.conj(), phase)
         # the rank-two update reuses two buffers: fresh dim^2 temporaries at
         # every protection would each be mapped afresh by the allocator
         update, term = np.empty_like(B), np.empty_like(B)
         for k in range(n_protections):
-            B *= R
-            v, w = B @ s, s.conj() @ B
-            mu = np.vdot(s, v)
-            a, b = v - mu * s, w - mu * s.conj()
+            # U^(k+1) s, its phases formed from (k + 1) dt in long double (80-bit on
+            # x86): a state stepped by U, or phase ** k, drifts in modulus, and a
+            # double argument E k dt carries noise of ulp(E T) into the small jumps
+            sk = np.exp(-1j * evals * (np.longdouble(dt) * (k + 1))).astype(complex) * s
+            v, w = B @ sk, sk.conj() @ B
+            mu = np.vdot(sk, v)
+            a, b = v - mu * sk, w - mu * sk.conj()
             jumps[k] = np.hypot(np.linalg.norm(a), np.linalg.norm(b))
-            B -= np.add(np.outer(s, b, out=update), np.outer(a, s.conj(), out=term), out=update)
+            B -= np.add(np.outer(sk, b, out=update), np.outer(a, sk.conj(), out=term), out=update)
     return ZenoResult(survival_probability=float(survival),
                       n_protections=n_protections, jump_norms=jumps)

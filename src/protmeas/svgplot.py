@@ -6,6 +6,7 @@ with a plain file diff.
 """
 
 import math
+import sys
 
 from .tables import ResultTable, write_atomic
 
@@ -15,8 +16,13 @@ PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
 
 
 def _widen(lo: float, hi: float) -> float:
-    """hi, or lo + max(1, 1e-6 |lo|) for an empty range: from 2**53 on, lo + 1 == lo."""
-    return hi if hi > lo else lo + max(1.0, 1e-6 * abs(lo))
+    """hi, or lo + max(1, 1e-6 |lo|) for a range too narrow to tick.
+
+    That is an empty range, or one whose tick step (hi - lo) / 6 underflows
+    below the smallest normal float, where _nice_ticks could find no step
+    (5e-324 / 6 is 0).  From 2**53 on, lo + 1 == lo, hence the 1e-6 |lo|.
+    """
+    return hi if (hi - lo) / 6 >= sys.float_info.min else lo + max(1.0, 1e-6 * abs(lo))
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6):
@@ -26,9 +32,7 @@ def _nice_ticks(lo: float, hi: float, target: int = 6):
         if raw <= mult * mag:
             step = mult * mag
             break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    v = first
+    ticks, v = [], math.ceil(lo / step) * step
     while v <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(v) < 1e-12 * step else v)
         if v + step == v:           # the step vanishes in the ulp of v
@@ -43,17 +47,21 @@ def _fmt(v: float) -> str:
 
 def emit_plot(table: ResultTable, x: str, ys: list, path, title: str = "",
               labels: list | None = None) -> bytes:
-    """Render selected columns as polylines and write the SVG atomically."""
-    xs = [float(v) for v in table.column(x)]
-    series = [[float(v) for v in table.column(y)] for y in ys]
+    """Render selected columns as polylines and write the SVG atomically.
+
+    Raises ValueError naming the first column with a NaN or infinite value:
+    it has no place on the axes.
+    """
+    xs, *series = ([float(v) for v in table.column(c)] for c in [x, *ys])
+    for name, vals in zip([x, *ys], [xs, *series]):
+        if not all(map(math.isfinite, vals)):
+            raise ValueError(f"cannot plot column {name!r}: it holds a NaN or infinite value")
     labels = labels if labels is not None else list(ys)
     if not xs:
         raise ValueError("cannot plot an empty table")
 
-    xlo, xhi = min(xs), max(xs)
-    ylo = min(min(s) for s in series)
-    yhi = max(max(s) for s in series)
-    xhi, yhi = _widen(xlo, xhi), _widen(ylo, yhi)
+    xlo, ylo = min(xs), min(map(min, series))
+    xhi, yhi = _widen(xlo, max(xs)), _widen(ylo, max(map(max, series)))
     pad = 0.05 * (yhi - ylo)
     ylo, yhi = ylo - pad, yhi + pad
 

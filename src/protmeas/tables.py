@@ -1,7 +1,6 @@
 """Rectangular result tables with deterministic, atomic CSV output."""
 
 import os
-import tempfile
 
 import numpy as np
 
@@ -46,10 +45,17 @@ class ResultTable:
 
 
 def write_atomic(path, data: bytes):
-    """Write via a temp file in the target directory plus rename."""
+    """Write via a temp file in the target directory plus rename.
+
+    The temp file is created with mode 0o666, which the kernel masks with the
+    umask as for any open(): mkstemp's owner-only 0o600 would survive the
+    rename.  O_EXCL refuses a name that already exists, and O_BINARY (Windows
+    only) keeps newlines as written.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

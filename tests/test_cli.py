@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,20 @@ def test_no_partial_files_left(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_files_take_the_umask(tmp_path, umask, mode):
+    # as any open() would: a temp file made owner-only keeps 0o600 through the rename
+    t = ResultTable([("x", "", [0.0, 1.0]), ("y", "", [1.0, 2.0])])
+    previous = os.umask(umask)
+    try:
+        t.write_csv(tmp_path / "t.csv")
+        emit_plot(t, "x", ["y"], tmp_path / "p.svg")
+    finally:
+        os.umask(previous)
+    for name in ("t.csv", "p.svg"):
+        assert os.stat(tmp_path / name).st_mode & 0o777 == mode
+
+
 # --------------------------------------------------------------------- svg
 
 def test_svg_single_series(tmp_path):
@@ -128,6 +143,30 @@ def test_svg_ticks_end_beyond_2_to_53(tmp_path, y):
         signal.signal(signal.SIGALRM, previous)
     labels = re.findall(r'text-anchor="end">([^<]*)<', data.decode())
     assert labels and len(set(labels)) == len(labels)
+
+
+@pytest.mark.parametrize("column", ["x", "y"])
+@pytest.mark.parametrize("bad, at", [(np.inf, 2), (-np.inf, 1), (np.nan, 0), (np.nan, 1)])
+def test_svg_refuses_a_non_finite_value_by_column(tmp_path, column, bad, at):
+    # inf overflowed in the tick loop, a leading NaN failed int(), and a NaN
+    # elsewhere wrote points="... nan" into the file
+    values = {"x": np.arange(4.0), "y": np.array([0.0, 1.0, 2.0, 3.0])}
+    values[column][at] = bad
+    t = ResultTable([(c, "", v) for c, v in values.items()])
+    with pytest.raises(ValueError, match=f"column '{column}'"):
+        emit_plot(t, "x", ["y"], tmp_path / "p.svg")
+    assert not (tmp_path / "p.svg").exists()
+
+
+@pytest.mark.parametrize("y", [[0.0, 5e-324, 0.0, 5e-324], [0.0, 3e-323, 0.0, 3e-323]])
+def test_svg_widens_a_range_whose_tick_step_underflows(tmp_path, y):
+    # (hi - lo) / 6 is 0, or so far below the smallest normal float that 10 ** its
+    # decade is 0: math.log10 raised a domain error, or no tick step was found
+    t = ResultTable([("x", "", np.arange(4.0)), ("y", "", np.array(y))])
+    text = emit_plot(t, "x", ["y"], tmp_path / "p.svg").decode()
+    labels = re.findall(r'text-anchor="end">([^<]*)<', text)
+    assert labels and len(set(labels)) == len(labels)
+    assert not re.search(r"nan|inf", text)
 
 
 def test_svg_deterministic_bytes(tmp_path):
@@ -575,7 +614,7 @@ def test_overflowing_phase_is_named(args, named, tmp_path, capsys):
                    id=f"thermal{flag}-{value}")
       for flag in ("--beta", "--omega") for value in ("5e-324", "1e-300")),
     pytest.param(["thermal", "--dim", "12", "--beta", "1e308"], None, id="thermal-beta"),
-    # named T, where zeno_protect_sim's own check would name dt = T / n
+    # named T, where zeno_protect_sim's own check would name the duration
     pytest.param(["zeno", "--dim", "12", "--T", "1e308"], "T=1e+308", id="zeno-T"),
     pytest.param(["pointer-trace", "--dim", "32", "--alpha", "1", "--alpha2", "1e308"],
                  "alpha2: coherent amplitude", id="pointer-trace-alpha2"),
@@ -853,6 +892,46 @@ def test_two_state_herm_defect_is_the_overlap_constant(T, alpha, delta):
     assert len(lines) - 1 == 17
     for ln in lines[1:]:
         assert float(ln.split(",")[col]) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim", [64, 128])
+def test_two_state_rows_match_the_library_density(tmp_path, dim):
+    # the runner reads each row off k(t) and b(t); the dense rank-one density is the
+    # reference.  Where A_w passes near 0 the trace is a cancelling sum, its terms
+    # sum_mn |b_m P_mn k_n| / |b.k| up to 2.2e4 |A_w| here: against an 80-bit evaluation
+    # the density path is off by 7.7e-13 there and the vector path by 2.3e-12, both
+    # relative.  So A_w is held to 1e-12 of the larger of |A_w| and that scale
+    assert main(["two-state", "--dim", str(dim), "--T", "20", "--steps", "64",
+                 "--out", str(tmp_path)]) == 0
+    lines = read(tmp_path / "two_state.csv").decode().splitlines()
+    cols = lines[0].split(",")
+    basis = protmeas.OscillatorBasis(dim=dim)
+    pre = protmeas.number_state(basis, 0)
+    post = protmeas.coherent_state(basis, PARAMS["alpha"][1]).dual()
+    x0, w = PARAMS["x0"][1], PARAMS["w"][1]
+    P = protmeas.projector_matrix(protmeas.IntervalRegion(x0 - w / 2, x0 + w / 2), basis)
+    assert len(lines) - 1 == 65
+    for line in lines[1:]:
+        row = dict(zip(cols, map(float, line.split(","))))
+        rho = protmeas.two_state_density(pre, post, row["t [s]"], 20.0)
+        want = protmeas.weak_value_from_density(P, rho)
+        got = complex(row["wv_trace_re"], row["wv_trace_im"])
+        terms = np.sum(np.abs(P.entries * rho.entries.T))
+        assert abs(got - want) <= 1e-12 * max(abs(want), terms), (row["t [s]"], got, want)
+        assert row["herm_defect"] == pytest.approx(rho.hermiticity_defect(), rel=1e-12)
+
+
+def test_two_state_herm_defect_of_a_trivial_post_selection(tmp_path):
+    # pre and post are both |0>: |k|^2 |b|^2 / |b.k|^2 - 1 is 0 up to rounding, which
+    # may fall below it; the square root must not see a negative number
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["two-state", "--alpha", "0", "--zero-point", "--T", "20", "--steps", "64",
+                     "--out", str(tmp_path)]) == 0
+    lines = read(tmp_path / "two_state.csv").decode().splitlines()
+    col = lines[0].split(",").index("herm_defect")
+    defects = [float(line.split(",")[col]) for line in lines[1:]]
+    assert len(defects) == 65 and all(0.0 <= d < 1e-7 for d in defects)
 
 
 def test_two_state_runs_the_requested_steps(tmp_path):

@@ -492,6 +492,36 @@ def test_zeno_matches_dense_heisenberg_loop(dim, n, T, hermitian, coupling, seed
     np.testing.assert_allclose(res.jump_norms, jumps, rtol=1e-12, atol=atol)
 
 
+def zeno_jumps_extended(initial, n, duration, O):
+    """Jump norms of the uncoupled dense loop in long double, each U^k s from exact phases."""
+    s = initial.amplitudes.astype(np.clongdouble)
+    energies = initial.basis.energies().astype(np.longdouble)
+    dt = np.longdouble(duration) / n
+    B, eye = np.asarray(O, dtype=np.clongdouble), np.eye(len(s), dtype=np.clongdouble)
+    jumps = np.empty(n, dtype=np.longdouble)
+    for k in range(n):
+        sk = np.exp(-1j * energies * (dt * (k + 1))) * s
+        proj = np.outer(sk, sk.conj())
+        after = proj @ B @ proj + (eye - proj) @ B @ (eye - proj)
+        jumps[k] = np.sqrt(np.sum(np.abs(after - B) ** 2))
+        B = after
+    return jumps
+
+
+def test_zeno_jumps_hold_over_long_runs(rng):
+    # 4,096 protections at dim 8, past the n <= 16 that the dense-loop property draws.
+    # The late jumps fall to 2e-4 of |O|, so an error of a few eps |O| in them is
+    # 1e-12 relative: a state stepped by U (modulus drift) was off by 1e-10, and
+    # phases from a double argument E k dt (noise of ulp(E T)) by 1.1e-12
+    basis = OscillatorBasis(dim=8)
+    O = projector_matrix(IntervalRegion(1.0, np.inf), basis)
+    for init in (superposition01(basis),
+                 StateVector(rng.normal(size=8) + 1j * rng.normal(size=8), basis)):
+        jumps = zeno_protect_sim(init, 4096, np.pi, measured=O).jump_norms
+        want = zeno_jumps_extended(init, 4096, np.pi, O.entries)
+        np.testing.assert_allclose(jumps, want.astype(float), rtol=1e-12, atol=0)
+
+
 def test_zeno_diagonalizes_only_a_coupled_hamiltonian(basis32, tail_projector, monkeypatch):
     # without coupling H is diagonal, and its energies and the identity are its eigenpairs
     calls = []
@@ -545,6 +575,9 @@ def test_zeno_validation(basis32, tail_projector):
     for duration in (0.0, -3.0):
         with pytest.raises(ValueError):
             zeno_protect_sim(init, 4, duration, measured=tail_projector, coupling=0.3)
-    # E_max * dt = 31 * 2.5e307 overflows, without a RuntimeWarning on the way
+    # E_max * T = 31e308 overflows, without a RuntimeWarning on the way
     with pytest.raises(ValueError, match="overflows"):
         zeno_protect_sim(init, 4, 1e308, measured=tail_projector)
+    # E_max * dt = 31 * 2.5e306 is finite, but the last protection's phases reach E_max * T
+    with pytest.raises(ValueError, match="overflows"):
+        zeno_protect_sim(init, 4, 1e307, measured=tail_projector)

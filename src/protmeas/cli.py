@@ -9,9 +9,9 @@ line: `_convert` alone parses a flag value or --sweep token by its
 parameter's kind and checks it, as it checks a config value, whose JSON
 integers read by their digits as on the command line, so a value is
 refused with the same "key=value ..." message from all three.  A key the
-experiment does not take, a non-boolean bool, a non-integral int, a
-non-finite float (other than the interval ends a and b), a size above its
-LIMITS bound or a time whose largest phase overflows is a usage error.
+experiment does not take, a non-integral int, a non-finite float (other
+than the interval ends a and b), a size above its LIMITS bound or a time
+whose largest phase overflows is a usage error.
 Outputs are deterministic for a fixed config and seed: CSV files are
 written atomically and SVG plots carry no timestamps or
 environment-dependent bytes.  Exit codes: 0 ok, 2 usage, 3 numerical
@@ -48,7 +48,6 @@ from .weak import (MeasurementSchedule, closed_form_pvi_weak, expectation,
 PARAMS = {
     "dim": (int, 64),
     "omega": (float, 1.0),
-    "zero_point": (bool, False),
     "alpha": (float, 2.5),
     "alpha2": (float, None),
     "delta": (float, 0.0),
@@ -95,8 +94,8 @@ def _require(cond: bool, message: str):
         raise UsageError(message)
 
 
-def _basis(dim, omega, zero_point) -> OscillatorBasis:
-    return _checked("dim, omega, zero_point", OscillatorBasis, dim, omega, zero_point)
+def _basis(dim, omega) -> OscillatorBasis:
+    return _checked("dim, omega", OscillatorBasis, dim, omega)
 
 
 def _phase_time(basis: OscillatorBasis, key: str, value: float):
@@ -113,20 +112,20 @@ def _window(x0, w) -> IntervalRegion:
     return _checked("x0, w", IntervalRegion, x0 - w / 2, x0 + w / 2)
 
 
-def _measured(region: IntervalRegion, dim, omega, zero_point, T, ramp, steps):
+def _measured(region: IntervalRegion, dim, omega, T, ramp, steps):
     """(basis, schedule, projector onto `region`, pre-selected |0>) of a measured run.
 
     A T whose largest phase overflows is a usage error naming T.
     """
-    basis = _basis(dim, omega, zero_point)
+    basis = _basis(dim, omega)
     schedule = _checked("T, ramp, steps", MeasurementSchedule, T, ramp, steps)
     _phase_time(basis, "T", T)
     return basis, schedule, projector_matrix(region, basis), number_state(basis, 0)
 
 
-def run_sketch(*, dim, omega, zero_point, bin_width, L, n=None, alpha=None):
+def run_sketch(*, dim, bin_width, L, n=None, alpha=None):
     """|psi|^2 per bin of [-L, L] for |n> (|0> by default), or for |alpha> if alpha is given."""
-    basis = _basis(dim, omega, zero_point)
+    basis = _checked("dim", OscillatorBasis, dim)
     edges = _checked("bin_width, L", bin_edges, bin_width, L)
     _require(n is None or alpha is None,
              f"n={n}, alpha={alpha}: sketch draws |n> or |alpha>, give one of them")
@@ -138,15 +137,15 @@ def run_sketch(*, dim, omega, zero_point, bin_width, L, n=None, alpha=None):
                     "wavefunction sketch")]
 
 
-def run_pointer_trace(*, dim, omega, zero_point, T, ramp, steps, x0, w, alpha, delta,
-                      alpha2):
-    basis, schedule, P, pre = _measured(_window(x0, w), dim, omega, zero_point, T, ramp, steps)
+def run_pointer_trace(*, dim, omega, T, ramp, steps, x0, w, alpha, delta, alpha2):
+    basis, schedule, P, pre = _measured(_window(x0, w), dim, omega, T, ramp, steps)
 
     trivial = pointer_trace(schedule, pre, P)
     post = _checked("alpha", coherent_state, basis, alpha * np.exp(1j * delta)).dual()
     sel = pointer_trace(schedule, pre, P, post)
 
-    closed = closed_form_pvi_weak(abs(alpha), delta, x0, omega, T, schedule.times)
+    closed = _checked("alpha, x0", closed_form_pvi_weak, abs(alpha), delta, x0, omega, T,
+                      schedule.times)
     columns = [("t", "s", schedule.times), ("reading_trivial", "", trivial.readings),
                ("reading_alpha", "", sel.readings), ("wv_re_alpha", "", sel.values),
                ("closed_form", "", closed * w)]
@@ -169,15 +168,15 @@ def run_pointer_trace(*, dim, omega, zero_point, T, ramp, steps, x0, w, alpha, d
     return ResultTable(columns), plots
 
 
-def run_heisenberg(*, dim, omega, zero_point, a, b, T, max_index, t):
-    basis = _basis(dim, omega, zero_point)
+def run_heisenberg(*, dim, omega, a, b, T, max_index, t):
+    basis = _basis(dim, omega)
     region = _checked("a, b", IntervalRegion, a, b)
     _phase_time(basis, "T", T)
     _phase_time(basis, "t", t)
     _require(max_index >= 1, f"max_index={max_index} must be >= 1")
     k = min(max_index, basis.dim)
     # entries with m, n < k need phi_0..phi_k only: P on the first max(k, 2) levels
-    P = projector_matrix(region, OscillatorBasis(max(k, 2), omega, zero_point))
+    P = projector_matrix(region, OscillatorBasis(max(k, 2), omega))
     Pt = heisenberg_projector(P, t)
     avg = _checked("T", time_averaged_projector, P, T)
     m, n = np.indices((k, k)).reshape(2, -1)
@@ -192,10 +191,10 @@ def run_heisenberg(*, dim, omega, zero_point, a, b, T, max_index, t):
     return table, []
 
 
-def run_bipartite(*, dim, omega, zero_point, a, b, T, ramp,
-                  steps=simulation.LADDER_START, pointer_sigma, shift_tol):
-    _, schedule, P, pre = _measured(_checked("a, b", IntervalRegion, a, b), dim, omega,
-                                    zero_point, T, ramp, steps)
+def run_bipartite(*, dim, omega, a, b, T, ramp, steps=simulation.LADDER_START,
+                  pointer_sigma, shift_tol):
+    _, schedule, P, pre = _measured(_checked("a, b", IntervalRegion, a, b), dim, omega, T,
+                                    ramp, steps)
     result = _checked("pointer_sigma, shift_tol", simulation.bipartite_protective_sim, P, schedule,
                       pointer_sigma=pointer_sigma, steps=steps, shift_tol=shift_tol)
     ref = expectation(P, pre)
@@ -206,8 +205,8 @@ def run_bipartite(*, dim, omega, zero_point, a, b, T, ramp,
     return table, []
 
 
-def run_zeno(*, dim, omega, zero_point, a, b, T, n_list, coupling, n=1):
-    basis = _basis(dim, omega, zero_point)
+def run_zeno(*, dim, omega, a, b, T, n_list, coupling, n=1):
+    basis = _basis(dim, omega)
     _require(0 < n < basis.dim, f"n={n} must satisfy 0 < n < dim")
     # named T here, where zeno_protect_sim's own check would name the duration; a
     # coupled eigenvalue is at most E_max + |coupling| / T, its phase E_max T + |coupling|
@@ -225,8 +224,8 @@ def run_zeno(*, dim, omega, zero_point, a, b, T, n_list, coupling, n=1):
                     "Zeno protection")]
 
 
-def run_thermal(*, dim, omega, zero_point, beta):
-    basis = _basis(dim, omega, zero_point)
+def run_thermal(*, dim, omega, beta):
+    basis = _basis(dim, omega)
     pure = _checked("beta, omega", twostate.thermal_purification, beta, basis)
     table = ResultTable([("n", "", np.arange(basis.dim)),
                          ("weight", "", twostate.thermal_weights(beta, basis)),
@@ -235,16 +234,17 @@ def run_thermal(*, dim, omega, zero_point, beta):
                     "thermal occupation")]
 
 
-def run_two_state(*, dim, omega, zero_point, T, ramp, steps, x0, w, alpha, delta):
-    basis, schedule, P, pre = _measured(_window(x0, w), dim, omega, zero_point, T, ramp, steps)
+def run_two_state(*, dim, omega, T, ramp, steps, x0, w, alpha, delta):
+    basis, schedule, P, pre = _measured(_window(x0, w), dim, omega, T, ramp, steps)
     post = _checked("alpha", coherent_state, basis, alpha * np.exp(1j * delta)).dual()
     direct = _checked("alpha, delta, T", weak_value_series, P, pre, post, schedule.times, T)
     # rho(t) = |k><b| / (b.k), k = U(t)|Psi>, <b| = <Phi|U(T - t), has rank one and unit
     # trace, so each row reads off the two vectors and no dim x dim density is formed
     # (twostate.two_state_density is the tests' reference): tr(P rho) / tr(rho) =
     # b.(P k) / (b.k), and ||rho - rho^dag||_F^2 = 2 ||rho||_F^2 - 2 Re tr(rho^2) =
-    # 2 (|k|^2 |b|^2 / |b.k|^2 - 1), >= 0 by Cauchy-Schwarz; rounding can take it below
-    # 0 where k and b are parallel (--alpha 0), so it is clipped there
+    # 2 (|k|^2 |b|^2 / |b.k|^2 - 1).  It is >= 0 in floating point too: the pre-selected
+    # |0> has E_0 = 0, so k is exactly e_0 and b.k = b_0 = d_0 is real, and the ratio
+    # |b|^2 / |b_0|^2, a sum of non-negative terms over one of them, is never below 1
     traced, ratio = np.empty_like(direct), np.empty(direct.shape)
     for i, t in enumerate(schedule.times):
         k, b = evolve(pre, t).amplitudes, backward_state(post, t, T).amplitudes
@@ -253,7 +253,7 @@ def run_two_state(*, dim, omega, zero_point, T, ramp, steps, x0, w, alpha, delta
     table = ResultTable([("t", "s", schedule.times),
                          ("wv_direct_re", "", direct.real), ("wv_direct_im", "", direct.imag),
                          ("wv_trace_re", "", traced.real), ("wv_trace_im", "", traced.imag),
-                         ("herm_defect", "", np.sqrt(np.maximum(2.0 * (ratio - 1.0), 0.0)))])
+                         ("herm_defect", "", np.sqrt(2.0 * (ratio - 1.0)))])
     return table, [("two_state.svg", "t", ["wv_direct_re"], ["Re weak value"],
                     "two-state weak value")]
 
@@ -279,11 +279,10 @@ def run_ergodic(*, omega, seed, amplitude, n_samples, ensemble_n, periods, t,
     return table, []
 
 
-def run_correspondence(*, omega, zero_point, n_samples, periods, n=50, a=2.0, b=4.0,
-                       dim=128):
-    basis = _basis(dim, omega, zero_point)
+def run_correspondence(*, n_samples, periods, n=50, a=2.0, b=4.0, dim=128):
+    basis = _checked("dim", OscillatorBasis, dim)
     region = _checked("a, b", IntervalRegion, a, b)
-    report = _checked("n, omega, n_samples, periods", ergodicity.correspondence_check,
+    report = _checked("n, n_samples, periods", ergodicity.correspondence_check,
                       n, region, basis, n_samples=n_samples, n_periods=periods)
     rel_gap = (abs(report.quantum_fraction - report.analytic_fraction)
                / max(report.analytic_fraction, 1e-300))
@@ -316,12 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--plot", action="store_true", help="also emit SVG plots")
     parser.add_argument("--sweep", default=None, metavar="KEY=V1,V2,...",
                         help="run once per value, each in its own subdirectory")
-    for name, (kind, default) in PARAMS.items():
-        flag = "--" + name.replace("_", "-")
-        if kind is bool:
-            parser.add_argument(flag, dest=name, action="store_const", const=True)
-        else:
-            parser.add_argument(flag, dest=name)
+    for name in PARAMS:
+        parser.add_argument("--" + name.replace("_", "-"), dest=name)
     return parser
 
 
@@ -329,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
 # reader that does not raise wins, and text that no reader takes is left for
 # _convert to refuse
 _READERS = {
-    bool: [lambda text: {"true": True, "false": False}[text.strip()]],
     int: [int, float],      # exactly, or an integral float such as 1e2 or 16.0
     float: [float],
     list: [lambda text: [int(tok) for tok in text.split(",") if tok.strip()]],
@@ -351,7 +345,7 @@ def _read(kind, text: str):
     for reader in _READERS[kind]:
         try:
             return reader(text)
-        except (KeyError, ValueError):
+        except ValueError:
             pass
     return text
 
@@ -363,17 +357,17 @@ def _convert(key: str, value, default, token=False):
     config value keeps its JSON type, but an n_list string is read as a
     token is, and a float parameter reads a JSON integer by its digits, as
     float() reads the same flag value: beyond the float range it is +-inf.
-    null stays None where the default is None; booleans must be booleans,
-    integers integral, floats other than the interval ends a and b finite,
-    n_list a non-empty list of integers >= 1, and a size no larger than its
-    LIMITS bound.  Anything else raises UsageError "<key>=<value> ...".
+    null stays None where the default is None; integers must be integral,
+    floats other than the interval ends a and b finite, n_list a non-empty
+    list of integers >= 1, and a size no larger than its LIMITS bound.
+    Anything else raises UsageError "<key>=<value> ...".
     """
     kind = PARAMS[key][0]
     if value is None and default is None:
         return None
     if isinstance(value, str) and (token or kind is list):
         value = _read(kind, value)
-    valid = {bool: type(value) is bool, float: type(value) in (int, float),
+    valid = {float: type(value) in (int, float),
              int: type(value) is int or type(value) is float and value.is_integer(),
              list: type(value) is list and value != [] and all(type(v) is int and v >= 1
                                                                 for v in value)}[kind]

@@ -50,7 +50,9 @@ def emit_plot(table: ResultTable, x: str, ys: list, path, title: str = "",
     """Render selected columns as polylines and write the SVG atomically.
 
     Raises ValueError naming the first column with a NaN or infinite value:
-    it has no place on the axes.
+    it has no place on the axes.  An x range, or a y range with its 5 % pad,
+    that overflows a float (as [-1e308, 1e308]) raises one naming the
+    columns on that axis.
     """
     xs, *series = ([float(v) for v in table.column(c)] for c in [x, *ys])
     for name, vals in zip([x, *ys], [xs, *series]):
@@ -64,6 +66,9 @@ def emit_plot(table: ResultTable, x: str, ys: list, path, title: str = "",
     xhi, yhi = _widen(xlo, max(xs)), _widen(ylo, max(map(max, series)))
     pad = 0.05 * (yhi - ylo)
     ylo, yhi = ylo - pad, yhi + pad
+    for names, lo, hi in (([x], xlo, xhi), (ys, ylo, yhi)):
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"cannot plot columns {names!r}: their range overflows a float")
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B

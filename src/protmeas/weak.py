@@ -228,7 +228,15 @@ def closed_form_pvi_weak(alpha_mod: float, delta: float, x0: float,
     width; multiply by w to approximate the weak value of P over an interval
     of width w around x0.  delta enters only through sines and cosines, so it
     is first reduced to [-pi, pi], which leaves such a delta as it is.
+    Raises ValueError if the prefactor's exponent (|a|^2 - x0^2)/2 exceeds
+    ln(float max) = 709.78, as from |a| = 37.7 at x0 = 1: the envelope peaks
+    at 1 over theta, so the density itself has no finite peak there, and
+    the overflowing prefactor times an underflowing envelope would be NaN.
     """
+    exponent = (alpha_mod ** 2 - x0 ** 2) / 2.0
+    if not exponent <= math.log(np.finfo(float).max):
+        raise ValueError(f"alpha={alpha_mod!r}, x0={x0!r}: the closed form's prefactor "
+                         f"e^((|alpha|^2 - x0^2)/2) = e^{exponent:.6g} overflows a float")
     delta = math.remainder(delta, 2.0 * math.pi)
     t = np.asarray(t, dtype=float)
     if not np.all((t >= 0.0) & (t <= duration)):
@@ -238,7 +246,7 @@ def closed_form_pvi_weak(alpha_mod: float, delta: float, x0: float,
           + 0.5 * alpha_mod ** 2 * np.sin(2.0 * theta)
           - np.sqrt(2.0) * alpha_mod * x0 * np.sin(theta))
     envelope = np.exp(-0.5 * (x0 - np.sqrt(2.0) * alpha_mod * np.cos(theta)) ** 2)
-    out = np.pi ** -0.5 * np.exp((alpha_mod ** 2 - x0 ** 2) / 2.0) * np.cos(xi) * envelope
+    out = np.pi ** -0.5 * np.exp(exponent) * np.cos(xi) * envelope
     return out if out.shape else float(out)
 
 

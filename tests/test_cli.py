@@ -169,6 +169,19 @@ def test_svg_widens_a_range_whose_tick_step_underflows(tmp_path, y):
     assert not re.search(r"nan|inf", text)
 
 
+@pytest.mark.parametrize("column, values", [
+    ("y", [-1e308, 1e308, 0.0, 1.0]), ("y", [-1.7e308, 0.0, 0.0, 0.0]),
+    ("y", [0.0, 1.7e308, 1.0, 1.0]), ("x", [-1e308, 1e308, 0.0, 1.0])])
+def test_svg_refuses_a_range_that_overflows_a_float(tmp_path, column, values):
+    # every value is finite, but hi - lo overflows, for the 1.7e308 columns only once y
+    # is padded by 5 %: _nice_ticks raised a bare OverflowError at math.floor(math.log10(inf))
+    columns = {"x": np.arange(4.0), "y": np.arange(4.0), column: np.array(values)}
+    t = ResultTable([(c, "", v) for c, v in columns.items()])
+    with pytest.raises(ValueError, match=re.escape(f"columns ['{column}']")):
+        emit_plot(t, "x", ["y"], tmp_path / "p.svg")
+    assert not (tmp_path / "p.svg").exists()
+
+
 def test_svg_deterministic_bytes(tmp_path):
     x = np.arange(50) * 0.1
     t = ResultTable([("x", "s", x), ("y", "", np.sin(x)), ("z", "", np.cos(x))])
@@ -345,7 +358,6 @@ SPELLED_ALIKE = {
     # the digits of 10**400 read as inf, in a config as on a command line
     "beta=inf is not finite": ("thermal", "inf", "1" + "0" * 400),
     "omega=nan is not finite": ("thermal", "nan"),
-    "zero_point='yes' is not a valid bool": ("thermal", "yes"),
     "seed=1.5 is not a valid int": ("ergodic", "1.5"),
     "max_index=inf is not a valid int": ("heisenberg-projector", "1e400"),
     "n_list='4,x' is not a valid list": ("zeno", "4,x"),
@@ -359,8 +371,8 @@ SPELLED_ALIKE = {
 @pytest.mark.parametrize("config, named", [
     ({"alpha": 3}, "thermal does not take 'alpha'"),
     ({"dim": 32, "n_list": "4,8"}, "thermal does not take 'n_list'"),
-    ({"zero_point": "false"}, "zero_point='false'"),
-    ({"zero_point": 0}, "zero_point=0"),
+    ({"beta": True}, "beta=True is not a valid float"),
+    ({"dim": [16]}, "dim=[16] is not a valid int"),
     ({"dim": 32.9}, "dim=32.9"),
     ({"dim": True}, "dim=True"),
     ({"beta": "2"}, "beta='2'"),
@@ -373,7 +385,7 @@ SPELLED_ALIKE = {
     ({"beta": "two"}, "beta='two' is not a valid float"),
     ({"beta": math.inf}, "beta=inf is not finite"),
     ({"omega": math.nan}, "omega=nan is not finite"),
-    ({"zero_point": "yes"}, "zero_point='yes' is not a valid bool"),
+    ({"zero_point": True}, "thermal does not take 'zero_point'"),
     ({"seed": 1.5}, "seed=1.5 is not a valid int"),
     ({"max_index": math.inf}, "max_index=inf is not a valid int"),
     ({"n_list": "4,x"}, "n_list='4,x' is not a valid list"),
@@ -385,7 +397,7 @@ SPELLED_ALIKE = {
 ])
 def test_config_value_rejected_and_named(config, named, tmp_path, capsys):
     # a value a command line spells too is refused with the same line as a flag
-    # and as a one-value sweep; a bool flag takes no value, n_list is not swept
+    # and as a one-value sweep; n_list is not swept
     experiment, *texts = SPELLED_ALIKE.get(named, ("thermal",))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
@@ -395,27 +407,42 @@ def test_config_value_rejected_and_named(config, named, tmp_path, capsys):
     for text in texts:
         (key, _), = config.items()
         forms = [["--sweep", f"{key}={text}"]] if key != "n_list" else []
-        if PARAMS[key][0] is not bool:
-            forms.append([f"--{key.replace('_', '-')}={text}"])
+        forms.append([f"--{key.replace('_', '-')}={text}"])
         for form in forms:
             assert main([experiment, *form, "--out", str(tmp_path)]) == 2
             assert capsys.readouterr().err == err
     assert not any(tmp_path.glob("**/*.csv"))
 
 
+@pytest.mark.parametrize("experiment", ["sketch", "correspondence"])
+def test_omega_is_refused_where_no_output_depends_on_it(experiment, tmp_path, capsys):
+    # both build their basis at omega = 1, from a flag, a config or a sweep alike
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"omega": 2.0}))
+    for source in (["--omega", "2"], ["--config", str(config)], ["--sweep", "omega=1,2"]):
+        assert main([experiment, *source, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error ({experiment}): {experiment} does not take 'omega'")
+    assert not any(tmp_path.glob("**/*.csv"))
+
+
+def test_the_zero_point_is_no_cli_flag(tmp_path, capsys):
+    # it multiplies every state by a global phase only; the library's
+    # OscillatorBasis(include_zero_point=True) chooses it
+    with pytest.raises(SystemExit) as exc:
+        main(["thermal", "--zero-point", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --zero-point" in capsys.readouterr().err
+
+
 def test_config_and_sweep_values_keep_their_type(tmp_path):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"dim": 16.0, "zero_point": True, "n_list": [4, 8],
-                                  "T": 3}))
+    config.write_text(json.dumps({"dim": 16.0, "n_list": [4, 8], "T": 3}))
     assert main(["zeno", "--config", str(config), "--out", str(tmp_path / "c")]) == 0
     for dim in ("16", "16.0", "1.6e1"):   # a flag takes an integral float as a config does
-        assert main(["zeno", "--dim", dim, "--zero-point", "--n-list", "4,8", "--T", "3",
+        assert main(["zeno", "--dim", dim, "--n-list", "4,8", "--T", "3",
                      "--out", str(tmp_path / dim)]) == 0
         assert read(tmp_path / "c" / "zeno.csv") == read(tmp_path / dim / "zeno.csv")
-    assert main(["thermal", "--dim", "32", "--sweep", "zero_point=false,true",
-                 "--out", str(tmp_path / "s")]) == 0
-    assert sorted(p.name for p in (tmp_path / "s").iterdir()) == [
-        "zero_point=False", "zero_point=True"]
 
 
 def test_a_sweep_token_keeps_every_digit_of_an_integer(tmp_path):
@@ -521,7 +548,7 @@ def test_module_precondition_maps_to_usage_exit(tmp_path, capsys):
     ["thermal", "--sweep", "T=1,2"],
     ["sketch", "--n", "3", "--alpha", "1"],
     # malformed sweep values
-    ["thermal", "--sweep", "zero_point=0,1"],
+    ["thermal", "--sweep", "dim=32,0x40"],
     ["thermal", "--sweep", "dim=32,32.5"],
     ["thermal", "--sweep", "beta=1,two"],
     # sketch bins that do not tile [-L, L], or too many of them
@@ -551,6 +578,7 @@ def test_module_precondition_maps_to_usage_exit(tmp_path, capsys):
     ["correspondence", "--periods", "0"],
     # a window of periods 2 pi / omega that overflows to inf
     ["ergodic", "--seed", "1", "--omega", "1e-308"],
+    # correspondence builds its basis at omega = 1 and takes no --omega
     ["correspondence", "--omega", "1e-308"],
 ])
 def test_invalid_parameter_is_usage_exit(args, tmp_path, capsys):
@@ -625,8 +653,8 @@ def test_overflowing_phase_is_named(args, named, tmp_path, capsys):
     pytest.param(["two-state", "--dim", "16", "--T", "5", "--steps", "16", "--alpha", "40"],
                  "alpha: coherent state alpha=40 ", id="two-state-alpha-truncation"),
     # named by correspondence itself, not as the recurrence's count n + 1 = 0
-    pytest.param(["correspondence", "--n", "-1"], "n, omega, n_samples, periods: n must be >= 0, "
-                 "got -1", id="correspondence-negative-n"),
+    pytest.param(["correspondence", "--n", "-1"], "n, n_samples, periods: n must be >= 0, got -1",
+                 id="correspondence-negative-n"),
     # numpy's seed sequence would raise ValueError, exit 1
     pytest.param(["ergodic", "--seed=-1"], "seed=-1", id="ergodic-seed"),
     # sizes beyond LIMITS: a traceback (an int too large for a float, numpy's
@@ -648,6 +676,10 @@ def test_overflowing_phase_is_named(args, named, tmp_path, capsys):
                  "ensemble_n=100000000000000 exceeds", id="ergodic-ensemble-n"),
     pytest.param(["correspondence", "--n", "100000000000000"], "n=100000000000000 exceeds",
                  id="correspondence-n"),
+    # the closed form's prefactor e^((|alpha|^2 - x0^2)/2) overflows from |alpha| = 37.7
+    # at x0 = 1; it wrote nan and inf cells and exited 0
+    pytest.param(["pointer-trace", "--alpha", "40", "--dim", "2400", "--steps", "16",
+                  "--T", "10"], "alpha, x0: alpha=40.0, x0=1.0", id="pointer-trace-closed-form"),
 ])
 def test_extreme_values_are_refused_or_stay_finite(args, named, tmp_path, capsys):
     # a refusal exits 2, names the value and writes no CSV; a run that goes
@@ -700,7 +732,7 @@ FUZZ_INTS = [str(-2 ** 63), "-2", "-1", "0", "1", "2", "3"]
 FUZZ_PREFIXES = {2: ("usage error",), 3: ("numerical failure",)}
 
 
-# 46 float flags x 10 values = 460 pairs of a few ms each; 500 derandomized examples
+# 44 float flags x 10 values = 440 pairs of a few ms each; 500 derandomized examples
 # reach every pair
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(flag=st.sampled_from(fuzz_flags(float)), value=st.sampled_from(FUZZ_VALUES))
@@ -756,7 +788,6 @@ def exits_as_documented(experiment, name, value):
     pytest.param(["sketch", "--L", "0"], "L", id="L-extent"),
     pytest.param(["sketch", "--bin-width", "0.3"], "bin_width", id="bin-width-extent"),
     pytest.param(["ergodic", "--seed", "1", "--omega", "1e-308"], "omega", id="ergodic-omega"),
-    pytest.param(["correspondence", "--omega", "1e-308"], "omega", id="correspondence-omega"),
     # |<alpha=7|U(T)|0>| = e^{-49/2} = 2.3e-11, below the 1e-8 floor on the
     # overlap that the two-state density divides by
     pytest.param(["two-state", "--alpha", "7", "--dim", "128", "--T", "20", "--steps", "8"],
@@ -922,16 +953,16 @@ def test_two_state_rows_match_the_library_density(tmp_path, dim):
 
 
 def test_two_state_herm_defect_of_a_trivial_post_selection(tmp_path):
-    # pre and post are both |0>: |k|^2 |b|^2 / |b.k|^2 - 1 is 0 up to rounding, which
-    # may fall below it; the square root must not see a negative number
+    # pre and post are both |0>, with E_0 = 0: k and b are exactly e_0, so the
+    # ratio |k|^2 |b|^2 / |b.k|^2 is exactly 1 and the square root sees 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["two-state", "--alpha", "0", "--zero-point", "--T", "20", "--steps", "64",
+        assert main(["two-state", "--alpha", "0", "--T", "20", "--steps", "64",
                      "--out", str(tmp_path)]) == 0
     lines = read(tmp_path / "two_state.csv").decode().splitlines()
     col = lines[0].split(",").index("herm_defect")
     defects = [float(line.split(",")[col]) for line in lines[1:]]
-    assert len(defects) == 65 and all(0.0 <= d < 1e-7 for d in defects)
+    assert len(defects) == 65 and all(d == 0.0 for d in defects)
 
 
 def test_two_state_runs_the_requested_steps(tmp_path):

@@ -270,6 +270,21 @@ def test_pointer_shift_matches_ehrenfest_integral(region, dim, T):
     assert abs(res.pointer_shift - oracle) <= 1e-10
 
 
+@pytest.mark.parametrize("region", [(1.0, np.inf), (-0.5, 0.7)])
+@pytest.mark.parametrize("dim", [16, 64])
+@pytest.mark.parametrize("T", [5.0, 20.0])
+def test_bipartite_is_convention_independent(region, dim, T):
+    # the zero point omega/2 multiplies every state by one phase, which no
+    # pointer shift, energy shift or survival sees
+    results = []
+    for zero_point in (False, True):
+        basis = OscillatorBasis(dim=dim, include_zero_point=zero_point)
+        P = projector_matrix(IntervalRegion(*region), basis)
+        res = bipartite_protective_sim(P, MeasurementSchedule(T), steps=128)
+        results.append([res.pointer_shift, res.energy_shift_per_p, res.survival_probability])
+    np.testing.assert_allclose(results[1], results[0], rtol=1e-12, atol=0)
+
+
 @settings(max_examples=25, deadline=None)
 @given(T=st.floats(1.0, 50.0), ramp_fraction=st.floats(0.0, 0.5))
 def test_identity_projector_translates_pointer_by_unit_integral(T, ramp_fraction):
@@ -520,6 +535,23 @@ def test_zeno_jumps_hold_over_long_runs(rng):
         jumps = zeno_protect_sim(init, 4096, np.pi, measured=O).jump_norms
         want = zeno_jumps_extended(init, 4096, np.pi, O.entries)
         np.testing.assert_allclose(jumps, want.astype(float), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("dim", [16, 32, 64])
+@pytest.mark.parametrize("coupling", [0.0, 0.3])
+def test_zeno_is_convention_independent(dim, coupling):
+    # the zero point multiplies U and every U^k s by a global phase, which no
+    # projection sees: survival and jumps agree under both conventions
+    runs = []
+    for zero_point in (False, True):
+        basis = OscillatorBasis(dim=dim, include_zero_point=zero_point)
+        P = projector_matrix(IntervalRegion(1.0, np.inf), basis)
+        runs.append([zeno_protect_sim(superposition01(basis), n, np.pi, measured=P,
+                                      coupling=coupling) for n in (4, 64)])
+    for plain, shifted in zip(*runs):
+        assert shifted.survival_probability == pytest.approx(plain.survival_probability,
+                                                             rel=1e-12, abs=0)
+        np.testing.assert_allclose(shifted.jump_norms, plain.jump_norms, rtol=1e-12, atol=0)
 
 
 def test_zeno_diagonalizes_only_a_coupled_hamiltonian(basis32, tail_projector, monkeypatch):

@@ -39,11 +39,8 @@ from .weak import (MeasurementSchedule, PointerTrace, closed_form_pvi_weak,
                    expectation, pointer_trace, weak_value, weak_value_series)
 from .simulation import (BipartiteResult, ZenoResult, bipartite_protective_sim,
                          zeno_protect_sim)
-from .twostate import (DensityMatrix, TwoStateDensity, sample_thermal_eigenstate,
-                       thermal_density, thermal_pointer_rate,
-                       thermal_purification, thermal_weights, two_state_canonical,
-                       two_state_density, von_neumann_residual,
-                       weak_value_from_density)
+from .twostate import (TwoStateDensity, thermal_purification, thermal_weights,
+                       two_state_density, von_neumann_residual, weak_value_from_density)
 from .ergodicity import (ClassicalEnsemble, DwellReport, classical_dwell_fraction,
                          classical_ensemble_average, classical_time_average,
                          correspondence_check, dwell_report, uniform_phase_ensemble)

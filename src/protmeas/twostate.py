@@ -1,9 +1,10 @@
-"""Thermal ensembles and two-state density operators.
+"""Thermal weights, their purification, and two-state density operators.
 
-A thermal oscillator is diagonal with Boltzmann weights; the same averages
-for energy-diagonal observables come out of the pure "purification" state
-whose amplitudes are the square roots of those weights.  A pre- and
-post-selected pair defines the generally non-Hermitian two-state density
+A thermal oscillator is diagonal in the energy basis, with the Boltzmann
+weights of `thermal_weights`; the pure "purification" state, whose
+amplitudes are the square roots of those weights, gives the same averages
+for every energy-diagonal observable.  A pre- and post-selected pair
+defines the generally non-Hermitian two-state density
 rho(t) = |Psi(t)><Phi(t)| / <Phi|U(T)|Psi>, which has unit trace, obeys the
 von Neumann equation, and reproduces weak values through tr(A rho) / tr(rho).
 Its denominator and overlap floor are those of the direct weak value
@@ -19,27 +20,10 @@ import numpy as np
 
 from .errors import TruncationError
 from .oscillator import (DualState, OscillatorBasis, StateVector, backward_state,
-                         check_positive, evolve, number_state)
-from .weak import as_matrix, hermitian_defect, post_selection_overlap
+                         check_positive, evolve)
+from .weak import as_matrix, post_selection_overlap
 
 THERMAL_TAIL_LIMIT = 1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive density operator."""
-
-    entries: np.ndarray
-    basis: OscillatorBasis
-
-    def __post_init__(self):
-        e = self.entries
-        if hermitian_defect(e) > 1e-10:
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(e) - 1.0) > 1e-10:
-            raise ValueError("density matrix trace differs from 1")
-        if float(np.min(np.linalg.eigvalsh(e))) < -1e-10:
-            raise ValueError("density matrix has a negative eigenvalue")
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,17 +65,13 @@ def _boltzmann_check(beta: float, basis: OscillatorBasis) -> float:
 def thermal_weights(beta: float, basis: OscillatorBasis) -> np.ndarray:
     """The Boltzmann occupations e^{-beta omega n}, renormalized on the truncated basis.
 
-    They are the diagonal of `thermal_density`, in O(dim) with no dense matrix.
+    The thermal state is the diagonal matrix of these weights; they are
+    formed in O(dim), with no dense matrix.
     """
     bw = _boltzmann_check(beta, basis)
     with np.errstate(over="ignore"):   # -bw n overflows to -inf, whose exp is the 0 it stands for
         w = np.exp(-bw * np.arange(basis.dim))
     return w / w.sum()
-
-
-def thermal_density(beta: float, basis: OscillatorBasis) -> DensityMatrix:
-    """Boltzmann thermal state, renormalized on the truncated basis."""
-    return DensityMatrix(np.diag(thermal_weights(beta, basis)).astype(np.complex128), basis)
 
 
 def thermal_purification(beta: float, basis: OscillatorBasis) -> StateVector:
@@ -107,29 +87,6 @@ def thermal_purification(beta: float, basis: OscillatorBasis) -> StateVector:
     return StateVector(amps.astype(np.complex128), basis)
 
 
-def sample_thermal_eigenstate(beta: float, basis: OscillatorBasis,
-                              seed: int) -> tuple[int, StateVector]:
-    """Boltzmann-sample one energy eigenstate.
-
-    Models switching the bath off before measuring: the measurement then
-    probes a single pure |n> drawn with weight e^{-beta E_n} instead of the
-    mixture.
-    """
-    weights = thermal_weights(beta, basis)
-    n = int(np.random.default_rng(seed).choice(basis.dim, p=weights / weights.sum()))
-    return n, number_state(basis, n)
-
-
-def _trace_product(A, rho: np.ndarray) -> np.complex128:
-    """tr(A rho) as sum_mn A_mn rho_nm, O(dim^2) without the product A rho."""
-    return np.sum(as_matrix(A) * rho.T)
-
-
-def thermal_pointer_rate(A, rho: DensityMatrix) -> float:
-    """Pointer drift rate tr(A rho) with the bath kept on during measurement."""
-    return float(_trace_product(A, rho.entries).real)
-
-
 def two_state_density(pre: StateVector, post: DualState, t: float,
                       duration: float) -> TwoStateDensity:
     """The two-state density at time t inside a window of length `duration`."""
@@ -141,7 +98,8 @@ def two_state_density(pre: StateVector, post: DualState, t: float,
 
 def weak_value_from_density(A, rho: TwoStateDensity) -> complex:
     """A_w = tr(A rho) / tr(rho); identical to the direct two-state formula."""
-    return complex(_trace_product(A, rho.entries) / np.trace(rho.entries))
+    # tr(A rho) as sum_mn A_mn rho_nm, O(dim^2) without the product A rho
+    return complex(np.sum(as_matrix(A) * rho.entries.T) / np.trace(rho.entries))
 
 
 def von_neumann_residual(pre: StateVector, post: DualState, H, t: float,
@@ -163,18 +121,3 @@ def von_neumann_residual(pre: StateVector, post: DualState, H, t: float,
     rhs = mat @ rho_0 - rho_0 @ mat
     return float(np.linalg.norm(lhs - rhs))
 
-
-def two_state_canonical(beta: float, basis: OscillatorBasis) -> TwoStateDensity:
-    """Canonical two-state density on the truncated basis.
-
-    The double-coordinate Boltzmann weighting multiplies the |m><n| kernel
-    component by e^{-beta E_m} e^{+beta E_n}; applied to the
-    infinite-temperature kernel (the identity) it leaves every diagonal
-    weight at 1, so normalizing by the truncated trace gives the maximally
-    mixed operator at every beta > 0, whose weak values (e.g. of H) depend on
-    the truncation dim.  The untruncated trace diverges, so every result is
-    tied to `basis.dim`.
-    """
-    check_positive(beta, "beta")
-    entries = np.eye(basis.dim, dtype=np.complex128) / basis.dim
-    return TwoStateDensity(entries=entries, basis=basis)

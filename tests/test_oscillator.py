@@ -13,8 +13,8 @@ from protmeas import (ClassicalEnsemble, DualState, IntervalRegion, MeasurementS
                       bipartite_protective_sim, classical_dwell_fraction, coherent_state,
                       evolve, expectation, hamiltonian, number_state, pointer_trace,
                       position_wavefunction, projector_matrix, thermal_purification,
-                      thermal_weights, two_state_canonical, von_neumann_residual,
-                      weak_value, weak_value_series, zeno_protect_sim)
+                      thermal_weights, von_neumann_residual, weak_value, weak_value_series,
+                      zeno_protect_sim)
 from protmeas import oscillator
 from protmeas.oscillator import coherent_tail, hermite_functions, required_coherent_dim
 
@@ -450,7 +450,6 @@ _B = OscillatorBasis(dim=16)
     pytest.param("duration", lambda x: MeasurementSchedule(x), id="schedule"),
     pytest.param("beta", lambda x: thermal_weights(x, _B), id="thermal_weights"),
     pytest.param("beta", lambda x: thermal_purification(x, _B), id="purification"),
-    pytest.param("beta", lambda x: two_state_canonical(x, _B), id="canonical"),
     pytest.param("pointer sigma", lambda x: bipartite_protective_sim(
         projector_matrix(IntervalRegion(0.0, 1.0), _B), MeasurementSchedule(1.0),
         pointer_sigma=x), id="grid"),

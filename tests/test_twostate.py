@@ -3,11 +3,10 @@ import re
 import numpy as np
 import pytest
 
-from protmeas import (DensityMatrix, IntervalRegion, OscillatorBasis, PostSelectionError,
-                      TruncationError, TwoStateDensity, coherent_state, evolve, expectation,
-                      hamiltonian, number_state, projector_matrix,
-                      thermal_density, thermal_purification, thermal_weights,
-                      two_state_canonical,
+from protmeas import (IntervalRegion, MeasurementSchedule, OscillatorBasis,
+                      PostSelectionError, TruncationError, TwoStateDensity, coherent_state,
+                      evolve, expectation, hamiltonian, number_state, pointer_trace,
+                      projector_matrix, thermal_purification, thermal_weights,
                       two_state_density, von_neumann_residual, weak_value,
                       weak_value_from_density)
 
@@ -19,35 +18,22 @@ MEAN_OCCUPATION_BETA1 = 0.5819767068693265   # 1/(e-1)
 # ------------------------------------------------------------------ thermal
 
 def test_thermal_ground_state_limit(basis):
-    rho = thermal_density(50.0, basis)
-    target = np.zeros((basis.dim, basis.dim))
-    target[0, 0] = 1.0
-    assert np.max(np.abs(rho.entries - target)) < 1e-10
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_density_matrix_rejects_non_finite_entries(bad):
-    entries = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-    entries[1, 2] = bad
-    with pytest.raises(ValueError, match="not Hermitian"):
-        DensityMatrix(entries, OscillatorBasis(dim=4))
+    target = np.zeros(basis.dim)
+    target[0] = 1.0
+    assert np.max(np.abs(thermal_weights(50.0, basis) - target)) < 1e-10
 
 
 def test_thermal_trace_one(basis):
-    rho = thermal_density(1.0, basis)
-    assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-14)
+    assert np.sum(thermal_weights(1.0, basis)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_thermal_mean_occupation(basis):
-    rho = thermal_density(1.0, basis)
-    mean_n = float(np.sum(np.arange(basis.dim) * np.diag(rho.entries).real))
+    mean_n = float(np.sum(np.arange(basis.dim) * thermal_weights(1.0, basis)))
     assert mean_n == pytest.approx(MEAN_OCCUPATION_BETA1, abs=1e-8)
 
 
 def test_thermal_weights_sorted_like_boltzmann(basis):
-    rho = thermal_density(0.7, basis)
-    d = np.diag(rho.entries).real
-    assert np.all(np.diff(d) < 0)
+    assert np.all(np.diff(thermal_weights(0.7, basis)) < 0)
 
 
 @pytest.mark.parametrize("beta, zero_point", [(1.0, False), (0.7, True), (50.0, False)])
@@ -62,9 +48,9 @@ def test_thermal_weights_closed_form(beta, zero_point):
 
 def test_thermal_truncation_guard():
     with pytest.raises(TruncationError):
-        thermal_density(0.1, OscillatorBasis(dim=64))
+        thermal_weights(0.1, OscillatorBasis(dim=64))
     with pytest.raises(ValueError):
-        thermal_density(-1.0, OscillatorBasis(dim=64))
+        thermal_weights(-1.0, OscillatorBasis(dim=64))
 
 
 @pytest.mark.parametrize("beta, omega, tail", [(1e-300, 1.0, "1.000e+300"),
@@ -97,29 +83,21 @@ def test_purification_ground_state_limit(basis):
 
 def test_purification_matches_mixture_for_diagonal_observables(basis, rng):
     beta = 1.0
-    rho = thermal_density(beta, basis)
+    weights = thermal_weights(beta, basis)
     pure = thermal_purification(beta, basis)
     for _ in range(20):
-        A = np.diag(rng.normal(size=basis.dim)).astype(complex)
-        mixed = float(np.trace(A @ rho.entries).real)
-        assert expectation(A, pure) == pytest.approx(mixed, abs=1e-10)
+        a = rng.normal(size=basis.dim)
+        mixed = float(np.sum(a * weights))   # sum_n A_nn w_n, the thermal average
+        assert expectation(np.diag(a).astype(complex), pure) == pytest.approx(mixed, abs=1e-10)
 
 
 def test_bath_off_sampling_then_protective_readout(basis):
-    # switching the bath off selects a pure |n>; a long trivial measurement
-    # on it reads the diagonal entry, and averaging over samples recovers
-    # the thermal rate
-    from protmeas import (MeasurementSchedule, pointer_trace,
-                          sample_thermal_eigenstate, thermal_pointer_rate)
-    beta = 1.0
+    # switching the bath off leaves a pure |n>; a long trivial measurement
+    # on it reads the diagonal entry P_nn
     P = projector_matrix(IntervalRegion(1.0, np.inf), basis)
-    n, state = sample_thermal_eigenstate(beta, basis, seed=11)
-    trace = pointer_trace(MeasurementSchedule(50.0, steps=1024), state, P)
-    assert trace.final_reading == pytest.approx(P.entries[n, n].real, abs=1e-6)
-    rate = thermal_pointer_rate(P, thermal_density(beta, basis))
-    levels = [sample_thermal_eigenstate(beta, basis, seed=s)[0] for s in range(400)]
-    sampled = [P.entries[k, k].real for k in levels]
-    assert np.mean(sampled) == pytest.approx(rate, abs=0.02)
+    for n in (0, 1, 3):
+        trace = pointer_trace(MeasurementSchedule(50.0, steps=1024), number_state(basis, n), P)
+        assert trace.final_reading == pytest.approx(P.entries[n, n].real, abs=1e-6)
 
 
 def test_purification_differs_for_off_diagonal_observable(basis):
@@ -127,7 +105,7 @@ def test_purification_differs_for_off_diagonal_observable(basis):
     beta = 1.0
     P = projector_matrix(IntervalRegion(1.0, np.inf), basis)
     pure_val = expectation(P, thermal_purification(beta, basis))
-    mixed_val = float(np.trace(P.entries @ thermal_density(beta, basis).entries).real)
+    mixed_val = float(np.sum(np.diag(P.entries).real * thermal_weights(beta, basis)))
     gap = pure_val - mixed_val
     print(f"purification <P>={pure_val:.6f} mixture={mixed_val:.6f} gap={gap:.6f}")
     assert abs(gap) > 0.1
@@ -236,31 +214,3 @@ def test_von_neumann_rejects_bad_dt(basis):
         von_neumann_residual(number_state(basis, 0), number_state(basis, 0).dual(),
                              H, 1.0, 0.0)
 
-
-# ---------------------------------------------------------------- canonical
-
-def test_canonical_infinite_temperature_is_maximally_mixed():
-    b = OscillatorBasis(dim=16)
-    rho = two_state_canonical(1e-12, b)
-    assert np.max(np.abs(rho.entries - np.eye(16) / 16)) < 1e-10
-
-
-def test_canonical_trace_one():
-    b = OscillatorBasis(dim=16)
-    assert np.trace(two_state_canonical(1.0, b).entries) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_canonical_energy_weak_value_is_truncation_dependent():
-    h16 = weak_value_from_density(hamiltonian(OscillatorBasis(dim=16)),
-                                  two_state_canonical(1.0, OscillatorBasis(dim=16)))
-    h32 = weak_value_from_density(hamiltonian(OscillatorBasis(dim=32)),
-                                  two_state_canonical(1.0, OscillatorBasis(dim=32)))
-    print(f"H_w dim=16: {h16.real}, dim=32: {h32.real}")
-    assert h16.real == pytest.approx(7.5, abs=1e-12)   # mean of E_0..E_15, omega=1
-    assert abs(h32 - h16) > 1.0                        # invariance under dim fails
-
-
-def test_canonical_is_maximally_mixed_at_low_temperature():
-    # beta * E_max = 750 would overflow e^{beta E}, but no weight is formed
-    rho = two_state_canonical(50.0, OscillatorBasis(dim=16))
-    assert np.array_equal(rho.entries, np.eye(16) / 16)

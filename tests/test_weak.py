@@ -1,3 +1,6 @@
+import functools
+import math
+import re
 import time
 import tracemalloc
 import warnings
@@ -199,15 +202,41 @@ def test_weak_value_series_matches_scalar(basis, rng):
         assert abs(v - weak_value(P, pre, post, float(t), 10.0)) < 1e-13
 
 
+@functools.cache
+def _tail_radius(dim):
+    """The largest |alpha| <= 5 whose coherent tail at dim is below COHERENT_TAIL_LIMIT.
+
+    The tail grows with |alpha|, so bisection down to adjacent floats finds it.
+    """
+    lo, hi = 0.0, 5.0
+    if coherent_tail(dim, hi) < COHERENT_TAIL_LIMIT:
+        return hi
+    while math.nextafter(lo, hi) < hi:
+        mid = (lo + hi) / 2.0
+        if coherent_tail(dim, mid) < COHERENT_TAIL_LIMIT:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@st.composite
+def coherent_pairs(draw):
+    """dim in [8, 64] and two coherent amplitudes that dim holds: |alpha| <= r(dim)."""
+    dim = draw(st.integers(8, 64))
+    amplitude = st.complex_numbers(max_magnitude=_tail_radius(dim))
+    return dim, draw(amplitude), draw(amplitude)
+
+
 @settings(max_examples=60, deadline=None)
-@given(dim=st.integers(8, 64),
+@given(case=coherent_pairs(),
        cuts=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2, unique=True).map(sorted),
-       alpha=st.complex_numbers(max_magnitude=5.0), alpha2=st.complex_numbers(max_magnitude=5.0),
        T=st.floats(0.5, 100.0))
-@example(dim=64, cuts=bin_edges(0.25, 6.0).tolist(), alpha=0j, alpha2=2.5 + 0j, T=100.0)
-def test_partition_sum_rule(dim, cuts, alpha, alpha2, T):
+@example(case=(64, 0j, 2.5 + 0j), cuts=bin_edges(0.25, 6.0).tolist(), T=100.0)
+def test_partition_sum_rule(case, cuts, T):
     # completeness survives post-selection: the weak values of the intervals
     # (-inf, c_0], [c_0, c_1], ..., [c_k, inf) sum to 1 at every time
+    dim, alpha, alpha2 = case
     basis = OscillatorBasis(dim=dim)
     assume(max(coherent_tail(dim, alpha), coherent_tail(dim, alpha2)) < COHERENT_TAIL_LIMIT)
     pre, post = coherent_state(basis, alpha), coherent_state(basis, alpha2).dual()
@@ -435,6 +464,19 @@ def test_closed_form_window_check():
         closed_form_pvi_weak(2.5, 0.0, 1.0, 1.0, 10.0, np.nan)
     with pytest.raises(ValueError, match="measurement window"):
         closed_form_pvi_weak(2.5, 0.0, 1.0, 1.0, 10.0, [0.5, np.nan])
+
+
+@pytest.mark.parametrize("alpha, x0, what", [
+    # a Python float's ** 2 raises OverflowError from 1.34e154
+    pytest.param(1e200, 1.0, "|alpha|^2 or x0^2 overflows", id="alpha-squared"),
+    pytest.param(1.0, 1e200, "|alpha|^2 or x0^2 overflows", id="x0-squared"),
+    # (|alpha|^2 - x0^2)/2 above ln(float max) = 709.78
+    pytest.param(40.0, 1.0, "prefactor", id="prefactor"),
+])
+def test_closed_form_refuses_an_overflow_by_name(alpha, x0, what):
+    with pytest.raises(ValueError, match=re.escape(f"alpha={alpha!r}, x0={x0!r}: ")) as err:
+        closed_form_pvi_weak(alpha, 0.0, x0, 1.0, 10.0, [0.0, 5.0])
+    assert what in str(err.value)
 
 
 def test_closed_form_amplitude_ordering():

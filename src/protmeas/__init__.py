@@ -41,8 +41,7 @@ from .simulation import (BipartiteResult, ZenoResult, bipartite_protective_sim,
                          zeno_protect_sim)
 from .twostate import (TwoStateDensity, thermal_purification, thermal_weights,
                        two_state_density, von_neumann_residual, weak_value_from_density)
-from .ergodicity import (ClassicalEnsemble, DwellReport, classical_dwell_fraction,
-                         classical_ensemble_average, classical_time_average,
-                         correspondence_check, dwell_report, uniform_phase_ensemble)
+from .ergodicity import (DwellReport, classical_dwell_fraction, classical_ensemble_average,
+                         classical_time_average, correspondence_check, dwell_report)
 
 __version__ = "0.1.0"

@@ -34,7 +34,7 @@ import numpy as np
 from . import ergodicity, simulation, twostate
 from .errors import NumericalError, PostSelectionError, TruncationError, UsageError
 from .oscillator import (OscillatorBasis, StateVector, _real_matmul, backward_state, check_phase,
-                         coherent_state, evolve, number_state)
+                         coherent_state, number_state)
 from .projectors import (IntervalRegion, bin_edges, heisenberg_projector,
                          projector_matrix, time_averaged_projector)
 from .quadrature import bin_probabilities
@@ -242,14 +242,14 @@ def run_two_state(*, dim, omega, T, ramp, steps, x0, w, alpha, delta):
     # trace, so each row reads off the two vectors and no dim x dim density is formed
     # (twostate.two_state_density is the tests' reference): tr(P rho) / tr(rho) =
     # b.(P k) / (b.k), and ||rho - rho^dag||_F^2 = 2 ||rho||_F^2 - 2 Re tr(rho^2) =
-    # 2 (|k|^2 |b|^2 / |b.k|^2 - 1).  It is >= 0 in floating point too: the pre-selected
-    # |0> has E_0 = 0, so k is exactly e_0 and b.k = b_0 = d_0 is real, and the ratio
+    # 2 (|k|^2 |b|^2 / |b.k|^2 - 1).  The pre-selected |0> has E_0 = 0, so k is exactly
+    # e_0 at every t and P k is formed once; b.k = b_0 = d_0 is real, and the ratio
     # |b|^2 / |b_0|^2, a sum of non-negative terms over one of them, is never below 1
-    traced, ratio = np.empty_like(direct), np.empty(direct.shape)
+    k, traced, ratio = pre.amplitudes, np.empty_like(direct), np.empty(direct.shape)
+    Pk = _real_matmul(P.entries, k[:, None])[:, 0]
     for i, t in enumerate(schedule.times):
-        k, b = evolve(pre, t).amplitudes, backward_state(post, t, T).amplitudes
-        traced[i] = b @ _real_matmul(P.entries, k[:, None])[:, 0] / (b @ k)
-        ratio[i] = np.vdot(k, k).real * np.vdot(b, b).real / abs(b @ k) ** 2
+        b = backward_state(post, t, T).amplitudes
+        traced[i], ratio[i] = b @ Pk / (b @ k), np.vdot(b, b).real / abs(b @ k) ** 2
     table = ResultTable([("t", "s", schedule.times),
                          ("wv_direct_re", "", direct.real), ("wv_direct_im", "", direct.imag),
                          ("wv_trace_re", "", traced.real), ("wv_trace_im", "", traced.imag),
@@ -265,9 +265,8 @@ def run_ergodic(*, omega, seed, amplitude, n_samples, ensemble_n, periods, t,
     region = _checked("a, b", IntervalRegion, a, b)
     dwell = _checked("amplitude, omega, periods, n_samples", ergodicity.dwell_report,
                      amplitude, region, omega, n_samples, periods)
-    ens = _checked("ensemble_n", ergodicity.uniform_phase_ensemble,
-                   ensemble_n, amplitude, omega, seed)
-    ens_avg = ergodicity.classical_ensemble_average(ens, region, t)
+    ens_avg = _checked("ensemble_n", ergodicity.classical_ensemble_average,
+                       ensemble_n, amplitude, omega, seed, region, t)
     err_e = ergodicity.sampling_error(ens_avg, ensemble_n)
     combined = float(np.hypot(dwell.statistical_error, err_e))
     gap_sigmas = abs(dwell.time_average - ens_avg) / combined if combined > 0 else 0.0

@@ -21,40 +21,6 @@ from .projectors import IntervalRegion
 from .quadrature import interval_diagonal
 
 
-@dataclass(frozen=True, eq=False)
-class ClassicalEnsemble:
-    """Equal-weight ensemble of oscillators of one amplitude, one phase per member."""
-
-    amplitude: float
-    phases: np.ndarray
-    omega: float = 1.0
-
-    def __post_init__(self):
-        p = np.asarray(self.phases, dtype=float)
-        if p.size < 1 or not np.all(np.isfinite(p)):
-            raise ValueError("need a non-empty array of finite phases")
-        check_positive(self.amplitude, "amplitude")
-        check_positive(self.omega, "omega")
-        object.__setattr__(self, "phases", p)
-
-    @property
-    def size(self) -> int:
-        return int(self.phases.size)
-
-
-def uniform_phase_ensemble(size: int, amplitude: float, omega: float,
-                           seed: int) -> ClassicalEnsemble:
-    """Common amplitude, phases drawn uniformly on [0, 2 pi).
-
-    Raises ValueError unless size >= 1.
-    """
-    if size < 1:
-        raise ValueError(f"ensemble size must be >= 1, got {size}")
-    rng = np.random.default_rng(seed)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size)
-    return ClassicalEnsemble(float(amplitude), phases, omega)
-
-
 @dataclass(frozen=True)
 class DwellReport:
     time_average: float
@@ -69,15 +35,14 @@ class DwellReport:
                 raise ValueError(f"{name}={v} outside [0, 1]")
 
 
-def classical_time_average(amplitude: float, phase: float, omega: float,
-                           region: IntervalRegion, duration: float,
-                           n_samples: int) -> float:
+def classical_time_average(amplitude: float, omega: float, region: IntervalRegion,
+                           duration: float, n_samples: int) -> float:
     """Fraction of sample times j*T/n at which the trajectory lies in `region`.
 
-    The positions amplitude * cos(omega * (T * j / n) + phase) are formed
-    in place, in blocks of _BLOCK_BYTES of floats, so memory does not
-    depend on n_samples.  Raises ValueError naming the parameter unless
-    amplitude, omega and duration are positive and finite and n_samples >= 1.
+    The positions amplitude * cos(omega * (T * j / n)) are formed in place,
+    in blocks of _BLOCK_BYTES of floats, so memory does not depend on
+    n_samples.  Raises ValueError naming the parameter unless amplitude,
+    omega and duration are positive and finite and n_samples >= 1.
     """
     check_positive(amplitude, "amplitude")
     check_positive(omega, "omega")
@@ -91,18 +56,28 @@ def classical_time_average(amplitude: float, phase: float, omega: float,
         x *= duration
         x /= n_samples
         x *= omega
-        x += phase
         np.cos(x, out=x)
         x *= amplitude
         inside += int(np.count_nonzero(region.contains(x)))
     return float(inside / n_samples)
 
 
-def classical_ensemble_average(ensemble: ClassicalEnsemble, region: IntervalRegion,
-                               t: float = 0.0) -> float:
-    """Fraction of members inside `region` at time t."""
-    x = ensemble.amplitude * np.cos(ensemble.omega * t + ensemble.phases)
-    return float(np.count_nonzero(region.contains(x)) / ensemble.size)
+def classical_ensemble_average(size: int, amplitude: float, omega: float, seed: int,
+                               region: IntervalRegion, t: float = 0.0) -> float:
+    """Fraction of `size` oscillators inside `region` at time t.
+
+    The members share the amplitude and omega; their phases are drawn
+    uniformly on [0, 2 pi) from `seed`.  Raises ValueError naming the
+    parameter unless size >= 1 and amplitude and omega are positive and
+    finite.
+    """
+    if size < 1:
+        raise ValueError(f"ensemble size must be >= 1, got {size}")
+    check_positive(amplitude, "amplitude")
+    check_positive(omega, "omega")
+    phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size)
+    x = float(amplitude) * np.cos(omega * t + phases)
+    return float(np.count_nonzero(region.contains(x)) / size)
 
 
 def classical_dwell_fraction(amplitude: float, region: IntervalRegion) -> float:
@@ -133,7 +108,7 @@ def dwell_report(amplitude: float, region: IntervalRegion, omega: float, n_sampl
     check_positive(omega, "omega")
     if n_periods < 1:
         raise ValueError(f"n_periods must be >= 1, got {n_periods}")
-    time_avg = classical_time_average(amplitude, 0.0, omega, region,
+    time_avg = classical_time_average(amplitude, omega, region,
                                       n_periods * 2.0 * np.pi / omega, n_samples)
     return DwellReport(time_average=time_avg,
                        analytic_fraction=classical_dwell_fraction(amplitude, region),

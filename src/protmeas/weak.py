@@ -228,17 +228,18 @@ def closed_form_pvi_weak(alpha_mod: float, delta: float, x0: float,
     width; multiply by w to approximate the weak value of P over an interval
     of width w around x0.  delta enters only through sines and cosines, so it
     is first reduced to [-pi, pi], which leaves such a delta as it is.
-    Raises ValueError if |a|^2 or x0^2 overflows a float, or if the
-    prefactor's exponent (|a|^2 - x0^2)/2 exceeds ln(float max) = 709.78,
+    Raises ValueError if |a|^2 or x0^2 overflows a float or is NaN, or if
+    the prefactor's exponent (|a|^2 - x0^2)/2 exceeds ln(float max) = 709.78,
     as from |a| = 37.7 at x0 = 1: the envelope peaks at 1 over theta, so the
     density itself has no finite peak there, and the overflowing prefactor
     times an underflowing envelope would be NaN.
     """
-    try:
-        exponent = (alpha_mod ** 2 - x0 ** 2) / 2.0
-    except OverflowError:   # a Python float's ** 2 raises where a numpy one gives inf
+    # checked on Python floats, whose product gives inf where a numpy float's ** 2
+    # warns and a Python float's ** 2 raises OverflowError
+    if not all(math.isfinite(float(v) * float(v)) for v in (alpha_mod, x0)):
         raise ValueError(f"alpha={alpha_mod!r}, x0={x0!r}: |alpha|^2 or x0^2 "
-                         f"overflows a float") from None
+                         f"overflows a float or is NaN")
+    exponent = (alpha_mod ** 2 - x0 ** 2) / 2.0
     if not exponent <= math.log(np.finfo(float).max):
         raise ValueError(f"alpha={alpha_mod!r}, x0={x0!r}: the closed form's prefactor "
                          f"e^((|alpha|^2 - x0^2)/2) = e^{exponent:.6g} overflows a float")

@@ -18,8 +18,7 @@ from protmeas import (IntervalRegion, MeasurementSchedule, OscillatorBasis,
                       weak_value_series,
                       bipartite_protective_sim, zeno_protect_sim,
                       classical_time_average, classical_dwell_fraction,
-                      classical_ensemble_average, uniform_phase_ensemble,
-                      correspondence_check, StateVector)
+                      classical_ensemble_average, correspondence_check, StateVector)
 from protmeas.ergodicity import sampling_error
 from protmeas.weak import closed_form_pvi_weak
 
@@ -239,9 +238,8 @@ def test_criterion_10_ergodicity():
     start = time.monotonic()
     region = IntervalRegion(0.5, 1.0)
     n_time, n_ens = 100_001, 100_000
-    t_avg = classical_time_average(1.0, 0.0, 1.0, region, 1000 * 2 * np.pi, n_time)
-    ens = uniform_phase_ensemble(n_ens, 1.0, 1.0, seed=20260809)
-    e_avg = classical_ensemble_average(ens, region, 0.0)
+    t_avg = classical_time_average(1.0, 1.0, region, 1000 * 2 * np.pi, n_time)
+    e_avg = classical_ensemble_average(n_ens, 1.0, 1.0, 20260809, region, 0.0)
     err_t = sampling_error(t_avg, n_time)
     err_e = sampling_error(e_avg, n_ens)
     agree_ok = abs(t_avg - e_avg) <= 3.0 * np.hypot(err_t, err_e)

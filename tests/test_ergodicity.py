@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from protmeas import (ClassicalEnsemble, IntervalRegion, OscillatorBasis,
-                      classical_dwell_fraction, classical_ensemble_average,
-                      classical_time_average, correspondence_check, dwell_report,
-                      expectation, number_state, projector_matrix,
-                      uniform_phase_ensemble)
+from protmeas import (IntervalRegion, OscillatorBasis, classical_dwell_fraction,
+                      classical_ensemble_average, classical_time_average,
+                      correspondence_check, dwell_report, expectation, number_state,
+                      projector_matrix)
 from protmeas import oscillator, projectors, quadrature
 from protmeas.cli import main
 from protmeas.ergodicity import sampling_error
@@ -22,12 +21,12 @@ ERF_ONE = 0.8427007929497148   # quantum dwell of |0> in [-1, 1]
 # ------------------------------------------------------------ time averages
 
 def test_time_average_full_line():
-    assert classical_time_average(1.0, 0.3, 1.0, FULL_LINE, 100.0, 1000) == 1.0
+    assert classical_time_average(1.0, 1.0, FULL_LINE, 100.0, 1000) == 1.0
 
 
 def test_time_average_half_line():
     n = 40001
-    avg = classical_time_average(1.0, 0.0, 1.0, IntervalRegion(0.0, np.inf),
+    avg = classical_time_average(1.0, 1.0, IntervalRegion(0.0, np.inf),
                                  1000 * 2 * np.pi, n)
     assert abs(avg - 0.5) < 2.0 / np.sqrt(n)
 
@@ -36,7 +35,7 @@ def test_time_average_matches_arcsin_fraction():
     # 1000 periods sampled at a coprime count equidistributes the phase
     n = 100_001
     region = IntervalRegion(0.5, 1.0)
-    avg = classical_time_average(1.0, 0.0, 1.0, region, 1000 * 2 * np.pi, n)
+    avg = classical_time_average(1.0, 1.0, region, 1000 * 2 * np.pi, n)
     assert classical_dwell_fraction(1.0, region) == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert abs(avg - 1.0 / 3.0) < 2.0 / np.sqrt(n)
 
@@ -45,13 +44,13 @@ def test_time_average_converges_with_samples():
     region = IntervalRegion(0.5, 1.0)
     target = 1.0 / 3.0
     for n in (1001, 10_001, 100_001):
-        avg = classical_time_average(1.0, 0.0, 1.0, region, 1000 * 2 * np.pi, n)
+        avg = classical_time_average(1.0, 1.0, region, 1000 * 2 * np.pi, n)
         assert abs(avg - target) <= 2.0 / np.sqrt(n)
 
 
 def test_time_average_validation():
     with pytest.raises(ValueError):
-        classical_time_average(1.0, 0.0, 1.0, FULL_LINE, 10.0, 0)
+        classical_time_average(1.0, 1.0, FULL_LINE, 10.0, 0)
 
 
 _BLOCK = oscillator._BLOCK_BYTES // 8   # samples in one block of the time average
@@ -62,14 +61,13 @@ def test_time_average_counts_the_one_array_samples(n):
     # the blocked, in-place evaluation gives every sample the bits of this
     # one-array expression: an edge placed on a sample counts that sample
     # only if it does, in the first, a middle and the last (partial) block
-    amplitude, phase, omega, duration = 1.7, 0.3, 2.1, 1000 * 2 * np.pi
-    x = amplitude * np.cos(omega * (duration * np.arange(1, n + 1) / n) + phase)
+    amplitude, omega, duration = 1.7, 2.1, 1000 * 2 * np.pi
+    x = amplitude * np.cos(omega * (duration * np.arange(1, n + 1) / n))
     for edge in x[[0, n // 2, n - 1]]:
         for region in (IntervalRegion(edge, np.inf), IntervalRegion(-np.inf, edge),
                        IntervalRegion(edge, edge + 0.5)):
             want = np.count_nonzero(region.contains(x)) / n
-            assert classical_time_average(amplitude, phase, omega, region, duration,
-                                          n) == want
+            assert classical_time_average(amplitude, omega, region, duration, n) == want
 
 
 def test_time_average_memory_does_not_grow_with_samples():
@@ -77,7 +75,7 @@ def test_time_average_memory_does_not_grow_with_samples():
     n = 1_000_000
     tracemalloc.start()
     try:
-        avg = classical_time_average(1.0, 0.0, 1.0, IntervalRegion(0.5, 1.0),
+        avg = classical_time_average(1.0, 1.0, IntervalRegion(0.5, 1.0),
                                      1000 * 2 * np.pi, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -90,17 +88,17 @@ _HALF = IntervalRegion(0.5, 1.0)
 
 
 @pytest.mark.parametrize("call, name", [
-    pytest.param(lambda: classical_time_average(np.nan, 0.0, 1.0, _HALF, 10.0, 100),
+    pytest.param(lambda: classical_time_average(np.nan, 1.0, _HALF, 10.0, 100),
                  "amplitude", id="time-average-nan-amplitude"),
-    pytest.param(lambda: classical_time_average(-1.0, 0.0, 1.0, _HALF, 10.0, 100),
+    pytest.param(lambda: classical_time_average(-1.0, 1.0, _HALF, 10.0, 100),
                  "amplitude", id="time-average-negative-amplitude"),
-    pytest.param(lambda: classical_time_average(1.0, 0.0, np.nan, _HALF, 10.0, 100),
+    pytest.param(lambda: classical_time_average(1.0, np.nan, _HALF, 10.0, 100),
                  "omega", id="time-average-nan-omega"),
-    pytest.param(lambda: classical_time_average(1.0, 0.0, np.inf, _HALF, 10.0, 100),
+    pytest.param(lambda: classical_time_average(1.0, np.inf, _HALF, 10.0, 100),
                  "omega", id="time-average-inf-omega"),
-    pytest.param(lambda: classical_time_average(1.0, 0.0, 1.0, _HALF, 0.0, 100),
+    pytest.param(lambda: classical_time_average(1.0, 1.0, _HALF, 0.0, 100),
                  "duration", id="time-average-zero-duration"),
-    pytest.param(lambda: classical_time_average(1.0, 0.0, 1.0, _HALF, np.inf, 100),
+    pytest.param(lambda: classical_time_average(1.0, 1.0, _HALF, np.inf, 100),
                  "duration", id="time-average-inf-duration"),
     pytest.param(lambda: correspondence_check(50, IntervalRegion(2.0, 4.0),
                                               OscillatorBasis(dim=128), n_periods=0),
@@ -109,9 +107,9 @@ _HALF = IntervalRegion(0.5, 1.0)
                  id="dwell-zero-omega"),
     pytest.param(lambda: dwell_report(1.0, _HALF, 1.0, 100, 0), "n_periods",
                  id="dwell-zero-periods"),
-    pytest.param(lambda: uniform_phase_ensemble(10, 1.0, np.nan, 1),
+    pytest.param(lambda: classical_ensemble_average(10, 1.0, np.nan, 1, _HALF),
                  "omega", id="ensemble-nan-omega"),
-    pytest.param(lambda: ClassicalEnsemble(1.0, np.zeros(2), omega=0.0),
+    pytest.param(lambda: classical_ensemble_average(10, 1.0, 0.0, 1, _HALF),
                  "omega", id="ensemble-zero-omega"),
 ])
 def test_averages_refuse_what_they_cannot_average(call, name):
@@ -124,32 +122,24 @@ def test_averages_refuse_what_they_cannot_average(call, name):
 @pytest.mark.parametrize("size", [0, -1])
 def test_an_ensemble_without_members_is_refused_by_its_size(size):
     with pytest.raises(ValueError, match=f"ensemble size must be >= 1, got {size}"):
-        uniform_phase_ensemble(size, 1.0, 1.0, 1)
+        classical_ensemble_average(size, 1.0, 1.0, 1, _HALF)
 
 
 # -------------------------------------------------------- ensemble averages
-
-def test_ensemble_identical_members_inside():
-    ens = ClassicalEnsemble(2.0, np.zeros(10))
-    assert classical_ensemble_average(ens, IntervalRegion(1.5, 2.5), 0.0) == 1.0
-
 
 def test_ensemble_agrees_with_time_average():
     # the ergodic hypothesis at desk scale: one trajectory vs 10^5 members
     region = IntervalRegion(0.5, 1.0)
     n_time, n_ens = 100_001, 100_000
-    t_avg = classical_time_average(1.0, 0.0, 1.0, region, 1000 * 2 * np.pi, n_time)
-    ens = uniform_phase_ensemble(n_ens, 1.0, 1.0, seed=20260809)
-    e_avg = classical_ensemble_average(ens, region, 0.0)
+    t_avg = classical_time_average(1.0, 1.0, region, 1000 * 2 * np.pi, n_time)
+    e_avg = classical_ensemble_average(n_ens, 1.0, 1.0, 20260809, region, 0.0)
     combined = np.hypot(sampling_error(t_avg, n_time), sampling_error(e_avg, n_ens))
     assert abs(t_avg - e_avg) <= 3.0 * combined
 
 
 def test_ensemble_validation():
-    with pytest.raises(ValueError):
-        ClassicalEnsemble(1.0, np.array([]))
-    with pytest.raises(ValueError):
-        ClassicalEnsemble(0.0, np.array([0.0]))
+    with pytest.raises(ValueError, match="amplitude"):
+        classical_ensemble_average(10, 0.0, 1.0, 1, _HALF)
 
 
 # ------------------------------------------------------------ dwell fraction
@@ -227,7 +217,7 @@ def test_ergodic_and_correspondence_read_one_dwell_report(tmp_path):
         dwell = dwell_report(amplitude, region, omega, 1001, 10)
         assert [getattr(report, f) for f in fields] == [getattr(dwell, f) for f in fields]
         assert dwell.time_average == classical_time_average(
-            amplitude, 0.0, omega, region, 10 * 2.0 * np.pi / omega, 1001)
+            amplitude, omega, region, 10 * 2.0 * np.pi / omega, 1001)
     assert main(["ergodic", "--seed", "1", "--amplitude", "1.7", "--omega", "1.3", "--a", "0.5",
                  "--b", "1.5", "--n-samples", "1001", "--periods", "10", "--ensemble-n", "100",
                  "--out", str(tmp_path)]) == 0

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, special
 
-from protmeas import (ClassicalEnsemble, DualState, IntervalRegion, MeasurementSchedule,
-                      OscillatorBasis, StateVector, TruncationError, backward_state,
-                      bipartite_protective_sim, classical_dwell_fraction, coherent_state,
+from protmeas import (DualState, IntervalRegion, MeasurementSchedule, OscillatorBasis,
+                      StateVector, TruncationError, backward_state, bipartite_protective_sim,
+                      classical_dwell_fraction, classical_ensemble_average, coherent_state,
                       evolve, expectation, hamiltonian, number_state, pointer_trace,
                       position_wavefunction, projector_matrix, thermal_purification,
                       thermal_weights, von_neumann_residual, weak_value, weak_value_series,
@@ -453,7 +453,8 @@ _B = OscillatorBasis(dim=16)
     pytest.param("pointer sigma", lambda x: bipartite_protective_sim(
         projector_matrix(IntervalRegion(0.0, 1.0), _B), MeasurementSchedule(1.0),
         pointer_sigma=x), id="grid"),
-    pytest.param("amplitude", lambda x: ClassicalEnsemble(x, [0.0]), id="ensemble"),
+    pytest.param("amplitude", lambda x: classical_ensemble_average(
+        1, x, 1.0, 0, IntervalRegion(0.0, 1.0)), id="ensemble"),
     pytest.param("amplitude", lambda x: classical_dwell_fraction(x, IntervalRegion(0.0, 1.0)),
                  id="dwell"),
     pytest.param("protection window", lambda x: zeno_protect_sim(number_state(_B, 1), 4, x),

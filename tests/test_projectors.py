@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 import protmeas.weak as weak_module
@@ -60,6 +60,19 @@ def test_projector_spectrum_in_unit_range(basis):
 ENDPOINTS = st.one_of(st.floats(-45.0, 45.0), st.sampled_from([-math.inf, math.inf]))
 
 
+@st.composite
+def ordered_ends(draw):
+    """Interval ends a < b: two ENDPOINTS, sorted, with no draw rejected.
+
+    Equal ends, about 3 draws in 10, become [a, inf), or the full line at
+    a = inf: assume(a < b) on the two ends rejected about 70 % of the draws.
+    """
+    a, b = sorted(draw(st.tuples(ENDPOINTS, ENDPOINTS)))
+    if not a < b:
+        a, b = (a, math.inf) if a < math.inf else (-math.inf, math.inf)
+    return a, b
+
+
 def _diagonal_oracle(n, lo, hi):
     """Integral of phi_n^2 over [lo, hi] and a bound on its error."""
     if not lo < hi:
@@ -76,11 +89,11 @@ def _diagonal_oracle(n, lo, hi):
 
 
 @settings(max_examples=40, deadline=None)
-@given(a=ENDPOINTS, b=ENDPOINTS, dim=st.integers(2, 300))
-@example(a=0.0, b=1.2202309696061935e-306, dim=5)
-@example(a=-3.0, b=-3.0 + 1e-14, dim=6)
-def test_projector_is_a_compressed_projection(a, b, dim):
-    assume(a < b)
+@given(ends=ordered_ends(), dim=st.integers(2, 300))
+@example(ends=[0.0, 1.2202309696061935e-306], dim=5)
+@example(ends=[-3.0, -3.0 + 1e-14], dim=6)
+def test_projector_is_a_compressed_projection(ends, dim):
+    a, b = ends
     P = projector_matrix(IntervalRegion(a, b), OscillatorBasis(dim)).entries
     assert np.array_equal(P, P.conj().T)
     vals = np.linalg.eigvalsh(P)
@@ -95,15 +108,14 @@ def test_projector_is_a_compressed_projection(a, b, dim):
 
 
 @settings(max_examples=40, deadline=None)
-@given(a=ENDPOINTS, b=ENDPOINTS, dim=st.integers(2, 1024))
-@example(a=-math.inf, b=0.0, dim=2)
-@example(a=0.975, b=1.025, dim=1024)
-@example(a=37.0, b=math.inf, dim=1024)
-def test_projector_entries_are_exactly_symmetric(a, b, dim):
+@given(ends=ordered_ends(), dim=st.integers(2, 1024))
+@example(ends=[-math.inf, 0.0], dim=2)
+@example(ends=[0.975, 1.025], dim=1024)
+@example(ends=[37.0, math.inf], dim=1024)
+def test_projector_entries_are_exactly_symmetric(ends, dim):
     # fl(d_m p_n) = fl(p_n d_m) makes each entry's Wronskian the exact
     # negation of its transpose's, so the symmetry holds bit for bit
-    assume(a < b)
-    P = projector_matrix(IntervalRegion(a, b), OscillatorBasis(dim)).entries
+    P = projector_matrix(IntervalRegion(*ends), OscillatorBasis(dim)).entries
     assert np.array_equal(P, P.T)
 
 
@@ -181,11 +193,10 @@ def test_time_average_keeps_diagonal_and_hermiticity(basis):
 
 
 @settings(max_examples=40, deadline=None)
-@given(a=ENDPOINTS, b=ENDPOINTS, T=st.floats(0.1, 1000.0))
-def test_time_average_dephasing_bound(a, b, T):
-    assume(a < b)
+@given(ends=ordered_ends(), T=st.floats(0.1, 1000.0))
+def test_time_average_dephasing_bound(ends, T):
     basis = OscillatorBasis(64)
-    P = projector_matrix(IntervalRegion(a, b), basis)
+    P = projector_matrix(IntervalRegion(*ends), basis)
     avg = time_averaged_projector(P, T)
     for m in range(20):
         for n in range(20):

@@ -470,12 +470,20 @@ def test_closed_form_window_check():
     # a Python float's ** 2 raises OverflowError from 1.34e154
     pytest.param(1e200, 1.0, "|alpha|^2 or x0^2 overflows", id="alpha-squared"),
     pytest.param(1.0, 1e200, "|alpha|^2 or x0^2 overflows", id="x0-squared"),
+    # a numpy float's ** 2 overflows to inf with a RuntimeWarning instead
+    pytest.param(np.float64(1e200), 1.0, "|alpha|^2 or x0^2 overflows", id="numpy-alpha-squared"),
+    pytest.param(1.0, np.float64(1e200), "|alpha|^2 or x0^2 overflows", id="numpy-x0-squared"),
+    pytest.param(np.float64(np.nan), 1.0, "|alpha|^2 or x0^2 overflows a float or is NaN",
+                 id="numpy-alpha-nan"),
+    pytest.param(1.0, np.float64(-np.inf), "|alpha|^2 or x0^2 overflows", id="numpy-x0-inf"),
     # (|alpha|^2 - x0^2)/2 above ln(float max) = 709.78
     pytest.param(40.0, 1.0, "prefactor", id="prefactor"),
 ])
 def test_closed_form_refuses_an_overflow_by_name(alpha, x0, what):
-    with pytest.raises(ValueError, match=re.escape(f"alpha={alpha!r}, x0={x0!r}: ")) as err:
-        closed_form_pvi_weak(alpha, 0.0, x0, 1.0, 10.0, [0.0, 5.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=re.escape(f"alpha={alpha!r}, x0={x0!r}: ")) as err:
+            closed_form_pvi_weak(alpha, 0.0, x0, 1.0, 10.0, [0.0, 5.0])
     assert what in str(err.value)
 
 

@@ -31,12 +31,11 @@ from .errors import (NumericalError, PostSelectionError, ProtmeasError,
 from .oscillator import (DualState, OscillatorBasis, StateVector, backward_state,
                          coherent_state, evolve, hamiltonian, hermite_functions,
                          number_state, position_wavefunction)
-from .projectors import (FULL_LINE, IntervalRegion, ProjectorMatrix, bin_edges,
-                         heisenberg_projector, projector_matrix,
-                         time_averaged_projector)
+from .projectors import (IntervalRegion, ProjectorMatrix, bin_edges, heisenberg_projector,
+                         projector_matrix, time_averaged_projector)
 from .quadrature import bin_probabilities, interval_diagonal
 from .weak import (MeasurementSchedule, PointerTrace, closed_form_pvi_weak,
-                   expectation, pointer_trace, weak_value, weak_value_series)
+                   expectation, pointer_trace, weak_value_series)
 from .simulation import (BipartiteResult, ZenoResult, bipartite_protective_sim,
                          zeno_protect_sim)
 from .twostate import (TwoStateDensity, thermal_purification, thermal_weights,

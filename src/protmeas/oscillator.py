@@ -71,9 +71,6 @@ class OscillatorBasis:
             n = n + 0.5
         return self.omega * n
 
-    def period(self) -> float:
-        return 2.0 * np.pi / self.omega
-
 
 def _normalized(amplitudes, dim) -> np.ndarray:
     a = np.asarray(amplitudes, dtype=np.complex128).copy()
@@ -97,16 +94,9 @@ class StateVector:
     def __post_init__(self):
         object.__setattr__(self, "amplitudes", _normalized(self.amplitudes, self.basis.dim))
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def dual(self) -> "DualState":
         """The bra <psi| of this ket."""
         return DualState(np.conj(self.amplitudes), self.basis)
-
-    def fidelity(self, other: "StateVector") -> float:
-        """|<self|other>|^2; the global-phase-free comparison."""
-        return float(abs(np.vdot(self.amplitudes, other.amplitudes)) ** 2)
 
 
 @dataclass(frozen=True, eq=False)

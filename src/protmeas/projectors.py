@@ -33,9 +33,6 @@ class IntervalRegion:
         return (np.asarray(x) >= self.lower) & (np.asarray(x) <= self.upper)
 
 
-FULL_LINE = IntervalRegion(-np.inf, np.inf)
-
-
 @dataclass(frozen=True, eq=False)
 class ProjectorMatrix:
     """P_V for `region` on the truncated `basis`, as a dense real symmetric matrix.

@@ -61,10 +61,10 @@ class BipartiteResult:
     energy_shift_per_p: float
     survival_probability: float
     steps_used: int
-    final_norm: float = 1.0
+    final_norm: float
     # |s_2n - s_n| over the last two ladder rungs: an estimate of the step
     # error in pointer_shift (see bipartite_protective_sim)
-    ladder_error: float = 0.0
+    ladder_error: float
 
 
 def _strang_ramp(S, W, energies, lam, p, schedule: MeasurementSchedule, t0: float,
@@ -231,13 +231,12 @@ def bipartite_protective_sim(P: ProjectorMatrix, schedule: MeasurementSchedule,
 @dataclass(frozen=True, eq=False)
 class ZenoResult:
     survival_probability: float
-    n_protections: int
-    # Frobenius norm of each protection's jump; empty if nothing is measured
+    # Frobenius norm of each protection's jump
     jump_norms: np.ndarray
 
 
 def zeno_protect_sim(initial: StateVector, n_protections: int, duration: float,
-                     measured=None, coupling: float = 0.0) -> ZenoResult:
+                     measured, coupling: float = 0.0) -> ZenoResult:
     """Survival under repeated projection onto the initial state.
 
     The state evolves freely (optionally with a flat measurement coupling
@@ -260,8 +259,6 @@ def zeno_protect_sim(initial: StateVector, n_protections: int, duration: float,
         # H is diagonal: eigh would return exactly its energies and the identity
         evals, vecs = initial.basis.energies(), None
     else:
-        if measured is None:
-            raise ValueError("a measurement coupling requires a measured operator")
         # eigh reads only the lower triangle, so a non-Hermitian H would pass unseen
         _require_hermitian(measured)
         H = hamiltonian(initial.basis) + (coupling / duration) * as_matrix(measured)
@@ -277,24 +274,22 @@ def zeno_protect_sim(initial: StateVector, n_protections: int, duration: float,
     amp = complex(np.vdot(s, U @ s))          # state resets to s at each projection
     survival = abs(amp) ** (2 * n_protections)
 
-    jumps = np.empty(0 if measured is None else n_protections)
-    if measured is not None:
-        B = as_matrix(measured)
-        if vecs is not None:
-            B, s = vecs.conj().T @ B @ vecs, vecs.conj().T @ s
-        B = B.astype(np.complex128)
-        # the rank-two update reuses two buffers: fresh dim^2 temporaries at
-        # every protection would each be mapped afresh by the allocator
-        update, term = np.empty_like(B), np.empty_like(B)
-        for k in range(n_protections):
-            # U^(k+1) s, its phases formed from (k + 1) dt in long double (80-bit on
-            # x86): a state stepped by U, or phase ** k, drifts in modulus, and a
-            # double argument E k dt carries noise of ulp(E T) into the small jumps
-            sk = np.exp(-1j * evals * (np.longdouble(dt) * (k + 1))).astype(complex) * s
-            v, w = B @ sk, sk.conj() @ B
-            mu = np.vdot(sk, v)
-            a, b = v - mu * sk, w - mu * sk.conj()
-            jumps[k] = np.hypot(np.linalg.norm(a), np.linalg.norm(b))
-            B -= np.add(np.outer(sk, b, out=update), np.outer(a, sk.conj(), out=term), out=update)
-    return ZenoResult(survival_probability=float(survival),
-                      n_protections=n_protections, jump_norms=jumps)
+    B = as_matrix(measured)
+    if vecs is not None:
+        B, s = vecs.conj().T @ B @ vecs, vecs.conj().T @ s
+    B = B.astype(np.complex128)
+    # the rank-two update reuses two buffers: fresh dim^2 temporaries at
+    # every protection would each be mapped afresh by the allocator
+    update, term = np.empty_like(B), np.empty_like(B)
+    jumps = np.empty(n_protections)
+    for k in range(n_protections):
+        # U^(k+1) s, its phases formed from (k + 1) dt in long double (80-bit on
+        # x86): a state stepped by U, or phase ** k, drifts in modulus, and a
+        # double argument E k dt carries noise of ulp(E T) into the small jumps
+        sk = np.exp(-1j * evals * (np.longdouble(dt) * (k + 1))).astype(complex) * s
+        v, w = B @ sk, sk.conj() @ B
+        mu = np.vdot(sk, v)
+        a, b = v - mu * sk, w - mu * sk.conj()
+        jumps[k] = np.hypot(np.linalg.norm(a), np.linalg.norm(b))
+        B -= np.add(np.outer(sk, b, out=update), np.outer(a, sk.conj(), out=term), out=update)
+    return ZenoResult(survival_probability=float(survival), jump_norms=jumps)

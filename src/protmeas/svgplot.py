@@ -45,8 +45,7 @@ def _fmt(v: float) -> str:
     return f"{v:.10g}"
 
 
-def emit_plot(table: ResultTable, x: str, ys: list, path, title: str = "",
-              labels: list | None = None) -> bytes:
+def emit_plot(table: ResultTable, x: str, ys: list, path, title: str, labels: list) -> bytes:
     """Render selected columns as polylines and write the SVG atomically.
 
     Raises ValueError naming the first column with a NaN or infinite value:
@@ -58,7 +57,6 @@ def emit_plot(table: ResultTable, x: str, ys: list, path, title: str = "",
     for name, vals in zip([x, *ys], [xs, *series]):
         if not all(map(math.isfinite, vals)):
             raise ValueError(f"cannot plot column {name!r}: it holds a NaN or infinite value")
-    labels = labels if labels is not None else list(ys)
     if not xs:
         raise ValueError("cannot plot an empty table")
 
@@ -85,11 +83,9 @@ def emit_plot(table: ResultTable, x: str, ys: list, path, title: str = "",
         f'<rect x="0" y="0" width="{WIDTH:g}" height="{HEIGHT:g}" fill="#ffffff"/>',
         f'<rect x="{MARGIN_L:g}" y="{MARGIN_T:g}" width="{plot_w:g}" '
         f'height="{plot_h:g}" fill="none" stroke="#000000"/>',
+        f'<text x="{WIDTH / 2:g}" y="18" font-family="sans-serif" '
+        f'font-size="13" text-anchor="middle">{title}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{WIDTH / 2:g}" y="18" font-family="sans-serif" '
-            f'font-size="13" text-anchor="middle">{title}</text>')
 
     for v in _nice_ticks(xlo, xhi):
         X = px(v)

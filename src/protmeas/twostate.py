@@ -31,7 +31,6 @@ class TwoStateDensity:
     """Normalized |Psi(t)><Phi(t)| outer product; non-Hermitian in general."""
 
     entries: np.ndarray
-    basis: OscillatorBasis
 
     def __post_init__(self):
         if not abs(np.trace(self.entries) - 1.0) <= 1e-10:
@@ -93,7 +92,7 @@ def two_state_density(pre: StateVector, post: DualState, t: float,
     ket = evolve(pre, t).amplitudes
     bra = backward_state(post, t, duration).amplitudes
     entries = np.outer(ket, bra) / post_selection_overlap(pre, post, duration)
-    return TwoStateDensity(entries=entries, basis=pre.basis)
+    return TwoStateDensity(entries=entries)
 
 
 def weak_value_from_density(A, rho: TwoStateDensity) -> complex:
@@ -103,16 +102,14 @@ def weak_value_from_density(A, rho: TwoStateDensity) -> complex:
 
 
 def von_neumann_residual(pre: StateVector, post: DualState, H, t: float,
-                         dt: float, duration: float | None = None) -> float:
+                         dt: float, duration: float) -> float:
     """Frobenius norm of the central-difference von Neumann defect.
 
     || i (rho(t+dt) - rho(t-dt)) / (2 dt) - [H, rho(t)] ||_F, which shrinks
     as O(dt^2) for the exact two-state evolution.  `duration` fixes the
-    backward-evolution reference time and defaults to t + dt.
+    backward-evolution reference time.
     """
     check_positive(dt, "dt")
-    if duration is None:
-        duration = t + dt
     mat = as_matrix(H)
     rho_p = two_state_density(pre, post, t + dt, duration).entries
     rho_m = two_state_density(pre, post, t - dt, duration).entries

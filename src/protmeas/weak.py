@@ -9,13 +9,13 @@ the weak value
 
 where the pre-selected ket evolves forward from t=0 and the post-selected bra
 evolves backward from t=T.  `weak_value_series` is the one implementation of
-this quotient: `weak_value` evaluates it at a single time, and `pointer_trace`
-integrates its real part, taking the trivial post-selection to be the bra
-<Psi_i| U(T)^dagger, for which A_w(t) is the expectation value in the evolved
-pre-selected state.  The denominator is time independent, so it is computed
-once per call by `post_selection_overlap` (which `twostate` shares) and
-checked once against OVERLAP_FLOOR: below the floor the whole run fails
-with PostSelectionError, and a pointer trace records one flag.
+this quotient, at any set of times (a single time is a one-element list);
+`pointer_trace` integrates its real part, taking the trivial post-selection
+to be the bra <Psi_i| U(T)^dagger, for which A_w(t) is the expectation value
+in the evolved pre-selected state.  The denominator is time independent, so
+it is computed once per call by `post_selection_overlap` (which `twostate`
+shares) and checked once against OVERLAP_FLOOR: below the floor the whole
+run fails with PostSelectionError, and a pointer trace records one flag.
 
 With <Phi_f| = sum_m d_m <m| and |Psi_i> = sum_n a_n |n>, the numerator is
 
@@ -207,11 +207,6 @@ def weak_value_series(A, pre: StateVector, post: DualState, times, duration: flo
     z = np.exp(1j * basis.omega * times)
     values = _horner(coeffs[zero:], z) + _horner(coeffs[zero - 1::-1], z.conj()) * z.conj()
     return values / den
-
-
-def weak_value(A, pre: StateVector, post: DualState, t: float, duration: float) -> complex:
-    """The exact weak value of A at time t; raises PostSelectionError below the floor."""
-    return complex(weak_value_series(A, pre, post, [t], duration)[0])
 
 
 def closed_form_pvi_weak(alpha_mod: float, delta: float, x0: float,

@@ -14,8 +14,7 @@ from protmeas import (IntervalRegion, MeasurementSchedule, OscillatorBasis,
                       coherent_state, evolve, expectation, hamiltonian,
                       number_state, pointer_trace, projector_matrix,
                       thermal_purification, thermal_weights, two_state_density,
-                      von_neumann_residual, weak_value, weak_value_from_density,
-                      weak_value_series,
+                      von_neumann_residual, weak_value_from_density, weak_value_series,
                       bipartite_protective_sim, zeno_protect_sim,
                       classical_time_average, classical_dwell_fraction,
                       classical_ensemble_average, correspondence_check, StateVector)
@@ -167,7 +166,7 @@ def test_criterion_7_weak_value_identities(basis, rng):
         pre = random_state(rng, basis)
         post = random_state(rng, basis).dual()
         t = float(rng.uniform(0, T))
-        direct = weak_value(A, pre, post, t, T)
+        direct = weak_value_series(A, pre, post, [t], T)[0]
         traced = weak_value_from_density(A, two_state_density(pre, post, t, T))
         worst_identity = max(worst_identity,
                              abs(direct - traced) / (1.0 + abs(direct)))
@@ -178,7 +177,7 @@ def test_criterion_7_weak_value_identities(basis, rng):
         A = random_hermitian(rng, basis.dim)
         pre = random_state(rng, basis)
         t = float(rng.uniform(0, T))
-        wv = weak_value(A, pre, evolve(pre, T).dual(), t, T)
+        wv = weak_value_series(A, pre, evolve(pre, T).dual(), [t], T)[0]
         worst_trivial = max(worst_trivial,
                             abs(wv - expectation(A, evolve(pre, t))))
     trivial_ok = worst_trivial <= 1e-10
@@ -262,8 +261,9 @@ def test_criterion_11_zeno_protection():
     amps = np.zeros(16, dtype=complex)
     amps[0] = amps[1] = 1.0
     init = StateVector(amps, basis)
+    P = projector_matrix(IntervalRegion(1.0, np.inf), basis)
     T = np.pi / basis.omega
-    survivals = [zeno_protect_sim(init, n, T).survival_probability
+    survivals = [zeno_protect_sim(init, n, T, P).survival_probability
                  for n in (4, 8, 16, 32, 64, 128, 256)]
     monotone = all(b >= a for a, b in zip(survivals, survivals[1:]))
     final_ok = survivals[-1] > 0.99

@@ -102,7 +102,7 @@ def test_written_files_take_the_umask(tmp_path, umask, mode):
     previous = os.umask(umask)
     try:
         t.write_csv(tmp_path / "t.csv")
-        emit_plot(t, "x", ["y"], tmp_path / "p.svg")
+        emit_plot(t, "x", ["y"], tmp_path / "p.svg", "title", ["y"])
     finally:
         os.umask(previous)
     for name in ("t.csv", "p.svg"):
@@ -114,7 +114,7 @@ def test_written_files_take_the_umask(tmp_path, umask, mode):
 def test_svg_single_series(tmp_path):
     x = np.arange(10.0)
     t = ResultTable([("x", "", x), ("y", "", x * x)])
-    data = emit_plot(t, "x", ["y"], tmp_path / "p.svg")
+    data = emit_plot(t, "x", ["y"], tmp_path / "p.svg", "title", ["y"])
     assert data.startswith(b"<svg")
     assert data.count(b"<polyline") == 1
     assert b"Date" not in data
@@ -123,7 +123,7 @@ def test_svg_single_series(tmp_path):
 def test_svg_missing_column_named(tmp_path):
     t = ResultTable([("x", "", [1.0])])
     with pytest.raises(KeyError, match="ghost"):
-        emit_plot(t, "x", ["ghost"], tmp_path / "p.svg")
+        emit_plot(t, "x", ["ghost"], tmp_path / "p.svg", "title", ["ghost"])
 
 
 @pytest.mark.parametrize("y", [1e17 + np.array([0.0, 16.0, 0.0, 16.0]), np.full(4, 1e17)])
@@ -137,7 +137,7 @@ def test_svg_ticks_end_beyond_2_to_53(tmp_path, y):
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(1)
     try:
-        data = emit_plot(t, "x", ["y"], tmp_path / "p.svg")
+        data = emit_plot(t, "x", ["y"], tmp_path / "p.svg", "title", ["y"])
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -154,7 +154,7 @@ def test_svg_refuses_a_non_finite_value_by_column(tmp_path, column, bad, at):
     values[column][at] = bad
     t = ResultTable([(c, "", v) for c, v in values.items()])
     with pytest.raises(ValueError, match=f"column '{column}'"):
-        emit_plot(t, "x", ["y"], tmp_path / "p.svg")
+        emit_plot(t, "x", ["y"], tmp_path / "p.svg", "title", ["y"])
     assert not (tmp_path / "p.svg").exists()
 
 
@@ -163,7 +163,7 @@ def test_svg_widens_a_range_whose_tick_step_underflows(tmp_path, y):
     # (hi - lo) / 6 is 0, or so far below the smallest normal float that 10 ** its
     # decade is 0: math.log10 raised a domain error, or no tick step was found
     t = ResultTable([("x", "", np.arange(4.0)), ("y", "", np.array(y))])
-    text = emit_plot(t, "x", ["y"], tmp_path / "p.svg").decode()
+    text = emit_plot(t, "x", ["y"], tmp_path / "p.svg", "title", ["y"]).decode()
     labels = re.findall(r'text-anchor="end">([^<]*)<', text)
     assert labels and len(set(labels)) == len(labels)
     assert not re.search(r"nan|inf", text)
@@ -178,15 +178,15 @@ def test_svg_refuses_a_range_that_overflows_a_float(tmp_path, column, values):
     columns = {"x": np.arange(4.0), "y": np.arange(4.0), column: np.array(values)}
     t = ResultTable([(c, "", v) for c, v in columns.items()])
     with pytest.raises(ValueError, match=re.escape(f"columns ['{column}']")):
-        emit_plot(t, "x", ["y"], tmp_path / "p.svg")
+        emit_plot(t, "x", ["y"], tmp_path / "p.svg", "title", ["y"])
     assert not (tmp_path / "p.svg").exists()
 
 
 def test_svg_deterministic_bytes(tmp_path):
     x = np.arange(50) * 0.1
     t = ResultTable([("x", "s", x), ("y", "", np.sin(x)), ("z", "", np.cos(x))])
-    a = emit_plot(t, "x", ["y", "z"], tmp_path / "a.svg")
-    b = emit_plot(t, "x", ["y", "z"], tmp_path / "b.svg")
+    a = emit_plot(t, "x", ["y", "z"], tmp_path / "a.svg", "title", ["y", "z"])
+    b = emit_plot(t, "x", ["y", "z"], tmp_path / "b.svg", "title", ["y", "z"])
     assert a == b
 
 

@@ -11,7 +11,6 @@ from protmeas import (IntervalRegion, OscillatorBasis, classical_dwell_fraction,
 from protmeas import oscillator, projectors, quadrature
 from protmeas.cli import main
 from protmeas.ergodicity import sampling_error
-from protmeas.projectors import FULL_LINE
 
 from conftest import edge_regions
 
@@ -21,7 +20,7 @@ ERF_ONE = 0.8427007929497148   # quantum dwell of |0> in [-1, 1]
 # ------------------------------------------------------------ time averages
 
 def test_time_average_full_line():
-    assert classical_time_average(1.0, 1.0, FULL_LINE, 100.0, 1000) == 1.0
+    assert classical_time_average(1.0, 1.0, IntervalRegion(-np.inf, np.inf), 100.0, 1000) == 1.0
 
 
 def test_time_average_half_line():
@@ -50,7 +49,7 @@ def test_time_average_converges_with_samples():
 
 def test_time_average_validation():
     with pytest.raises(ValueError):
-        classical_time_average(1.0, 1.0, FULL_LINE, 10.0, 0)
+        classical_time_average(1.0, 1.0, IntervalRegion(-np.inf, np.inf), 10.0, 0)
 
 
 _BLOCK = oscillator._BLOCK_BYTES // 8   # samples in one block of the time average

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, special
 
 from protmeas import (DualState, IntervalRegion, MeasurementSchedule, OscillatorBasis,
@@ -13,10 +13,11 @@ from protmeas import (DualState, IntervalRegion, MeasurementSchedule, Oscillator
                       classical_dwell_fraction, classical_ensemble_average, coherent_state,
                       evolve, expectation, hamiltonian, number_state, pointer_trace,
                       position_wavefunction, projector_matrix, thermal_purification,
-                      thermal_weights, von_neumann_residual, weak_value, weak_value_series,
+                      thermal_weights, von_neumann_residual, weak_value_series,
                       zeno_protect_sim)
 from protmeas import oscillator
 from protmeas.oscillator import coherent_tail, hermite_functions, required_coherent_dim
+from protmeas.weak import post_selection_overlap
 
 from conftest import random_hermitian, random_state
 
@@ -45,7 +46,7 @@ def test_number_state_basis_vectors():
     e15 = number_state(b, 15)
     assert e15.amplitudes[15] == 1.0 and np.all(e15.amplitudes[:15] == 0.0)
     for n in range(16):
-        assert number_state(b, n).norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(number_state(b, n).amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_number_state_range_error():
@@ -77,7 +78,8 @@ def test_non_finite_alpha_rejected(bad):
 
 def test_coherent_vacuum_is_ground_state(basis):
     st = coherent_state(basis, 0.0)
-    assert st.fidelity(number_state(basis, 0)) == pytest.approx(1.0, abs=1e-14)
+    overlap = np.vdot(st.amplitudes, number_state(basis, 0).amplitudes)
+    assert abs(overlap) ** 2 == pytest.approx(1.0, abs=1e-14)
 
 
 def test_coherent_vacuum_overlap(basis):
@@ -123,20 +125,20 @@ def test_evolve_rotates_coherent_state(basis):
     st = coherent_state(basis, alpha)
     for t in (0.3, 1.7, 4.0):
         rotated = coherent_state(basis, alpha * np.exp(-1j * basis.omega * t))
-        assert evolve(st, t).fidelity(rotated) >= 1.0 - 1e-10
+        assert abs(np.vdot(evolve(st, t).amplitudes, rotated.amplitudes)) ** 2 >= 1.0 - 1e-10
 
 
 def test_evolve_full_period(basis, rng):
     st = random_state(rng, basis)
-    out = evolve(st, basis.period())
-    assert out.fidelity(st) >= 1.0 - 1e-12
+    out = evolve(st, 2.0 * np.pi / basis.omega)
+    assert abs(np.vdot(out.amplitudes, st.amplitudes)) ** 2 >= 1.0 - 1e-12
 
 
 def test_evolve_unitarity_and_composition(basis, rng):
     for _ in range(10):
         st = random_state(rng, basis)
         t1, t2 = rng.uniform(0, 20, size=2)
-        assert evolve(st, t1).norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(evolve(st, t1).amplitudes) == pytest.approx(1.0, abs=1e-12)
         a = evolve(evolve(st, t1), t2)
         b = evolve(st, t1 + t2)
         assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-12
@@ -404,9 +406,14 @@ def test_required_coherent_dim_is_first_dim_below_limit():
 @settings(max_examples=40, deadline=None)
 @given(dim=st.integers(2, 64), T=st.floats(0.1, 10.0), t_frac=st.floats(0.0, 1.0),
        seed=st.integers(0, 2**32 - 1))
+@example(dim=22, T=6.386403547863769, t_frac=0.0, seed=326560)
 def test_phase_convention_independence(dim, T, t_frac, seed):
     # weak values, expectations and pointer readings agree between
-    # zero-point conventions: the shift is a global phase on ket and bra
+    # zero-point conventions: the shift is a global phase on ket and bra.
+    # Each convention rounds its phases E_n T to within about eps E_max T, so
+    # a weak value over a small overlap carries that floor, as in
+    # test_series_matches_array_evaluation_for_dense_states (the example:
+    # |overlap| 6.5e-4, gap 4.85e-10 against 1e-12 (1 + |A_w|) = 4.02e-10)
     rng = np.random.default_rng(seed)
     amps_pre = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     amps_post = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -418,15 +425,19 @@ def test_phase_convention_independence(dim, T, t_frac, seed):
         b = OscillatorBasis(dim=dim, include_zero_point=zero_point)
         pre = StateVector(amps_pre, b)
         post = DualState(amps_post, b)
-        results.append((weak_value(A, pre, post, t, T), expectation(A, evolve(pre, t)),
+        results.append((weak_value_series(A, pre, post, [t], T)[0], expectation(A, evolve(pre, t)),
                          weak_value_series(A, pre, post, schedule.times, T),
                          pointer_trace(schedule, pre, A, post).readings,
                          pointer_trace(schedule, pre, A).readings))
+    # pre, post and b are the zero-point convention's, whose E_max is the larger
+    terms = np.abs(post.amplitudes) @ np.abs(A) @ np.abs(pre.amplitudes)
+    floor = (8 * np.finfo(float).eps * b.energies()[-1] * T * terms
+             / abs(post_selection_overlap(pre, post, T)))
     (wa, ea, sa, ra, qa), (wb, eb, sb, rb, qb) = results
-    assert abs(wa - wb) <= 1e-12 * (1.0 + abs(wa))
+    assert abs(wa - wb) <= 1e-12 * (1.0 + abs(wa)) + floor
     assert abs(ea - eb) <= 1e-12
-    assert np.all(np.abs(sa - sb) <= 1e-12 * (1.0 + np.abs(sa)))
-    assert np.max(np.abs(ra - rb)) <= 1e-12 * (1.0 + np.max(np.abs(sa)))
+    assert np.all(np.abs(sa - sb) <= 1e-12 * (1.0 + np.abs(sa)) + floor)
+    assert np.max(np.abs(ra - rb)) <= 1e-12 * (1.0 + np.max(np.abs(sa))) + floor
     assert np.max(np.abs(qa - qb)) <= 1e-12
 
 
@@ -457,10 +468,11 @@ _B = OscillatorBasis(dim=16)
         1, x, 1.0, 0, IntervalRegion(0.0, 1.0)), id="ensemble"),
     pytest.param("amplitude", lambda x: classical_dwell_fraction(x, IntervalRegion(0.0, 1.0)),
                  id="dwell"),
-    pytest.param("protection window", lambda x: zeno_protect_sim(number_state(_B, 1), 4, x),
-                 id="zeno"),
+    pytest.param("protection window", lambda x: zeno_protect_sim(
+        number_state(_B, 1), 4, x, hamiltonian(_B)), id="zeno"),
     pytest.param("dt", lambda x: von_neumann_residual(
-        number_state(_B, 0), number_state(_B, 0).dual(), hamiltonian(_B), 1.0, x), id="residual"),
+        number_state(_B, 0), number_state(_B, 0).dual(), hamiltonian(_B), 1.0, x, 2.0),
+        id="residual"),
 ])
 def test_non_finite_parameter_is_refused_and_named(name, build, value):
     # a ValueError naming the parameter, not NaN results, a RuntimeWarning or a phase overflow

@@ -10,7 +10,7 @@ from scipy import integrate
 
 import protmeas.weak as weak_module
 from protmeas import quadrature
-from protmeas import (FULL_LINE, IntervalRegion, MeasurementSchedule, OscillatorBasis,
+from protmeas import (IntervalRegion, MeasurementSchedule, OscillatorBasis,
                       ProjectorMatrix, bin_edges, bin_probabilities, coherent_state,
                       evolve, expectation, heisenberg_projector, hermite_functions,
                       interval_diagonal, number_state, pointer_trace, projector_matrix,
@@ -32,7 +32,7 @@ def test_region_validation():
 
 
 def test_full_line_is_identity(basis):
-    P = projector_matrix(FULL_LINE, basis)
+    P = projector_matrix(IntervalRegion(-np.inf, np.inf), basis)
     assert np.max(np.abs(P.entries - np.eye(basis.dim))) < 1e-8
 
 
@@ -385,7 +385,7 @@ def test_projector_entries_are_the_interval_overlaps(dim):
         assert np.array_equal(np.signbit(P.entries), np.signbit(want))
         assert np.array_equal(projector_matrix(P.region, P.basis).entries, want)
     with pytest.raises(TypeError):
-        ProjectorMatrix(np.eye(dim), FULL_LINE, OscillatorBasis(dim))
+        ProjectorMatrix(np.eye(dim), IntervalRegion(-np.inf, np.inf), OscillatorBasis(dim))
 
 
 def test_a_built_projector_is_not_checked_again(monkeypatch):

@@ -12,8 +12,7 @@ from scipy.signal import find_peaks
 
 from protmeas import (IntervalRegion, MeasurementSchedule, OscillatorBasis,
                       PostSelectionError, bin_edges, coherent_state, evolve, expectation,
-                      number_state, pointer_trace, projector_matrix, weak_value,
-                      weak_value_series)
+                      number_state, pointer_trace, projector_matrix, weak_value_series)
 from protmeas.oscillator import COHERENT_TAIL_LIMIT, coherent_tail
 from protmeas import weak as weak_module
 from protmeas.weak import as_matrix, closed_form_pvi_weak, post_selection_overlap
@@ -144,7 +143,7 @@ def test_weak_value_trivial_post_selection_is_expectation(basis, rng):
         pre = random_state(rng, basis)
         t = float(rng.uniform(0, T))
         post = evolve(pre, T).dual()
-        wv = weak_value(A, pre, post, t, T)
+        wv = weak_value_series(A, pre, post, [t], T)[0]
         assert abs(wv.imag) < 1e-10
         assert wv.real == pytest.approx(expectation(A, evolve(pre, t)), abs=1e-10)
 
@@ -152,7 +151,7 @@ def test_weak_value_trivial_post_selection_is_expectation(basis, rng):
 def test_weak_value_identity_is_one(basis, rng):
     pre = number_state(basis, 0)
     post = coherent_state(basis, 2.5).dual()
-    wv = weak_value(np.eye(basis.dim), pre, post, 3.7, 10.0)
+    wv = weak_value_series(np.eye(basis.dim), pre, post, [3.7], 10.0)[0]
     assert abs(wv - 1.0) < 1e-12
 
 
@@ -167,8 +166,8 @@ def test_weak_value_linearity(dim, T, t_frac, seed):
     A = random_hermitian(rng, basis.dim)
     B = random_hermitian(rng, basis.dim)
     t = t_frac * T
-    lhs = weak_value(A + B, pre, post, t, T)
-    rhs = weak_value(A, pre, post, t, T) + weak_value(B, pre, post, t, T)
+    lhs = weak_value_series(A + B, pre, post, [t], T)[0]
+    rhs = weak_value_series(A, pre, post, [t], T)[0] + weak_value_series(B, pre, post, [t], T)[0]
     assert abs(lhs - rhs) < 1e-10 * (1.0 + abs(lhs))
 
 
@@ -176,13 +175,13 @@ def test_weak_value_orthogonal_post_selection_raises(basis):
     pre = number_state(basis, 0)
     post = number_state(basis, 1).dual()
     with pytest.raises(PostSelectionError):
-        weak_value(np.eye(basis.dim), pre, post, 1.0, 10.0)
+        weak_value_series(np.eye(basis.dim), pre, post, [1.0], 10.0)
 
 
 def test_weak_value_series_window_check(basis):
     pre = coherent_state(basis, 1.0)
     with pytest.raises(ValueError, match="measurement window"):
-        weak_value(np.eye(basis.dim), pre, pre.dual(), 5.0, 1.0)
+        weak_value_series(np.eye(basis.dim), pre, pre.dual(), [5.0], 1.0)
     with pytest.raises(ValueError, match="measurement window"):
         weak_value_series(np.eye(basis.dim), pre, pre.dual(), [0.0, -0.1, 0.5], 1.0)
     with pytest.raises(ValueError, match="measurement window"):
@@ -199,7 +198,7 @@ def test_weak_value_series_matches_scalar(basis, rng):
     series = weak_value_series(P, pre, post, times, 10.0)
     assert np.all(np.isfinite(series))
     for t, v in zip(times, series):
-        assert abs(v - weak_value(P, pre, post, float(t), 10.0)) < 1e-13
+        assert abs(v - weak_value_series(P, pre, post, [float(t)], 10.0)[0]) < 1e-13
 
 
 @functools.cache
@@ -230,12 +229,14 @@ def coherent_pairs(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(case=coherent_pairs(),
-       cuts=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2, unique=True).map(sorted),
+       cuts=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)).map(
+           lambda pair: sorted(set(pair))),
        T=st.floats(0.5, 100.0))
 @example(case=(64, 0j, 2.5 + 0j), cuts=bin_edges(0.25, 6.0).tolist(), T=100.0)
 def test_partition_sum_rule(case, cuts, T):
     # completeness survives post-selection: the weak values of the intervals
-    # (-inf, c_0], [c_0, c_1], ..., [c_k, inf) sum to 1 at every time
+    # (-inf, c_0], [c_0, c_1], ..., [c_k, inf) sum to 1 at every time; two
+    # equal drawn cuts are one cut
     dim, alpha, alpha2 = case
     basis = OscillatorBasis(dim=dim)
     assume(max(coherent_tail(dim, alpha), coherent_tail(dim, alpha2)) < COHERENT_TAIL_LIMIT)
@@ -435,7 +436,7 @@ def test_nan_amplitude_reaches_weak_values(basis, side):
     with pytest.raises(PostSelectionError, match="nan"):
         weak_value_series(P, pre, post, np.linspace(0.0, 10.0, 9), 10.0)
     with pytest.raises(PostSelectionError, match="nan"):
-        weak_value(P, pre, post, 5.0, 10.0)
+        weak_value_series(P, pre, post, [5.0], 10.0)
 
 
 # -------------------------------------------------------------- closed form
@@ -584,7 +585,7 @@ def test_weak_value_names_an_overflowing_phase():
     P = projector_matrix(IntervalRegion(0.0, 1.0), basis)
     pre, post = number_state(basis, 0), coherent_state(basis, 1.0).dual()
     with pytest.raises(ValueError, match="overflows") as err:
-        weak_value(P, pre, post, 0.0, duration=1e308)
+        weak_value_series(P, pre, post, [0.0], duration=1e308)
     assert not isinstance(err.value, PostSelectionError)
     with pytest.raises(ValueError, match="overflows"):
         post_selection_overlap(pre, post, 1e308)

@@ -94,10 +94,6 @@ def _require(cond: bool, message: str):
         raise UsageError(message)
 
 
-def _basis(dim, omega) -> OscillatorBasis:
-    return _checked("dim, omega", OscillatorBasis, dim, omega)
-
-
 def _phase_time(basis: OscillatorBasis, key: str, value: float):
     """A time whose phase E_max |value| overflows is a usage error naming `key`.
 
@@ -112,15 +108,14 @@ def _window(x0, w) -> IntervalRegion:
     return _checked("x0, w", IntervalRegion, x0 - w / 2, x0 + w / 2)
 
 
-def _measured(region: IntervalRegion, dim, omega, T, ramp, steps):
-    """(basis, schedule, projector onto `region`, pre-selected |0>) of a measured run.
+def _measured(region: IntervalRegion, dim, omega, schedule: MeasurementSchedule):
+    """(basis, projector onto `region`, pre-selected |0>) of a run measured on `schedule`.
 
-    A T whose largest phase overflows is a usage error naming T.
+    A window T whose largest phase overflows is a usage error naming T.
     """
-    basis = _basis(dim, omega)
-    schedule = _checked("T, ramp, steps", MeasurementSchedule, T, ramp, steps)
-    _phase_time(basis, "T", T)
-    return basis, schedule, projector_matrix(region, basis), number_state(basis, 0)
+    basis = _checked("dim, omega", OscillatorBasis, dim, omega)
+    _phase_time(basis, "T", schedule.duration)
+    return basis, projector_matrix(region, basis), number_state(basis, 0)
 
 
 def run_sketch(*, dim, bin_width, L, n=None, alpha=None):
@@ -138,7 +133,8 @@ def run_sketch(*, dim, bin_width, L, n=None, alpha=None):
 
 
 def run_pointer_trace(*, dim, omega, T, ramp, steps, x0, w, alpha, delta, alpha2):
-    basis, schedule, P, pre = _measured(_window(x0, w), dim, omega, T, ramp, steps)
+    schedule = _checked("T, ramp, steps", MeasurementSchedule, T, ramp, steps)
+    basis, P, pre = _measured(_window(x0, w), dim, omega, schedule)
 
     trivial = pointer_trace(schedule, pre, P)
     post = _checked("alpha", coherent_state, basis, alpha * np.exp(1j * delta)).dual()
@@ -168,23 +164,23 @@ def run_pointer_trace(*, dim, omega, T, ramp, steps, x0, w, alpha, delta, alpha2
     return ResultTable(columns), plots
 
 
-def run_heisenberg(*, dim, omega, a, b, T, max_index, t):
-    basis = _basis(dim, omega)
+def run_heisenberg(*, a, b, T, max_index, t):
+    # the k x k block, k = max_index, needs phi_0..phi_k only: P on the first max(k, 2)
+    # levels at omega = 1, where the output sees omega only through omega T and omega t
+    basis = OscillatorBasis(max(max_index, 2))
     region = _checked("a, b", IntervalRegion, a, b)
     _phase_time(basis, "T", T)
     _phase_time(basis, "t", t)
     _require(max_index >= 1, f"max_index={max_index} must be >= 1")
-    k = min(max_index, basis.dim)
-    # entries with m, n < k need phi_0..phi_k only: P on the first max(k, 2) levels
-    P = projector_matrix(region, OscillatorBasis(max(k, 2), omega))
+    P = projector_matrix(region, basis)
     Pt = heisenberg_projector(P, t)
     avg = _checked("T", time_averaged_projector, P, T)
-    m, n = np.indices((k, k)).reshape(2, -1)
+    m, n = np.indices((max_index, max_index)).reshape(2, -1)
     p, pt, pa = (M[m, n] for M in (P.entries, Pt, avg))
-    # 2|p| / (|m - n| omega T) is inf or NaN on the diagonal and inf where omega T
-    # underflows; fmin takes |p| there
+    # 2|p| / (|m - n| T) is inf or NaN on the diagonal and inf where T underflows;
+    # fmin takes |p| there
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        bound = np.fmin(abs(p), 2.0 * abs(p) / (abs(m - n) * basis.omega * T))
+        bound = np.fmin(abs(p), 2.0 * abs(p) / (abs(m - n) * T))
     table = ResultTable([("m", "", m), ("n", "", n), ("p_re", "", p.real), ("p_im", "", p.imag),
                          ("heis_re", "", pt.real), ("heis_im", "", pt.imag),
                          ("avg_re", "", pa.real), ("avg_im", "", pa.imag), ("bound", "", bound)])
@@ -193,8 +189,8 @@ def run_heisenberg(*, dim, omega, a, b, T, max_index, t):
 
 def run_bipartite(*, dim, omega, a, b, T, ramp, steps=simulation.LADDER_START,
                   pointer_sigma, shift_tol):
-    _, schedule, P, pre = _measured(_checked("a, b", IntervalRegion, a, b), dim, omega, T,
-                                    ramp, steps)
+    schedule = _checked("T, ramp, steps", MeasurementSchedule, T, ramp, steps)
+    _, P, pre = _measured(_checked("a, b", IntervalRegion, a, b), dim, omega, schedule)
     result = _checked("pointer_sigma, shift_tol", simulation.bipartite_protective_sim, P, schedule,
                       pointer_sigma=pointer_sigma, steps=steps, shift_tol=shift_tol)
     ref = expectation(P, pre)
@@ -205,8 +201,8 @@ def run_bipartite(*, dim, omega, a, b, T, ramp, steps=simulation.LADDER_START,
     return table, []
 
 
-def run_zeno(*, dim, omega, a, b, T, n_list, coupling, n=1):
-    basis = _basis(dim, omega)
+def run_zeno(*, dim, a, b, T, n_list, coupling, n=1):
+    basis = _checked("dim", OscillatorBasis, dim)
     _require(0 < n < basis.dim, f"n={n} must satisfy 0 < n < dim")
     # named T here, where zeno_protect_sim's own check would name the duration; a
     # coupled eigenvalue is at most E_max + |coupling| / T, its phase E_max T + |coupling|
@@ -224,9 +220,9 @@ def run_zeno(*, dim, omega, a, b, T, n_list, coupling, n=1):
                     "Zeno protection")]
 
 
-def run_thermal(*, dim, omega, beta):
-    basis = _basis(dim, omega)
-    pure = _checked("beta, omega", twostate.thermal_purification, beta, basis)
+def run_thermal(*, dim, beta):
+    basis = _checked("dim", OscillatorBasis, dim)
+    pure = _checked("beta", twostate.thermal_purification, beta, basis)
     table = ResultTable([("n", "", np.arange(basis.dim)),
                          ("weight", "", twostate.thermal_weights(beta, basis)),
                          ("purification_amp", "", pure.amplitudes.real)])
@@ -234,8 +230,10 @@ def run_thermal(*, dim, omega, beta):
                     "thermal occupation")]
 
 
-def run_two_state(*, dim, omega, T, ramp, steps, x0, w, alpha, delta):
-    basis, schedule, P, pre = _measured(_window(x0, w), dim, omega, T, ramp, steps)
+def run_two_state(*, dim, omega, T, steps, x0, w, alpha, delta):
+    # the rows read only the schedule's times, which no ramp moves
+    schedule = _checked("T, steps", MeasurementSchedule, T, steps=steps)
+    basis, P, pre = _measured(_window(x0, w), dim, omega, schedule)
     post = _checked("alpha", coherent_state, basis, alpha * np.exp(1j * delta)).dual()
     direct = _checked("alpha, delta, T", weak_value_series, P, pre, post, schedule.times, T)
     # rho(t) = |k><b| / (b.k), k = U(t)|Psi>, <b| = <Phi|U(T - t), has rank one and unit
@@ -258,15 +256,15 @@ def run_two_state(*, dim, omega, T, ramp, steps, x0, w, alpha, delta):
                     "two-state weak value")]
 
 
-def run_ergodic(*, omega, seed, amplitude, n_samples, ensemble_n, periods, t,
-                a=0.5, b=1.0):
+def run_ergodic(*, seed, amplitude, n_samples, ensemble_n, periods, t, a=0.5, b=1.0):
     _require(seed is not None and seed >= 0,
              f"seed={seed}: ergodic runs are stochastic and need a non-negative --seed")
     region = _checked("a, b", IntervalRegion, a, b)
-    dwell = _checked("amplitude, omega, periods, n_samples", ergodicity.dwell_report,
-                     amplitude, region, omega, n_samples, periods)
+    # at omega = 1: the outputs see omega only through omega t
+    dwell = _checked("amplitude, periods, n_samples", ergodicity.dwell_report,
+                     amplitude, region, 1.0, n_samples, periods)
     ens_avg = _checked("ensemble_n", ergodicity.classical_ensemble_average,
-                       ensemble_n, amplitude, omega, seed, region, t)
+                       ensemble_n, amplitude, seed, region, t)
     err_e = ergodicity.sampling_error(ens_avg, ensemble_n)
     combined = float(np.hypot(dwell.statistical_error, err_e))
     gap_sigmas = abs(dwell.time_average - ens_avg) / combined if combined > 0 else 0.0
@@ -334,9 +332,11 @@ _READERS = {
 # phi_0..phi_n (sketch and zeno need n < dim).  Measured on 2 cores, one
 # process each: pointer-trace at 2**20 steps and dim 64 took 5 s and 0.5 GB, a
 # Zeno protection 27 us at dim 12 and 4.5 ms at dim 512, ergodic 25 ns per
-# dwell sample and 80 ns per ensemble member
+# dwell sample and 80 ns per ensemble member, and heisenberg-projector's
+# max_index**2 rows 7-9 s, 0.36 GB and a 135 MB CSV at max_index 2**10, most
+# of it formatting the CSV
 LIMITS = {"dim": 2 ** 14, "n": 2 ** 14, "steps": 2 ** 20, "n_list": 2 ** 16,
-          "n_samples": 2 ** 30, "ensemble_n": 2 ** 24}
+          "n_samples": 2 ** 30, "ensemble_n": 2 ** 24, "max_index": 2 ** 10}
 
 
 def _read(kind, text: str):

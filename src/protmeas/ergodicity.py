@@ -12,6 +12,7 @@ excited states and bins wide enough to average over the wavefunction's
 oscillations.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -62,21 +63,21 @@ def classical_time_average(amplitude: float, omega: float, region: IntervalRegio
     return float(inside / n_samples)
 
 
-def classical_ensemble_average(size: int, amplitude: float, omega: float, seed: int,
+def classical_ensemble_average(size: int, amplitude: float, seed: int,
                                region: IntervalRegion, t: float = 0.0) -> float:
-    """Fraction of `size` oscillators inside `region` at time t.
+    """Fraction of `size` unit-frequency oscillators inside `region` at time t.
 
-    The members share the amplitude and omega; their phases are drawn
-    uniformly on [0, 2 pi) from `seed`.  Raises ValueError naming the
-    parameter unless size >= 1 and amplitude and omega are positive and
-    finite.
+    The members share the amplitude; their phases are drawn uniformly on
+    [0, 2 pi) from `seed`.  t is reduced exactly by 2 pi first, since a
+    uniform phase makes the fraction periodic in t and t + phase would
+    round the phases away once ulp(t) nears 2 pi.  Raises ValueError naming
+    the parameter unless size >= 1 and amplitude is positive and finite.
     """
     if size < 1:
         raise ValueError(f"ensemble size must be >= 1, got {size}")
     check_positive(amplitude, "amplitude")
-    check_positive(omega, "omega")
     phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size)
-    x = float(amplitude) * np.cos(omega * t + phases)
+    x = float(amplitude) * np.cos(math.remainder(t, 2.0 * np.pi) + phases)
     return float(np.count_nonzero(region.contains(x)) / size)
 
 

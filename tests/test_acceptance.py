@@ -238,7 +238,7 @@ def test_criterion_10_ergodicity():
     region = IntervalRegion(0.5, 1.0)
     n_time, n_ens = 100_001, 100_000
     t_avg = classical_time_average(1.0, 1.0, region, 1000 * 2 * np.pi, n_time)
-    e_avg = classical_ensemble_average(n_ens, 1.0, 1.0, 20260809, region, 0.0)
+    e_avg = classical_ensemble_average(n_ens, 1.0, 20260809, region, 0.0)
     err_t = sampling_error(t_avg, n_time)
     err_e = sampling_error(e_avg, n_ens)
     agree_ok = abs(t_avg - e_avg) <= 3.0 * np.hypot(err_t, err_e)

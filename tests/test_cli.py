@@ -316,16 +316,6 @@ def test_correspondence_does_not_depend_on_dim(tmp_path):
     assert csv["64"] == csv["128"] == csv["256"]
 
 
-def test_heisenberg_does_not_depend_on_dim(tmp_path):
-    # the README heisenberg-projector run: its 20 x 20 block needs phi_0..phi_20 only
-    csv = {}
-    for dim in ("64", "1024"):
-        assert main(["heisenberg-projector", "--T", "100", "--dim", dim,
-                     "--out", str(tmp_path / dim)]) == 0
-        csv[dim] = read(tmp_path / dim / "heisenberg_projector.csv")
-    assert csv["64"] == csv["1024"]
-
-
 def test_config_file_with_flag_override(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"beta": 1.0, "dim": 32}))
@@ -357,7 +347,7 @@ SPELLED_ALIKE = {
     "beta='two' is not a valid float": ("thermal", "two"),
     # the digits of 10**400 read as inf, in a config as on a command line
     "beta=inf is not finite": ("thermal", "inf", "1" + "0" * 400),
-    "omega=nan is not finite": ("thermal", "nan"),
+    "omega=nan is not finite": ("pointer-trace", "nan"),
     "seed=1.5 is not a valid int": ("ergodic", "1.5"),
     "max_index=inf is not a valid int": ("heisenberg-projector", "1e400"),
     "n_list='4,x' is not a valid list": ("zeno", "4,x"),
@@ -414,15 +404,28 @@ def test_config_value_rejected_and_named(config, named, tmp_path, capsys):
     assert not any(tmp_path.glob("**/*.csv"))
 
 
-@pytest.mark.parametrize("experiment", ["sketch", "correspondence"])
-def test_omega_is_refused_where_no_output_depends_on_it(experiment, tmp_path, capsys):
-    # both build their basis at omega = 1, from a flag, a config or a sweep alike
+@pytest.mark.parametrize("experiment, key, value", [
+    # these build their basis at omega = 1: a density in oscillator units, a dwell
+    # fraction, and outputs that see omega only through omega T, omega t or beta omega
+    *(pytest.param(experiment, "omega", 2, id=experiment)
+      for experiment in ("sketch", "correspondence", "zeno", "heisenberg-projector",
+                         "thermal", "ergodic")),
+    # two-state reads only the schedule's times, which no ramp moves
+    pytest.param("two-state", "ramp", 0.1, id="two-state-ramp"),
+    # heisenberg-projector builds its k = max_index levels only
+    pytest.param("heisenberg-projector", "dim", 32, id="heisenberg-projector-dim"),
+])
+def test_omega_is_refused_where_no_output_depends_on_it(experiment, key, value, tmp_path,
+                                                         capsys):
+    # from a flag, a config or a sweep alike
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"omega": 2.0}))
-    for source in (["--omega", "2"], ["--config", str(config)], ["--sweep", "omega=1,2"]):
+    config.write_text(json.dumps({key: value}))
+    flag = "--" + key.replace("_", "-")
+    for source in ([flag, str(value)], ["--config", str(config)],
+                   ["--sweep", f"{key}={value},{2 * value}"]):
         assert main([experiment, *source, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"usage error ({experiment}): {experiment} does not take 'omega'")
+        assert err.startswith(f"usage error ({experiment}): {experiment} does not take {key!r}")
     assert not any(tmp_path.glob("**/*.csv"))
 
 
@@ -530,12 +533,12 @@ def test_module_precondition_maps_to_usage_exit(tmp_path, capsys):
     ["pointer-trace", "--steps", "1"],
     ["pointer-trace", "--omega", "0"],
     ["two-state", "--w", "0"],
-    ["two-state", "--ramp", "0.7"],
+    ["pointer-trace", "--ramp", "0.7"],
     ["sketch", "--n", "64"],
     ["bipartite", "--pointer-sigma", "0"],
     ["thermal", "--beta", "0"],
     ["ergodic", "--seed", "1", "--amplitude", "0"],
-    ["ergodic", "--seed", "1", "--omega", "0"],
+    ["bipartite", "--omega", "0"],
     ["correspondence", "--n", "-1"],
     ["correspondence", "--n-samples", "0"],
     ["zeno", "--T", "0", "--coupling", "0.3"],
@@ -563,7 +566,7 @@ def test_module_precondition_maps_to_usage_exit(tmp_path, capsys):
     ["zeno", "--T", "1e308"],
     ["zeno", "--coupling", "nan"],
     ["heisenberg-projector", "--t", "inf"],
-    ["ergodic", "--seed", "1", "--omega", "inf"],
+    ["two-state", "--omega", "inf"],
     ["pointer-trace", "--T", "inf"],
     ["two-state", "--T", "nan"],
     ["thermal", "--beta", "inf"],
@@ -576,8 +579,8 @@ def test_module_precondition_maps_to_usage_exit(tmp_path, capsys):
     ["ergodic", "--seed", "1", "--periods", "0"],
     ["ergodic", "--seed", "1", "--periods", "-3"],
     ["correspondence", "--periods", "0"],
-    # a window of periods 2 pi / omega that overflows to inf
-    ["ergodic", "--seed", "1", "--omega", "1e-308"],
+    # a window of periods 2 pi that overflows to inf
+    ["ergodic", "--seed", "1", "--periods", "1e308"],
     # correspondence builds its basis at omega = 1 and takes no --omega
     ["correspondence", "--omega", "1e-308"],
 ])
@@ -603,7 +606,8 @@ def test_non_finite_alpha_is_named(args, tmp_path, capsys):
     (["bipartite", "--T", "1e308", "--dim", "16"], "T=1e+308"),
 ])
 def test_overflowing_phase_is_named(args, named, tmp_path, capsys):
-    # finite times whose phase E_max T overflows the float range at dim 64
+    # finite times whose phase E_max T overflows the float range at dim 64, or at
+    # the 20 levels of heisenberg-projector's default max_index
     assert main(args + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "overflows" in err and named in err
@@ -623,24 +627,21 @@ def test_overflowing_phase_is_named(args, named, tmp_path, capsys):
                  id="pointer-trace-delta"),
     pytest.param(["pointer-trace", "--dim", "32", "--alpha", "1", "--delta=-1e308"], None,
                  id="pointer-trace-negative-delta"),
-    pytest.param(["heisenberg-projector", "--dim", "8", "--omega", "5e-324"], None,
-                 id="heisenberg-omega"),
-    pytest.param(["heisenberg-projector", "--dim", "8", "--T", "5e-324"], None,
+    pytest.param(["heisenberg-projector", "--max-index", "8", "--T", "5e-324"], None,
                  id="heisenberg-T"),
     # the top energy omega (dim - 1) overflows, named before any phase warns
     *(pytest.param([experiment, "--dim", "12", "--omega", "1e308"], "omega=1e+308",
                    id=f"{experiment}-omega")
-      for experiment in ("pointer-trace", "heisenberg-projector", "bipartite", "zeno",
-                         "two-state", "thermal")),
+      for experiment in ("pointer-trace", "bipartite", "two-state")),
     pytest.param(["bipartite", "--dim", "12", "--pointer-sigma", "5e-324"],
                  "pointer sigma=4.94066e-324", id="bipartite-sigma"),
     # finite momenta whose kick phase cannot resolve a radian: refused before the ladder
     pytest.param(["bipartite", "--dim", "12", "--T", "2", "--steps", "16",
                   "--pointer-sigma", "1e-300"], "pointer_sigma, shift_tol: pointer sigma=1e-300",
                  id="bipartite-sigma-unresolvable"),
-    *(pytest.param(["thermal", "--dim", "12", flag, value], "beta*omega=",
-                   id=f"thermal{flag}-{value}")
-      for flag in ("--beta", "--omega") for value in ("5e-324", "1e-300")),
+    *(pytest.param(["thermal", "--dim", "12", "--beta", value], "beta*omega=",
+                   id=f"thermal--beta-{value}")
+      for value in ("5e-324", "1e-300")),
     pytest.param(["thermal", "--dim", "12", "--beta", "1e308"], None, id="thermal-beta"),
     # named T, where zeno_protect_sim's own check would name the duration
     pytest.param(["zeno", "--dim", "12", "--T", "1e308"], "T=1e+308", id="zeno-T"),
@@ -696,8 +697,8 @@ def test_extreme_values_are_refused_or_stay_finite(args, named, tmp_path, capsys
 
 
 def test_largest_finite_phase_runs(tmp_path):
-    # (dim - 1) T = 15e307 is still finite: every cell is a number
-    assert main(["heisenberg-projector", "--dim", "16", "--T", "1e307", "--t", "1e307",
+    # (max_index - 1) T = 15e307 is still finite: every cell is a number
+    assert main(["heisenberg-projector", "--max-index", "16", "--T", "1e307", "--t", "1e307",
                  "--out", str(tmp_path)]) == 0
     rows = read(tmp_path / "heisenberg_projector.csv").decode().splitlines()[1:]
     assert len(rows) == 256
@@ -709,7 +710,7 @@ def test_largest_finite_phase_runs(tmp_path):
 FUZZ_BASE = {
     "sketch": ["--dim", "12"],
     "pointer-trace": ["--dim", "16", "--steps", "16", "--alpha", "1"],
-    "heisenberg-projector": ["--dim", "8", "--max-index", "4"],
+    "heisenberg-projector": ["--max-index", "4"],
     "bipartite": ["--dim", "12", "--T", "2", "--steps", "16"],
     "zeno": ["--dim", "12", "--n-list", "4,8"],
     "thermal": ["--dim", "12", "--beta", "4"],
@@ -732,7 +733,7 @@ FUZZ_INTS = [str(-2 ** 63), "-2", "-1", "0", "1", "2", "3"]
 FUZZ_PREFIXES = {2: ("usage error",), 3: ("numerical failure",)}
 
 
-# 44 float flags x 10 values = 440 pairs of a few ms each; 500 derandomized examples
+# 39 float flags x 10 values = 390 pairs of a few ms each; 500 derandomized examples
 # reach every pair
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(flag=st.sampled_from(fuzz_flags(float)), value=st.sampled_from(FUZZ_VALUES))
@@ -740,7 +741,7 @@ def test_one_extreme_float_flag_exits_as_documented(flag, value):
     exits_as_documented(*flag, value)
 
 
-# 21 int flags x 7 values = 147 pairs; 200 derandomized examples reach every pair
+# 20 int flags x 7 values = 140 pairs; 200 derandomized examples reach every pair
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(flag=st.sampled_from(fuzz_flags(int)), value=st.sampled_from(FUZZ_INTS))
 def test_one_extreme_int_flag_exits_as_documented(flag, value):
@@ -787,7 +788,6 @@ def exits_as_documented(experiment, name, value):
     pytest.param(["pointer-trace", "--w", "0"], "w", id="w-region"),
     pytest.param(["sketch", "--L", "0"], "L", id="L-extent"),
     pytest.param(["sketch", "--bin-width", "0.3"], "bin_width", id="bin-width-extent"),
-    pytest.param(["ergodic", "--seed", "1", "--omega", "1e-308"], "omega", id="ergodic-omega"),
     # |<alpha=7|U(T)|0>| = e^{-49/2} = 2.3e-11, below the 1e-8 floor on the
     # overlap that the two-state density divides by
     pytest.param(["two-state", "--alpha", "7", "--dim", "128", "--T", "20", "--steps", "8"],
@@ -804,7 +804,7 @@ def test_interval_ends_take_a_leading_dash(tmp_path):
     # '--a -inf' is one flag and its value, as '--a=-inf' is
     for name, ends in (("sep", ["--a", "-inf", "--b", "-0.5"]),
                        ("eq", ["--a=-inf", "--b=-0.5"])):
-        assert main(["heisenberg-projector", "--dim", "16", *ends,
+        assert main(["heisenberg-projector", "--max-index", "16", *ends,
                      "--out", str(tmp_path / name)]) == 0
     csv = read(tmp_path / "sep" / "heisenberg_projector.csv")
     assert csv == read(tmp_path / "eq" / "heisenberg_projector.csv")
@@ -815,7 +815,7 @@ def test_interval_ends_take_a_leading_dash(tmp_path):
     # so is any flag that takes a value and a number in exponent form
     for name, args in (("delta", ["pointer-trace", "--delta", "-1e-3", "--T", "5",
                                   "--steps", "16"]),
-                       ("t", ["heisenberg-projector", "--dim", "16", "--t", "-1e3"])):
+                       ("t", ["heisenberg-projector", "--max-index", "16", "--t", "-1e3"])):
         assert main(args + ["--out", str(tmp_path / name)]) == 0
         eq = [a + "=" + b for a, b in zip(args[1::2], args[2::2])]
         assert main(args[:1] + eq + ["--out", str(tmp_path / (name + "_eq"))]) == 0
@@ -972,7 +972,7 @@ def test_two_state_runs_the_requested_steps(tmp_path):
 
 
 def test_heisenberg_experiment_bound_column(tmp_path):
-    assert main(["heisenberg-projector", "--T", "100", "--dim", "32",
+    assert main(["heisenberg-projector", "--T", "100", "--max-index", "32",
                  "--out", str(tmp_path)]) == 0
     lines = read(tmp_path / "heisenberg_projector.csv").decode().splitlines()
     cols = lines[0].split(",")

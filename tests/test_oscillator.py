@@ -465,7 +465,7 @@ _B = OscillatorBasis(dim=16)
         projector_matrix(IntervalRegion(0.0, 1.0), _B), MeasurementSchedule(1.0),
         pointer_sigma=x), id="grid"),
     pytest.param("amplitude", lambda x: classical_ensemble_average(
-        1, x, 1.0, 0, IntervalRegion(0.0, 1.0)), id="ensemble"),
+        1, x, 0, IntervalRegion(0.0, 1.0)), id="ensemble"),
     pytest.param("amplitude", lambda x: classical_dwell_fraction(x, IntervalRegion(0.0, 1.0)),
                  id="dwell"),
     pytest.param("protection window", lambda x: zeno_protect_sim(

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from protmeas import (IntervalRegion, MeasurementSchedule, NumericalError,
                       OscillatorBasis, StateVector, expectation,
-                      hamiltonian, number_state, projector_matrix, zeno_protect_sim,
-                      bipartite_protective_sim)
+                      hamiltonian, number_state, projector_matrix, thermal_weights,
+                      zeno_protect_sim, bipartite_protective_sim)
 from protmeas import simulation
 from protmeas.simulation import _bipartite_model, _rungs
 
@@ -551,6 +551,21 @@ def test_zeno_is_convention_independent(dim, coupling):
         assert shifted.survival_probability == pytest.approx(plain.survival_probability,
                                                              rel=1e-12, abs=0)
         np.testing.assert_allclose(shifted.jump_norms, plain.jump_norms, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("coupling", [0.0, 0.3])
+def test_omega_is_a_unit(coupling):
+    # omega enters only as omega T and beta omega, so omega = 2 at T, or at beta, is
+    # omega = 1 at 2T or 2 beta; the zeno, heisenberg-projector, thermal and ergodic
+    # runners build their basis at omega = 1 for that reason
+    fast, unit = OscillatorBasis(dim=32, omega=2.0), OscillatorBasis(dim=32)
+    np.testing.assert_array_equal(thermal_weights(0.5, fast), thermal_weights(1.0, unit))
+    P = projector_matrix(IntervalRegion(1.0, np.inf), unit)
+    for n in (4, 64):
+        a = zeno_protect_sim(superposition01(fast), n, np.pi / 2, measured=P, coupling=coupling)
+        b = zeno_protect_sim(superposition01(unit), n, np.pi, measured=P, coupling=coupling)
+        assert a.survival_probability == pytest.approx(b.survival_probability, rel=1e-12, abs=0)
+        np.testing.assert_allclose(a.jump_norms, b.jump_norms, rtol=1e-12, atol=0)
 
 
 def test_zeno_diagonalizes_only_a_coupled_hamiltonian(basis32, tail_projector, monkeypatch):

@@ -31,15 +31,14 @@ from .errors import (NumericalError, PostSelectionError, ProtmeasError,
 from .oscillator import (DualState, OscillatorBasis, StateVector, backward_state,
                          coherent_state, evolve, hamiltonian, hermite_functions,
                          number_state, position_wavefunction)
-from .projectors import (IntervalRegion, ProjectorMatrix, bin_edges, heisenberg_projector,
-                         projector_matrix, time_averaged_projector)
+from .projectors import (IntervalRegion, ProjectorMatrix, bin_edges, dephasing_bound,
+                         heisenberg_projector, projector_matrix, time_averaged_projector)
 from .quadrature import bin_probabilities, interval_diagonal
 from .weak import (MeasurementSchedule, PointerTrace, closed_form_pvi_weak,
                    expectation, pointer_trace, weak_value_series)
 from .simulation import (BipartiteResult, ZenoResult, bipartite_protective_sim,
                          zeno_protect_sim)
-from .twostate import (TwoStateDensity, thermal_purification, thermal_weights,
-                       two_state_density, von_neumann_residual, weak_value_from_density)
+from .twostate import thermal_purification, thermal_weights, two_state_readings
 from .ergodicity import (DwellReport, classical_dwell_fraction, classical_ensemble_average,
                          classical_time_average, correspondence_check, dwell_report)
 

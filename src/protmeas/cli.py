@@ -33,9 +33,8 @@ import numpy as np
 
 from . import ergodicity, simulation, twostate
 from .errors import NumericalError, PostSelectionError, TruncationError, UsageError
-from .oscillator import (OscillatorBasis, StateVector, _real_matmul, backward_state, check_phase,
-                         coherent_state, number_state)
-from .projectors import (IntervalRegion, bin_edges, heisenberg_projector,
+from .oscillator import OscillatorBasis, StateVector, check_phase, coherent_state, number_state
+from .projectors import (IntervalRegion, bin_edges, dephasing_bound, heisenberg_projector,
                          projector_matrix, time_averaged_projector)
 from .quadrature import bin_probabilities
 from .svgplot import emit_plot
@@ -176,11 +175,7 @@ def run_heisenberg(*, a, b, T, max_index, t):
     Pt = heisenberg_projector(P, t)
     avg = _checked("T", time_averaged_projector, P, T)
     m, n = np.indices((max_index, max_index)).reshape(2, -1)
-    p, pt, pa = (M[m, n] for M in (P.entries, Pt, avg))
-    # 2|p| / (|m - n| T) is inf or NaN on the diagonal and inf where T underflows;
-    # fmin takes |p| there
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        bound = np.fmin(abs(p), 2.0 * abs(p) / (abs(m - n) * T))
+    p, pt, pa, bound = (M[m, n] for M in (P.entries, Pt, avg, dephasing_bound(P, T)))
     table = ResultTable([("m", "", m), ("n", "", n), ("p_re", "", p.real), ("p_im", "", p.imag),
                          ("heis_re", "", pt.real), ("heis_im", "", pt.imag),
                          ("avg_re", "", pa.real), ("avg_im", "", pa.imag), ("bound", "", bound)])
@@ -236,22 +231,11 @@ def run_two_state(*, dim, omega, T, steps, x0, w, alpha, delta):
     basis, P, pre = _measured(_window(x0, w), dim, omega, schedule)
     post = _checked("alpha", coherent_state, basis, alpha * np.exp(1j * delta)).dual()
     direct = _checked("alpha, delta, T", weak_value_series, P, pre, post, schedule.times, T)
-    # rho(t) = |k><b| / (b.k), k = U(t)|Psi>, <b| = <Phi|U(T - t), has rank one and unit
-    # trace, so each row reads off the two vectors and no dim x dim density is formed
-    # (twostate.two_state_density is the tests' reference): tr(P rho) / tr(rho) =
-    # b.(P k) / (b.k), and ||rho - rho^dag||_F^2 = 2 ||rho||_F^2 - 2 Re tr(rho^2) =
-    # 2 (|k|^2 |b|^2 / |b.k|^2 - 1).  The pre-selected |0> has E_0 = 0, so k is exactly
-    # e_0 at every t and P k is formed once; b.k = b_0 = d_0 is real, and the ratio
-    # |b|^2 / |b_0|^2, a sum of non-negative terms over one of them, is never below 1
-    k, traced, ratio = pre.amplitudes, np.empty_like(direct), np.empty(direct.shape)
-    Pk = _real_matmul(P.entries, k[:, None])[:, 0]
-    for i, t in enumerate(schedule.times):
-        b = backward_state(post, t, T).amplitudes
-        traced[i], ratio[i] = b @ Pk / (b @ k), np.vdot(b, b).real / abs(b @ k) ** 2
+    traced, defect = twostate.two_state_readings(P, pre, post, schedule.times, T)
     table = ResultTable([("t", "s", schedule.times),
                          ("wv_direct_re", "", direct.real), ("wv_direct_im", "", direct.imag),
                          ("wv_trace_re", "", traced.real), ("wv_trace_im", "", traced.imag),
-                         ("herm_defect", "", np.sqrt(2.0 * (ratio - 1.0)))])
+                         ("herm_defect", "", defect)])
     return table, [("two_state.svg", "t", ["wv_direct_re"], ["Re weak value"],
                     "two-state weak value")]
 

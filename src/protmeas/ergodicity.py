@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .oscillator import _BLOCK_BYTES, OscillatorBasis, check_positive
+from .oscillator import _BLOCK_BYTES, OscillatorBasis, check_phase, check_positive
 from .projectors import IntervalRegion
 from .quadrature import interval_diagonal
 
@@ -71,11 +71,13 @@ def classical_ensemble_average(size: int, amplitude: float, seed: int,
     [0, 2 pi) from `seed`.  t is reduced exactly by 2 pi first, since a
     uniform phase makes the fraction periodic in t and t + phase would
     round the phases away once ulp(t) nears 2 pi.  Raises ValueError naming
-    the parameter unless size >= 1 and amplitude is positive and finite.
+    the parameter unless size >= 1, amplitude is positive and finite and t
+    is finite.
     """
     if size < 1:
         raise ValueError(f"ensemble size must be >= 1, got {size}")
     check_positive(amplitude, "amplitude")
+    check_phase(1.0, t)
     phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size)
     x = float(amplitude) * np.cos(math.remainder(t, 2.0 * np.pi) + phases)
     return float(np.count_nonzero(region.contains(x)) / size)

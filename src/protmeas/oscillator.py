@@ -73,7 +73,7 @@ class OscillatorBasis:
 
 
 def _normalized(amplitudes, dim) -> np.ndarray:
-    a = np.asarray(amplitudes, dtype=np.complex128).copy()
+    a = np.asarray(amplitudes, dtype=np.complex128)
     if a.shape != (dim,):
         raise ValueError(f"amplitude vector has shape {a.shape}, expected ({dim},)")
     if not np.all(np.isfinite(a)):
@@ -246,12 +246,15 @@ def hermitian_defect(A) -> float:
 
 
 def check_phase(rate: float, t: float, name: str = "t") -> None:
-    """Raise ValueError unless the phase rate * |t| is finite.
+    """Raise ValueError unless t and the phase rate * |t| are finite.
 
     `rate` is the largest frequency a caller multiplies by t, so this one
     Python float product (which overflows to inf without a warning) stands
-    for every entry of the phase array it bounds.
+    for every entry of the phase array it bounds.  A NaN or infinite t is
+    named as such, before any product.
     """
+    if not math.isfinite(float(t)):
+        raise ValueError(f"{name}={t:g} is not finite")
     if not math.isfinite(float(rate) * abs(float(t))):
         raise ValueError(f"the phase {rate:g}*|{name}| overflows at {name}={t:g}")
 

@@ -6,7 +6,7 @@ Hermite functions at the interval's edges (see `quadrature`, which also
 gives sketch bin probabilities from the edges that `bin_edges` returns).
 In the Heisenberg picture the matrix acquires phases e^{i(m-n) omega t};
 averaging those phases over a measurement window suppresses every
-off-diagonal entry by at least 2 / (|m-n| omega T).
+off-diagonal entry by at least 2 / (|m-n| omega T) (`dephasing_bound`).
 """
 
 from dataclasses import dataclass, field
@@ -77,6 +77,21 @@ def time_averaged_projector(P: ProjectorMatrix, duration: float) -> np.ndarray:
     check_positive(duration, "averaging window")
     half = 0.5 * _heisenberg_phases(P.basis, duration, "duration")
     return P.entries * (np.exp(1j * half) * _sinc(half))
+
+
+def dephasing_bound(P: ProjectorMatrix, duration: float) -> np.ndarray:
+    """min(|P_mn|, 2 |P_mn| / (|m - n| omega T)), which bounds |time_averaged_projector|.
+
+    The window average multiplies P_mn by a factor of modulus
+    |sin(z/2) / (z/2)| <= min(1, 2 / |z|), z = (m - n) omega T.  The second
+    term is inf or NaN on the diagonal, and inf where omega T underflows:
+    the minimum takes |P_mn| there.  Raises ValueError as
+    `time_averaged_projector` does.
+    """
+    check_positive(duration, "averaging window")
+    p = np.abs(P.entries)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.fmin(p, 2.0 * p / np.abs(_heisenberg_phases(P.basis, duration, "duration")))
 
 
 # quadrature.bin_probabilities holds up to four (K + 1) x (bins + 1) tables of

@@ -1,4 +1,4 @@
-"""Thermal weights, their purification, and two-state density operators.
+"""Thermal weights, their purification, and two-state density readings.
 
 A thermal oscillator is diagonal in the energy basis, with the Boltzmann
 weights of `thermal_weights`; the pure "purification" state, whose
@@ -7,37 +7,23 @@ for every energy-diagonal observable.  A pre- and post-selected pair
 defines the generally non-Hermitian two-state density
 rho(t) = |Psi(t)><Phi(t)| / <Phi|U(T)|Psi>, which has unit trace, obeys the
 von Neumann equation, and reproduces weak values through tr(A rho) / tr(rho).
-Its denominator and overlap floor are those of the direct weak value
-(`weak.post_selection_overlap`); tr(A rho) / tr(rho) divides that
-denominator out again, so the trace formula stays an independent check of
-the direct weak value.
+It has rank one, so `two_state_readings` reads that trace formula and the
+Hermiticity defect off its two vectors.  Its denominator and overlap floor
+are those of the direct weak value (`weak.post_selection_overlap`);
+tr(A rho) / tr(rho) divides that denominator out again, so the trace
+formula stays an independent check of the direct weak value.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TruncationError
 from .oscillator import (DualState, OscillatorBasis, StateVector, backward_state,
                          check_positive, evolve)
-from .weak import as_matrix, post_selection_overlap
+from .weak import _apply, post_selection_overlap
 
 THERMAL_TAIL_LIMIT = 1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class TwoStateDensity:
-    """Normalized |Psi(t)><Phi(t)| outer product; non-Hermitian in general."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if not abs(np.trace(self.entries) - 1.0) <= 1e-10:
-            raise ValueError("two-state density trace differs from 1")
-
-    def hermiticity_defect(self) -> float:
-        return float(np.linalg.norm(self.entries - self.entries.conj().T))
 
 
 def _boltzmann_check(beta: float, basis: OscillatorBasis) -> float:
@@ -86,35 +72,34 @@ def thermal_purification(beta: float, basis: OscillatorBasis) -> StateVector:
     return StateVector(amps.astype(np.complex128), basis)
 
 
-def two_state_density(pre: StateVector, post: DualState, t: float,
-                      duration: float) -> TwoStateDensity:
-    """The two-state density at time t inside a window of length `duration`."""
-    ket = evolve(pre, t).amplitudes
-    bra = backward_state(post, t, duration).amplitudes
-    entries = np.outer(ket, bra) / post_selection_overlap(pre, post, duration)
-    return TwoStateDensity(entries=entries)
+def two_state_readings(A, pre: StateVector, post: DualState, times, duration: float):
+    """(weak values, Hermiticity defects) of the two-state density at each time.
 
-
-def weak_value_from_density(A, rho: TwoStateDensity) -> complex:
-    """A_w = tr(A rho) / tr(rho); identical to the direct two-state formula."""
-    # tr(A rho) as sum_mn A_mn rho_nm, O(dim^2) without the product A rho
-    return complex(np.sum(as_matrix(A) * rho.entries.T) / np.trace(rho.entries))
-
-
-def von_neumann_residual(pre: StateVector, post: DualState, H, t: float,
-                         dt: float, duration: float) -> float:
-    """Frobenius norm of the central-difference von Neumann defect.
-
-    || i (rho(t+dt) - rho(t-dt)) / (2 dt) - [H, rho(t)] ||_F, which shrinks
-    as O(dt^2) for the exact two-state evolution.  `duration` fixes the
-    backward-evolution reference time.
+    rho(t) = |k><b| / (b.k), with k = U(t)|Psi> and <b| = <Phi|U(T - t), has
+    rank one and unit trace, so both readings come off the two vectors and
+    no dim x dim density is formed: the trace-formula weak value
+    tr(A rho) / tr(rho) = b.(A k) / (b.k), and, k being a unit vector,
+    ||rho - rho^dag||_F = sqrt(2) ||c|| / |b.k|, with c = b - (b.k) conj(k)
+    the conjugate of the part of conj(b) orthogonal to k.  c is formed as a
+    vector, so a defect near 0 (trivial post-selection) stays at rounding
+    level, where the equal form sqrt(2 (||b||^2 / |b.k|^2 - 1)) cancels to
+    about 1e-8, or to a ratio below 1.  A number-state Psi only gains a
+    global phase, which cancels from rho, so k is Psi at every t: A k is
+    formed once, each time costs O(dim), and c is b with entry n cancelled
+    (exactly, for `number_state`).  Any other Psi forms one A k per time.  Raises PostSelectionError below
+    OVERLAP_FLOOR (from `post_selection_overlap`) and ValueError for a time
+    outside [0, duration].
     """
-    check_positive(dt, "dt")
-    mat = as_matrix(H)
-    rho_p = two_state_density(pre, post, t + dt, duration).entries
-    rho_m = two_state_density(pre, post, t - dt, duration).entries
-    rho_0 = two_state_density(pre, post, t, duration).entries
-    lhs = 1j * (rho_p - rho_m) / (2.0 * dt)
-    rhs = mat @ rho_0 - rho_0 @ mat
-    return float(np.linalg.norm(lhs - rhs))
-
+    post_selection_overlap(pre, post, duration)
+    stationary = np.count_nonzero(pre.amplitudes) == 1
+    weak, defect = np.empty(len(times), dtype=complex), np.empty(len(times))
+    for i, t in enumerate(times):
+        if i == 0 or not stationary:
+            k = pre.amplitudes if stationary else evolve(pre, t).amplitudes
+            Ak, k_bar = _apply(A, k), k.conj()
+        b = backward_state(post, t, duration).amplitudes
+        overlap = b @ k
+        weak[i] = b @ Ak / overlap
+        b -= overlap * k_bar   # c, in the fresh array backward_state returned
+        defect[i] = math.sqrt(2.0 * np.vdot(b, b).real) / abs(overlap)
+    return weak, defect

@@ -123,6 +123,15 @@ def as_matrix(A) -> np.ndarray:
     return np.asarray(getattr(A, "entries", A))
 
 
+def _apply(A, v) -> np.ndarray:
+    """A v for the vector v; a real A acts on the (re, im) pairs of v.
+
+    `mat @ v` would make a complex copy of a real A.
+    """
+    mat = as_matrix(A)
+    return _real_matmul(mat, v[:, None])[:, 0] if np.isrealobj(mat) else mat @ v
+
+
 def _require_hermitian(A):
     """Refuse a non-Hermitian operator; a ProjectorMatrix is exactly symmetric as built."""
     if isinstance(A, ProjectorMatrix):
@@ -138,11 +147,8 @@ def _require_hermitian(A):
 def expectation(A, state: StateVector) -> float:
     """<state|A|state> for Hermitian A; the roundoff imaginary part is dropped."""
     _require_hermitian(A)
-    mat = as_matrix(A)
     a = state.amplitudes
-    # a real A acts on the (re, im) pairs of a: `mat @ a` would make a complex copy of A
-    Aa = _real_matmul(mat, a[:, None])[:, 0] if np.isrealobj(mat) else mat @ a
-    return complex(np.vdot(a, Aa)).real
+    return complex(np.vdot(a, _apply(A, a))).real
 
 
 def post_selection_overlap(pre: StateVector, post: DualState, duration: float) -> complex:

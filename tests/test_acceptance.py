@@ -13,8 +13,7 @@ from scipy.signal import find_peaks
 from protmeas import (IntervalRegion, MeasurementSchedule, OscillatorBasis,
                       coherent_state, evolve, expectation, hamiltonian,
                       number_state, pointer_trace, projector_matrix,
-                      thermal_purification, thermal_weights, two_state_density,
-                      von_neumann_residual, weak_value_from_density, weak_value_series,
+                      thermal_purification, thermal_weights, weak_value_series,
                       bipartite_protective_sim, zeno_protect_sim,
                       classical_time_average, classical_dwell_fraction,
                       classical_ensemble_average, correspondence_check, StateVector)
@@ -22,6 +21,7 @@ from protmeas.ergodicity import sampling_error
 from protmeas.weak import closed_form_pvi_weak
 
 from conftest import edge_regions, random_hermitian, random_state
+from dense_two_state import two_state_density, von_neumann_residual, weak_value_from_density
 
 HALF_TAIL = 0.07864960352514258    # erfc(1)/2
 OMEGA, T_FIG, X0, ALPHA, WIDTH = 1.0, 100.0, 1.0, 2.5, 0.05

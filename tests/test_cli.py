@@ -26,6 +26,8 @@ from protmeas.errors import UsageError
 from protmeas.svgplot import emit_plot
 from protmeas.tables import CSV_BLOCK_ROWS, ResultTable
 
+from dense_two_state import hermiticity_defect, two_state_density, weak_value_from_density
+
 
 def read(path) -> bytes:
     with open(path, "rb") as fh:
@@ -927,8 +929,8 @@ def test_two_state_herm_defect_is_the_overlap_constant(T, alpha, delta):
 
 @pytest.mark.parametrize("dim", [64, 128])
 def test_two_state_rows_match_the_library_density(tmp_path, dim):
-    # the runner reads each row off k(t) and b(t); the dense rank-one density is the
-    # reference.  Where A_w passes near 0 the trace is a cancelling sum, its terms
+    # the runner reads each row off k(t) and b(t) (`two_state_readings`); the dense
+    # rank-one density of the test oracle is the reference.  Where A_w passes near 0 the trace is a cancelling sum, its terms
     # sum_mn |b_m P_mn k_n| / |b.k| up to 2.2e4 |A_w| here: against an 80-bit evaluation
     # the density path is off by 7.7e-13 there and the vector path by 2.3e-12, both
     # relative.  So A_w is held to 1e-12 of the larger of |A_w| and that scale
@@ -944,17 +946,17 @@ def test_two_state_rows_match_the_library_density(tmp_path, dim):
     assert len(lines) - 1 == 65
     for line in lines[1:]:
         row = dict(zip(cols, map(float, line.split(","))))
-        rho = protmeas.two_state_density(pre, post, row["t [s]"], 20.0)
-        want = protmeas.weak_value_from_density(P, rho)
+        rho = two_state_density(pre, post, row["t [s]"], 20.0)
+        want = weak_value_from_density(P, rho)
         got = complex(row["wv_trace_re"], row["wv_trace_im"])
-        terms = np.sum(np.abs(P.entries * rho.entries.T))
+        terms = np.sum(np.abs(P.entries * rho.T))
         assert abs(got - want) <= 1e-12 * max(abs(want), terms), (row["t [s]"], got, want)
-        assert row["herm_defect"] == pytest.approx(rho.hermiticity_defect(), rel=1e-12)
+        assert row["herm_defect"] == pytest.approx(hermiticity_defect(rho), rel=1e-12)
 
 
 def test_two_state_herm_defect_of_a_trivial_post_selection(tmp_path):
-    # pre and post are both |0>, with E_0 = 0: k and b are exactly e_0, so the
-    # ratio |k|^2 |b|^2 / |b.k|^2 is exactly 1 and the square root sees 0
+    # pre and post are both |0>, with E_0 = 0: k and b are exactly e_0, so the part
+    # of b orthogonal to k is exactly 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["two-state", "--alpha", "0", "--T", "20", "--steps", "64",

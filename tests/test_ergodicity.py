@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -143,6 +144,18 @@ def test_ensemble_keeps_its_phases_at_large_t(t, tmp_path):
     assert main(["ergodic", "--seed", "1", "--t", repr(t), "--out", str(tmp_path)]) == 0
     header, row = (tmp_path / "ergodic.csv").read_text().splitlines()
     assert dict(zip(header.split(","), map(float, row.split(","))))["gap_sigmas"] <= 5.0
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_ensemble_refuses_a_non_finite_time_by_name(t):
+    # named before math.remainder, which raises a bare "math domain error" at +-inf
+    # and lets nan through as an ensemble average of 0.0
+    with pytest.raises(ValueError, match=f"^t={t:g} is not finite"):
+        classical_ensemble_average(10, 1.0, 1, _HALF, t)
+
+
+def test_the_finite_time_check_moves_no_ensemble():
+    assert classical_ensemble_average(100_000, 1.0, 1, _HALF, 1e17) == 0.33401
 
 
 def test_ensemble_validation():

@@ -13,7 +13,7 @@ from protmeas import (DualState, IntervalRegion, MeasurementSchedule, Oscillator
                       classical_dwell_fraction, classical_ensemble_average, coherent_state,
                       evolve, expectation, hamiltonian, number_state, pointer_trace,
                       position_wavefunction, projector_matrix, thermal_purification,
-                      thermal_weights, von_neumann_residual, weak_value_series,
+                      thermal_weights, weak_value_series,
                       zeno_protect_sim)
 from protmeas import oscillator
 from protmeas.oscillator import coherent_tail, hermite_functions, required_coherent_dim
@@ -451,6 +451,14 @@ def test_evolution_names_an_overflowing_phase():
     assert np.all(np.isfinite(evolve(state, -1.7e308 / 63).amplitudes))
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_time_is_named_as_such(t):
+    # named as not finite, not as "the phase 15*|t| overflows at t=nan"
+    state = coherent_state(OscillatorBasis(16), 1.0)
+    with pytest.raises(ValueError, match=f"^t={t:g} is not finite"):
+        evolve(state, t)
+
+
 
 _B = OscillatorBasis(dim=16)
 
@@ -470,9 +478,6 @@ _B = OscillatorBasis(dim=16)
                  id="dwell"),
     pytest.param("protection window", lambda x: zeno_protect_sim(
         number_state(_B, 1), 4, x, hamiltonian(_B)), id="zeno"),
-    pytest.param("dt", lambda x: von_neumann_residual(
-        number_state(_B, 0), number_state(_B, 0).dual(), hamiltonian(_B), 1.0, x, 2.0),
-        id="residual"),
 ])
 def test_non_finite_parameter_is_refused_and_named(name, build, value):
     # a ValueError naming the parameter, not NaN results, a RuntimeWarning or a phase overflow

@@ -12,7 +12,7 @@ import protmeas.weak as weak_module
 from protmeas import quadrature
 from protmeas import (IntervalRegion, MeasurementSchedule, OscillatorBasis,
                       ProjectorMatrix, bin_edges, bin_probabilities, coherent_state,
-                      evolve, expectation, heisenberg_projector, hermite_functions,
+                      dephasing_bound, evolve, expectation, heisenberg_projector, hermite_functions,
                       interval_diagonal, number_state, pointer_trace, projector_matrix,
                       time_averaged_projector)
 from protmeas.projectors import MAX_BINS
@@ -197,13 +197,24 @@ def test_time_average_keeps_diagonal_and_hermiticity(basis):
 def test_time_average_dephasing_bound(ends, T):
     basis = OscillatorBasis(64)
     P = projector_matrix(IntervalRegion(*ends), basis)
-    avg = time_averaged_projector(P, T)
-    for m in range(20):
-        for n in range(20):
-            if m == n:
-                continue
-            bound = 2.0 * abs(P.entries[m, n]) / (abs(m - n) * basis.omega * T)
-            assert abs(avg[m, n]) <= bound + 1e-15
+    block = np.s_[:20, :20]
+    avg = time_averaged_projector(P, T)[block]
+    assert np.all(np.abs(avg) <= dephasing_bound(P, T)[block] + 1e-15)
+
+
+def test_dephasing_bound_is_the_smaller_factor():
+    omega, T = 1.3, 4.0
+    P = projector_matrix(IntervalRegion(0.2, 1.7), OscillatorBasis(16, omega=omega))
+    p = np.abs(P.entries)
+    m, n = np.indices(p.shape)
+    off = m != n
+    want = p.copy()
+    want[off] = np.minimum(p[off], 2.0 * p[off] / (abs(m - n)[off] * omega * T))
+    np.testing.assert_allclose(dephasing_bound(P, T), want, rtol=1e-15, atol=0)
+    # (m - n) omega T underflows to a subnormal: 2|P_mn| over it overflows, and |P_mn| is kept
+    assert np.array_equal(dephasing_bound(P, 5e-324), p)
+    with pytest.raises(ValueError, match="averaging window"):
+        dephasing_bound(P, 0.0)
 
 
 def test_time_average_specific_entry(basis):

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from protmeas import (IntervalRegion, MeasurementSchedule, OscillatorBasis,
-                      PostSelectionError, TruncationError, TwoStateDensity, coherent_state,
+                      PostSelectionError, TruncationError, coherent_state,
                       evolve, expectation, hamiltonian, number_state, pointer_trace,
                       projector_matrix, thermal_purification, thermal_weights,
-                      two_state_density, von_neumann_residual, weak_value_from_density,
-                      weak_value_series)
+                      two_state_readings, weak_value_series)
+from protmeas import twostate
+from protmeas.weak import as_matrix
 
 from conftest import random_hermitian, random_state
+from dense_two_state import (hermiticity_defect, two_state_density, von_neumann_residual,
+                             weak_value_from_density)
 
 MEAN_OCCUPATION_BETA1 = 0.5819767068693265   # 1/(e-1)
 
@@ -118,9 +121,9 @@ def test_two_state_trivial_post_is_ordinary_density(basis, rng):
     T = 8.0
     for t in (0.0, 3.0, 8.0):
         rho = two_state_density(pre, evolve(pre, T).dual(), t, T)
-        assert rho.hermiticity_defect() < 1e-10
+        assert hermiticity_defect(rho) < 1e-10
         # pure-state density: idempotent
-        assert np.max(np.abs(rho.entries @ rho.entries - rho.entries)) < 1e-10
+        assert np.max(np.abs(rho @ rho - rho)) < 1e-10
 
 
 def test_two_state_trace_one(basis, rng):
@@ -128,18 +131,13 @@ def test_two_state_trace_one(basis, rng):
         pre = random_state(rng, basis)
         post = random_state(rng, basis).dual()
         rho = two_state_density(pre, post, 1.3, 5.0)
-        assert np.trace(rho.entries) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_two_state_density_rejects_nan_trace():
-    with pytest.raises(ValueError, match="trace differs from 1"):
-        TwoStateDensity(np.full((2, 2), np.nan + 0j))
+        assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_two_state_non_hermitian_for_coherent_post(basis):
     rho = two_state_density(number_state(basis, 0), coherent_state(basis, 2.5).dual(),
                             2.0, 10.0)
-    defect = rho.hermiticity_defect()
+    defect = hermiticity_defect(rho)
     print(f"hermiticity defect for |0>, <alpha=2.5|: {defect:.4f}")
     assert defect > 0.1
 
@@ -177,6 +175,74 @@ def test_cross_module_weak_value_consistency(basis):
     rho = two_state_density(pre, post, t, T)
     assert abs(weak_value_series(P, pre, post, [t], T)[0]
                - weak_value_from_density(P, rho)) < 1e-12
+
+
+# ------------------------------------------------------- two-state readings
+
+def _density_readings(A, pre, post, times, T):
+    """(weak values, defects, cancellation scales) of the dense densities at `times`.
+
+    The scale is the larger of |A_w| and sum_mn |A_mn rho_nm|: where A_w
+    passes near 0 the trace is a cancelling sum, and each path is then off
+    by rounding of the summed terms, not of A_w.
+    """
+    rhos = [two_state_density(pre, post, t, T) for t in times]
+    weak = np.array([weak_value_from_density(A, rho) for rho in rhos])
+    terms = np.array([np.sum(np.abs(as_matrix(A) * rho.T)) for rho in rhos])
+    return weak, np.array([hermiticity_defect(rho) for rho in rhos]), np.maximum(abs(weak), terms)
+
+
+@pytest.mark.parametrize("pre_kind", ["0", "3", "random"])
+@pytest.mark.parametrize("operator", ["hermitian", "projector"])
+def test_readings_match_the_dense_density(basis, rng, pre_kind, operator):
+    pre = (random_state(rng, basis) if pre_kind == "random"
+           else number_state(basis, int(pre_kind)))
+    A = (random_hermitian(rng, basis.dim) if operator == "hermitian"
+         else projector_matrix(IntervalRegion(0.975, 1.025), basis))
+    T = 9.0
+    times = np.concatenate([[0.0, T], rng.uniform(0.0, T, 30)])
+    for post in (random_state(rng, basis).dual(), coherent_state(basis, 2.5).dual()):
+        weak, defect = two_state_readings(A, pre, post, times, T)
+        want_weak, want_defect, scale = _density_readings(A, pre, post, times, T)
+        assert np.all(abs(weak - want_weak) <= 1e-12 * scale)
+        np.testing.assert_allclose(defect, want_defect, rtol=1e-12, atol=0)
+
+
+def test_readings_of_a_trivial_post_selection_are_hermitian(basis, rng):
+    # rho is the pure |k><k|: the defect is rounding, where
+    # sqrt(2 (||k||^2 ||b||^2 / |b.k|^2 - 1)) reads about 1e-8 or a ratio below 1
+    T = 9.0
+    times = rng.uniform(0.0, T, 5)
+    for _ in range(50):
+        pre = random_state(rng, basis)
+        A = random_hermitian(rng, basis.dim)
+        weak, defect = two_state_readings(A, pre, evolve(pre, T).dual(), times, T)
+        assert np.all(defect <= 1e-10)   # a NaN fails too
+        for t, value in zip(times, weak):
+            assert abs(value - expectation(A, evolve(pre, t))) <= 1e-10
+
+
+def test_readings_refuse_a_low_overlap_and_a_time_outside_the_window(basis):
+    with pytest.raises(PostSelectionError):
+        two_state_readings(np.eye(basis.dim), number_state(basis, 0),
+                           number_state(basis, 1).dual(), [0.0, 1.0], 5.0)
+    with pytest.raises(ValueError, match="outside the measurement window"):
+        two_state_readings(np.eye(basis.dim), number_state(basis, 0),
+                           coherent_state(basis, 1.0).dual(), [0.0, 6.0], 5.0)
+
+
+@pytest.mark.parametrize("pre_kind, products", [("number", 1), ("random", 1025)])
+def test_readings_apply_the_operator_once_for_a_number_state(basis, rng, monkeypatch,
+                                                             pre_kind, products):
+    # a number state only gains a phase, so A k is formed once; any other
+    # pre-selection forms one A k per time
+    calls, apply = [], twostate._apply
+    monkeypatch.setattr(twostate, "_apply", lambda A, v: calls.append(v) or apply(A, v))
+    pre = number_state(basis, 5) if pre_kind == "number" else random_state(rng, basis)
+    P = projector_matrix(IntervalRegion(0.975, 1.025), basis)
+    times = np.linspace(0.0, 20.0, 1025)
+    two_state_readings(P, pre, coherent_state(basis, 2.5).dual(), times, 20.0)
+    assert len(calls) == products
 
 
 # -------------------------------------------------------------- von Neumann

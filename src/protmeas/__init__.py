@@ -28,9 +28,8 @@ _import_numpy_with_one_blas_thread()
 
 from .errors import (NumericalError, PostSelectionError, ProtmeasError,
                      TruncationError, UsageError)
-from .oscillator import (DualState, OscillatorBasis, StateVector, backward_state,
-                         coherent_state, evolve, hamiltonian, hermite_functions,
-                         number_state, position_wavefunction)
+from .oscillator import (DualState, OscillatorBasis, StateVector, coherent_state, evolve,
+                         hamiltonian, hermite_functions, number_state, position_wavefunction)
 from .projectors import (IntervalRegion, ProjectorMatrix, bin_edges, dephasing_bound,
                          heisenberg_projector, projector_matrix, time_averaged_projector)
 from .quadrature import bin_probabilities, interval_diagonal

@@ -315,7 +315,7 @@ _READERS = {
 # dim complex matrix takes 4 GiB, and correspondence's recurrence runs over
 # phi_0..phi_n (sketch and zeno need n < dim).  Measured on 2 cores, one
 # process each: pointer-trace at 2**20 steps and dim 64 took 5 s and 0.5 GB, a
-# Zeno protection 27 us at dim 12 and 4.5 ms at dim 512, ergodic 25 ns per
+# Zeno protection 20 us at dim 12 and 2.3-2.9 ms at dim 512, ergodic 25 ns per
 # dwell sample and 80 ns per ensemble member, and heisenberg-projector's
 # max_index**2 rows 7-9 s, 0.36 GB and a 135 MB CSV at max_index 2**10, most
 # of it formatting the CSV

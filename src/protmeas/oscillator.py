@@ -78,10 +78,17 @@ def _normalized(amplitudes, dim) -> np.ndarray:
         raise ValueError(f"amplitude vector has shape {a.shape}, expected ({dim},)")
     if not np.all(np.isfinite(a)):
         raise ValueError("cannot normalize an amplitude vector with NaN or infinite entries")
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
+    # rescaled first where its largest real or imaginary part lies outside
+    # [1e-150, 1e150], so that no square in the norm overflows or underflows; the
+    # (re, im) pairs are divided as reals, since a complex division by a
+    # subnormal overflows.  A vector of ordinary magnitude keeps its bits
+    pairs = np.ascontiguousarray(a).view(np.float64)
+    scale = np.abs(pairs).max()
+    if scale == 0.0:
         raise ValueError("cannot normalize a zero amplitude vector")
-    return a / norm
+    if not 1e-150 <= scale <= 1e150:
+        a = (pairs / scale).view(np.complex128)
+    return a / np.linalg.norm(a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,19 +304,6 @@ def _sinc(x) -> np.ndarray:
 def evolve(state: StateVector, t: float) -> StateVector:
     """Free evolution: c_n -> e^{-i E_n t} c_n."""
     return StateVector(state.amplitudes * _state_phases(state.basis, t), state.basis)
-
-
-def backward_state(final: DualState, t: float, duration: float) -> DualState:
-    """The backward-evolving bra at time t: <Phi_f(t)| = <Phi_f| U(duration - t).
-
-    For a coherent bra <alpha| this is the bra of |alpha e^{i omega (T-t)}| up
-    to a global phase, so its position-space mean sits at
-    sqrt(2)|alpha| cos(omega (T-t) + delta).
-    """
-    if not 0.0 <= t <= duration:
-        raise ValueError(f"t={t} outside the measurement window [0, {duration}]")
-    phases = _state_phases(final.basis, duration - t, "duration - t")
-    return DualState(final.amplitudes * phases, final.basis)
 
 
 def _hermite_rows(x, targets):

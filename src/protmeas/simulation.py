@@ -34,7 +34,7 @@ superposition at equally spaced times, which halts the free dephasing of the
 superposition; the measured operator, watched in the Heisenberg picture,
 changes abruptly at each projection.  Only the norm of each jump is kept.
 The loop keeps the operator fixed and moves the state, U^k s, so each
-protection is two matrix-vector products and one rank-two update: O(dim^2),
+protection is one matrix-vector product and one rank-two update: O(dim^2),
 with no dim x dim array formed per protection.
 """
 
@@ -241,26 +241,30 @@ def zeno_protect_sim(initial: StateVector, n_protections: int, duration: float,
 
     The state evolves freely (optionally with a flat measurement coupling
     coupling/T * P added to the Hamiltonian) for duration/n between
-    projections onto s = |initial>.  The `measured` operator B, Hermitian or
-    not, is watched in the Heisenberg picture, U^dag^k B U^k at protection
-    k, in the eigenbasis of H.  The loop works in the frame where the state
-    evolves: it keeps B and projects onto s_k = U^k s = e^{-i E k dt} o s,
-    which conjugates every update by U^k and leaves its norm alone, so B
-    changes only by its rank-two updates.  The non-selective update
-    B -> Pi B Pi + Q B Q, Pi = s_k s_k^dag, is B - s_k b - a s_k^dag with
-    a = Q B s_k and b = s_k^dag B Q, and its jump norm is
-    sqrt(|a|^2 + |b|^2).  Raises ValueError if the phase E_max duration
-    overflows the float range, or if a coupled operator is not Hermitian.
+    projections onto s = |initial>.  The `measured` observable B, a
+    Hermitian operator, is watched in the Heisenberg picture, U^dag^k B U^k
+    at protection k, in the eigenbasis of H.  The loop works in the frame
+    where the state evolves: it keeps B and projects onto
+    s_k = U^k s = e^{-i E k dt} o s, which conjugates every update by U^k
+    and leaves its norm alone, so B changes only by its rank-two updates.
+    The non-selective update B -> Pi B Pi + Q B Q, Pi = s_k s_k^dag, is
+    B - s_k a^dag - a s_k^dag with a = Q B s_k, and its jump norm is
+    sqrt(2) |a|.  The update is Hermitian, so B stays Hermitian to rounding
+    (not bit for bit: numpy's vectorized complex products round the entries
+    of s_k a^dag and of a s_k^dag differently).  Raises ValueError if
+    `measured` is not Hermitian or if the phase E_max duration overflows the
+    float range.
     """
     if n_protections < 1:
         raise ValueError(f"need at least one protection, got {n_protections}")
     check_positive(duration, "protection window")
+    # the update below holds for a Hermitian B only, and eigh would read only the
+    # lower triangle of a coupled H; a ProjectorMatrix passes unchecked
+    _require_hermitian(measured)
     if coupling == 0.0:
         # H is diagonal: eigh would return exactly its energies and the identity
         evals, vecs = initial.basis.energies(), None
     else:
-        # eigh reads only the lower triangle, so a non-Hermitian H would pass unseen
-        _require_hermitian(measured)
         H = hamiltonian(initial.basis) + (coupling / duration) * as_matrix(measured)
         evals, vecs = np.linalg.eigh(H)
     # protection k forms its phases from k dt, up to E_max T
@@ -280,16 +284,15 @@ def zeno_protect_sim(initial: StateVector, n_protections: int, duration: float,
     B = B.astype(np.complex128)
     # the rank-two update reuses two buffers: fresh dim^2 temporaries at
     # every protection would each be mapped afresh by the allocator
-    update, term = np.empty_like(B), np.empty_like(B)
-    jumps = np.empty(n_protections)
+    step, term = np.empty_like(B), np.empty_like(B)
+    norms = np.empty(n_protections)     # |a| of each protection, whose jump is sqrt(2) |a|
     for k in range(n_protections):
         # U^(k+1) s, its phases formed from (k + 1) dt in long double (80-bit on
         # x86): a state stepped by U, or phase ** k, drifts in modulus, and a
         # double argument E k dt carries noise of ulp(E T) into the small jumps
         sk = np.exp(-1j * evals * (np.longdouble(dt) * (k + 1))).astype(complex) * s
-        v, w = B @ sk, sk.conj() @ B
-        mu = np.vdot(sk, v)
-        a, b = v - mu * sk, w - mu * sk.conj()
-        jumps[k] = np.hypot(np.linalg.norm(a), np.linalg.norm(b))
-        B -= np.add(np.outer(sk, b, out=update), np.outer(a, sk.conj(), out=term), out=update)
-    return ZenoResult(survival_probability=float(survival), jump_norms=jumps)
+        v = B @ sk
+        a = v - np.vdot(sk, v) * sk
+        norms[k] = np.linalg.norm(a)
+        B -= np.add(np.outer(sk, a.conj(), out=step), np.outer(a, sk.conj(), out=term), out=step)
+    return ZenoResult(survival_probability=float(survival), jump_norms=np.hypot(norms, norms))

@@ -48,11 +48,14 @@ def _fmt(v: float) -> str:
 def emit_plot(table: ResultTable, x: str, ys: list, path, title: str, labels: list) -> bytes:
     """Render selected columns as polylines and write the SVG atomically.
 
-    Raises ValueError naming the first column with a NaN or infinite value:
+    Raises ValueError unless `labels` has one label for each column of
+    `ys`, and one naming the first column with a NaN or infinite value:
     it has no place on the axes.  An x range, or a y range with its 5 % pad,
     that overflows a float (as [-1e308, 1e308]) raises one naming the
     columns on that axis.
     """
+    if len(labels) != len(ys):
+        raise ValueError(f"got {len(labels)} labels for {len(ys)} plotted columns")
     xs, *series = ([float(v) for v in table.column(c)] for c in [x, *ys])
     for name, vals in zip([x, *ys], [xs, *series]):
         if not all(map(math.isfinite, vals)):

@@ -19,8 +19,7 @@ import math
 import numpy as np
 
 from .errors import TruncationError
-from .oscillator import (DualState, OscillatorBasis, StateVector, backward_state,
-                         check_positive, evolve)
+from .oscillator import DualState, OscillatorBasis, StateVector, check_positive, evolve
 from .weak import _apply, post_selection_overlap
 
 THERMAL_TAIL_LIMIT = 1e-10
@@ -86,20 +85,25 @@ def two_state_readings(A, pre: StateVector, post: DualState, times, duration: fl
     about 1e-8, or to a ratio below 1.  A number-state Psi only gains a
     global phase, which cancels from rho, so k is Psi at every t: A k is
     formed once, each time costs O(dim), and c is b with entry n cancelled
-    (exactly, for `number_state`).  Any other Psi forms one A k per time.  Raises PostSelectionError below
-    OVERLAP_FLOOR (from `post_selection_overlap`) and ValueError for a time
-    outside [0, duration].
+    (exactly, for `number_state`).  Any other Psi forms one A k per time.
+    Both readings are invariant to the scale of b, so b is the phase product
+    d o e^{-i E (T - t)} and is not renormalized.  Raises PostSelectionError
+    below OVERLAP_FLOOR (from `post_selection_overlap`) and ValueError for a
+    time outside [0, duration], or NaN.
     """
+    if not all(0.0 <= t <= duration for t in times):
+        raise ValueError(f"a time lies outside the measurement window [0, {duration}]")
     post_selection_overlap(pre, post, duration)
+    rate = -1j * post.basis.energies()
     stationary = np.count_nonzero(pre.amplitudes) == 1
     weak, defect = np.empty(len(times), dtype=complex), np.empty(len(times))
     for i, t in enumerate(times):
         if i == 0 or not stationary:
             k = pre.amplitudes if stationary else evolve(pre, t).amplitudes
             Ak, k_bar = _apply(A, k), k.conj()
-        b = backward_state(post, t, duration).amplitudes
+        b = post.amplitudes * np.exp(rate * (duration - t))
         overlap = b @ k
         weak[i] = b @ Ak / overlap
-        b -= overlap * k_bar   # c, in the fresh array backward_state returned
+        b -= overlap * k_bar   # c, in place
         defect[i] = math.sqrt(2.0 * np.vdot(b, b).real) / abs(overlap)
     return weak, defect

@@ -1,15 +1,29 @@
 """The dense two-state density, the tests' reference for `twostate.two_state_readings`.
 
 rho(t) = |Psi(t)><Phi(t)| / <Phi|U(T)|Psi> is formed here as a dim x dim
-matrix, from `evolve`, `backward_state` and the direct weak value's
-denominator, so the trace formula and the von Neumann residual (criteria 7
-and 8) read the density itself rather than its two vectors.
+matrix, from `evolve`, the normalized backward-evolving bra
+`backward_state` and the direct weak value's denominator, so the trace
+formula and the von Neumann residual (criteria 7 and 8) read the density
+itself rather than its two vectors.
 """
 
 import numpy as np
 
-from protmeas.oscillator import backward_state, check_positive, evolve
+from protmeas.oscillator import DualState, _state_phases, check_positive, evolve
 from protmeas.weak import as_matrix, post_selection_overlap
+
+
+def backward_state(final: DualState, t: float, duration: float) -> DualState:
+    """The backward-evolving bra at time t: <Phi_f(t)| = <Phi_f| U(duration - t).
+
+    For a coherent bra <alpha| this is the bra of |alpha e^{i omega (T-t)}| up
+    to a global phase, so its position-space mean sits at
+    sqrt(2)|alpha| cos(omega (T-t) + delta).
+    """
+    if not 0.0 <= t <= duration:
+        raise ValueError(f"t={t} outside the measurement window [0, {duration}]")
+    phases = _state_phases(final.basis, duration - t, "duration - t")
+    return DualState(final.amplitudes * phases, final.basis)
 
 
 def two_state_density(pre, post, t, duration) -> np.ndarray:

@@ -184,6 +184,18 @@ def test_svg_refuses_a_range_that_overflows_a_float(tmp_path, column, values):
     assert not (tmp_path / "p.svg").exists()
 
 
+@pytest.mark.parametrize("ys, labels", [
+    pytest.param(["y", "z"], ["y"], id="too-few"), pytest.param(["y"], ["y", "z"], id="too-many"),
+    pytest.param(["y"], [], id="none")])
+def test_svg_refuses_a_label_count_other_than_the_column_count(tmp_path, ys, labels):
+    # zip dropped the unlabelled columns' polylines, while the y range still spanned them
+    t = ResultTable([("x", "", np.arange(4.0)), ("y", "", np.arange(4.0)),
+                     ("z", "", 10.0 * np.arange(4.0))])
+    with pytest.raises(ValueError, match=f"got {len(labels)} labels for {len(ys)} plotted columns"):
+        emit_plot(t, "x", ys, tmp_path / "p.svg", "title", labels)
+    assert not (tmp_path / "p.svg").exists()
+
+
 def test_svg_deterministic_bytes(tmp_path):
     x = np.arange(50) * 0.1
     t = ResultTable([("x", "s", x), ("y", "", np.sin(x)), ("z", "", np.cos(x))])

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, special
 
 from protmeas import (DualState, IntervalRegion, MeasurementSchedule, OscillatorBasis,
-                      StateVector, TruncationError, backward_state, bipartite_protective_sim,
+                      StateVector, TruncationError, bipartite_protective_sim,
                       classical_dwell_fraction, classical_ensemble_average, coherent_state,
                       evolve, expectation, hamiltonian, number_state, pointer_trace,
                       position_wavefunction, projector_matrix, thermal_purification,
@@ -20,6 +20,7 @@ from protmeas.oscillator import coherent_tail, hermite_functions, required_coher
 from protmeas.weak import post_selection_overlap
 
 from conftest import random_hermitian, random_state
+from dense_two_state import backward_state
 
 # frozen oracle values (direct summation / closed forms)
 VACUUM_OVERLAP_SQ_A25 = 0.0019304541362277093   # e^-6.25
@@ -65,6 +66,31 @@ def test_non_finite_amplitudes_rejected(kind, bad):
     amps[3] = bad
     with pytest.raises(ValueError, match="NaN or infinite"):
         kind(amps, b)
+
+
+@pytest.mark.parametrize("kind", [StateVector, DualState])
+@pytest.mark.parametrize("amps, want", [
+    pytest.param([1e200, 0, 0, 0], [1, 0, 0, 0], id="squares-overflow"),
+    pytest.param([1e-200, 0, 0, 0], [1, 0, 0, 0], id="squares-underflow"),
+    pytest.param([3e-170, 0, 4e-170, 0], [0.6, 0, 0.8, 0], id="squares-underflow-3-4"),
+    pytest.param([0, 1e-320, 0, 0], [0, 1, 0, 0], id="subnormal"),
+    pytest.param([0, 0, 0, 1.7e308 - 1.7e308j], [0, 0, 0, (1 - 1j) / np.sqrt(2)],
+                 id="modulus-overflows"),
+])
+def test_extreme_amplitudes_normalize_without_a_warning(kind, amps, want):
+    # a RuntimeWarning fails the test (filterwarnings = error)
+    state = kind(np.array(amps, dtype=complex), OscillatorBasis(dim=4))
+    np.testing.assert_allclose(state.amplitudes, want, rtol=4e-16, atol=0)
+
+
+@pytest.mark.parametrize("kind", [StateVector, DualState])
+def test_zero_amplitudes_are_refused_and_ordinary_ones_keep_their_bits(kind, rng):
+    with pytest.raises(ValueError, match="cannot normalize a zero amplitude vector"):
+        kind(np.zeros(4, dtype=complex), OscillatorBasis(dim=4))
+    for scale in (1e-140, 1e-3, 1.0, 1e140):
+        amps = scale * (rng.normal(size=64) + 1j * rng.normal(size=64))
+        np.testing.assert_array_equal(kind(amps, OscillatorBasis(dim=64)).amplitudes,
+                                      amps / np.linalg.norm(amps))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.inf, 0.0), 1e308,

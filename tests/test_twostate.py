@@ -226,9 +226,10 @@ def test_readings_refuse_a_low_overlap_and_a_time_outside_the_window(basis):
     with pytest.raises(PostSelectionError):
         two_state_readings(np.eye(basis.dim), number_state(basis, 0),
                            number_state(basis, 1).dual(), [0.0, 1.0], 5.0)
-    with pytest.raises(ValueError, match="outside the measurement window"):
-        two_state_readings(np.eye(basis.dim), number_state(basis, 0),
-                           coherent_state(basis, 1.0).dual(), [0.0, 6.0], 5.0)
+    for times in ([0.0, 6.0], [-0.1, 1.0], [0.0, np.nan]):
+        with pytest.raises(ValueError, match="outside the measurement window"):
+            two_state_readings(np.eye(basis.dim), number_state(basis, 0),
+                               coherent_state(basis, 1.0).dual(), times, 5.0)
 
 
 @pytest.mark.parametrize("pre_kind, products", [("number", 1), ("random", 1025)])

@@ -1,5 +1,6 @@
 """Protective measurements on a harmonic oscillator with pre- and post-selection."""
 
+import importlib
 import os
 import sys
 
@@ -26,19 +27,41 @@ def _import_numpy_with_one_blas_thread():
 
 _import_numpy_with_one_blas_thread()
 
-from .errors import (NumericalError, PostSelectionError, ProtmeasError,
-                     TruncationError, UsageError)
-from .oscillator import (DualState, OscillatorBasis, StateVector, coherent_state, evolve,
-                         hamiltonian, hermite_functions, number_state, position_wavefunction)
-from .projectors import (IntervalRegion, ProjectorMatrix, bin_edges, dephasing_bound,
-                         heisenberg_projector, projector_matrix, time_averaged_projector)
-from .quadrature import bin_probabilities, interval_diagonal
-from .weak import (MeasurementSchedule, PointerTrace, closed_form_pvi_weak,
-                   expectation, pointer_trace, weak_value_series)
-from .simulation import (BipartiteResult, ZenoResult, bipartite_protective_sim,
-                         zeno_protect_sim)
-from .twostate import thermal_purification, thermal_weights, two_state_readings
-from .ergodicity import (DwellReport, classical_dwell_fraction, classical_ensemble_average,
-                         classical_time_average, correspondence_check, dwell_report)
+# the public names of each module.  A module is imported when one of its names
+# (or the module itself) is first read from the package, so a process compiles
+# only the layers it uses; the name is then bound here, and a second read is a
+# plain attribute lookup
+_EXPORTS = {
+    "errors": ("NumericalError", "PostSelectionError", "ProtmeasError", "TruncationError",
+               "UsageError"),
+    "oscillator": ("DualState", "OscillatorBasis", "StateVector", "coherent_state", "evolve",
+                   "hamiltonian", "hermite_functions", "number_state", "position_wavefunction"),
+    "projectors": ("IntervalRegion", "ProjectorMatrix", "bin_edges", "dephasing_bound",
+                   "heisenberg_projector", "projector_matrix", "time_averaged_projector"),
+    "quadrature": ("bin_probabilities", "interval_diagonal"),
+    "weak": ("MeasurementSchedule", "PointerTrace", "closed_form_pvi_weak", "expectation",
+             "pointer_trace", "weak_value_series"),
+    "simulation": ("BipartiteResult", "ZenoResult", "bipartite_protective_sim",
+                   "zeno_protect_sim"),
+    "twostate": ("thermal_purification", "thermal_weights", "two_state_readings"),
+    "ergodicity": ("DwellReport", "classical_dwell_fraction", "classical_ensemble_average",
+                   "classical_time_average", "correspondence_check", "dwell_report"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

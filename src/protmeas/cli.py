@@ -3,7 +3,9 @@
 Usage:  protmeas <experiment> [--config file.json] [--param value ...] --out DIR
 
 A runner's keyword-only signature lists the parameters its experiment
-takes, with any default that differs from PARAMS.  Flags override config
+takes, with any default that differs from PARAMS; it returns its table's
+columns and plots, and imports the layers it calls beyond the oscillator,
+so that a command compiles only the modules it runs.  Flags override config
 values, which override the defaults.  argparse only splits the command
 line: `_convert` alone parses a flag value or --sweep token by its
 parameter's kind and checks it, as it checks a config value, whose JSON
@@ -25,22 +27,14 @@ without its value) exit 2 through SystemExit.
 
 import argparse
 import inspect
-import json
 import os
 import sys
 
 import numpy as np
 
-from . import ergodicity, simulation, twostate
 from .errors import NumericalError, PostSelectionError, TruncationError, UsageError
+# every command runs the oscillator layer; each runner imports the other layers it calls
 from .oscillator import OscillatorBasis, StateVector, check_phase, coherent_state, number_state
-from .projectors import (IntervalRegion, bin_edges, dephasing_bound, heisenberg_projector,
-                         projector_matrix, time_averaged_projector)
-from .quadrature import bin_probabilities
-from .svgplot import emit_plot
-from .tables import ResultTable
-from .weak import (MeasurementSchedule, closed_form_pvi_weak, expectation,
-                   pointer_trace, weak_value_series)
 
 # every tunable: name -> (type, default); each runner's signature names the
 # ones its experiment takes and may give its own default
@@ -102,16 +96,18 @@ def _phase_time(basis: OscillatorBasis, key: str, value: float):
     _checked(key, check_phase, basis.energies()[-1], value, key)
 
 
-def _window(x0, w) -> IntervalRegion:
-    """The interval of width w centred on x0."""
+def _window(x0, w):
+    """The IntervalRegion of width w centred on x0."""
+    from .projectors import IntervalRegion
     return _checked("x0, w", IntervalRegion, x0 - w / 2, x0 + w / 2)
 
 
-def _measured(region: IntervalRegion, dim, omega, schedule: MeasurementSchedule):
+def _measured(region, dim, omega, schedule):
     """(basis, projector onto `region`, pre-selected |0>) of a run measured on `schedule`.
 
     A window T whose largest phase overflows is a usage error naming T.
     """
+    from .projectors import projector_matrix
     basis = _checked("dim, omega", OscillatorBasis, dim, omega)
     _phase_time(basis, "T", schedule.duration)
     return basis, projector_matrix(region, basis), number_state(basis, 0)
@@ -119,19 +115,22 @@ def _measured(region: IntervalRegion, dim, omega, schedule: MeasurementSchedule)
 
 def run_sketch(*, dim, bin_width, L, n=None, alpha=None):
     """|psi|^2 per bin of [-L, L] for |n> (|0> by default), or for |alpha> if alpha is given."""
+    from .projectors import bin_edges
+    from .quadrature import bin_probabilities
     basis = _checked("dim", OscillatorBasis, dim)
     edges = _checked("bin_width, L", bin_edges, bin_width, L)
     _require(n is None or alpha is None,
              f"n={n}, alpha={alpha}: sketch draws |n> or |alpha>, give one of them")
     state = (_checked("n", number_state, basis, n or 0) if alpha is None
              else _checked("alpha", coherent_state, basis, alpha))
-    table = ResultTable([("bin_center", "", 0.5 * (edges[:-1] + edges[1:])),
-                         ("probability", "", bin_probabilities(state.amplitudes, edges))])
-    return table, [("sketch.svg", "bin_center", ["probability"], ["|psi|^2 per bin"],
-                    "wavefunction sketch")]
+    columns = [("bin_center", "", 0.5 * (edges[:-1] + edges[1:])),
+               ("probability", "", bin_probabilities(state.amplitudes, edges))]
+    return columns, [("sketch.svg", "bin_center", ["probability"], ["|psi|^2 per bin"],
+                      "wavefunction sketch")]
 
 
 def run_pointer_trace(*, dim, omega, T, ramp, steps, x0, w, alpha, delta, alpha2):
+    from .weak import MeasurementSchedule, closed_form_pvi_weak, pointer_trace
     schedule = _checked("T, ramp, steps", MeasurementSchedule, T, ramp, steps)
     basis, P, pre = _measured(_window(x0, w), dim, omega, schedule)
 
@@ -160,10 +159,12 @@ def run_pointer_trace(*, dim, omega, T, ramp, steps, x0, w, alpha, delta, alpha2
         print(f"flagged_points={sel.times.size}")
     if alpha2 is not None and sel2.flagged:
         print(f"flagged_points_alpha2={sel2.times.size}")
-    return ResultTable(columns), plots
+    return columns, plots
 
 
 def run_heisenberg(*, a, b, T, max_index, t):
+    from .projectors import (IntervalRegion, dephasing_bound, heisenberg_projector,
+                             projector_matrix, time_averaged_projector)
     # the k x k block, k = max_index, needs phi_0..phi_k only: P on the first max(k, 2)
     # levels at omega = 1, where the output sees omega only through omega T and omega t
     basis = OscillatorBasis(max(max_index, 2))
@@ -176,27 +177,33 @@ def run_heisenberg(*, a, b, T, max_index, t):
     avg = _checked("T", time_averaged_projector, P, T)
     m, n = np.indices((max_index, max_index)).reshape(2, -1)
     p, pt, pa, bound = (M[m, n] for M in (P.entries, Pt, avg, dephasing_bound(P, T)))
-    table = ResultTable([("m", "", m), ("n", "", n), ("p_re", "", p.real), ("p_im", "", p.imag),
-                         ("heis_re", "", pt.real), ("heis_im", "", pt.imag),
-                         ("avg_re", "", pa.real), ("avg_im", "", pa.imag), ("bound", "", bound)])
-    return table, []
+    columns = [("m", "", m), ("n", "", n), ("p_re", "", p.real), ("p_im", "", p.imag),
+               ("heis_re", "", pt.real), ("heis_im", "", pt.imag),
+               ("avg_re", "", pa.real), ("avg_im", "", pa.imag), ("bound", "", bound)]
+    return columns, []
 
 
-def run_bipartite(*, dim, omega, a, b, T, ramp, steps=simulation.LADDER_START,
-                  pointer_sigma, shift_tol):
-    schedule = _checked("T, ramp, steps", MeasurementSchedule, T, ramp, steps)
+def run_bipartite(*, dim, omega, a, b, T, ramp, steps=None, pointer_sigma, shift_tol):
+    from .projectors import IntervalRegion
+    from .simulation import bipartite_protective_sim
+    from .weak import MeasurementSchedule, expectation
+    # no steps: the ladder starts at bipartite_protective_sim's own default
+    given = {} if steps is None else {"steps": steps}
+    schedule = _checked("T, ramp, steps", MeasurementSchedule, T, ramp, **given)
     _, P, pre = _measured(_checked("a, b", IntervalRegion, a, b), dim, omega, schedule)
-    result = _checked("pointer_sigma, shift_tol", simulation.bipartite_protective_sim, P, schedule,
-                      pointer_sigma=pointer_sigma, steps=steps, shift_tol=shift_tol)
+    result = _checked("pointer_sigma, shift_tol", bipartite_protective_sim, P, schedule,
+                      pointer_sigma=pointer_sigma, shift_tol=shift_tol, **given)
     ref = expectation(P, pre)
-    table = ResultTable([("T", "s", [T]), ("pointer_shift", "", [result.pointer_shift]),
-                         ("energy_shift_per_p", "1/s", [result.energy_shift_per_p]),
-                         ("survival", "", [result.survival_probability]),
-                         ("steps_used", "", [result.steps_used]), ("expectation_P", "", [ref])])
-    return table, []
+    columns = [("T", "s", [T]), ("pointer_shift", "", [result.pointer_shift]),
+               ("energy_shift_per_p", "1/s", [result.energy_shift_per_p]),
+               ("survival", "", [result.survival_probability]),
+               ("steps_used", "", [result.steps_used]), ("expectation_P", "", [ref])]
+    return columns, []
 
 
 def run_zeno(*, dim, a, b, T, n_list, coupling, n=1):
+    from .projectors import IntervalRegion, projector_matrix
+    from .simulation import zeno_protect_sim
     basis = _checked("dim", OscillatorBasis, dim)
     _require(0 < n < basis.dim, f"n={n} must satisfy 0 < n < dim")
     # named T here, where zeno_protect_sim's own check would name the duration; a
@@ -206,71 +213,78 @@ def run_zeno(*, dim, a, b, T, n_list, coupling, n=1):
     amps[0] = amps[n] = 1.0  # superposition of |0> and |n>
     initial = StateVector(amps, basis)
     P = projector_matrix(_checked("a, b", IntervalRegion, a, b), basis)
-    runs = [_checked("T, coupling", simulation.zeno_protect_sim, initial, count, T, measured=P,
+    runs = [_checked("T, coupling", zeno_protect_sim, initial, count, T, measured=P,
                      coupling=coupling) for count in n_list]
-    table = ResultTable([("n_protections", "", n_list),
-                         ("survival", "", [r.survival_probability for r in runs]),
-                         ("max_op_jump", "", [r.jump_norms.max(initial=0.0) for r in runs])])
-    return table, [("zeno.svg", "n_protections", ["survival"], ["survival"],
-                    "Zeno protection")]
+    columns = [("n_protections", "", n_list),
+               ("survival", "", [r.survival_probability for r in runs]),
+               ("max_op_jump", "", [r.jump_norms.max(initial=0.0) for r in runs])]
+    return columns, [("zeno.svg", "n_protections", ["survival"], ["survival"],
+                      "Zeno protection")]
 
 
 def run_thermal(*, dim, beta):
+    from .twostate import thermal_purification, thermal_weights
     basis = _checked("dim", OscillatorBasis, dim)
-    pure = _checked("beta", twostate.thermal_purification, beta, basis)
-    table = ResultTable([("n", "", np.arange(basis.dim)),
-                         ("weight", "", twostate.thermal_weights(beta, basis)),
-                         ("purification_amp", "", pure.amplitudes.real)])
-    return table, [("thermal.svg", "n", ["weight"], ["Boltzmann weight"],
-                    "thermal occupation")]
+    pure = _checked("beta", thermal_purification, beta, basis)
+    columns = [("n", "", np.arange(basis.dim)),
+               ("weight", "", thermal_weights(beta, basis)),
+               ("purification_amp", "", pure.amplitudes.real)]
+    return columns, [("thermal.svg", "n", ["weight"], ["Boltzmann weight"],
+                      "thermal occupation")]
 
 
 def run_two_state(*, dim, omega, T, steps, x0, w, alpha, delta):
+    from .twostate import two_state_readings
+    from .weak import MeasurementSchedule, weak_value_series
     # the rows read only the schedule's times, which no ramp moves
     schedule = _checked("T, steps", MeasurementSchedule, T, steps=steps)
     basis, P, pre = _measured(_window(x0, w), dim, omega, schedule)
     post = _checked("alpha", coherent_state, basis, alpha * np.exp(1j * delta)).dual()
     direct = _checked("alpha, delta, T", weak_value_series, P, pre, post, schedule.times, T)
-    traced, defect = twostate.two_state_readings(P, pre, post, schedule.times, T)
-    table = ResultTable([("t", "s", schedule.times),
-                         ("wv_direct_re", "", direct.real), ("wv_direct_im", "", direct.imag),
-                         ("wv_trace_re", "", traced.real), ("wv_trace_im", "", traced.imag),
-                         ("herm_defect", "", defect)])
-    return table, [("two_state.svg", "t", ["wv_direct_re"], ["Re weak value"],
-                    "two-state weak value")]
+    traced, defect = two_state_readings(P, pre, post, schedule.times, T)
+    columns = [("t", "s", schedule.times),
+               ("wv_direct_re", "", direct.real), ("wv_direct_im", "", direct.imag),
+               ("wv_trace_re", "", traced.real), ("wv_trace_im", "", traced.imag),
+               ("herm_defect", "", defect)]
+    return columns, [("two_state.svg", "t", ["wv_direct_re"], ["Re weak value"],
+                      "two-state weak value")]
 
 
 def run_ergodic(*, seed, amplitude, n_samples, ensemble_n, periods, t, a=0.5, b=1.0):
+    from .ergodicity import classical_ensemble_average, dwell_report, sampling_error
+    from .projectors import IntervalRegion
     _require(seed is not None and seed >= 0,
              f"seed={seed}: ergodic runs are stochastic and need a non-negative --seed")
     region = _checked("a, b", IntervalRegion, a, b)
     # at omega = 1: the outputs see omega only through omega t
-    dwell = _checked("amplitude, periods, n_samples", ergodicity.dwell_report,
+    dwell = _checked("amplitude, periods, n_samples", dwell_report,
                      amplitude, region, 1.0, n_samples, periods)
-    ens_avg = _checked("ensemble_n", ergodicity.classical_ensemble_average,
+    ens_avg = _checked("ensemble_n", classical_ensemble_average,
                        ensemble_n, amplitude, seed, region, t)
-    err_e = ergodicity.sampling_error(ens_avg, ensemble_n)
+    err_e = sampling_error(ens_avg, ensemble_n)
     combined = float(np.hypot(dwell.statistical_error, err_e))
     gap_sigmas = abs(dwell.time_average - ens_avg) / combined if combined > 0 else 0.0
-    table = ResultTable([("time_average", "", [dwell.time_average]),
-                         ("ensemble_average", "", [ens_avg]),
-                         ("analytic_fraction", "", [dwell.analytic_fraction]),
-                         ("stat_error_time", "", [dwell.statistical_error]),
-                         ("stat_error_ensemble", "", [err_e]), ("gap_sigmas", "", [gap_sigmas])])
-    return table, []
+    columns = [("time_average", "", [dwell.time_average]),
+               ("ensemble_average", "", [ens_avg]),
+               ("analytic_fraction", "", [dwell.analytic_fraction]),
+               ("stat_error_time", "", [dwell.statistical_error]),
+               ("stat_error_ensemble", "", [err_e]), ("gap_sigmas", "", [gap_sigmas])]
+    return columns, []
 
 
 def run_correspondence(*, n_samples, periods, n=50, a=2.0, b=4.0, dim=128):
+    from .ergodicity import correspondence_check
+    from .projectors import IntervalRegion
     basis = _checked("dim", OscillatorBasis, dim)
     region = _checked("a, b", IntervalRegion, a, b)
-    report = _checked("n, n_samples, periods", ergodicity.correspondence_check,
+    report = _checked("n, n_samples, periods", correspondence_check,
                       n, region, basis, n_samples=n_samples, n_periods=periods)
     rel_gap = (abs(report.quantum_fraction - report.analytic_fraction)
                / max(report.analytic_fraction, 1e-300))
-    table = ResultTable([("n", "", [n]), ("quantum_fraction", "", [report.quantum_fraction]),
-                         ("classical_fraction", "", [report.analytic_fraction]),
-                         ("time_average", "", [report.time_average]), ("rel_gap", "", [rel_gap])])
-    return table, []
+    columns = [("n", "", [n]), ("quantum_fraction", "", [report.quantum_fraction]),
+               ("classical_fraction", "", [report.analytic_fraction]),
+               ("time_average", "", [report.time_average]), ("rel_gap", "", [rel_gap])]
+    return columns, []
 
 
 RUNNERS = {
@@ -385,6 +399,7 @@ def merge_params(args: argparse.Namespace) -> list:
 
     config = {}
     if args.config:
+        import json  # only a config file is JSON
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 config = json.load(fh, parse_int=lambda text: _read(int, text))
@@ -419,11 +434,14 @@ def merge_params(args: argparse.Namespace) -> list:
 
 
 def run_single(experiment: str, params: dict, out_dir: str, plot: bool) -> str:
-    table, plots = RUNNERS[experiment](**params)
+    from .tables import ResultTable
+    columns, plots = RUNNERS[experiment](**params)
+    table = ResultTable(columns)
     csv_path = os.path.join(out_dir, experiment.replace("-", "_") + ".csv")
     table.write_csv(csv_path)
     written = [csv_path]
     if plot:
+        from .svgplot import emit_plot
         for fname, x, ys, labels, title in plots:
             path = os.path.join(out_dir, fname)
             emit_plot(table, x, ys, path, title=title, labels=labels)

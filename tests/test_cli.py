@@ -999,12 +999,76 @@ def test_heisenberg_experiment_bound_column(tmp_path):
             assert np.hypot(cells[ia], cells[ib]) <= cells[ibound] + 1e-15
 
 
-def test_cli_import_leaves_scipy_unloaded():
+# --------------------------------------------------------- what loads when
+
+def modules_after(code: str) -> set:
+    """The names in sys.modules after `code` runs in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(Path(protmeas.__file__).parents[1]))
-    code = "import sys, protmeas.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    probe = f"{code}\nimport sys; print(' '.join(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return set(out.splitlines()[-1].split())
+
+
+LAYERS = {f"protmeas.{name}" for name in ("oscillator", "quadrature", "projectors", "weak",
+                                           "simulation", "twostate", "ergodicity", "tables",
+                                           "svgplot")}
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    assert "scipy" not in modules_after("import protmeas.cli")
+
+
+@pytest.mark.parametrize("code, layers", [("import protmeas", set()),
+                                         ("import protmeas.cli", {"protmeas.oscillator"})])
+def test_an_import_loads_numpy_and_no_other_layer(code, layers):
+    # numpy loads at one BLAS thread with the package, and each layer on first
+    # use; the CLI loads the oscillator, which every command runs
+    loaded = modules_after(code)
+    assert "numpy" in loaded and loaded & LAYERS == layers
+
+
+def test_a_command_loads_only_the_layers_it_runs(tmp_path):
+    run = ("from protmeas.cli import main; "
+           f"main(['sketch', '--dim', '12', '--out', {str(tmp_path)!r}])")
+    loaded = modules_after(run)
+    assert loaded & LAYERS == {f"protmeas.{name}"
+                               for name in ("oscillator", "quadrature", "projectors", "tables")}
+    assert "protmeas.svgplot" in modules_after(run.replace("'--out'", "'--plot', '--out'"))
+    assert "protmeas.simulation" in modules_after("import protmeas; protmeas.simulation")
+
+
+# the names `protmeas` exports, by the module that defines each
+EXPORTS = {
+    "errors": ["NumericalError", "PostSelectionError", "ProtmeasError", "TruncationError",
+               "UsageError"],
+    "oscillator": ["DualState", "OscillatorBasis", "StateVector", "coherent_state", "evolve",
+                   "hamiltonian", "hermite_functions", "number_state", "position_wavefunction"],
+    "projectors": ["IntervalRegion", "ProjectorMatrix", "bin_edges", "dephasing_bound",
+                   "heisenberg_projector", "projector_matrix", "time_averaged_projector"],
+    "quadrature": ["bin_probabilities", "interval_diagonal"],
+    "weak": ["MeasurementSchedule", "PointerTrace", "closed_form_pvi_weak", "expectation",
+             "pointer_trace", "weak_value_series"],
+    "simulation": ["BipartiteResult", "ZenoResult", "bipartite_protective_sim",
+                   "zeno_protect_sim"],
+    "twostate": ["thermal_purification", "thermal_weights", "two_state_readings"],
+    "ergodicity": ["DwellReport", "classical_dwell_fraction", "classical_ensemble_average",
+                   "classical_time_average", "correspondence_check", "dwell_report"],
+}
+
+
+def test_each_public_name_is_its_modules_object():
+    for module, names in EXPORTS.items():
+        for name in names:
+            assert getattr(protmeas, name) is getattr(sys.modules[f"protmeas.{module}"], name)
+            assert name in vars(protmeas)   # a second read is a plain attribute lookup
+    star = {}
+    exec("from protmeas import *", star)
+    exported = {name for names in EXPORTS.values() for name in names}
+    assert set(protmeas.__all__) == set(star) - {"__builtins__"} == exported
+    assert exported <= set(dir(protmeas))
+    with pytest.raises(AttributeError, match="^module 'protmeas' has no attribute 'nope'$"):
+        protmeas.nope
 
 
 # -------------------------------------------------------------- README CLI
@@ -1075,6 +1139,17 @@ def test_readme_lists_each_experiments_parameters():
               for name, cells in rows}
     assert listed == {name: set(inspect.signature(run).parameters)
                       for name, run in RUNNERS.items()}
+
+
+def test_bipartite_steps_default_to_the_ladder_start(tmp_path):
+    # the README's bracket and a run without --steps both read simulation.LADDER_START
+    from protmeas.simulation import LADDER_START
+    assert f"`--steps` [{LADDER_START}]" in README.read_text(encoding="utf-8")
+    for name, extra in (("default", []), ("given", ["--steps", str(LADDER_START)])):
+        assert main(["bipartite", "--dim", "12", "--T", "2", *extra,
+                     "--out", str(tmp_path / name)]) == 0
+    csv = [read(tmp_path / name / "bipartite.csv") for name in ("default", "given")]
+    assert csv[0] == csv[1]
 
 
 # ---------------------------------------------------------------- benchmark

@@ -4,16 +4,18 @@ Usage:  protmeas <experiment> [--config file.json] [--param value ...] --out DIR
 
 A runner's keyword-only signature lists the parameters its experiment
 takes, with any default that differs from PARAMS; it returns its table's
-columns and plots, and imports the layers it calls beyond the oscillator,
-so that a command compiles only the modules it runs.  Flags override config
-values, which override the defaults.  argparse only splits the command
-line: `_convert` alone parses a flag value or --sweep token by its
-parameter's kind and checks it, as it checks a config value, whose JSON
-integers read by their digits as on the command line, so a value is
-refused with the same "key=value ..." message from all three.  A key the
-experiment does not take, a non-integral int, a non-finite float (other
-than the interval ends a and b), a size above its LIMITS bound or a time
-whose largest phase overflows is a usage error.
+columns and plots.  Runners read each library name beyond the
+oscillator's off the package, as `pm.<name>`: the package's one name ->
+module table imports a layer module on first use, so a command compiles
+only the modules it runs.  Flags override config values, which override
+the defaults.  argparse only splits the command line: `_convert` alone
+parses a flag value or --sweep token by its parameter's kind and checks
+it, as it checks a config value, whose JSON integers read by their
+digits as on the command line, so a value is refused with the same
+"key=value ..." message from all three.  A key the experiment does not
+take, a non-integral int, a non-finite float (other than the interval
+ends a and b), a size above its LIMITS bound or a time whose largest
+phase overflows is a usage error.
 Outputs are deterministic for a fixed config and seed: CSV files are
 written atomically and SVG plots carry no timestamps or
 environment-dependent bytes.  Exit codes: 0 ok, 2 usage, 3 numerical
@@ -32,8 +34,9 @@ import sys
 
 import numpy as np
 
+import protmeas as pm
 from .errors import NumericalError, PostSelectionError, TruncationError, UsageError
-# every command runs the oscillator layer; each runner imports the other layers it calls
+# every command runs the oscillator layer; the runners read the other layers' names off pm
 from .oscillator import OscillatorBasis, StateVector, check_phase, coherent_state, number_state
 
 # every tunable: name -> (type, default); each runner's signature names the
@@ -98,8 +101,7 @@ def _phase_time(basis: OscillatorBasis, key: str, value: float):
 
 def _window(x0, w):
     """The IntervalRegion of width w centred on x0."""
-    from .projectors import IntervalRegion
-    return _checked("x0, w", IntervalRegion, x0 - w / 2, x0 + w / 2)
+    return _checked("x0, w", pm.IntervalRegion, x0 - w / 2, x0 + w / 2)
 
 
 def _measured(region, dim, omega, schedule):
@@ -107,38 +109,34 @@ def _measured(region, dim, omega, schedule):
 
     A window T whose largest phase overflows is a usage error naming T.
     """
-    from .projectors import projector_matrix
     basis = _checked("dim, omega", OscillatorBasis, dim, omega)
     _phase_time(basis, "T", schedule.duration)
-    return basis, projector_matrix(region, basis), number_state(basis, 0)
+    return basis, pm.projector_matrix(region, basis), number_state(basis, 0)
 
 
 def run_sketch(*, dim, bin_width, L, n=None, alpha=None):
     """|psi|^2 per bin of [-L, L] for |n> (|0> by default), or for |alpha> if alpha is given."""
-    from .projectors import bin_edges
-    from .quadrature import bin_probabilities
     basis = _checked("dim", OscillatorBasis, dim)
-    edges = _checked("bin_width, L", bin_edges, bin_width, L)
+    edges = _checked("bin_width, L", pm.bin_edges, bin_width, L)
     _require(n is None or alpha is None,
              f"n={n}, alpha={alpha}: sketch draws |n> or |alpha>, give one of them")
     state = (_checked("n", number_state, basis, n or 0) if alpha is None
              else _checked("alpha", coherent_state, basis, alpha))
     columns = [("bin_center", "", 0.5 * (edges[:-1] + edges[1:])),
-               ("probability", "", bin_probabilities(state.amplitudes, edges))]
+               ("probability", "", pm.bin_probabilities(state.amplitudes, edges))]
     return columns, [("sketch.svg", "bin_center", ["probability"], ["|psi|^2 per bin"],
                       "wavefunction sketch")]
 
 
 def run_pointer_trace(*, dim, omega, T, ramp, steps, x0, w, alpha, delta, alpha2):
-    from .weak import MeasurementSchedule, closed_form_pvi_weak, pointer_trace
-    schedule = _checked("T, ramp, steps", MeasurementSchedule, T, ramp, steps)
+    schedule = _checked("T, ramp, steps", pm.MeasurementSchedule, T, ramp, steps)
     basis, P, pre = _measured(_window(x0, w), dim, omega, schedule)
 
-    trivial = pointer_trace(schedule, pre, P)
+    trivial = pm.pointer_trace(schedule, pre, P)
     post = _checked("alpha", coherent_state, basis, alpha * np.exp(1j * delta)).dual()
-    sel = pointer_trace(schedule, pre, P, post)
+    sel = pm.pointer_trace(schedule, pre, P, post)
 
-    closed = _checked("alpha, x0", closed_form_pvi_weak, abs(alpha), delta, x0, omega, T,
+    closed = _checked("alpha, x0", pm.closed_form_pvi_weak, abs(alpha), delta, x0, omega, T,
                       schedule.times)
     columns = [("t", "s", schedule.times), ("reading_trivial", "", trivial.readings),
                ("reading_alpha", "", sel.readings), ("wv_re_alpha", "", sel.values),
@@ -147,7 +145,7 @@ def run_pointer_trace(*, dim, omega, T, ramp, steps, x0, w, alpha, delta, alpha2
               ["alpha post-selection", "trivial post-selection"], "pointer readings")]
     if alpha2 is not None:
         post2 = _checked("alpha2", coherent_state, basis, alpha2 * np.exp(1j * delta)).dual()
-        sel2 = pointer_trace(schedule, pre, P, post2)
+        sel2 = pm.pointer_trace(schedule, pre, P, post2)
         columns += [("reading_alpha2", "", sel2.readings), ("wv_re_alpha2", "", sel2.values)]
         plots.append(("fig2.svg", "t", ["wv_re_alpha", "wv_re_alpha2"],
                       [f"alpha={alpha:g}", f"alpha={alpha2:g}"], "weak value comparison"))
@@ -163,20 +161,18 @@ def run_pointer_trace(*, dim, omega, T, ramp, steps, x0, w, alpha, delta, alpha2
 
 
 def run_heisenberg(*, a, b, T, max_index, t):
-    from .projectors import (IntervalRegion, dephasing_bound, heisenberg_projector,
-                             projector_matrix, time_averaged_projector)
     # the k x k block, k = max_index, needs phi_0..phi_k only: P on the first max(k, 2)
     # levels at omega = 1, where the output sees omega only through omega T and omega t
     basis = OscillatorBasis(max(max_index, 2))
-    region = _checked("a, b", IntervalRegion, a, b)
+    region = _checked("a, b", pm.IntervalRegion, a, b)
     _phase_time(basis, "T", T)
     _phase_time(basis, "t", t)
     _require(max_index >= 1, f"max_index={max_index} must be >= 1")
-    P = projector_matrix(region, basis)
-    Pt = heisenberg_projector(P, t)
-    avg = _checked("T", time_averaged_projector, P, T)
+    P = pm.projector_matrix(region, basis)
+    Pt = pm.heisenberg_projector(P, t)
+    avg = _checked("T", pm.time_averaged_projector, P, T)
     m, n = np.indices((max_index, max_index)).reshape(2, -1)
-    p, pt, pa, bound = (M[m, n] for M in (P.entries, Pt, avg, dephasing_bound(P, T)))
+    p, pt, pa, bound = (M[m, n] for M in (P.entries, Pt, avg, pm.dephasing_bound(P, T)))
     columns = [("m", "", m), ("n", "", n), ("p_re", "", p.real), ("p_im", "", p.imag),
                ("heis_re", "", pt.real), ("heis_im", "", pt.imag),
                ("avg_re", "", pa.real), ("avg_im", "", pa.imag), ("bound", "", bound)]
@@ -184,16 +180,13 @@ def run_heisenberg(*, a, b, T, max_index, t):
 
 
 def run_bipartite(*, dim, omega, a, b, T, ramp, steps=None, pointer_sigma, shift_tol):
-    from .projectors import IntervalRegion
-    from .simulation import bipartite_protective_sim
-    from .weak import MeasurementSchedule, expectation
     # no steps: the ladder starts at bipartite_protective_sim's own default
     given = {} if steps is None else {"steps": steps}
-    schedule = _checked("T, ramp, steps", MeasurementSchedule, T, ramp, **given)
-    _, P, pre = _measured(_checked("a, b", IntervalRegion, a, b), dim, omega, schedule)
-    result = _checked("pointer_sigma, shift_tol", bipartite_protective_sim, P, schedule,
+    schedule = _checked("T, ramp, steps", pm.MeasurementSchedule, T, ramp, **given)
+    _, P, pre = _measured(_checked("a, b", pm.IntervalRegion, a, b), dim, omega, schedule)
+    result = _checked("pointer_sigma, shift_tol", pm.bipartite_protective_sim, P, schedule,
                       pointer_sigma=pointer_sigma, shift_tol=shift_tol, **given)
-    ref = expectation(P, pre)
+    ref = pm.expectation(P, pre)
     columns = [("T", "s", [T]), ("pointer_shift", "", [result.pointer_shift]),
                ("energy_shift_per_p", "1/s", [result.energy_shift_per_p]),
                ("survival", "", [result.survival_probability]),
@@ -202,8 +195,6 @@ def run_bipartite(*, dim, omega, a, b, T, ramp, steps=None, pointer_sigma, shift
 
 
 def run_zeno(*, dim, a, b, T, n_list, coupling, n=1):
-    from .projectors import IntervalRegion, projector_matrix
-    from .simulation import zeno_protect_sim
     basis = _checked("dim", OscillatorBasis, dim)
     _require(0 < n < basis.dim, f"n={n} must satisfy 0 < n < dim")
     # named T here, where zeno_protect_sim's own check would name the duration; a
@@ -212,8 +203,8 @@ def run_zeno(*, dim, a, b, T, n_list, coupling, n=1):
     amps = np.zeros(basis.dim, dtype=complex)
     amps[0] = amps[n] = 1.0  # superposition of |0> and |n>
     initial = StateVector(amps, basis)
-    P = projector_matrix(_checked("a, b", IntervalRegion, a, b), basis)
-    runs = [_checked("T, coupling", zeno_protect_sim, initial, count, T, measured=P,
+    P = pm.projector_matrix(_checked("a, b", pm.IntervalRegion, a, b), basis)
+    runs = [_checked("T, coupling", pm.zeno_protect_sim, initial, count, T, measured=P,
                      coupling=coupling) for count in n_list]
     columns = [("n_protections", "", n_list),
                ("survival", "", [r.survival_probability for r in runs]),
@@ -223,25 +214,22 @@ def run_zeno(*, dim, a, b, T, n_list, coupling, n=1):
 
 
 def run_thermal(*, dim, beta):
-    from .twostate import thermal_purification, thermal_weights
     basis = _checked("dim", OscillatorBasis, dim)
-    pure = _checked("beta", thermal_purification, beta, basis)
+    pure = _checked("beta", pm.thermal_purification, beta, basis)
     columns = [("n", "", np.arange(basis.dim)),
-               ("weight", "", thermal_weights(beta, basis)),
+               ("weight", "", pm.thermal_weights(beta, basis)),
                ("purification_amp", "", pure.amplitudes.real)]
     return columns, [("thermal.svg", "n", ["weight"], ["Boltzmann weight"],
                       "thermal occupation")]
 
 
 def run_two_state(*, dim, omega, T, steps, x0, w, alpha, delta):
-    from .twostate import two_state_readings
-    from .weak import MeasurementSchedule, weak_value_series
     # the rows read only the schedule's times, which no ramp moves
-    schedule = _checked("T, steps", MeasurementSchedule, T, steps=steps)
+    schedule = _checked("T, steps", pm.MeasurementSchedule, T, steps=steps)
     basis, P, pre = _measured(_window(x0, w), dim, omega, schedule)
     post = _checked("alpha", coherent_state, basis, alpha * np.exp(1j * delta)).dual()
-    direct = _checked("alpha, delta, T", weak_value_series, P, pre, post, schedule.times, T)
-    traced, defect = two_state_readings(P, pre, post, schedule.times, T)
+    direct = _checked("alpha, delta, T", pm.weak_value_series, P, pre, post, schedule.times, T)
+    traced, defect = pm.two_state_readings(P, pre, post, schedule.times, T)
     columns = [("t", "s", schedule.times),
                ("wv_direct_re", "", direct.real), ("wv_direct_im", "", direct.imag),
                ("wv_trace_re", "", traced.real), ("wv_trace_im", "", traced.imag),
@@ -251,15 +239,14 @@ def run_two_state(*, dim, omega, T, steps, x0, w, alpha, delta):
 
 
 def run_ergodic(*, seed, amplitude, n_samples, ensemble_n, periods, t, a=0.5, b=1.0):
-    from .ergodicity import classical_ensemble_average, dwell_report, sampling_error
-    from .projectors import IntervalRegion
+    from .ergodicity import sampling_error
     _require(seed is not None and seed >= 0,
              f"seed={seed}: ergodic runs are stochastic and need a non-negative --seed")
-    region = _checked("a, b", IntervalRegion, a, b)
+    region = _checked("a, b", pm.IntervalRegion, a, b)
     # at omega = 1: the outputs see omega only through omega t
-    dwell = _checked("amplitude, periods, n_samples", dwell_report,
+    dwell = _checked("amplitude, periods, n_samples", pm.dwell_report,
                      amplitude, region, 1.0, n_samples, periods)
-    ens_avg = _checked("ensemble_n", classical_ensemble_average,
+    ens_avg = _checked("ensemble_n", pm.classical_ensemble_average,
                        ensemble_n, amplitude, seed, region, t)
     err_e = sampling_error(ens_avg, ensemble_n)
     combined = float(np.hypot(dwell.statistical_error, err_e))
@@ -273,11 +260,9 @@ def run_ergodic(*, seed, amplitude, n_samples, ensemble_n, periods, t, a=0.5, b=
 
 
 def run_correspondence(*, n_samples, periods, n=50, a=2.0, b=4.0, dim=128):
-    from .ergodicity import correspondence_check
-    from .projectors import IntervalRegion
     basis = _checked("dim", OscillatorBasis, dim)
-    region = _checked("a, b", IntervalRegion, a, b)
-    report = _checked("n, n_samples, periods", correspondence_check,
+    region = _checked("a, b", pm.IntervalRegion, a, b)
+    report = _checked("n, n_samples, periods", pm.correspondence_check,
                       n, region, basis, n_samples=n_samples, n_periods=periods)
     rel_gap = (abs(report.quantum_fraction - report.analytic_fraction)
                / max(report.analytic_fraction, 1e-300))

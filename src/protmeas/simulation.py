@@ -9,9 +9,9 @@ The pointer shift is therefore the average over p of integral g <P_V>_p dt,
 and conditional on a projector eigenvalue lambda the pointer translates by
 lambda * integral(g) = lambda.  The initial pointer is a Gaussian of
 position spread sigma, so p is Gaussian with spread 1 / (2 sigma).  Each
-p-column is analytic in p, and NODES Gauss-Hermite momenta (Golub and
-Welsch, Math. Comp. 23, 221 (1969)) carry the average; survival and the
-energy shift are the same weighted averages.
+p-column is analytic in p, and the four Gauss-Hermite momenta of
+GAUSS_HERMITE (Golub and Welsch, Math. Comp. 23, 221 (1969)) carry the
+average; survival and the energy shift are the same weighted averages.
 
 Only the raised-cosine ramps are stepped, by Strang splitting (second
 order).  The interaction kick exp(-i theta p P_V) is diagonal once the
@@ -39,7 +39,7 @@ with no dim x dim array formed per protection.
 """
 
 from dataclasses import dataclass
-from math import pi, sqrt
+from math import isfinite, pi, sqrt
 
 import numpy as np
 
@@ -50,9 +50,14 @@ from .projectors import ProjectorMatrix
 from .weak import MeasurementSchedule, _require_hermitian, as_matrix
 
 
-# Gauss-Hermite pointer momenta; 8 and 16 nodes agree with 4 within 3e-14 in
-# the shift, survival and energy shift at dim 64 and 256, T = 5 to 100
-NODES = 4
+# the Gauss-Hermite pointer momenta and weights, bit for bit the floats
+# numpy.polynomial.hermite.hermgauss(4) returns (the closed forms
+# sqrt((3 -+ sqrt(6)) / 2) round 1 ulp away), formed without importing
+# numpy.polynomial; 8 and 16 nodes agree with 4 within 3e-14 in the shift,
+# survival and energy shift at dim 64 and 256, T = 5 to 100
+GAUSS_HERMITE = (
+    np.array([-1.6506801238857847, -0.5246476232752904, 0.5246476232752904, 1.6506801238857847]),
+    np.array([0.08131283544724519, 0.8049140900055127, 0.8049140900055127, 0.08131283544724519]))
 
 
 @dataclass(frozen=True)
@@ -121,14 +126,14 @@ def _bipartite_model(P: ProjectorMatrix, schedule: MeasurementSchedule, pre: Sta
     """The ladder's fixed inputs, formed once per call.
 
     `sigma` is the pointer's position spread, so its momentum is a Gaussian
-    of std dev 1 / (2 sigma), carried by NODES Gauss-Hermite momenta p with
+    of std dev 1 / (2 sigma), carried by the GAUSS_HERMITE momenta p with
     weights w.  Returns the tuple (p, w, lam, W, energies, A, start, ref):
     P_V = W diag(lam) W^T, the plateau's free generator A = W^T diag(E) W,
     and the pre-selected state and its freely evolved survival reference,
     both in P_V's eigenbasis.  Raises ValueError if a momentum reaches
     2**52 or the phase E_max * duration overflows.
     """
-    xi, w = np.polynomial.hermite.hermgauss(NODES)
+    xi, w = GAUSS_HERMITE
     with np.errstate(over="ignore"):
         p = xi / (sqrt(2.0) * sigma)
     # the window's kick phase reaches max|p| * integral(g) = max|p|, whose ulp is
@@ -192,11 +197,11 @@ def bipartite_protective_sim(P: ProjectorMatrix, schedule: MeasurementSchedule,
     by less than `shift_tol`; otherwise it doubles `steps`, up to REFINEMENTS
     times.  `steps_used` is the accepted rung.
     The initial pointer is a Gaussian of position spread `pointer_sigma`.
-    Raises ValueError if pointer_sigma is not positive and finite or so
-    small that a pointer momentum reaches 2**52, if shift_tol is negative or
-    NaN or if the phase E_max * duration overflows, and NumericalError if
-    a rung's pointer shift is not finite or the ladder is exhausted
-    without convergence.
+    Raises ValueError if steps is not an integer >= 2, if pointer_sigma is
+    not positive and finite or so small that a pointer momentum reaches
+    2**52, if shift_tol is negative or NaN or if the phase E_max * duration
+    overflows, and NumericalError if a rung's pointer shift is not finite
+    or the ladder is exhausted without convergence.
 
     `ladder_error` is the full gap |s_2n - s_n| between the last two rungs,
     an estimate of the accepted rung's step error, not a bound.  In the
@@ -205,6 +210,8 @@ def bipartite_protective_sim(P: ProjectorMatrix, schedule: MeasurementSchedule,
     the error at dim 64 and 256 for T = 5, 20 and 40, and at dim 64 for
     T = 100, while at dim 256, T = 100 it read 6.3e-11 against 1.2e-10.
     """
+    if not (isinstance(steps, (int, np.integer)) and steps >= 2):
+        raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
     check_positive(pointer_sigma, "pointer sigma")
     if not shift_tol >= 0:
         raise ValueError(f"shift_tol must be non-negative, got {shift_tol}")
@@ -252,8 +259,9 @@ def zeno_protect_sim(initial: StateVector, n_protections: int, duration: float,
     sqrt(2) |a|.  The update is Hermitian, so B stays Hermitian to rounding
     (not bit for bit: numpy's vectorized complex products round the entries
     of s_k a^dag and of a s_k^dag differently).  Raises ValueError if
-    `measured` is not Hermitian or if the phase E_max duration overflows the
-    float range.
+    `measured` is not Hermitian, if the coupling rate coupling / duration is
+    NaN or infinite, or if the phase E_max duration overflows the float
+    range.
     """
     if n_protections < 1:
         raise ValueError(f"need at least one protection, got {n_protections}")
@@ -261,11 +269,16 @@ def zeno_protect_sim(initial: StateVector, n_protections: int, duration: float,
     # the update below holds for a Hermitian B only, and eigh would read only the
     # lower triangle of a coupled H; a ProjectorMatrix passes unchecked
     _require_hermitian(measured)
+    # a NaN or overflowing rate would reach eigh through H, which fails on it
+    rate = float(coupling) / float(duration)
+    if not isfinite(rate):
+        raise ValueError(f"the coupling rate coupling/duration={rate:g} is not finite "
+                         f"at coupling={coupling:g}, duration={duration:g}")
     if coupling == 0.0:
         # H is diagonal: eigh would return exactly its energies and the identity
         evals, vecs = initial.basis.energies(), None
     else:
-        H = hamiltonian(initial.basis) + (coupling / duration) * as_matrix(measured)
+        H = hamiltonian(initial.basis) + rate * as_matrix(measured)
         evals, vecs = np.linalg.eigh(H)
     # protection k forms its phases from k dt, up to E_max T
     check_phase(np.max(np.abs(evals)), duration, "duration")

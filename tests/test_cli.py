@@ -670,6 +670,14 @@ def test_overflowing_phase_is_named(args, named, tmp_path, capsys):
     # named by correspondence itself, not as the recurrence's count n + 1 = 0
     pytest.param(["correspondence", "--n", "-1"], "n, n_samples, periods: n must be >= 0, got -1",
                  id="correspondence-negative-n"),
+    # the schedule refuses it first, as it did before the simulation checked steps
+    pytest.param(["bipartite", "--dim", "12", "--steps", "1"],
+                 "T, ramp, steps: steps must be >= 2, got 1", id="bipartite-steps"),
+    # the rate 1e10 / 1e-300 overflows: it warned in eigh's input and exited 2 with
+    # "Eigenvalues did not converge"
+    pytest.param(["zeno", "--dim", "16", "--a", "0", "--coupling", "1e10", "--T", "1e-300"],
+                 "T, coupling: the coupling rate coupling/duration=inf is not finite",
+                 id="zeno-coupling-rate"),
     # numpy's seed sequence would raise ValueError, exit 1
     pytest.param(["ergodic", "--seed=-1"], "seed=-1", id="ergodic-seed"),
     # sizes beyond LIMITS: a traceback (an int too large for a float, numpy's
@@ -1028,13 +1036,33 @@ def test_an_import_loads_numpy_and_no_other_layer(code, layers):
     assert "numpy" in loaded and loaded & LAYERS == layers
 
 
+# a small run of each command, and the layer modules it loads beyond sketch's
+COMMAND_LAYERS = [
+    (["sketch", "--dim", "12"], set()),
+    (["heisenberg-projector", "--max-index", "4"], set()),
+    (["pointer-trace", "--dim", "32", "--T", "2", "--steps", "16"], {"weak"}),
+    (["pointer-trace", "--dim", "32", "--T", "2", "--steps", "16", "--plot"],
+     {"weak", "svgplot"}),
+    (["zeno", "--dim", "12", "--n-list", "4"], {"weak", "simulation"}),
+    (["bipartite", "--dim", "12", "--T", "2"], {"weak", "simulation"}),
+    (["thermal", "--dim", "32"], {"weak", "twostate"}),
+    (["two-state", "--dim", "32", "--T", "2", "--steps", "16"], {"weak", "twostate"}),
+    (["ergodic", "--seed", "1", "--n-samples", "1001", "--ensemble-n", "1000"], {"ergodicity"}),
+    (["correspondence", "--n", "5", "--dim", "16", "--n-samples", "1001"], {"ergodicity"}),
+]
+
+
 def test_a_command_loads_only_the_layers_it_runs(tmp_path):
-    run = ("from protmeas.cli import main; "
-           f"main(['sketch', '--dim', '12', '--out', {str(tmp_path)!r}])")
-    loaded = modules_after(run)
-    assert loaded & LAYERS == {f"protmeas.{name}"
-                               for name in ("oscillator", "quadrature", "projectors", "tables")}
-    assert "protmeas.svgplot" in modules_after(run.replace("'--out'", "'--plot', '--out'"))
+    # each command in a fresh process: the package, cli, errors and the layers it
+    # runs, and no numpy.polynomial (bipartite's four nodes are constants)
+    assert {argv[0] for argv, _ in COMMAND_LAYERS} == set(RUNNERS)
+    for argv, extra in COMMAND_LAYERS:
+        argv = [*argv, "--out", str(tmp_path / "-".join(argv))]
+        loaded = modules_after(f"from protmeas.cli import main; assert main({argv!r}) == 0")
+        layers = {"oscillator", "quadrature", "projectors", "tables", *extra}
+        assert {m for m in loaded if m.startswith("protmeas")} == {
+            "protmeas", "protmeas.cli", "protmeas.errors", *(f"protmeas.{m}" for m in layers)}, argv
+        assert "numpy.polynomial" not in loaded, argv
     assert "protmeas.simulation" in modules_after("import protmeas; protmeas.simulation")
 
 
@@ -1154,20 +1182,26 @@ def test_bipartite_steps_default_to_the_ladder_start(tmp_path):
 
 # ---------------------------------------------------------------- benchmark
 
-def test_benchmark_worker_traces_bipartite(tmp_path):
-    # the benchmark worker binds bipartite_protective_sim's `steps` argument
-    # and its result's steps_used and final_norm; renaming any of them
-    # breaks every benchmark run
+def worker_spans(tmp_path, *argv, trace=True) -> list:
+    """The spans of one `perfbench/worker.py cli` run of `argv`, writing to tmp_path."""
     root = Path(__file__).parents[1]
     result = tmp_path / "R.json"
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
     run = subprocess.run(
         [sys.executable, str(root / "perfbench" / "worker.py"), "cli", "--result", str(result),
-         "--", "bipartite", "--dim", "16", "--T", "2", "--steps", "64", "--out", str(tmp_path)],
+         *(["--trace"] if trace else []), "--", *argv, "--out", str(tmp_path)],
         env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    report = json.loads(result.read_text(encoding="utf-8"))
-    spans = [s for s in report["spans"] if s["name"] == "simulation.bipartite_protective_sim"]
+    return json.loads(result.read_text(encoding="utf-8"))["spans"]
+
+
+def test_benchmark_worker_traces_bipartite(tmp_path):
+    # the benchmark worker binds bipartite_protective_sim's `steps` argument
+    # and its result's steps_used and final_norm; renaming any of them
+    # breaks every benchmark run
+    spans = worker_spans(tmp_path, "bipartite", "--dim", "16", "--T", "2", "--steps", "64",
+                         trace=False)
+    spans = [s for s in spans if s["name"] == "simulation.bipartite_protective_sim"]
     assert len(spans) == 1
     assert spans[0]["steps"] == 64 and spans[0]["steps_used"] >= 128
     assert spans[0]["norm"] == pytest.approx(1.0, abs=1e-10)
@@ -1176,31 +1210,26 @@ def test_benchmark_worker_traces_bipartite(tmp_path):
 def test_benchmark_worker_traces_sketch(tmp_path):
     # `--trace 1` wraps the public functions of protmeas.quadrature by name;
     # sketch takes its bins from the shared edges, not from a projector per bin
-    root = Path(__file__).parents[1]
-    result = tmp_path / "R.json"
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
-    run = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "worker.py"), "cli", "--result", str(result),
-         "--trace", "--", "sketch", "--bin-width", "0.1", "--L", "4", "--out", str(tmp_path)],
-        env=env, capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    names = [s["name"] for s in json.loads(result.read_text(encoding="utf-8"))["spans"]]
+    names = [s["name"] for s in worker_spans(tmp_path, "sketch", "--bin-width", "0.1", "--L", "4")]
     assert names.count("quadrature.bin_probabilities") == 1
     assert "projectors.projector_matrix" not in names
 
 
+def test_benchmark_worker_traces_pointer_trace(tmp_path):
+    # the runner calls the library through the package's names, which the tracer
+    # must still see: a run with no spans would pass the smoke run's checks
+    spans = worker_spans(tmp_path, "pointer-trace", "--T", "2", "--steps", "16")
+    names = [s["name"] for s in spans]
+    assert names.count("weak.pointer_trace") == 2
+    assert names.count("weak.weak_value_series") == 2
+    assert names.count("projectors.projector_matrix") == 1
+
+
 def test_benchmark_worker_traces_correspondence(tmp_path):
     # the dwell probability comes off the diagonal recurrence: no projector, no expectation
-    root = Path(__file__).parents[1]
-    result = tmp_path / "R.json"
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
-    run = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "worker.py"), "cli", "--result", str(result),
-         "--trace", "--", "correspondence", "--n", "50", "--a", "2", "--b", "4", "--dim", "128",
-         "--out", str(tmp_path)],
-        env=env, capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    names = [s["name"] for s in json.loads(result.read_text(encoding="utf-8"))["spans"]]
+    spans = worker_spans(tmp_path, "correspondence", "--n", "50", "--a", "2", "--b", "4",
+                         "--dim", "128")
+    names = [s["name"] for s in spans]
     assert names.count("quadrature.interval_diagonal") == 1
     assert "projectors.projector_matrix" not in names
     assert "weak.expectation" not in names

@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -151,6 +152,21 @@ def test_bipartite_refuses_a_negative_or_nan_shift_tol(tol, monkeypatch):
     monkeypatch.setattr(simulation, "_rungs", None)
     with pytest.raises(ValueError, match="shift_tol"):
         bipartite_protective_sim(P, MeasurementSchedule(5.0), shift_tol=tol)
+
+
+@pytest.mark.parametrize("steps", [0, -4, 1, 2.5, 64.0, None])
+def test_bipartite_refuses_a_bad_steps_by_name(steps, monkeypatch):
+    # 0, -4 and 2.5 ran and returned steps_used 0, -8 and 5.0 with a pointer shift
+    P = projector_matrix(IntervalRegion(0.0, np.inf), OscillatorBasis(dim=16))
+    monkeypatch.setattr(simulation, "_rungs", None)
+    with pytest.raises(ValueError, match=f"^steps must be an integer >= 2, got {steps!r}$"):
+        bipartite_protective_sim(P, MeasurementSchedule(5.0), steps=steps)
+
+
+def test_bipartite_takes_a_numpy_integer_steps(tail_projector):
+    plain = bipartite_protective_sim(tail_projector, MeasurementSchedule(5.0), steps=64)
+    numpy = bipartite_protective_sim(tail_projector, MeasurementSchedule(5.0), steps=np.int64(64))
+    assert numpy == plain
 
 
 def test_bipartite_names_an_overflowing_window():
@@ -312,12 +328,20 @@ def test_nodes_match_the_grid_scheme(dim):
         np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-9)
 
 
+def test_the_four_node_rule_is_hermgauss_bit_for_bit():
+    # the bipartite.csv bytes rest on these floats; the closed forms differ by 1 ulp
+    for ours, numpy in zip(simulation.GAUSS_HERMITE, np.polynomial.hermite.hermgauss(4)):
+        assert ours.dtype == numpy.dtype and ours.tobytes() == numpy.tobytes()
+
+
 @pytest.mark.parametrize("dim", [64, 256])
 def test_four_nodes_match_eight(dim, monkeypatch):
     P = projector_matrix(IntervalRegion(1.0, np.inf), OscillatorBasis(dim=dim))
     sched = MeasurementSchedule(20.0)
     four = bipartite_protective_sim(P, sched)
-    monkeypatch.setattr(simulation, "NODES", 8)
+    monkeypatch.setattr(simulation, "GAUSS_HERMITE", np.polynomial.hermite.hermgauss(8))
+    # the model carries 8 momenta: a patch that no longer reached it would compare 4 with 4
+    assert len(_bipartite_model(P, sched, number_state(P.basis, 0), 10.0)[0]) == 8
     eight = bipartite_protective_sim(P, sched)
     for name in ("pointer_shift", "energy_shift_per_p", "survival_probability"):
         assert getattr(four, name) == pytest.approx(getattr(eight, name), abs=1e-12)
@@ -380,13 +404,13 @@ def test_large_bipartite_is_bounded():
 
 def test_bipartite_diagonalizes_the_projector_once_per_call(tail_projector, monkeypatch):
     # P's eigenbasis is formed before the ladder; each pass diagonalizes only
-    # the NODES plateau Hamiltonians
+    # the four nodes' plateau Hamiltonians
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda H: calls.append(H.shape) or eigh(H))
     res = bipartite_protective_sim(tail_projector, MeasurementSchedule(20.0), shift_tol=1e-11)
     assert res.steps_used == 8 * simulation.LADDER_START             # three passes
-    assert calls == [(32, 32)] * (1 + 3 * simulation.NODES)
+    assert calls == [(32, 32)] * (1 + 3 * 4)
 
 
 def test_a_sigma_whose_momenta_overflow_is_named(monkeypatch):
@@ -585,6 +609,18 @@ def test_zeno_refuses_a_non_hermitian_operator(basis32, rng):
     for coupling in (0.0, 0.3):
         with pytest.raises(ValueError, match="operator is not Hermitian"):
             zeno_protect_sim(init, 4, np.pi, measured=O, coupling=coupling)
+
+
+@pytest.mark.parametrize("coupling, duration", [(np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0),
+                                               (1e10, 1e-300)])
+def test_zeno_refuses_a_non_finite_coupling_rate(basis32, tail_projector, monkeypatch,
+                                                 coupling, duration):
+    # refused before H is formed: nan reached eigh's LinAlgError, -inf and an
+    # overflowing 1e10 / 1e-300 a RuntimeWarning
+    monkeypatch.setattr(simulation, "hamiltonian", None)
+    named = re.escape(f"is not finite at coupling={coupling:g}, duration={duration:g}")
+    with pytest.raises(ValueError, match=f"^the coupling rate coupling/duration=\\S+ {named}$"):
+        zeno_protect_sim(superposition01(basis32), 4, duration, tail_projector, coupling)
 
 
 def test_zeno_checks_no_projector_matrix(basis32, tail_projector, monkeypatch):

@@ -25,18 +25,30 @@ With <Phi_f| = sum_m d_m <m| and |Psi_i> = sum_n a_n |n>, the numerator is
 because E_m - E_n = (m - n) omega under either zero-point convention (the
 zero point enters only through e^{-i E_m T}).  The 2 dim - 1 coefficients
 c_k, k = m - n, are the diagonal sums of a time-independent dim x dim
-matrix, so N(t) is a trigonometric polynomial evaluated at arbitrary times
-by Horner's rule in z for k >= 0 and in conj(z) for k < 0, one vector
-multiply-add per coefficient.  Horner's rule is backward stable, and for
-|z| = 1 its error stays at roundoff times sum |c_k| (Higham, Accuracy and
-Stability of Numerical Algorithms, sec. 5.1); summing the two halves from
-k = 0 outward keeps the phase error of each term proportional to |k|, as in
-a direct evaluation of every e^{-i E_n t}.
+matrix, so N(t) is a trigonometric polynomial of K significant terms.
+
+On a grid, a 1-D array of S >= 2 times equal to its own np.linspace(t_0,
+t_{S-1}, S) (every MeasurementSchedule.times is one), N is one complex
+matrix product: with J = isqrt(S), j = J q + r and dt the grid step,
+e^{i k omega t_j} = e^{i k omega t_{Jq}} e^{i k omega r dt}, so the Q x K
+array c_k e^{i k omega t_{Jq}} times the K x J array e^{i k omega r dt} gives
+all S values from about 2 K sqrt(S) exponentials and one BLAS call.  The
+times t_{Jq} + r dt part from the linspace's t_j by about 2 u max|t|, and
+each phase is rounded once, so a term moves by a few u |k| omega max|t|
+|c_k| and the sums round by a few u K sum |c_k|.
+
+Every other time array (a scalar, an empty, one-element or 2-D array, or
+arbitrary times) takes Horner's rule in z for k >= 0 and in conj(z) for
+k < 0, one vector multiply-add per coefficient.  Horner's rule is backward
+stable, and for |z| = 1 its error stays at roundoff times sum |c_k|
+(Higham, Accuracy and Stability of Numerical Algorithms, sec. 5.1); summing
+the two halves from k = 0 outward keeps the phase error of each term
+proportional to |k|, as in a direct evaluation of every e^{-i E_n t}.
 
 Number- and coherent-state amplitudes fall off faster than exponentially, so
 `_significant` cuts the bra and the a_n before the fold, and each half of
-the c_k before Horner's rule, to the terms above rounding level; the cut
-moves N(t) by at most 3 u max|A_mn| ||d||_1 ||a||_1, u = eps/2.
+the c_k before either evaluation, to the terms above rounding level; the
+cut moves N(t) by at most 3 u max|A_mn| ||d||_1 ||a||_1, u = eps/2.
 """
 
 import math
@@ -69,6 +81,8 @@ class MeasurementSchedule:
         check_positive(self.duration, "duration")
         if not 0.0 <= self.ramp_fraction <= 0.5:
             raise ValueError(f"ramp_fraction must lie in [0, 0.5], got {self.ramp_fraction}")
+        if not isinstance(self.steps, (int, np.integer)):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
         width = self.duration * (1.0 - self.ramp_fraction)   # zero if it underflows
@@ -169,16 +183,38 @@ def post_selection_overlap(pre: StateVector, post: DualState, duration: float) -
 
 
 def _horner(coeffs, z):
-    """sum_k coeffs[k] z^k by Horner's rule, one vector multiply-add per coefficient.
-
-    The trailing run that `_significant` cuts, at most u sum |coeffs| at |z| = 1, is left out.
-    """
-    coeffs = _significant(coeffs)
+    """sum_k coeffs[k] z^k by Horner's rule, one vector multiply-add per coefficient."""
     values = np.full(z.shape, coeffs[-1])
     for c in coeffs[-2::-1]:
         values *= z
         values += c
     return values
+
+
+def _on_grid(times) -> bool:
+    """Whether times is a 1-D array of at least two points, equal to its own linspace."""
+    return (times.ndim == 1 and times.size > 1
+            and np.array_equal(times, np.linspace(times[0], times[-1], times.size)))
+
+
+def _grid_series(ahead, behind, omega, times):
+    """sum_k c_k e^{i k omega t} on the linspace `times` as one matrix product.
+
+    ahead holds c_0, c_1, ... and behind c_{-1}, c_{-2}, ...  With
+    J = isqrt(S) and j = J q + r, e^{i k omega t_j} is the product of
+    e^{i k omega t_{Jq}} (a row) and e^{i k omega r dt} (a column); the
+    factors of k < 0 are the conjugates of those of -k.
+    """
+    size = times.size
+    cols = math.isqrt(size)
+    dt = (times[-1] - times[0]) / (size - 1)
+    rate = omega * np.arange(max(ahead.size, behind.size + 1))
+    rows = np.exp(1j * np.outer(times[::cols], rate))
+    phases = np.exp(1j * np.outer(rate, dt * np.arange(cols)))
+    back = slice(1, behind.size + 1)
+    rows = np.hstack([ahead * rows[:, :ahead.size], behind * rows[:, back].conj()])
+    phases = np.vstack([phases[:ahead.size], phases[back].conj()])
+    return (rows @ phases).ravel()[:size]
 
 
 def weak_value_series(A, pre: StateVector, post: DualState, times, duration: float):
@@ -187,15 +223,19 @@ def weak_value_series(A, pre: StateVector, post: DualState, times, duration: flo
     The numerator is the trigonometric polynomial sum_k c_k e^{i k omega t}
     of the module docstring: its coefficients are folded once from the
     terms d_m e^{-i E_m T} A_mn a_n along the diagonals m - n = k, then it
-    is evaluated by Horner's rule, O(dim) vector operations over the times
-    and no dim x times array.  Only the bra entries and amplitudes a_n that
+    is evaluated with no dim x times array.  A linspace grid of two or more
+    times takes one (Q x K)(K x J) matrix product, J = isqrt(times.size),
+    within a few u K (1 + omega max|t|) sum |c_k| / |<Phi_f|U(T)|Psi_i>| of
+    Horner's rule; any other times (a scalar, an empty, one-element or 2-D
+    array, arbitrary times) take Horner's rule, O(dim) vector operations
+    over the times.  Only the bra entries and amplitudes a_n that
     `_significant` keeps are folded, and each half of the c_k is cut the
-    same way before Horner's rule: A_w moves by at most 3 u max|A_mn|
-    ||d||_1 ||a||_1 / |<Phi_f|U(T)|Psi_i>| (u = eps/2), and vectors with no
-    negligible tail give the full fold exactly.  The denominator is formed
-    once: below OVERLAP_FLOOR the PostSelectionError of
-    `post_selection_overlap` propagates.  Times outside [0, duration], or
-    NaN, raise ValueError.
+    same way before either evaluation: A_w moves by at most 3 u max|A_mn|
+    ||d||_1 ||a||_1 / |<Phi_f|U(T)|Psi_i>| (u = eps/2), and under Horner's
+    rule vectors with no negligible tail give the full fold exactly.  The
+    denominator is formed once: below OVERLAP_FLOOR the PostSelectionError
+    of `post_selection_overlap` propagates.  Times outside [0, duration],
+    or NaN, raise ValueError.
     """
     times = np.asarray(times, dtype=float)
     if not np.all((times >= 0.0) & (times <= duration)):
@@ -210,9 +250,15 @@ def weak_value_series(A, pre: StateVector, post: DualState, times, duration: flo
     diagonal = (np.arange(bra.size)[:, None] - np.arange(ket.size)[None, :] + zero).ravel()
     coeffs = (np.bincount(diagonal, terms.real.ravel(), 2 * basis.dim - 1)
               + 1j * np.bincount(diagonal, terms.imag.ravel(), 2 * basis.dim - 1))
-    z = np.exp(1j * basis.omega * times)
-    values = _horner(coeffs[zero:], z) + _horner(coeffs[zero - 1::-1], z.conj()) * z.conj()
-    return values / den
+    # k >= 0 and k < 0 (from k = -1 down), each cut to its significant run
+    ahead, behind = _significant(coeffs[zero:]), _significant(coeffs[zero - 1::-1])
+    if _on_grid(times):
+        values = _grid_series(ahead, behind, basis.omega, times)
+    else:
+        z = np.exp(1j * basis.omega * times)
+        values = _horner(ahead, z) + _horner(behind, z.conj()) * z.conj()
+    values /= den
+    return values
 
 
 def closed_form_pvi_weak(alpha_mod: float, delta: float, x0: float,

@@ -51,6 +51,16 @@ def test_schedule_validation():
         MeasurementSchedule(10.0, ramp_fraction=0.6)
     with pytest.raises(ValueError):
         MeasurementSchedule(10.0, steps=1)
+    # a float, even an integral one, or a string built a schedule whose
+    # .times raised numpy's TypeError, or raised a bare TypeError itself
+    for steps in (16.0, 2.5, "8", None, np.float64(8.0)):
+        with pytest.raises(ValueError, match=f"^steps must be an integer, got {re.escape(repr(steps))}$"):
+            MeasurementSchedule(10.0, 0.05, steps)
+    for steps in (True, 0, -3, np.int64(1)):
+        with pytest.raises(ValueError, match="^steps must be >= 2, got "):
+            MeasurementSchedule(10.0, 0.05, steps)
+    schedule = MeasurementSchedule(10.0, 0.05, np.int64(8))
+    assert np.array_equal(schedule.times, np.linspace(0.0, 10.0, 9))
 
 
 # ------------------------------------------------------------- expectation
@@ -409,6 +419,95 @@ def test_dense_states_give_the_full_fold_exactly(dim, T, seed):
     times = T * rng.random(65)
     values = weak_value_series(A, pre, post, times, T)
     assert np.array_equal(values, _full_fold_weak_values(A, pre, post, times, T))
+
+
+@st.composite
+def grid_sizes(draw):
+    """A time count S at the grid product's edges: J^2 - 1, J^2 and J^2 + 1 change Q."""
+    side = draw(st.integers(2, 64))
+    return draw(st.sampled_from([2, 3, side * side - 1, side * side, side * side + 1, 4097]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(2, 64), omega=st.floats(0.1, 10.0), T=st.floats(0.1, 200.0),
+       zero_point=st.booleans(), ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       size=grid_sizes(), seed=st.integers(0, 2**32 - 1))
+@example(dim=64, omega=1.0, T=100.0, zero_point=False, ends=(0.0, 1.0), size=4097, seed=0)
+@example(dim=2, omega=2.7, T=10.0, zero_point=True, ends=(0.25, 0.75), size=2, seed=1)
+def test_grid_product_matches_the_full_fold(dim, omega, T, zero_point, ends, size, seed):
+    # a linspace, from t_0 = 0 or later and either way round, takes the one
+    # matrix product.  Its times t_{Jq} + r dt part from the linspace's t_j by
+    # about 2 u max|t|, and each evaluation rounds the phase k omega t of a
+    # term to about u |k| omega t, so a term moves by up to a few u |k| omega
+    # max|t| |c_k|; the K = 2 dim - 1 products and sums round by up to a few
+    # u K sum|c_k|, and sum |c_k| <= sum |d_m| |A_mn| |a_n|
+    rng = np.random.default_rng(seed)
+    basis = OscillatorBasis(dim=dim, omega=omega, include_zero_point=zero_point)
+    pre = random_state(rng, basis)
+    post = random_state(rng, basis).dual()
+    A = random_hermitian(rng, dim)
+    try:
+        den = post_selection_overlap(pre, post, T)
+    except PostSelectionError:
+        assume(False)
+    times = np.linspace(ends[0] * T, ends[1] * T, size)
+    values = weak_value_series(A, pre, post, times, T)
+    full = _full_fold_weak_values(A, pre, post, times, T)
+    u = np.finfo(float).eps / 2
+    terms = np.abs(post.amplitudes) @ np.abs(A) @ np.abs(pre.amplitudes) / abs(den)
+    bound = 8 * u * (2 * dim - 1 + (dim - 1) * omega * np.max(times)) * terms
+    assert values.shape == times.shape
+    assert np.max(np.abs(values - full)) <= bound
+
+
+def test_a_time_off_the_grid_by_one_ulp_takes_horners_rule():
+    # dense states leave nothing to cut, so Horner's rule gives the full fold's
+    # bits; the grid product, on the same times untouched, does not
+    rng = np.random.default_rng(45)
+    basis = OscillatorBasis(dim=32)
+    pre = random_state(rng, basis)
+    post = random_state(rng, basis).dual()
+    A = random_hermitian(rng, basis.dim)
+    T = 50.0
+    grid = MeasurementSchedule(T, steps=4096).times
+    assert not np.array_equal(weak_value_series(A, pre, post, grid, T),
+                              _full_fold_weak_values(A, pre, post, grid, T))
+    # (t_0 = 0 nudged to the least subnormal is still a linspace: its steps absorb it)
+    for index in (1, 2048, 4096):
+        nudged = grid.copy()
+        nudged[index] = np.nextafter(nudged[index], T if index < 4096 else 0.0)
+        values = weak_value_series(A, pre, post, nudged, T)
+        assert np.array_equal(values, _full_fold_weak_values(A, pre, post, nudged, T))
+
+
+@pytest.mark.parametrize("times", [3.7, [], [3.7], np.linspace(0.0, 10.0, 16).reshape(4, 4)],
+                         ids=["scalar", "empty", "one", "2-D"])
+def test_other_time_arrays_keep_their_shape_and_horners_bits(basis, rng, times):
+    pre = random_state(rng, basis)
+    post = random_state(rng, basis).dual()
+    A = random_hermitian(rng, basis.dim)
+    values = weak_value_series(A, pre, post, times, 10.0)
+    assert np.shape(values) == np.shape(times)
+    full = _full_fold_weak_values(A, pre, post, np.asarray(times, dtype=float), 10.0)
+    assert np.array_equal(values, full)
+
+
+def test_a_long_grid_series_stays_near_its_output_size():
+    # Horner's rule held z, its conjugate and three more complex arrays of the
+    # 2^20 times (67 MB); the grid product holds its output and small factors
+    basis = OscillatorBasis(dim=64)
+    P = projector_matrix(IntervalRegion(0.5, 1.5), basis)
+    pre = coherent_state(basis, 1.2 * np.exp(0.4j))
+    post = coherent_state(basis, 1.7 * np.exp(2.2j)).dual()
+    times = MeasurementSchedule(100.0, steps=2**20).times
+    tracemalloc.start()
+    try:
+        values = weak_value_series(P, pre, post, times, 100.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == times.shape and np.all(np.isfinite(values))
+    assert peak < 1.5 * values.nbytes   # 25 MB
 
 
 def test_significance_cut_edge_cases():

@@ -29,13 +29,14 @@ matrix, so N(t) is a trigonometric polynomial of K significant terms.
 
 On a grid, a 1-D array of S >= 2 times equal to its own np.linspace(t_0,
 t_{S-1}, S) (every MeasurementSchedule.times is one), N is one complex
-matrix product: with J = isqrt(S), j = J q + r and dt the grid step,
-e^{i k omega t_j} = e^{i k omega t_{Jq}} e^{i k omega r dt}, so the Q x K
-array c_k e^{i k omega t_{Jq}} times the K x J array e^{i k omega r dt} gives
-all S values from about 2 K sqrt(S) exponentials and one BLAS call.  The
-times t_{Jq} + r dt part from the linspace's t_j by about 2 u max|t|, and
-each phase is rounded once, so a term moves by a few u |k| omega max|t|
-|c_k| and the sums round by a few u K sum |c_k|.
+matrix product: with J = isqrt(S), Q = ceil(S / J), j = J q + r and dt the
+grid step, e^{i k omega t_j} = e^{i k omega t_{Jq}} e^{i k omega r dt}, so
+the Q x K array c_k e^{i k omega t_{Jq}} times the K x J array
+e^{i k omega r dt} gives all S values from one BLAS call and about
+K sqrt(S) exponentials (the factors of k < 0 are the conjugates of those of
+-k).  The times t_{Jq} + r dt part from the linspace's t_j by about
+2 u max|t|, and each phase is rounded once, so a term moves by a few
+u |k| omega max|t| |c_k| and the sums round by a few u K sum |c_k|.
 
 Every other time array (a scalar, an empty, one-element or 2-D array, or
 arbitrary times) takes Horner's rule in z for k >= 0 and in conj(z) for

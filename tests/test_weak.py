@@ -51,8 +51,8 @@ def test_schedule_validation():
         MeasurementSchedule(10.0, ramp_fraction=0.6)
     with pytest.raises(ValueError):
         MeasurementSchedule(10.0, steps=1)
-    # a float, even an integral one, or a string built a schedule whose
-    # .times raised numpy's TypeError, or raised a bare TypeError itself
+    # a float, even an integral one, a string or None is not a step count,
+    # and .times would pass it to np.linspace
     for steps in (16.0, 2.5, "8", None, np.float64(8.0)):
         with pytest.raises(ValueError, match=f"^steps must be an integer, got {re.escape(repr(steps))}$"):
             MeasurementSchedule(10.0, 0.05, steps)

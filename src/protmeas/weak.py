@@ -258,7 +258,7 @@ def weak_value_series(A, pre: StateVector, post: DualState, times, duration: flo
     else:
         z = np.exp(1j * basis.omega * times)
         values = _horner(ahead, z) + _horner(behind, z.conj()) * z.conj()
-    values /= den
+    values /= den   # in place: no second array of the times' size
     return values
 
 

@@ -233,7 +233,7 @@ def run_two_state(*, dim, omega, T, steps, x0, w, alpha, delta):
     columns = [("t", "s", schedule.times),
                ("wv_direct_re", "", direct.real), ("wv_direct_im", "", direct.imag),
                ("wv_trace_re", "", traced.real), ("wv_trace_im", "", traced.imag),
-               ("herm_defect", "", defect)]
+               ("herm_defect", "", np.full(traced.size, defect))]
     return columns, [("two_state.svg", "t", ["wv_direct_re"], ["Re weak value"],
                       "two-state weak value")]
 

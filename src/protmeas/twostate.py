@@ -7,11 +7,13 @@ for every energy-diagonal observable.  A pre- and post-selected pair
 defines the generally non-Hermitian two-state density
 rho(t) = |Psi(t)><Phi(t)| / <Phi|U(T)|Psi>, which has unit trace, obeys the
 von Neumann equation, and reproduces weak values through tr(A rho) / tr(rho).
-It has rank one, so `two_state_readings` reads that trace formula and the
-Hermiticity defect off its two vectors.  Its denominator and overlap floor
-are those of the direct weak value (`weak.post_selection_overlap`);
-tr(A rho) / tr(rho) divides that denominator out again, so the trace
-formula stays an independent check of the direct weak value.
+It has rank one, so `two_state_readings` reads both off its two vectors on
+one path for every pre-state: the trace formula at each time, in blocks of
+times at O(K_b K_a) per time, and the Hermiticity defect, which is the same
+at every time, once.  Its denominator and overlap floor are those of the
+direct weak value (`weak.post_selection_overlap`); tr(A rho) / tr(rho)
+divides that denominator out again, so the trace formula stays an
+independent check of the direct weak value.
 """
 
 import math
@@ -19,8 +21,9 @@ import math
 import numpy as np
 
 from .errors import TruncationError
-from .oscillator import DualState, OscillatorBasis, StateVector, check_positive, evolve
-from .weak import _apply, post_selection_overlap
+from .oscillator import (_BLOCK_BYTES, DualState, OscillatorBasis, StateVector, _significant,
+                         _state_phases, check_positive)
+from .weak import _apply, as_matrix, post_selection_overlap
 
 THERMAL_TAIL_LIMIT = 1e-10
 
@@ -72,38 +75,41 @@ def thermal_purification(beta: float, basis: OscillatorBasis) -> StateVector:
 
 
 def two_state_readings(A, pre: StateVector, post: DualState, times, duration: float):
-    """(weak values, Hermiticity defects) of the two-state density at each time.
+    """(weak values at each time, Hermiticity defect) of the two-state density.
 
     rho(t) = |k><b| / (b.k), with k = U(t)|Psi> and <b| = <Phi|U(T - t), has
     rank one and unit trace, so both readings come off the two vectors and
-    no dim x dim density is formed: the trace-formula weak value
-    tr(A rho) / tr(rho) = b.(A k) / (b.k), and, k being a unit vector,
-    ||rho - rho^dag||_F = sqrt(2) ||c|| / |b.k|, with c = b - (b.k) conj(k)
-    the conjugate of the part of conj(b) orthogonal to k.  c is formed as a
-    vector, so a defect near 0 (trivial post-selection) stays at rounding
-    level, where the equal form sqrt(2 (||b||^2 / |b.k|^2 - 1)) cancels to
-    about 1e-8, or to a ratio below 1.  A number-state Psi only gains a
-    global phase, which cancels from rho, so k is Psi at every t: A k is
-    formed once, each time costs O(dim), and c is b with entry n cancelled
-    (exactly, for `number_state`).  Any other Psi forms one A k per time.
-    Both readings are invariant to the scale of b, so b is the phase product
-    d o e^{-i E (T - t)} and is not renormalized.  Raises PostSelectionError
-    below OVERLAP_FLOOR (from `post_selection_overlap`) and ValueError for a
-    time outside [0, duration], or NaN.
+    no dim x dim density is formed.  The trace-formula weak value
+    tr(A rho) / tr(rho) = b.(A k) / (b.k) is read at each time.  k and b are
+    the `_significant` K_a and K_b amplitudes of Psi and of d o e^{-i E T},
+    times the phases e^{-i E t} and their conjugates: one exponential array
+    per block of times of about _BLOCK_BYTES, and one real product A k per
+    block on A[:K_b, :K_a], so S times cost O(K_b K_a S).
+
+    k being a unit vector, ||rho - rho^dag||_F = sqrt(2) ||c(t)|| / |b.k|,
+    c(t) = b - (b.k) conj(k).  U is a diagonal of phases, so b.k is the
+    overlap den = <Phi|U(T)|Psi> and c(t) = e^{i E t} o c, with
+    c = d o e^{-i E T} - den conj(a): the defect is the one float
+    sqrt(2) ||c|| / |den|.  c is formed as a vector, so a trivial
+    post-selection reads rounding level (exactly 0 for pre and post |0>
+    with E_0 = 0), where the equal sqrt(2 (||d||^2 / |den|^2 - 1)) cancels
+    to about 1e-8, or to a ratio below 1.  Raises PostSelectionError below
+    OVERLAP_FLOOR (from `post_selection_overlap`) and ValueError for a time
+    outside [0, duration], or NaN.
     """
-    if not all(0.0 <= t <= duration for t in times):
+    times = np.asarray(times, dtype=float)
+    if not np.all((times >= 0.0) & (times <= duration)):
         raise ValueError(f"a time lies outside the measurement window [0, {duration}]")
-    post_selection_overlap(pre, post, duration)
-    rate = -1j * post.basis.energies()
-    stationary = np.count_nonzero(pre.amplitudes) == 1
-    weak, defect = np.empty(len(times), dtype=complex), np.empty(len(times))
-    for i, t in enumerate(times):
-        if i == 0 or not stationary:
-            k = pre.amplitudes if stationary else evolve(pre, t).amplitudes
-            Ak, k_bar = _apply(A, k), k.conj()
-        b = post.amplitudes * np.exp(rate * (duration - t))
-        overlap = b @ k
-        weak[i] = b @ Ak / overlap
-        b -= overlap * k_bar   # c, in place
-        defect[i] = math.sqrt(2.0 * np.vdot(b, b).real) / abs(overlap)
+    den = post_selection_overlap(pre, post, duration)
+    bra = post.amplitudes * _state_phases(post.basis, duration, "duration")
+    defect = math.sqrt(2.0) * float(np.linalg.norm(bra - den * pre.amplitudes.conj())) / abs(den)
+    bra, ket = _significant(bra), _significant(pre.amplitudes)
+    rate = -1j * post.basis.energies()[:max(bra.size, ket.size)]
+    weak, step = np.empty(times.size, dtype=complex), max(1, _BLOCK_BYTES // rate.nbytes)
+    for start in range(0, times.size, step):
+        U = np.exp(np.outer(rate, times[start:start + step]))   # diag U(t), a column per time
+        # k = U(t) a, and b = bra o U(t)^* from U conjugated in place once k is formed
+        k, b = ket[:, None] * U[:ket.size], bra[:, None] * np.conj(U, out=U)[:bra.size]
+        weak[start:start + step] = ((b * _apply(as_matrix(A)[:bra.size, :ket.size], k)).sum(0)
+                                    / (b[:ket.size] * k[:bra.size]).sum(0))
     return weak, defect

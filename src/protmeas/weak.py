@@ -53,6 +53,7 @@ cut moves N(t) by at most 3 u max|A_mn| ||d||_1 ||a||_1, u = eps/2.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +81,8 @@ class MeasurementSchedule:
 
     def __post_init__(self):
         check_positive(self.duration, "duration")
+        if not isinstance(self.ramp_fraction, numbers.Real):
+            raise ValueError(f"ramp_fraction must be a real number, got {self.ramp_fraction!r}")
         if not 0.0 <= self.ramp_fraction <= 0.5:
             raise ValueError(f"ramp_fraction must lie in [0, 0.5], got {self.ramp_fraction}")
         if not isinstance(self.steps, (int, np.integer)):
@@ -139,12 +142,14 @@ def as_matrix(A) -> np.ndarray:
 
 
 def _apply(A, v) -> np.ndarray:
-    """A v for the vector v; a real A acts on the (re, im) pairs of v.
+    """A v for the vector or matrix of columns v; a real A acts on the (re, im) pairs of v.
 
     `mat @ v` would make a complex copy of a real A.
     """
     mat = as_matrix(A)
-    return _real_matmul(mat, v[:, None])[:, 0] if np.isrealobj(mat) else mat @ v
+    if not np.isrealobj(mat):
+        return mat @ v
+    return _real_matmul(mat, v) if v.ndim == 2 else _real_matmul(mat, v[:, None])[:, 0]
 
 
 def _require_hermitian(A):

@@ -1,7 +1,10 @@
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from protmeas import (IntervalRegion, MeasurementSchedule, OscillatorBasis,
                       PostSelectionError, TruncationError, coherent_state,
@@ -9,7 +12,7 @@ from protmeas import (IntervalRegion, MeasurementSchedule, OscillatorBasis,
                       projector_matrix, thermal_purification, thermal_weights,
                       two_state_readings, weak_value_series)
 from protmeas import twostate
-from protmeas.weak import as_matrix
+from protmeas.weak import as_matrix, post_selection_overlap
 
 from conftest import random_hermitian, random_state
 from dense_two_state import (hermiticity_defect, two_state_density, von_neumann_residual,
@@ -232,18 +235,70 @@ def test_readings_refuse_a_low_overlap_and_a_time_outside_the_window(basis):
                                coherent_state(basis, 1.0).dual(), times, 5.0)
 
 
-@pytest.mark.parametrize("pre_kind, products", [("number", 1), ("random", 1025)])
-def test_readings_apply_the_operator_once_for_a_number_state(basis, rng, monkeypatch,
-                                                             pre_kind, products):
-    # a number state only gains a phase, so A k is formed once; any other
-    # pre-selection forms one A k per time
+@pytest.mark.parametrize("pre_kind", ["number", "random"])
+def test_readings_form_one_operator_product_per_time_block(basis, rng, monkeypatch, pre_kind):
+    # every pre-state takes the same path: one A k per block of times, each
+    # time in exactly one block; a block holds at least
+    # _BLOCK_BYTES // (16 dim) times, so 1,025 times take at most 5 products
     calls, apply = [], twostate._apply
     monkeypatch.setattr(twostate, "_apply", lambda A, v: calls.append(v) or apply(A, v))
     pre = number_state(basis, 5) if pre_kind == "number" else random_state(rng, basis)
     P = projector_matrix(IntervalRegion(0.975, 1.025), basis)
     times = np.linspace(0.0, 20.0, 1025)
     two_state_readings(P, pre, coherent_state(basis, 2.5).dual(), times, 20.0)
-    assert len(calls) == products
+    block = twostate._BLOCK_BYTES // (16 * basis.dim)
+    assert len(calls) <= math.ceil(times.size / block)
+    assert sum(k.shape[1] for k in calls) == times.size
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(2, 32), T=st.floats(0.1, 200.0), seed=st.integers(0, 2**32 - 1))
+def test_the_one_defect_is_the_dense_defect_at_every_time(dim, T, seed):
+    rng = np.random.default_rng(seed)
+    basis = OscillatorBasis(dim=dim)
+    pre = random_state(rng, basis)
+    post = random_state(rng, basis).dual()
+    try:
+        post_selection_overlap(pre, post, T)
+    except PostSelectionError:
+        assume(False)
+    _, defect = two_state_readings(np.eye(dim), pre, post, [], T)
+    assert isinstance(defect, float)
+    for t in (0.0, T / 2, T):
+        want = hermiticity_defect(two_state_density(pre, post, t, T))
+        assert defect == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("block_times", [1, 7])
+def test_readings_do_not_depend_on_the_time_block(basis, rng, monkeypatch, block_times):
+    # dense random states keep all 64 levels, so a block of b times is 16 * 64 * b bytes
+    pre = random_state(rng, basis)
+    post = coherent_state(basis, 2.5).dual()
+    P = projector_matrix(IntervalRegion(0.975, 1.025), basis)
+    T = 9.0
+    times = np.concatenate([[0.0, T], rng.uniform(0.0, T, 30)])
+    default, defect = two_state_readings(P, pre, post, times, T)
+    monkeypatch.setattr(twostate, "_BLOCK_BYTES", 16 * basis.dim * block_times)
+    blocked, blocked_defect = two_state_readings(P, pre, post, times, T)
+    _, _, scale = _density_readings(P, pre, post, times, T)
+    assert np.all(abs(blocked - default) <= 1e-13 * scale)
+    assert blocked_defect == defect
+
+
+def test_long_readings_stay_near_their_output_size(basis, rng):
+    # the exponentials, k, b and A k exist for one block of times at a time,
+    # about _BLOCK_BYTES each, not for all 2^18 times
+    pre, post = random_state(rng, basis), random_state(rng, basis).dual()
+    P = projector_matrix(IntervalRegion(0.975, 1.025), basis)
+    times = MeasurementSchedule(20.0, steps=2**18 - 1).times
+    tracemalloc.start()
+    try:
+        weak, _ = two_state_readings(P, pre, post, times, 20.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert weak.shape == times.shape and np.all(np.isfinite(weak))
+    assert peak < 1.5 * weak.nbytes   # 6.3 MB
 
 
 # -------------------------------------------------------------- von Neumann

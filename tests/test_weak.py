@@ -49,6 +49,14 @@ def test_schedule_validation():
         MeasurementSchedule(0.0)
     with pytest.raises(ValueError):
         MeasurementSchedule(10.0, ramp_fraction=0.6)
+    # a string, None or a complex is not a fraction, and `0.0 <= ... <= 0.5` would
+    # raise a bare TypeError for the first two
+    for ramp in ("0.1", None, 0.1 + 0j):
+        with pytest.raises(ValueError,
+                           match=f"^ramp_fraction must be a real number, got {re.escape(repr(ramp))}$"):
+            MeasurementSchedule(10.0, ramp)
+    for ramp in (np.float64(0.1), np.int64(0), 0):
+        assert MeasurementSchedule(10.0, ramp).ramp_fraction == ramp
     with pytest.raises(ValueError):
         MeasurementSchedule(10.0, steps=1)
     # a float, even an integral one, a string or None is not a step count,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .oscillator import _BLOCK_BYTES, OscillatorBasis, check_phase, check_positive
+from .oscillator import _BLOCK_BYTES, OscillatorBasis, check_count, check_phase, check_positive
 from .projectors import IntervalRegion
 from .quadrature import interval_diagonal
 
@@ -43,13 +43,13 @@ def classical_time_average(amplitude: float, omega: float, region: IntervalRegio
     The positions amplitude * cos(omega * (T * j / n)) are formed in place,
     in blocks of _BLOCK_BYTES of floats, so memory does not depend on
     n_samples.  Raises ValueError naming the parameter unless amplitude,
-    omega and duration are positive and finite and n_samples >= 1.
+    omega and duration are positive and finite and n_samples is an integer
+    >= 1.
     """
     check_positive(amplitude, "amplitude")
     check_positive(omega, "omega")
     check_positive(duration, "duration")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    check_count(n_samples, "n_samples", 1)
     block = _BLOCK_BYTES // np.dtype(float).itemsize
     inside = 0
     for start in range(1, n_samples + 1, block):
@@ -71,11 +71,10 @@ def classical_ensemble_average(size: int, amplitude: float, seed: int,
     [0, 2 pi) from `seed`.  t is reduced exactly by 2 pi first, since a
     uniform phase makes the fraction periodic in t and t + phase would
     round the phases away once ulp(t) nears 2 pi.  Raises ValueError naming
-    the parameter unless size >= 1, amplitude is positive and finite and t
-    is finite.
+    the parameter unless size is an integer >= 1, amplitude is positive and
+    finite and t is finite.
     """
-    if size < 1:
-        raise ValueError(f"ensemble size must be >= 1, got {size}")
+    check_count(size, "ensemble size", 1)
     check_positive(amplitude, "amplitude")
     check_phase(1.0, t)
     phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size)
@@ -106,11 +105,11 @@ def dwell_report(amplitude: float, region: IntervalRegion, omega: float, n_sampl
     the window n_periods * 2 pi / omega; the report carries that time
     average, its sampling error and the arcsin fraction.  Raises ValueError
     naming omega or n_periods unless omega is positive and finite and
-    n_periods >= 1, and classical_time_average's refusals otherwise.
+    n_periods is an integer >= 1, and classical_time_average's refusals
+    otherwise.
     """
     check_positive(omega, "omega")
-    if n_periods < 1:
-        raise ValueError(f"n_periods must be >= 1, got {n_periods}")
+    check_count(n_periods, "n_periods", 1)
     time_avg = classical_time_average(amplitude, omega, region,
                                       n_periods * 2.0 * np.pi / omega, n_samples)
     return DwellReport(time_average=time_avg,
@@ -126,10 +125,10 @@ def correspondence_check(n: int, region: IntervalRegion, basis: OscillatorBasis,
     carry the energy (n + 1/2) omega; a sample count coprime with the number
     of periods equidistributes the phases.  <n|P|n> is read off the diagonal
     recurrence, which needs phi_0..phi_n only, so it does not depend on
-    basis.dim.  Raises ValueError unless n >= 0, and dwell_report's refusals.
+    basis.dim.  Raises ValueError unless n is an integer >= 0, and
+    dwell_report's refusals.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    check_count(n, "n", 0)
     classical = dwell_report(float(np.sqrt(2.0 * n + 1.0)), region, basis.omega,
                              n_samples, n_periods)
     quantum = interval_diagonal(region.lower, region.upper, n + 1)[n]

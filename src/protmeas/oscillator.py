@@ -56,8 +56,7 @@ class OscillatorBasis:
     include_zero_point: bool = False
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError(f"basis dim must be >= 2, got {self.dim}")
+        check_count(self.dim, "basis dim", 2)
         check_positive(self.omega, "omega")
         # on Python floats, which overflow to inf without a warning
         top = float(self.omega) * (self.dim - 1 + 0.5 * self.include_zero_point)
@@ -119,7 +118,8 @@ class DualState:
 
 def number_state(basis: OscillatorBasis, n: int) -> StateVector:
     """The energy eigenstate |n>."""
-    if not 0 <= n < basis.dim:
+    check_count(n, "n", 0)
+    if n >= basis.dim:
         raise ValueError(f"number state index {n} outside [0, {basis.dim})")
     amps = np.zeros(basis.dim, dtype=np.complex128)
     amps[n] = 1.0
@@ -210,6 +210,18 @@ def check_positive(value: float, name: str) -> None:
     """Raise ValueError naming `name` unless 0 < value < inf (NaN fails too)."""
     if not 0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def check_count(value, name: str, minimum: int) -> None:
+    """Raise ValueError naming `name` unless value is a Python or numpy integer >= minimum.
+
+    A float, even an integral one such as 16.0, a string or None is not a
+    count: it would reach range(), np.arange or np.linspace as it is.
+    """
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 def _row_blocks(A):
@@ -361,9 +373,9 @@ def _hermite_rows(x, targets):
             if scaled and (m % cadence in (0, cadence - 1) or m == n):
                 big = np.abs(cur) > 2.0 ** _RESCALE_BITS
                 if big.any():
-                    prev[big] *= 2.0 ** -_RESCALE_BITS
-                    cur[big] *= 2.0 ** -_RESCALE_BITS
-                    e[big] += _RESCALE_BITS
+                    np.multiply(prev, 2.0 ** -_RESCALE_BITS, out=prev, where=big)
+                    np.multiply(cur, 2.0 ** -_RESCALE_BITS, out=cur, where=big)
+                    np.add(e, _RESCALE_BITS, out=e, where=big)
                     scale = None
         if scaled:
             if scale is None:
@@ -426,8 +438,7 @@ def hermite_functions(x, n_max: int) -> np.ndarray:
     written straight into its row of the result.  Both give the same bits.
     Returns an array of shape (n_max,) + shape(x); n_max = 0 gives an empty one.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    check_count(n_max, "n_max", 0)
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
     out = np.empty((n_max, x.size))

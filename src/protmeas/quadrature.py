@@ -33,7 +33,7 @@ from math import erf, isinf
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .oscillator import _row_blocks, _significant, hermite_functions
+from .oscillator import _row_blocks, _significant, check_count, hermite_functions
 
 
 def _edge_terms(x, dim: int):
@@ -117,8 +117,7 @@ def interval_diagonal(a: float, b: float, count: int) -> np.ndarray:
     """
     if not a < b:
         raise ValueError(f"interval requires a < b, got [{a}, {b}]")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    check_count(count, "count", 1)
     return _diagonal(a, b, hermite_functions(np.array([x for x in (a, b) if not isinf(x)]), count))
 
 

@@ -44,8 +44,8 @@ from math import isfinite, pi, sqrt
 import numpy as np
 
 from .errors import NumericalError
-from .oscillator import (StateVector, _real_matmul, _sinc, _state_phases, check_phase,
-                         check_positive, hamiltonian, number_state)
+from .oscillator import (StateVector, _real_matmul, _sinc, _state_phases, check_count,
+                         check_phase, check_positive, hamiltonian, number_state)
 from .projectors import ProjectorMatrix
 from .weak import MeasurementSchedule, _require_hermitian, as_matrix
 
@@ -210,8 +210,7 @@ def bipartite_protective_sim(P: ProjectorMatrix, schedule: MeasurementSchedule,
     the error at dim 64 and 256 for T = 5, 20 and 40, and at dim 64 for
     T = 100, while at dim 256, T = 100 it read 6.3e-11 against 1.2e-10.
     """
-    if not (isinstance(steps, (int, np.integer)) and steps >= 2):
-        raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
+    check_count(steps, "steps", 2)
     check_positive(pointer_sigma, "pointer sigma")
     if not shift_tol >= 0:
         raise ValueError(f"shift_tol must be non-negative, got {shift_tol}")
@@ -259,12 +258,11 @@ def zeno_protect_sim(initial: StateVector, n_protections: int, duration: float,
     sqrt(2) |a|.  The update is Hermitian, so B stays Hermitian to rounding
     (not bit for bit: numpy's vectorized complex products round the entries
     of s_k a^dag and of a s_k^dag differently).  Raises ValueError if
-    `measured` is not Hermitian, if the coupling rate coupling / duration is
-    NaN or infinite, or if the phase E_max duration overflows the float
-    range.
+    n_protections is not an integer >= 1, if `measured` is not Hermitian,
+    if the coupling rate coupling / duration is NaN or infinite, or if the
+    phase E_max duration overflows the float range.
     """
-    if n_protections < 1:
-        raise ValueError(f"need at least one protection, got {n_protections}")
+    check_count(n_protections, "n_protections", 1)
     check_positive(duration, "protection window")
     # the update below holds for a Hermitian B only, and eigh would read only the
     # lower triangle of a coupled H; a ProjectorMatrix passes unchecked

@@ -10,8 +10,8 @@ von Neumann equation, and reproduces weak values through tr(A rho) / tr(rho).
 It has rank one, so `two_state_readings` reads both off its two vectors on
 one path for every pre-state: the trace formula at each time, in blocks of
 times at O(K_b K_a) per time, and the Hermiticity defect, which is the same
-at every time, once.  Its denominator and overlap floor are those of the
-direct weak value (`weak.post_selection_overlap`); tr(A rho) / tr(rho)
+at every time, once.  Its denominator, overlap floor and refusals are those
+of the direct weak value (`weak._weak_parts`); tr(A rho) / tr(rho)
 divides that denominator out again, so the trace formula stays an
 independent check of the direct weak value.
 """
@@ -21,9 +21,8 @@ import math
 import numpy as np
 
 from .errors import TruncationError
-from .oscillator import (_BLOCK_BYTES, DualState, OscillatorBasis, StateVector, _significant,
-                         _state_phases, check_positive)
-from .weak import _apply, as_matrix, post_selection_overlap
+from .oscillator import _BLOCK_BYTES, DualState, OscillatorBasis, StateVector, check_positive
+from .weak import _apply, _weak_parts, as_matrix
 
 THERMAL_TAIL_LIMIT = 1e-10
 
@@ -93,17 +92,11 @@ def two_state_readings(A, pre: StateVector, post: DualState, times, duration: fl
     sqrt(2) ||c|| / |den|.  c is formed as a vector, so a trivial
     post-selection reads rounding level (exactly 0 for pre and post |0>
     with E_0 = 0), where the equal sqrt(2 (||d||^2 / |den|^2 - 1)) cancels
-    to about 1e-8, or to a ratio below 1.  Raises PostSelectionError below
-    OVERLAP_FLOOR (from `post_selection_overlap`) and ValueError for a time
-    outside [0, duration], or NaN.
+    to about 1e-8, or to a ratio below 1.  The refusals are those of
+    `weak.weak_value_series`, from the same `weak._weak_parts`.
     """
-    times = np.asarray(times, dtype=float)
-    if not np.all((times >= 0.0) & (times <= duration)):
-        raise ValueError(f"a time lies outside the measurement window [0, {duration}]")
-    den = post_selection_overlap(pre, post, duration)
-    bra = post.amplitudes * _state_phases(post.basis, duration, "duration")
-    defect = math.sqrt(2.0) * float(np.linalg.norm(bra - den * pre.amplitudes.conj())) / abs(den)
-    bra, ket = _significant(bra), _significant(pre.amplitudes)
+    times, den, whole, bra, ket = _weak_parts(A, pre, post, times, duration)
+    defect = math.sqrt(2.0) * float(np.linalg.norm(whole - den * pre.amplitudes.conj())) / abs(den)
     rate = -1j * post.basis.energies()[:max(bra.size, ket.size)]
     weak, step = np.empty(times.size, dtype=complex), max(1, _BLOCK_BYTES // rate.nbytes)
     for start in range(0, times.size, step):

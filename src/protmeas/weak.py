@@ -13,9 +13,10 @@ this quotient, at any set of times (a single time is a one-element list);
 `pointer_trace` integrates its real part, taking the trivial post-selection
 to be the bra <Psi_i| U(T)^dagger, for which A_w(t) is the expectation value
 in the evolved pre-selected state.  The denominator is time independent, so
-it is computed once per call by `post_selection_overlap` (which `twostate`
-shares) and checked once against OVERLAP_FLOOR: below the floor the whole
-run fails with PostSelectionError, and a pointer trace records one flag.
+it is computed once per call, with the evolved bra, by `_weak_parts` (which
+`twostate` shares) and checked once against OVERLAP_FLOOR: below the floor
+the whole run fails with PostSelectionError, and a pointer trace records one
+flag.
 
 With <Phi_f| = sum_m d_m <m| and |Psi_i> = sum_n a_n |n>, the numerator is
 
@@ -60,7 +61,8 @@ import numpy as np
 
 from .errors import PostSelectionError
 from .oscillator import (DualState, StateVector, _real_matmul, _row_blocks, _significant,
-                         _state_phases, check_positive, evolve, hermitian_defect)
+                         _state_phases, check_count, check_phase, check_positive, evolve,
+                         hermitian_defect)
 from .projectors import ProjectorMatrix
 
 OVERLAP_FLOOR = 1e-8
@@ -85,10 +87,7 @@ class MeasurementSchedule:
             raise ValueError(f"ramp_fraction must be a real number, got {self.ramp_fraction!r}")
         if not 0.0 <= self.ramp_fraction <= 0.5:
             raise ValueError(f"ramp_fraction must lie in [0, 0.5], got {self.ramp_fraction}")
-        if not isinstance(self.steps, (int, np.integer)):
-            raise ValueError(f"steps must be an integer, got {self.steps!r}")
-        if self.steps < 2:
-            raise ValueError(f"steps must be >= 2, got {self.steps}")
+        check_count(self.steps, "steps", 2)
         width = self.duration * (1.0 - self.ramp_fraction)   # zero if it underflows
         if not (width > 0.0 and 1.0 / width < math.inf):
             raise ValueError(f"the plateau height 1/(duration (1 - ramp_fraction)) overflows "
@@ -179,13 +178,46 @@ def post_selection_overlap(pre: StateVector, post: DualState, duration: float) -
     PostSelectionError unless its modulus is finite and at least the floor,
     and ValueError (from `check_phase`) if the phase E_max * duration overflows.
     """
-    phases = _state_phases(pre.basis, duration, "duration")
+    return _overlap(pre, post, _state_phases(pre.basis, duration, "duration"))
+
+
+def _overlap(pre: StateVector, post: DualState, phases) -> complex:
+    """<Phi_f| U(T) |Psi_i> from the phases e^{-i E T} of U(T), checked as above."""
     den = complex(np.dot(post.amplitudes, pre.amplitudes * phases))
     if not OVERLAP_FLOOR <= abs(den) < np.inf:
         raise PostSelectionError(
             f"pre/post overlap {abs(den):.3e} is not a finite value above floor "
             f"{OVERLAP_FLOOR:g}; weak value unreliable")
     return den
+
+
+def _window_times(times, duration: float) -> np.ndarray:
+    """times as a float array, once each lies in the window [0, duration] (NaN does not)."""
+    times = np.asarray(times, dtype=float)
+    if not np.all((times >= 0.0) & (times <= duration)):
+        raise ValueError(f"a time lies outside the measurement window [0, {duration}]")
+    return times
+
+
+def _weak_parts(A, pre: StateVector, post: DualState, times, duration: float):
+    """The parts of a weak value that do not depend on t, formed once per call.
+
+    Returns (times, den, bra, its cut, the cut a_n): the times as a float
+    array, den = <Phi_f|U(T)|Psi_i>, the bra d o e^{-i E T} and the
+    `_significant` cuts of that bra and of the amplitudes a_n; the phases
+    e^{-i E T} are formed once for den and the bra.  Raises ValueError for
+    a time outside [0, duration] or NaN, then unless pre and post share one
+    basis and A is dim x dim on it, and PostSelectionError for an overlap
+    below OVERLAP_FLOOR.
+    """
+    times = _window_times(times, duration)
+    if post.basis != pre.basis or as_matrix(A).shape != (pre.basis.dim, pre.basis.dim):
+        raise ValueError(f"a weak value needs one basis and a dim x dim operator: pre on "
+                         f"{pre.basis}, post on {post.basis}, operator {as_matrix(A).shape}")
+    phases = _state_phases(pre.basis, duration, "duration")
+    den = _overlap(pre, post, phases)
+    bra = post.amplitudes * phases
+    return times, den, bra, _significant(bra), _significant(pre.amplitudes)
 
 
 def _horner(coeffs, z):
@@ -239,17 +271,13 @@ def weak_value_series(A, pre: StateVector, post: DualState, times, duration: flo
     same way before either evaluation: A_w moves by at most 3 u max|A_mn|
     ||d||_1 ||a||_1 / |<Phi_f|U(T)|Psi_i>| (u = eps/2), and under Horner's
     rule vectors with no negligible tail give the full fold exactly.  The
-    denominator is formed once: below OVERLAP_FLOOR the PostSelectionError
-    of `post_selection_overlap` propagates.  Times outside [0, duration],
-    or NaN, raise ValueError.
+    denominator is formed once, by `_weak_parts`, which raises ValueError
+    for a time outside [0, duration] or NaN, unless pre and post share one
+    basis and A is dim x dim on it, and PostSelectionError below
+    OVERLAP_FLOOR.
     """
-    times = np.asarray(times, dtype=float)
-    if not np.all((times >= 0.0) & (times <= duration)):
-        raise ValueError(f"times must lie inside the measurement window [0, {duration}]")
-    den = post_selection_overlap(pre, post, duration)
+    times, den, _, bra, ket = _weak_parts(A, pre, post, times, duration)
     basis = pre.basis
-    bra = _significant(post.amplitudes * _state_phases(basis, duration, "duration"))
-    ket = _significant(pre.amplitudes)
     terms = bra[:, None] * as_matrix(A)[:bra.size, :ket.size] * ket[None, :]
     # c_k sums the diagonal m - n = k and is stored at index zero + k
     zero = basis.dim - 1
@@ -281,7 +309,9 @@ def closed_form_pvi_weak(alpha_mod: float, delta: float, x0: float,
     width; multiply by w to approximate the weak value of P over an interval
     of width w around x0.  delta enters only through sines and cosines, so it
     is first reduced to [-pi, pi], which leaves such a delta as it is.
-    Raises ValueError if |a|^2 or x0^2 overflows a float or is NaN, or if
+    Raises ValueError naming omega unless it is positive and finite, delta
+    unless it is finite, for a t outside [0, duration] or NaN, if |a|^2 or
+    x0^2 overflows a float or is NaN, or if
     the prefactor's exponent (|a|^2 - x0^2)/2 exceeds ln(float max) = 709.78,
     as from |a| = 37.7 at x0 = 1: the envelope peaks at 1 over theta, so the
     density itself has no finite peak there, and the overflowing prefactor
@@ -296,10 +326,10 @@ def closed_form_pvi_weak(alpha_mod: float, delta: float, x0: float,
     if not exponent <= math.log(np.finfo(float).max):
         raise ValueError(f"alpha={alpha_mod!r}, x0={x0!r}: the closed form's prefactor "
                          f"e^((|alpha|^2 - x0^2)/2) = e^{exponent:.6g} overflows a float")
+    check_positive(omega, "omega")
+    check_phase(1.0, delta, "delta")
     delta = math.remainder(delta, 2.0 * math.pi)
-    t = np.asarray(t, dtype=float)
-    if not np.all((t >= 0.0) & (t <= duration)):
-        raise ValueError("t must lie inside the measurement window [0, duration]")
+    t = _window_times(t, duration)
     theta = omega * (duration - t) + delta
     xi = (omega * duration / 2.0
           + 0.5 * alpha_mod ** 2 * np.sin(2.0 * theta)

@@ -1,4 +1,8 @@
+import ast
 import contextlib
+import dataclasses
+import functools
+import importlib
 import inspect
 import io
 import json
@@ -11,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import typing
 import warnings
 from pathlib import Path
 
@@ -856,7 +861,7 @@ def test_interval_end_tokens_leave_other_flags_alone():
 def test_library_fault_is_not_a_usage_error(tmp_path, monkeypatch):
     def fault(*args):
         raise ValueError("injected fault")
-    monkeypatch.setattr(protmeas.weak, "post_selection_overlap", fault)
+    monkeypatch.setattr(protmeas.weak, "_overlap", fault)
     with pytest.raises(ValueError, match="injected fault"):
         main(["pointer-trace", "--T", "20", "--steps", "16", "--out", str(tmp_path)])
 
@@ -1205,6 +1210,38 @@ def test_benchmark_worker_traces_bipartite(tmp_path):
     assert len(spans) == 1
     assert spans[0]["steps"] == 64 and spans[0]["steps_used"] >= 128
     assert spans[0]["norm"] == pytest.approx(1.0, abs=1e-10)
+
+
+def test_tracer_observers_read_parameters_and_fields_that_exist():
+    # perfbench/tracer.py's observers read arguments of wrapped functions by
+    # name and fields of their results; only a traced benchmark run calls
+    # them, so a rename would fail there alone.  The file is read, not run
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "tracer.py").read_text())
+    observers = next(node for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef) and node.name == "_observers")
+    table = next(node.value for node in ast.walk(observers) if isinstance(node, ast.Return))
+    # their functions are gone; the next change to the benchmark drops or re-points them
+    gone = {"quadrature.panel_nodes", "ergodicity.uniform_phase_ensemble"}
+    arguments, fields = set(), set()
+    for key, observe in zip(table.keys, table.values):
+        module, *path = key.value.split(".")
+        owner = importlib.import_module(f"protmeas.{module}")
+        if key.value in gone:
+            assert not hasattr(owner, path[0]), key.value
+            continue
+        fn = functools.reduce(getattr, path, owner)
+        args, result = (arg.arg for arg in observe.args.args)
+        for node in ast.walk(observe.body):
+            if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == args:
+                assert node.slice.value in inspect.signature(fn).parameters, key.value
+                arguments.add(node.slice.value)
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == result:
+                returned = typing.get_type_hints(fn)["return"]
+                assert node.attr in {f.name for f in dataclasses.fields(returned)}, key.value
+                fields.add(node.attr)
+    assert arguments >= {"n_max", "x", "times", "pre", "steps", "n_protections", "n_samples",
+                         "data", "argv"}
+    assert fields >= {"steps_used", "final_norm"}
 
 
 def test_benchmark_worker_traces_sketch(tmp_path):

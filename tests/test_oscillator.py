@@ -10,11 +10,12 @@ from scipy import integrate, special
 
 from protmeas import (DualState, IntervalRegion, MeasurementSchedule, OscillatorBasis,
                       StateVector, TruncationError, bipartite_protective_sim,
-                      classical_dwell_fraction, classical_ensemble_average, coherent_state,
-                      evolve, expectation, hamiltonian, number_state, pointer_trace,
-                      position_wavefunction, projector_matrix, thermal_purification,
-                      thermal_weights, weak_value_series,
-                      zeno_protect_sim)
+                      classical_dwell_fraction, classical_ensemble_average,
+                      classical_time_average, closed_form_pvi_weak, coherent_state,
+                      correspondence_check, dwell_report, evolve, expectation, hamiltonian,
+                      interval_diagonal, number_state, pointer_trace, position_wavefunction,
+                      projector_matrix, thermal_purification, thermal_weights,
+                      two_state_readings, weak_value_series, zeno_protect_sim)
 from protmeas import oscillator
 from protmeas.oscillator import coherent_tail, hermite_functions, required_coherent_dim
 from protmeas.weak import post_selection_overlap
@@ -29,6 +30,78 @@ VACUUM_OVERLAP_SQ_A25 = 0.0019304541362277093   # e^-6.25
 def test_basis_rejects_tiny_dim():
     with pytest.raises(ValueError):
         OscillatorBasis(dim=1)
+
+
+def _count_case(call, name, minimum, accepted, case_id):
+    """A count: each non-integer and minimum - 1 refused by name, a numpy integer taken."""
+    refused = [(value, f"{name} must be an integer, got {value!r}")
+               for value in (2.5, 16.0, "8", None)]
+    refused.append((minimum - 1, f"{name} must be >= {minimum}, got {minimum - 1}"))
+    return pytest.param(call, [(v, re.escape(m)) for v, m in refused], [np.int64(accepted)],
+                        id=case_id)
+
+
+_B16 = OscillatorBasis(dim=16)
+_PRE16 = coherent_state(_B16, 1.0)
+_HALF_LINE = IntervalRegion(0.0, np.inf)
+_WINDOW = re.escape("a time lies outside the measurement window [0, 5.0]")
+_BASES = re.escape("a weak value needs one basis and a dim x dim operator: pre on ")
+_WEAK_CALLERS = {
+    "weak_value_series": lambda A, post, t: weak_value_series(A, _PRE16, post, t, 5.0),
+    "two_state_readings": lambda A, post, t: two_state_readings(A, _PRE16, post, t, 5.0),
+}
+
+
+@pytest.mark.parametrize("call, refused, accepted", [
+    _count_case(lambda v: OscillatorBasis(dim=v), "basis dim", 2, 2, "basis-dim"),
+    _count_case(lambda v: number_state(_B16, v), "n", 0, 3, "number-state-n"),
+    _count_case(lambda v: hermite_functions([0.0, 1.0], v), "n_max", 0, 4, "hermite-n-max"),
+    _count_case(lambda v: interval_diagonal(0.0, 1.0, v), "count", 1, 4,
+                "interval-diagonal-count"),
+    _count_case(lambda v: MeasurementSchedule(5.0, 0.05, v), "steps", 2, 2, "schedule-steps"),
+    _count_case(lambda v: bipartite_protective_sim(projector_matrix(_HALF_LINE, _B16),
+                                                   MeasurementSchedule(5.0), steps=v),
+                "steps", 2, 64, "bipartite-steps"),
+    _count_case(lambda v: zeno_protect_sim(number_state(_B16, 0), v, 1.0,
+                                           projector_matrix(_HALF_LINE, _B16)),
+                "n_protections", 1, 4, "zeno-n-protections"),
+    _count_case(lambda v: classical_time_average(1.0, 1.0, _HALF_LINE, 10.0, v),
+                "n_samples", 1, 100, "time-average-n-samples"),
+    _count_case(lambda v: classical_ensemble_average(v, 1.0, 1, _HALF_LINE), "ensemble size", 1,
+                100, "ensemble-size"),
+    _count_case(lambda v: dwell_report(1.0, _HALF_LINE, 1.0, v, 3), "n_samples", 1, 100,
+                "dwell-n-samples"),
+    _count_case(lambda v: dwell_report(1.0, _HALF_LINE, 1.0, 100, v), "n_periods", 1, 3,
+                "dwell-n-periods"),
+    _count_case(lambda v: correspondence_check(v, _HALF_LINE, _B16, n_samples=101, n_periods=7),
+                "n", 0, 3, "correspondence-n"),
+    _count_case(lambda v: correspondence_check(3, _HALF_LINE, _B16, n_samples=v, n_periods=7),
+                "n_samples", 1, 101, "correspondence-n-samples"),
+    _count_case(lambda v: correspondence_check(3, _HALF_LINE, _B16, n_samples=101, n_periods=v),
+                "n_periods", 1, 7, "correspondence-n-periods"),
+    # the three callers that take times inside the window [0, T], with one message
+    *(pytest.param(lambda t, caller=caller: _WEAK_CALLERS[caller](np.eye(16), _PRE16.dual(), t),
+                   [(t, _WINDOW) for t in ([-0.1], [0.0, 6.0], [0.5, np.nan])], [[0.0, 5.0]],
+                   id=f"{caller}-window")
+      for caller in _WEAK_CALLERS),
+    pytest.param(lambda t: closed_form_pvi_weak(2.5, 0.0, 1.0, 1.0, 5.0, t),
+                 [(t, _WINDOW) for t in (-0.1, 6.0, np.nan, [0.5, np.nan])], [[0.0, 5.0]],
+                 id="closed-form-window"),
+    # an operator larger than the states' basis was cut to its dim x dim block,
+    # and a post on another omega went ahead
+    *(pytest.param(lambda pair, caller=caller: _WEAK_CALLERS[caller](*pair, [1.0]),
+                   [((np.eye(32), _PRE16.dual()), _BASES + r".*, operator \(32, 32\)"),
+                    ((np.eye(16), coherent_state(OscillatorBasis(dim=16, omega=2.0), 1.0).dual()),
+                     _BASES + r".*omega=1\.0.*, post on .*omega=2\.0.*, operator \(16, 16\)")],
+                   [(np.eye(16), _PRE16.dual())], id=f"{caller}-bases")
+      for caller in _WEAK_CALLERS),
+])
+def test_counts_windows_and_bases_are_refused_in_one_place(call, refused, accepted):
+    for value, pattern in refused:
+        with pytest.raises(ValueError, match=f"^{pattern}$"):
+            call(value)
+    for value in accepted:
+        call(value)
 
 
 def test_basis_refuses_an_omega_whose_top_energy_overflows():

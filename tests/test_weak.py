@@ -595,6 +595,19 @@ def test_closed_form_refuses_an_overflow_by_name(alpha, x0, what):
     assert what in str(err.value)
 
 
+@pytest.mark.parametrize("delta, omega, message", [
+    pytest.param(np.nan, 1.0, "delta=nan is not finite", id="nan-delta"),
+    pytest.param(-np.inf, 1.0, "delta=-inf is not finite", id="infinite-delta"),
+    pytest.param(0.0, np.nan, "omega must be positive and finite, got nan", id="nan-omega"),
+    pytest.param(0.0, 0.0, "omega must be positive and finite, got 0.0", id="zero-omega"),
+    pytest.param(0.0, -1.0, "omega must be positive and finite, got -1.0", id="negative-omega"),
+])
+def test_closed_form_refuses_a_nan_delta_or_a_bad_omega_by_name(delta, omega, message):
+    # a NaN delta or omega gave [nan], and an infinite delta math.remainder's "math domain error"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        closed_form_pvi_weak(2.5, delta, 1.0, omega, 100.0, [1.0])
+
+
 def test_closed_form_amplitude_ordering():
     # larger |alpha| means a larger oscillation amplitude at fixed x0
     t = np.linspace(0.0, 100.0, 20001)

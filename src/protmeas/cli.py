@@ -313,11 +313,12 @@ _READERS = {
 # run can allocate its arrays and finish its loops.  At 2**14 levels one dim x
 # dim complex matrix takes 4 GiB, and correspondence's recurrence runs over
 # phi_0..phi_n (sketch and zeno need n < dim).  Measured on 2 cores, one
-# process each: pointer-trace at 2**20 steps and dim 64 took 5 s and 0.5 GB, a
-# Zeno protection 20 us at dim 12 and 2.3-2.9 ms at dim 512, ergodic 25 ns per
+# process each: pointer-trace at 2**20 steps and dim 64 took 4.7-7.9 s, most of
+# it formatting the CSV, and peaked at 205 MB RSS (270 MB with alpha2), a Zeno
+# protection 20 us at dim 12 and 2.3-2.9 ms at dim 512, ergodic 25 ns per
 # dwell sample and 80 ns per ensemble member, and heisenberg-projector's
-# max_index**2 rows 7-9 s, 0.36 GB and a 135 MB CSV at max_index 2**10, most
-# of it formatting the CSV
+# max_index**2 rows 7-9 s, 264 MB RSS and a 135 MB CSV at max_index 2**10,
+# most of it formatting the CSV
 LIMITS = {"dim": 2 ** 14, "n": 2 ** 14, "steps": 2 ** 20, "n_list": 2 ** 16,
           "n_samples": 2 ** 30, "ensemble_n": 2 ** 24, "max_index": 2 ** 10}
 

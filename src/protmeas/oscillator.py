@@ -216,9 +216,11 @@ def check_count(value, name: str, minimum: int) -> None:
     """Raise ValueError naming `name` unless value is a Python or numpy integer >= minimum.
 
     A float, even an integral one such as 16.0, a string or None is not a
-    count: it would reach range(), np.arange or np.linspace as it is.
+    count: it would reach range(), np.arange or np.linspace as it is.  Nor is
+    a bool, which Python counts as an int: number_state(basis, True) would
+    set every amplitude, as amps[True] indexes the whole array.
     """
-    if not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")

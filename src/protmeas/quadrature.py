@@ -59,7 +59,9 @@ def interval_overlaps(a: float, b: float, dim: int) -> np.ndarray:
     no dim x dim temporary is paged in.  Each entry keeps the operations
     of W_b - W_a with W = 0 at an infinite edge, and so its bits and signed
     zeros: W_b where a = -inf, 0 - W_a where b = inf, 0 - 0 on the whole line.
+    Raises ValueError naming dim unless it is an integer >= 1.
     """
+    check_count(dim, "dim", 1)
     phi, dphi = _edge_terms([x for x in (a, b) if not isinf(x)], dim)
     p, d = phi.T.copy(), dphi.T.copy()          # one row per finite edge
     out = np.empty((dim, dim))

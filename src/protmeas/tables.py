@@ -4,9 +4,9 @@ import os
 
 import numpy as np
 
-# Python floats and strings exist for one block of rows at a time, so writing a
-# table holds its CSV bytes about twice (the blocks and their join), not the
-# whole table as Python objects as well
+# Python floats and strings exist for one block of rows at a time, and each
+# block is appended to one buffer, so writing a table holds its CSV bytes about
+# once, not the whole table as Python objects as well
 CSV_BLOCK_ROWS = 4096
 
 
@@ -37,14 +37,14 @@ class ResultTable:
     def write_csv(self, path):
         """Write the header and rows as ASCII CSV, formatted CSV_BLOCK_ROWS rows at a time."""
         values = [v if v.dtype.kind in "iu" else v.astype(float, copy=False) for v in self.values]
-        blocks = [",".join(self.header()).encode("ascii") + b"\n"]
+        data = bytearray(",".join(self.header()).encode("ascii") + b"\n")
         for start in range(0, values[0].size, CSV_BLOCK_ROWS):
             cells = [map(repr, v[start:start + CSV_BLOCK_ROWS].tolist()) for v in values]
-            blocks.append(("\n".join(map(",".join, zip(*cells))) + "\n").encode("ascii"))
-        write_atomic(path, b"".join(blocks))
+            data += ("\n".join(map(",".join, zip(*cells))) + "\n").encode("ascii")
+        write_atomic(path, data)
 
 
-def write_atomic(path, data: bytes):
+def write_atomic(path, data: bytes | bytearray):
     """Write via a temp file in the target directory plus rename.
 
     The temp file is created with mode 0o666, which the kernel masks with the

@@ -53,6 +53,7 @@ the c_k before either evaluation, to the terms above rounding level; the
 cut moves N(t) by at most 3 u max|A_mn| ||d||_1 ||a||_1, u = eps/2.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -97,9 +98,12 @@ class MeasurementSchedule:
     def plateau(self) -> float:
         return 1.0 / (self.duration * (1.0 - self.ramp_fraction))
 
-    @property
+    @functools.cached_property
     def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.duration, self.steps + 1)
+        """The steps + 1 grid times, formed once and read-only, so every user shares them."""
+        times = np.linspace(0.0, self.duration, self.steps + 1)
+        times.flags.writeable = False
+        return times
 
     def _ramps(self, t):
         """(ramp length, rise mask, fall mask) of the float array t.
@@ -363,17 +367,28 @@ def pointer_trace(schedule: MeasurementSchedule, pre: StateVector, A,
     for which the weak value is the expectation value in the evolved
     pre-selected state.  A post-selection below OVERLAP_FLOOR does not fail
     the run: the trace has zero values and readings and `flagged` set.
+
+    The trace shares the schedule's times and keeps two real arrays of its
+    own, the values and the readings; the complex series is freed on return,
+    and the trapezoid is summed in the readings array, so a trace on S times
+    peaks at three arrays of S floats beyond the times.
     """
     times = schedule.times
     if post is None:
         _require_hermitian(A)
         post = evolve(pre, schedule.duration).dual()
     try:
-        values = weak_value_series(A, pre, post, times, schedule.duration).real
+        values = weak_value_series(A, pre, post, times, schedule.duration).real.copy()
     except PostSelectionError:
         return PointerTrace(times=times, readings=np.zeros(times.shape),
                             values=np.zeros(times.shape), flagged=True)
-    rate = schedule.g(times) * values
-    increments = 0.5 * (rate[1:] + rate[:-1]) * np.diff(times)
-    readings = np.concatenate([[0.0], np.cumsum(increments)])
+    rate = schedule.g(times)
+    rate *= values
+    # readings[1:] = cumsum(0.5 (rate[1:] + rate[:-1]) diff(times)), operation
+    # for operation, with rate[1:] holding diff(times) once its sums are taken
+    readings = np.zeros(times.shape)
+    increments = np.add(rate[1:], rate[:-1], out=readings[1:])
+    increments *= 0.5
+    increments *= np.subtract(times[1:], times[:-1], out=rate[1:])
+    np.cumsum(increments, out=increments)
     return PointerTrace(times=times, readings=readings, values=values, flagged=False)

@@ -75,7 +75,8 @@ def test_table_blocks_write_the_formula_bytes(tmp_path):
 
 
 def test_table_write_holds_the_csv_about_twice(tmp_path):
-    # 65,536 rows of 5 floats: the whole-table formula peaked at 3.9 times the file
+    # 65,536 rows of 5 floats: the whole-table formula peaked at 3.9 times the
+    # file, a list of row blocks and their join at 2.1, one growing buffer at 1.3
     rng = np.random.default_rng(7)
     t = ResultTable([(f"c{i}", "", rng.normal(size=65536)) for i in range(5)])
     tracemalloc.start()
@@ -84,7 +85,24 @@ def test_table_write_holds_the_csv_about_twice(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * os.path.getsize(tmp_path / "t.csv")
+    assert peak < 1.5 * os.path.getsize(tmp_path / "t.csv")
+
+
+def test_pointer_trace_runner_holds_little_beyond_its_columns(capsys):
+    # 2**18 steps with alpha2: seven columns of 2**18 + 1 floats.  The runner
+    # peaked at 2.58 times their bytes when each trace kept its own times,
+    # a .real view of its complex series and five trapezoid temporaries
+    tracemalloc.start()
+    try:
+        columns, _ = RUNNERS["pointer-trace"](dim=64, omega=1.0, T=100.0, ramp=0.05,
+                                              steps=2**18, x0=1.0, w=0.05, alpha=2.5,
+                                              delta=0.0, alpha2=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert len(columns) == 7
+    assert peak < 1.6 * sum(np.asarray(values).nbytes for _, _, values in columns)
 
 
 def test_table_rejects_ragged_columns():

@@ -18,6 +18,7 @@ from protmeas import (DualState, IntervalRegion, MeasurementSchedule, Oscillator
                       two_state_readings, weak_value_series, zeno_protect_sim)
 from protmeas import oscillator
 from protmeas.oscillator import coherent_tail, hermite_functions, required_coherent_dim
+from protmeas.quadrature import interval_overlaps
 from protmeas.weak import post_selection_overlap
 
 from conftest import random_hermitian, random_state
@@ -33,9 +34,9 @@ def test_basis_rejects_tiny_dim():
 
 
 def _count_case(call, name, minimum, accepted, case_id):
-    """A count: each non-integer and minimum - 1 refused by name, a numpy integer taken."""
+    """A count: each non-integer or bool and minimum - 1 refused by name, a numpy integer taken."""
     refused = [(value, f"{name} must be an integer, got {value!r}")
-               for value in (2.5, 16.0, "8", None)]
+               for value in (2.5, 16.0, "8", None, True, False)]
     refused.append((minimum - 1, f"{name} must be >= {minimum}, got {minimum - 1}"))
     return pytest.param(call, [(v, re.escape(m)) for v, m in refused], [np.int64(accepted)],
                         id=case_id)
@@ -58,6 +59,7 @@ _WEAK_CALLERS = {
     _count_case(lambda v: hermite_functions([0.0, 1.0], v), "n_max", 0, 4, "hermite-n-max"),
     _count_case(lambda v: interval_diagonal(0.0, 1.0, v), "count", 1, 4,
                 "interval-diagonal-count"),
+    _count_case(lambda v: interval_overlaps(0.0, 1.0, v), "dim", 1, 1, "interval-overlaps-dim"),
     _count_case(lambda v: MeasurementSchedule(5.0, 0.05, v), "steps", 2, 2, "schedule-steps"),
     _count_case(lambda v: bipartite_protective_sim(projector_matrix(_HALF_LINE, _B16),
                                                    MeasurementSchedule(5.0), steps=v),

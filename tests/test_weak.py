@@ -59,12 +59,12 @@ def test_schedule_validation():
         assert MeasurementSchedule(10.0, ramp).ramp_fraction == ramp
     with pytest.raises(ValueError):
         MeasurementSchedule(10.0, steps=1)
-    # a float, even an integral one, a string or None is not a step count,
-    # and .times would pass it to np.linspace
-    for steps in (16.0, 2.5, "8", None, np.float64(8.0)):
+    # a float, even an integral one, a string, None or a bool is not a step
+    # count, and .times would pass it to np.linspace
+    for steps in (16.0, 2.5, "8", None, np.float64(8.0), True):
         with pytest.raises(ValueError, match=f"^steps must be an integer, got {re.escape(repr(steps))}$"):
             MeasurementSchedule(10.0, 0.05, steps)
-    for steps in (True, 0, -3, np.int64(1)):
+    for steps in (0, -3, np.int64(1)):
         with pytest.raises(ValueError, match="^steps must be >= 2, got "):
             MeasurementSchedule(10.0, 0.05, steps)
     schedule = MeasurementSchedule(10.0, 0.05, np.int64(8))
@@ -689,6 +689,55 @@ def test_flagged_trace_reports_not_raises(basis):
     trace = pointer_trace(s, pre, P, post)
     assert trace.flagged is True
     assert np.all(trace.readings == 0.0) and np.all(trace.values == 0.0)
+
+
+@pytest.mark.parametrize("steps", [2, 3, 4096])
+@pytest.mark.parametrize("selected", [True, False], ids=["post", "trivial"])
+def test_trace_readings_are_the_trapezoid_bit_for_bit(basis, steps, selected):
+    # the readings are summed in place, with the operations of the whole-array formula
+    P = projector_matrix(IntervalRegion(0.975, 1.025), basis)
+    pre = coherent_state(basis, 0.8 * np.exp(0.3j))
+    post = coherent_state(basis, 1.5).dual() if selected else None
+    s = MeasurementSchedule(40.0, steps=steps)
+    trace = pointer_trace(s, pre, P, post)
+    assert trace.flagged is False
+    t, r = trace.times, s.g(trace.times) * trace.values
+    expected = np.concatenate([[0.0], np.cumsum(0.5 * (r[1:] + r[:-1]) * np.diff(t))])
+    assert trace.readings.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("post_n", [None, 1], ids=["unflagged", "flagged"])
+def test_traces_share_the_schedules_read_only_times(basis, post_n):
+    P = projector_matrix(IntervalRegion(0.975, 1.025), basis)
+    pre = number_state(basis, 0)
+    post = None if post_n is None else number_state(basis, post_n).dual()
+    s = MeasurementSchedule(10.0, steps=64)
+    assert s.times is s.times
+    assert not s.times.flags.writeable
+    trace = pointer_trace(s, pre, P, post)
+    assert trace.flagged is (post_n is not None)
+    assert trace.times is s.times
+    # a real array of its own, not a view that holds the complex series
+    assert trace.values.flags.owndata
+
+
+def test_trace_keeps_two_real_arrays_and_peaks_at_three():
+    # beyond the schedule's shared times; the whole-array trapezoid over a
+    # .real view kept 4.0 and peaked at 7.0 arrays of the times' size
+    basis = OscillatorBasis(dim=64)
+    P = projector_matrix(IntervalRegion(0.5, 1.0), basis)
+    pre, post = number_state(basis, 0), coherent_state(basis, 1.0).dual()
+    s = MeasurementSchedule(20.0, steps=2**18 - 1)
+    size = s.times.nbytes
+    tracemalloc.start()
+    try:
+        trace = pointer_trace(s, pre, P, post)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.flagged is False
+    assert kept < 2.5 * size
+    assert peak < 3.5 * size
 
 
 def test_subnormal_ramp_fraction_raises_no_warning():
